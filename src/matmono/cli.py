@@ -210,12 +210,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
     p.add_argument("--output", help="write the report to this file instead of stdout")
     p.add_argument("--no-timestamp", action="store_true", help="omit the generated_at field")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("MATMONO_JOBS", "1")),
-        help="parallelism degree (accepted for forward compatibility; runs sequentially)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -298,7 +292,6 @@ def _cmd_certify(args) -> tuple[int, dict]:
     )
     report = certify(model, args.order, (lo, hi), args.mode, cfg)
     payload = report.to_jsonable()
-    payload["jobs"] = args.jobs
     if not report.consistent:
         return EXIT_NUMERICAL, payload
     return (EXIT_PASS if report.verdict == "pass" else EXIT_REFUTED), payload
@@ -358,7 +351,6 @@ def _cmd_oracle(args) -> tuple[int, dict]:
         "passed": bool(result),
         "configs": result.configs,
         "note": "sampled matrix pairs; a pass is not a proof",
-        "jobs": args.jobs,
     }
     if result.witness is not None:
         payload["witness"] = result.witness
@@ -379,14 +371,12 @@ def _cmd_genset(args) -> tuple[int, dict]:
             "union": rep.union.to_jsonable(),
             "consistent": rep.consistent,
             "verdict": rep.verdict,
-            "jobs": args.jobs,
         }
         if not rep.consistent:
             return EXIT_NUMERICAL, payload
         return (EXIT_PASS if rep.verdict == "pass" else EXIT_REFUTED), payload
     rep = genset_check(f, args.order, samples=args.samples, seed=seed, tol=args.tol)
     payload = rep.to_jsonable()
-    payload["jobs"] = args.jobs
     return (EXIT_PASS if rep.passed else EXIT_REFUTED), payload
 
 
@@ -411,7 +401,6 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
             "binding": feas.binding,
             "constraints": feas.constraint_count,
         },
-        "jobs": args.jobs,
     }
     return (EXIT_PASS if feas.empty else EXIT_REFUTED), payload
 
@@ -428,7 +417,6 @@ def _cmd_identity(args) -> tuple[int, dict]:
     tol = args.tol if args.tol != 1e-9 else 1e-8
     payload = report.to_jsonable()
     payload["tol"] = tol
-    payload["jobs"] = args.jobs
     return (EXIT_PASS if report.max_error <= tol else EXIT_REFUTED), payload
 
 
@@ -450,7 +438,7 @@ def _cmd_catalog(args) -> tuple[int, dict]:
                 "convex_note": truth.convex_note,
             }
         )
-    return EXIT_PASS, {"catalog": entries, "jobs": args.jobs}
+    return EXIT_PASS, {"catalog": entries}
 
 
 class _Usage(Exception):

@@ -29,7 +29,7 @@ from .divdiff import (
     divided_difference_scaled,
     sample_distinct_tuple,
 )
-from .expr import EXTENDED_DIGITS, FunctionModel
+from .expr import FunctionModel
 from .linalg import (
     CheckResult,
     convexity_oracle,
@@ -271,12 +271,134 @@ class CertifyConfig:
     tol: float = 1e-9
     grid: int = 257
     include_oracle: bool = True
-    min_separation: float | None = None
 
     def sampler(self, seed: int) -> SamplerConfig:
-        return SamplerConfig(
-            seed=seed, samples=self.samples, min_separation=self.min_separation
+        return SamplerConfig(seed=seed, samples=self.samples)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation, confirmation and witnesses
+#
+# A configuration is a dict of the witness fields that locate it, with
+# the nodes and q as NodeMultiset and Poly.  One evaluator per witness
+# kind maps (f, config, precision, tol) to (value, threshold, precision
+# it ran in, criterion matrix or None); the margin is value + threshold.
+# The sweeps, their extended-precision re-check and witness replay all
+# go through these evaluators.
+
+
+def _evaluate_dd(f: FunctionModel, config: dict, precision: str, tol: float):
+    """[nodes]_{f N(q)} against the roundoff floor of its table."""
+    ms = config["nodes"]
+    value, scale = divided_difference_scaled(f, ms, precision, n_of(config["q"]))
+    mode = _choose_precision(ms, precision)
+    return value, max(tol, dd_noise_floor(scale, mode)), mode, None
+
+
+def _evaluate_psd(f: FunctionModel, config: dict, precision: str, tol: float):
+    """Minimum eigenvalue of the criterion matrix against tol * its scale."""
+    criterion = config["criterion"]
+    if criterion == "loewner-psd":
+        M = loewner_matrix(f, config["points"], precision)
+    elif criterion == "extended-loewner-psd":
+        M = extended_loewner_matrix(f, config["points"], precision)
+    elif criterion == "dobsch-psd":
+        M = dobsch_matrix(f, config["t"], config["order"], precision)
+    elif criterion == "hankel-psd":
+        M = hankel_convex_matrix(f, config["t"], config["order"], precision)
+    else:
+        M = kraus_matrix(f, config["points"], config["base"], precision)
+    threshold = tol * max(1.0, float(np.abs(M).max()))
+    return min_eigenvalue(M), threshold, precision, M
+
+
+def _evaluate_product(f: FunctionModel, config: dict, precision: str, tol: float):
+    """(f N(q))^(order)(t) / order! against the roundoff floor of its terms."""
+    value, scale = _product_derivative_value(
+        f, n_of(config["q"]), config["t"], config["deriv_order"], precision
+    )
+    return float(value), float(max(tol, dd_noise_floor(scale, precision))), precision, None
+
+
+_EVALUATORS = {
+    "dd": _evaluate_dd,
+    "psd-matrix": _evaluate_psd,
+    "derivative-sign": _evaluate_product,
+}
+
+
+def _witness(kind: str, config: dict, value: float, threshold: float, matrix) -> dict:
+    w = {"kind": kind, **config}
+    if "nodes" in w:
+        w["nodes"] = [list(pair) for pair in w["nodes"].nodes]
+    if "q" in w:
+        w["q"] = _poly_to_jsonable(w["q"])
+    if matrix is None:
+        w["value"] = value
+    else:
+        w["matrix"] = matrix_to_jsonable(matrix)
+        w["min_eigenvalue"] = value
+    w["threshold"] = threshold
+    return w
+
+
+def _config(witness: dict) -> dict:
+    """The configuration a witness records (inverse of _witness)."""
+    config = dict(witness)
+    if "nodes" in config:
+        config["nodes"] = NodeMultiset.from_pairs([tuple(p) for p in config["nodes"]])
+    if "q" in config:
+        config["q"] = _poly_from_jsonable(config["q"])
+    return config
+
+
+class _Tally:
+    """Running state of one sweep: configurations checked, the worst
+    margin and its witness, and candidates dismissed on re-check."""
+
+    def __init__(self, f: FunctionModel, criterion: str, kind: str, precision: str, tol: float):
+        self.f, self.criterion, self.kind = f, criterion, kind
+        self.evaluate = _EVALUATORS[kind]
+        self.precision, self.tol = precision, tol
+        self.configs = 0
+        self.worst = math.inf
+        self.witness = None
+        self.dismissed = 0
+
+    def check(self, config: dict) -> float:
+        """Margin of one configuration; negative means a confirmed violation.
+
+        A negative margin from a run that was not already in extended
+        precision is re-evaluated in extended precision, and only the
+        second margin counts.
+        """
+        self.configs += 1
+        value, threshold, mode, matrix = self.evaluate(self.f, config, self.precision, self.tol)
+        rechecked = value + threshold < 0.0 and mode != "extended"
+        if rechecked:
+            value, threshold, _, matrix = self.evaluate(self.f, config, "extended", self.tol)
+        margin = value + threshold
+        if margin < self.worst:
+            self.worst = margin
+            self.witness = _witness(self.kind, config, value, threshold, matrix)
+        if rechecked and margin >= 0.0:
+            self.dismissed += 1
+        return margin
+
+    def record(self, passed: bool, note: str = "") -> CriterionRecord:
+        if passed and self.dismissed:
+            dismissed = f"{self.dismissed} candidate(s) dismissed in extended precision"
+            note = f"{note}; {dismissed}" if note else dismissed
+        return CriterionRecord(
+            self.criterion, passed, self.configs, self.worst, self.witness, note
         )
+
+    def run(self, draw, samples: int, note: str = "") -> CriterionRecord:
+        """Check draw(0), ..., draw(samples - 1); stop at the first violation."""
+        for idx in range(samples):
+            if self.check(draw(idx)) < 0.0:
+                return self.record(False, note)
+        return self.record(True, note)
 
 
 # ---------------------------------------------------------------------------
@@ -291,66 +413,27 @@ def _draw_multiset(
     sampler: SamplerConfig,
     idx: int,
 ) -> NodeMultiset:
-    if shape == "distinct-2n":
-        pts = sample_distinct_tuple(rng, 2 * n, interval, sampler, idx)
-        return NodeMultiset.from_points(pts.tolist())
-    if shape == "distinct-2n+1":
-        pts = sample_distinct_tuple(rng, 2 * n + 1, interval, sampler, idx)
-        return NodeMultiset.from_points(pts.tolist())
-    if shape == "doubled":
-        pts = sample_distinct_tuple(rng, n, interval, sampler, idx)
-        return NodeMultiset.from_pairs([(p, 2) for p in pts.tolist()])
+    count = {"distinct-2n": 2 * n, "distinct-2n+1": 2 * n + 1, "doubled-free": n + 1}
+    pts = sample_distinct_tuple(rng, count.get(shape, n), interval, sampler, idx).tolist()
+    if shape.startswith("distinct"):
+        return NodeMultiset.from_points(pts)
+    mults = [2] * len(pts)
     if shape == "doubled-anchored":
-        pts = sample_distinct_tuple(rng, n, interval, sampler, idx)
-        anchor = int(rng.integers(0, n))
-        return NodeMultiset.from_pairs(
-            [(p, 3 if i == anchor else 2) for i, p in enumerate(pts.tolist())]
-        )
-    if shape == "doubled-free":
-        pts = sample_distinct_tuple(rng, n + 1, interval, sampler, idx)
-        simple = int(rng.integers(0, n + 1))
-        return NodeMultiset.from_pairs(
-            [(p, 1 if i == simple else 2) for i, p in enumerate(pts.tolist())]
-        )
-    raise ValueError(f"unknown multiset shape {shape!r}")
+        mults[int(rng.integers(0, n))] = 3
+    elif shape == "doubled-free":
+        mults[int(rng.integers(0, n + 1))] = 1
+    return NodeMultiset.from_pairs(zip(pts, mults))
 
 
 _DD_SHAPES = {
-    ("monotone", "dd-real-q"): ("distinct-2n", False),
-    ("monotone", "dd-complex-q"): ("distinct-2n", True),
-    ("monotone", "dd-confluent"): ("doubled", None),
-    ("convex", "dd-real-q"): ("distinct-2n+1", False),
-    ("convex", "dd-complex-q"): ("distinct-2n+1", True),
-    ("convex", "dd-confluent-anchored"): ("doubled-anchored", None),
-    ("convex", "dd-confluent-free"): ("doubled-free", None),
+    ("monotone", "dd-real-q"): "distinct-2n",
+    ("monotone", "dd-complex-q"): "distinct-2n",
+    ("monotone", "dd-confluent"): "doubled",
+    ("convex", "dd-real-q"): "distinct-2n+1",
+    ("convex", "dd-complex-q"): "distinct-2n+1",
+    ("convex", "dd-confluent-anchored"): "doubled-anchored",
+    ("convex", "dd-confluent-free"): "doubled-free",
 }
-
-
-def _dd_config_check(
-    f: FunctionModel,
-    ms: NodeMultiset,
-    q: Poly,
-    tol: float,
-) -> tuple[float, float, bool]:
-    """(value, threshold, confirmed_violation) for one dd configuration.
-
-    A double-precision candidate below -threshold is recomputed in
-    extended precision before it counts as a violation.
-    """
-    weight = n_of(q)
-    value, scale = divided_difference_scaled(f, ms, weight=weight)
-    mode = _choose_precision(ms, "auto")
-    threshold = max(tol, dd_noise_floor(scale, mode))
-    if value >= -threshold:
-        return value, threshold, False
-    if mode == "double":
-        value2, scale2 = divided_difference_scaled(
-            f, ms, precision="extended", weight=weight
-        )
-        value2 = float(value2)
-        threshold2 = float(max(tol, dd_noise_floor(scale2, "extended")))
-        return value2, threshold2, value2 < -threshold2
-    return value, threshold, True
 
 
 def dd_criterion(
@@ -368,8 +451,7 @@ def dd_criterion(
     structured cadence in degree <= n-1 (real or complex coefficients).
     """
     criterion = "dd-complex-q" if complex_coeffs else "dd-real-q"
-    shape, _ = _DD_SHAPES[(mode, criterion)]
-    return _run_dd_sweep(f, n, interval, criterion, shape, complex_coeffs, sampler, tol)
+    return _run_dd_sweep(f, n, interval, mode, criterion, complex_coeffs, sampler, tol)
 
 
 def confluent_dd_criterion(
@@ -389,20 +471,18 @@ def confluent_dd_criterion(
     complex coefficients.
     """
     if mode == "monotone":
-        criterion, shape = "dd-confluent", "doubled"
-    elif base == "anchored":
-        criterion, shape = "dd-confluent-anchored", "doubled-anchored"
+        criterion = "dd-confluent"
     else:
-        criterion, shape = "dd-confluent-free", "doubled-free"
-    return _run_dd_sweep(f, n, interval, criterion, shape, None, sampler, tol)
+        criterion = "dd-confluent-anchored" if base == "anchored" else "dd-confluent-free"
+    return _run_dd_sweep(f, n, interval, mode, criterion, None, sampler, tol)
 
 
 def _run_dd_sweep(
     f: FunctionModel,
     n: int,
     interval: tuple[float, float],
+    mode: str,
     criterion: str,
-    shape: str,
     complex_coeffs: bool | None,
     sampler: SamplerConfig | None,
     tol: float,
@@ -410,48 +490,21 @@ def _run_dd_sweep(
     sampler = sampler or SamplerConfig()
     rng = sampler.rng()
     span = float(interval[1]) - float(interval[0])
-    worst = math.inf
-    worst_witness = None
-    spurious = 0
-    for idx in range(sampler.samples):
+    shape = _DD_SHAPES[(mode, criterion)]
+
+    def draw(idx: int) -> dict:
         ms = _draw_multiset(rng, shape, n, interval, sampler, idx)
         use_complex = bool(idx % 2) if complex_coeffs is None else complex_coeffs
         q = _sample_q(rng, n - 1, ms.values(), span, idx, use_complex)
-        value, threshold, confirmed = _dd_config_check(f, ms, q, tol)
-        margin = value + threshold
-        if margin < worst:
-            worst = margin
-            worst_witness = {
-                "kind": "dd",
-                "criterion": criterion,
-                "nodes": [list(pair) for pair in ms.nodes],
-                "q": _poly_to_jsonable(q),
-                "value": value,
-                "threshold": threshold,
-            }
-        if confirmed:
-            return CriterionRecord(
-                criterion, False, idx + 1, worst, worst_witness, _Q_CADENCE_NOTE
-            )
-        if value < -tol:
-            spurious += 1
-    note = _Q_CADENCE_NOTE
-    if spurious:
-        note += f"; {spurious} candidate(s) dismissed in extended precision"
-    return CriterionRecord(criterion, True, sampler.samples, worst, worst_witness, note)
+        return {"criterion": criterion, "nodes": ms, "q": q}
+
+    return _Tally(f, criterion, "dd", "auto", tol).run(draw, sampler.samples, _Q_CADENCE_NOTE)
 
 
 # ---------------------------------------------------------------------------
 # PSD sweeps over sampled points (Loewner, extended Loewner, Kraus)
 
-
-def _psd_margin(M: np.ndarray, tol: float) -> tuple[float, float, float]:
-    """(min eigenvalue, threshold, margin) with scale-aware threshold."""
-    lam = min_eigenvalue(M)
-    scale = max(1.0, float(np.abs(M).max()))
-    threshold = tol * scale
-    return lam, threshold, lam + threshold
-
+_PSD_POINT_CRITERIA = ("loewner-psd", "extended-loewner-psd", "kraus-anchored-psd", "kraus-free-psd")
 
 def _run_psd_point_sweep(
     f: FunctionModel,
@@ -461,70 +514,23 @@ def _run_psd_point_sweep(
     sampler: SamplerConfig,
     tol: float,
 ) -> CriterionRecord:
+    if criterion not in _PSD_POINT_CRITERIA:
+        raise ValueError(f"unknown PSD criterion {criterion!r}")
     rng = sampler.rng()
-    worst = math.inf
-    worst_witness = None
-    spurious = 0
-    for idx in range(sampler.samples):
-        base = None
-        if criterion in ("kraus-anchored-psd", "kraus-free-psd"):
-            if criterion == "kraus-free-psd":
-                pts = sample_distinct_tuple(rng, n + 1, interval, sampler, idx)
-                cut = int(rng.integers(0, n + 1))
-                base = float(pts[cut])
-                points = [float(p) for i, p in enumerate(pts) if i != cut]
-            else:
-                pts = sample_distinct_tuple(rng, n, interval, sampler, idx)
-                points = [float(p) for p in pts]
-                base = points[int(rng.integers(0, n))]
-            M = kraus_matrix(f, points, base)
-        elif criterion == "loewner-psd":
-            points = [float(p) for p in sample_distinct_tuple(rng, n, interval, sampler, idx)]
-            M = loewner_matrix(f, points)
-        elif criterion == "extended-loewner-psd":
-            points = [float(p) for p in sample_distinct_tuple(rng, n, interval, sampler, idx)]
-            M = extended_loewner_matrix(f, points)
-        else:
-            raise ValueError(f"unknown PSD criterion {criterion!r}")
-        lam, threshold, margin = _psd_margin(M, tol)
-        if margin < 0.0:
-            # re-verify entries in extended precision before reporting
-            if criterion == "loewner-psd":
-                M2 = loewner_matrix(f, points, precision="extended")
-            elif criterion == "extended-loewner-psd":
-                M2 = extended_loewner_matrix(f, points, precision="extended")
-            else:
-                M2 = kraus_matrix(f, points, base, precision="extended")
-            lam, threshold, margin = _psd_margin(M2, tol)
-            if margin < 0.0:
-                witness = {
-                    "kind": "psd-matrix",
-                    "criterion": criterion,
-                    "points": points,
-                    "matrix": matrix_to_jsonable(M2),
-                    "min_eigenvalue": lam,
-                    "threshold": threshold,
-                }
-                if base is not None:
-                    witness["base"] = base
-                return CriterionRecord(criterion, False, idx + 1, margin, witness)
-            spurious += 1
-        if margin < worst:
-            worst = margin
-            worst_witness = {
-                "kind": "psd-matrix",
-                "criterion": criterion,
-                "points": points,
-                "matrix": matrix_to_jsonable(M),
-                "min_eigenvalue": lam,
-                "threshold": threshold,
-            }
-            if base is not None:
-                worst_witness["base"] = base
-    note = ""
-    if spurious:
-        note = f"{spurious} candidate(s) dismissed in extended precision"
-    return CriterionRecord(criterion, True, sampler.samples, worst, worst_witness, note)
+
+    def draw(idx: int) -> dict:
+        if criterion == "kraus-free-psd":
+            pts = sample_distinct_tuple(rng, n + 1, interval, sampler, idx)
+            cut = int(rng.integers(0, n + 1))
+            points = [float(p) for i, p in enumerate(pts) if i != cut]
+            return {"criterion": criterion, "points": points, "base": float(pts[cut])}
+        points = [float(p) for p in sample_distinct_tuple(rng, n, interval, sampler, idx)]
+        if criterion == "kraus-anchored-psd":
+            base = points[int(rng.integers(0, n))]
+            return {"criterion": criterion, "points": points, "base": base}
+        return {"criterion": criterion, "points": points}
+
+    return _Tally(f, criterion, "psd-matrix", "auto", tol).run(draw, sampler.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -556,53 +562,17 @@ def _run_derivative_matrix_sweep(
     search.  Positivity at every probe is reported as a pass for the
     grid, not as an almost-everywhere proof.
     """
-    build = dobsch_matrix if criterion == "dobsch-psd" else hankel_convex_matrix
     ts = np.sort(_chebyshev_grid(interval, grid))
-    worst = math.inf
-    worst_witness = None
-    configs = 0
-    spurious = 0
+    tally = _Tally(f, criterion, "psd-matrix", "double", tol)
 
-    def probe(t: float):
-        nonlocal worst, worst_witness, configs, spurious
-        configs += 1
-        M = build(f, t, n)
-        lam, threshold, margin = _psd_margin(M, tol)
-        witness = None
-        if margin < 0.0:
-            M2 = build(f, t, n, precision="extended")
-            lam, threshold, margin = _psd_margin(M2, tol)
-            if margin < 0.0:
-                witness = {
-                    "kind": "psd-matrix",
-                    "criterion": criterion,
-                    "t": float(t),
-                    "order": n,
-                    "matrix": matrix_to_jsonable(M2),
-                    "min_eigenvalue": lam,
-                    "threshold": threshold,
-                }
-            else:
-                spurious += 1
-        if margin < worst:
-            worst = margin
-            if witness is None:
-                worst_witness = {
-                    "kind": "psd-matrix",
-                    "criterion": criterion,
-                    "t": float(t),
-                    "order": n,
-                    "matrix": matrix_to_jsonable(M),
-                    "min_eigenvalue": lam,
-                    "threshold": threshold,
-                }
-        return margin, witness
+    def probe(t) -> float:
+        return tally.check({"criterion": criterion, "t": float(t), "order": n})
 
     margins = []
     for t in ts:
-        margin, witness = probe(float(t))
-        if witness is not None:
-            return CriterionRecord(criterion, False, configs, worst, witness)
+        margin = probe(t)
+        if margin < 0.0:
+            return tally.record(False)
         margins.append(margin)
     minima = [
         i
@@ -617,20 +587,17 @@ def _run_derivative_matrix_sweep(
         for _ in range(30):
             m1 = a + (b - a) / 3.0
             m2 = b - (b - a) / 3.0
-            margin1, witness = probe(m1)
-            if witness is not None:
-                return CriterionRecord(criterion, False, configs, worst, witness)
-            margin2, witness = probe(m2)
-            if witness is not None:
-                return CriterionRecord(criterion, False, configs, worst, witness)
+            margin1 = probe(m1)
+            if margin1 < 0.0:
+                return tally.record(False)
+            margin2 = probe(m2)
+            if margin2 < 0.0:
+                return tally.record(False)
             if margin1 <= margin2:
                 b = m2
             else:
                 a = m1
-    note = f"grid {grid} Chebyshev points"
-    if spurious:
-        note += f"; {spurious} candidate(s) dismissed in extended precision"
-    return CriterionRecord(criterion, True, configs, worst, worst_witness, note)
+    return tally.record(True, f"grid {grid} Chebyshev points")
 
 
 # ---------------------------------------------------------------------------
@@ -670,48 +637,14 @@ def _run_product_derivative_sweep(
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
     margin_t = 1e-6 * span
-    worst = math.inf
-    worst_witness = None
-    spurious = 0
-    for idx in range(sampler.samples):
+
+    def draw(idx: int) -> dict:
         t = float(rng.uniform(lo + margin_t, hi - margin_t))
         anchors = (t, lo + 0.25 * span, lo + 0.75 * span)
         q = _sample_q(rng, n - 1, anchors, span, idx, bool(idx % 2))
-        weight = n_of(q)
-        value, scale = _product_derivative_value(f, weight, t, order)
-        threshold = max(tol, 64.0 * 2.3e-16 * max(scale, 1.0))
-        confirmed = False
-        if value < -threshold:
-            value2, scale2 = _product_derivative_value(
-                f, weight, t, order, precision="extended"
-            )
-            value2 = float(value2)
-            threshold2 = float(
-                max(tol, 64.0 * 10.0 ** (1 - EXTENDED_DIGITS) * max(scale2, 1.0))
-            )
-            if value2 < -threshold2:
-                value, threshold, confirmed = value2, threshold2, True
-            else:
-                value, threshold = value2, threshold2
-                spurious += 1
-        margin = value + threshold
-        if margin < worst:
-            worst = margin
-            worst_witness = {
-                "kind": "derivative-sign",
-                "criterion": criterion,
-                "t": t,
-                "deriv_order": order,
-                "q": _poly_to_jsonable(q),
-                "value": value,
-                "threshold": threshold,
-            }
-        if confirmed:
-            return CriterionRecord(criterion, False, idx + 1, worst, worst_witness)
-    note = ""
-    if spurious:
-        note = f"{spurious} candidate(s) dismissed in extended precision"
-    return CriterionRecord(criterion, True, sampler.samples, worst, worst_witness, note)
+        return {"criterion": criterion, "t": t, "deriv_order": order, "q": q}
+
+    return _Tally(f, criterion, "derivative-sign", "double", tol).run(draw, sampler.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -721,57 +654,29 @@ def _run_product_derivative_sweep(
 def re_evaluate_witness(f: FunctionModel, witness: dict, tol: float = 1e-9) -> dict:
     """Recompute a witness from its stored configuration.
 
-    Returns {"value", "threshold", "confirmed"}; dd and derivative
-    witnesses are recomputed in extended precision, matrix witnesses
-    through the spectral calculus.
+    Returns {"value", "threshold", "confirmed"}.  Criterion witnesses
+    go through the evaluator of their sweep in extended precision,
+    oracle witnesses (matrix-pair, jensen) through the spectral
+    calculus.
     """
     kind = witness["kind"]
-    if kind == "dd":
-        ms = NodeMultiset.from_pairs([tuple(p) for p in witness["nodes"]])
-        q = _poly_from_jsonable(witness["q"])
-        value = float(divided_difference(f, ms, precision="extended", weight=n_of(q)))
-        threshold = float(witness["threshold"])
-        return {"value": value, "threshold": threshold, "confirmed": value < -threshold}
-    if kind == "derivative-sign":
-        q = _poly_from_jsonable(witness["q"])
-        value, _ = _product_derivative_value(
-            f, n_of(q), float(witness["t"]), int(witness["deriv_order"]), "extended"
-        )
-        value = float(value)
-        threshold = float(witness["threshold"])
-        return {"value": value, "threshold": threshold, "confirmed": value < -threshold}
-    if kind == "psd-matrix":
-        criterion = witness["criterion"]
-        if criterion == "dobsch-psd":
-            M = dobsch_matrix(f, witness["t"], int(witness["order"]), "extended")
-        elif criterion == "hankel-psd":
-            M = hankel_convex_matrix(f, witness["t"], int(witness["order"]), "extended")
-        elif criterion == "loewner-psd":
-            M = loewner_matrix(f, witness["points"], "extended")
-        elif criterion == "extended-loewner-psd":
-            M = extended_loewner_matrix(f, witness["points"], "extended")
-        else:
-            M = kraus_matrix(f, witness["points"], witness["base"], "extended")
-        lam, threshold, _ = _psd_margin(M, tol)
-        return {"value": lam, "threshold": threshold, "confirmed": lam < -threshold}
-    if kind == "matrix-pair":
+    if kind in _EVALUATORS:
+        value, threshold, _, _ = _EVALUATORS[kind](f, _config(witness), "extended", tol)
+    elif kind in ("matrix-pair", "jensen"):
         A = matrix_from_jsonable(witness["matrix_a"])
         B = matrix_from_jsonable(witness["matrix_b"])
         FA = matrix_function(f, A)
         FB = matrix_function(f, B)
-        lam = min_eigenvalue(FB - FA)
-        scale = max(1.0, float(np.abs(FA).max()), float(np.abs(FB).max()))
-        return {"value": lam, "threshold": tol * scale, "confirmed": lam < -tol * scale}
-    if kind == "jensen":
-        A = matrix_from_jsonable(witness["matrix_a"])
-        B = matrix_from_jsonable(witness["matrix_b"])
-        t = float(witness["weight"])
-        M = t * A + (1.0 - t) * B
-        FA, FB, FM = (matrix_function(f, X) for X in (A, B, M))
-        lam = min_eigenvalue(t * FA + (1.0 - t) * FB - FM)
-        scale = max(1.0, float(np.abs(FA).max()), float(np.abs(FB).max()))
-        return {"value": lam, "threshold": tol * scale, "confirmed": lam < -tol * scale}
-    raise ValueError(f"unknown witness kind {kind!r}")
+        if kind == "matrix-pair":
+            D = FB - FA
+        else:
+            t = float(witness["weight"])
+            D = t * FA + (1.0 - t) * FB - matrix_function(f, t * A + (1.0 - t) * B)
+        value = min_eigenvalue(D)
+        threshold = tol * max(1.0, float(np.abs(FA).max()), float(np.abs(FB).max()))
+    else:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    return {"value": value, "threshold": threshold, "confirmed": value < -threshold}
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +702,32 @@ def _oracle_record(
         result.witness,
         "sampled matrix pairs; a pass is not a proof",
     )
+
+
+# criterion id -> its sweep, called as (f, n, interval, mode, sampler, config).
+# The sweep functions are looked up by name at call time, so rebinding one
+# of them on this module reaches certify.
+_SWEEPS = {
+    "dd-real-q": lambda f, n, iv, m, s, c: dd_criterion(f, n, iv, m, s, False, c.tol),
+    "dd-complex-q": lambda f, n, iv, m, s, c: dd_criterion(f, n, iv, m, s, True, c.tol),
+    "dd-confluent": lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, s, tol=c.tol),
+    "dd-confluent-anchored":
+        lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, s, "anchored", c.tol),
+    "dd-confluent-free":
+        lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, s, "free", c.tol),
+    "product-derivative":
+        lambda f, n, iv, m, s, c: _run_product_derivative_sweep(f, n, iv, m, s, c.tol),
+    **{
+        name: lambda f, n, iv, m, s, c, name=name: _run_psd_point_sweep(f, n, iv, name, s, c.tol)
+        for name in _PSD_POINT_CRITERIA
+    },
+    **{
+        name: lambda f, n, iv, m, s, c, name=name: _run_derivative_matrix_sweep(
+            f, n, iv, name, c.grid, c.tol
+        )
+        for name in ("dobsch-psd", "hankel-psd")
+    },
+}
 
 
 def certify(
@@ -828,31 +759,10 @@ def certify(
     child = {name: int(s.generate_state(1)[0]) for name, s in zip(names, seeds)}
     oracle_seed = int(seeds[-1].generate_state(1)[0])
 
-    records: list[CriterionRecord] = []
-    for name in names:
-        sampler = config.sampler(child[name])
-        if name == "dd-real-q":
-            rec = dd_criterion(f, n, interval, mode, sampler, False, config.tol)
-        elif name == "dd-complex-q":
-            rec = dd_criterion(f, n, interval, mode, sampler, True, config.tol)
-        elif name == "dd-confluent":
-            rec = confluent_dd_criterion(f, n, interval, mode, sampler, tol=config.tol)
-        elif name == "dd-confluent-anchored":
-            rec = confluent_dd_criterion(
-                f, n, interval, mode, sampler, "anchored", config.tol
-            )
-        elif name == "dd-confluent-free":
-            rec = confluent_dd_criterion(f, n, interval, mode, sampler, "free", config.tol)
-        elif name in ("loewner-psd", "extended-loewner-psd", "kraus-anchored-psd", "kraus-free-psd"):
-            rec = _run_psd_point_sweep(f, n, interval, name, sampler, config.tol)
-        elif name == "product-derivative":
-            rec = _run_product_derivative_sweep(f, n, interval, mode, sampler, config.tol)
-        elif name in ("dobsch-psd", "hankel-psd"):
-            rec = _run_derivative_matrix_sweep(f, n, interval, name, config.grid, config.tol)
-        else:
-            raise AssertionError(name)
-        records.append(rec)
-
+    records = [
+        _SWEEPS[name](f, n, interval, mode, config.sampler(child[name]), config)
+        for name in names
+    ]
     if config.include_oracle:
         records.append(
             _oracle_record(f, n, interval, mode, config.oracle_trials, oracle_seed, config.tol)

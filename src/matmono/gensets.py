@@ -23,11 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _poly_from_jsonable, _poly_to_jsonable, _sample_q
-from .divdiff import SamplerConfig
+from .divdiff import SamplerConfig, dd_noise_floor
 from .expr import FunctionModel
 from .polynomial import Poly
-
-_EPS = 2.3e-16
 
 
 @dataclass(frozen=True)
@@ -255,7 +253,7 @@ def _level_sweep(
         vals = [f.values[i] for i in subset]
         q = _sample_q(rng, k - 1, tuple(pts), span, idx, bool(idx % 2))
         value, scale = _weighted_dd(pts, vals, q)
-        threshold = max(tol, 64.0 * _EPS * max(scale, 1.0))
+        threshold = max(tol, dd_noise_floor(scale, "double"))
         margin = value + threshold
         if margin < worst:
             worst = margin
@@ -314,7 +312,7 @@ def re_evaluate_genset_witness(witness: dict, tol: float = 1e-9) -> dict:
     vals = [float(v) for v in witness["values"]]
     q = _poly_from_jsonable(witness["q"])
     value, scale = _weighted_dd(pts, vals, q)
-    threshold = max(tol, 64.0 * _EPS * max(scale, 1.0))
+    threshold = max(tol, dd_noise_floor(scale, "double"))
     return {"value": value, "threshold": threshold, "confirmed": value < -threshold}
 
 
@@ -643,7 +641,7 @@ def extension_feasibility(
             alpha, beta, scale = _linear_constraint(pts, vals, hole, q)
             alphas.append(alpha)
             betas.append(beta)
-            thresholds.append(max(tol, 64.0 * _EPS * max(scale, 1.0)))
+            thresholds.append(max(tol, dd_noise_floor(scale, "double")))
 
     if bundle is not None:
         y_marks = (bundle.r1.eval(x0), bundle.r2.eval(x0))

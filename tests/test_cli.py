@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import matmono
 from matmono import FiniteFunction, catalog_model, write_points_file
 from matmono.cli import run
 
@@ -231,9 +233,12 @@ def test_text_format(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same matmono, installed or not
+    src = os.path.dirname(os.path.dirname(matmono.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "matmono.cli", "catalog", "--no-timestamp"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["catalog"]) == 10

@@ -154,6 +154,25 @@ def test_dd_criterion_catches_square():
     assert again["value"] == pytest.approx(rec.witness["value"], rel=1e-6)
 
 
+def test_dd_dismissed_note_counts_unconfirmed_rechecks(monkeypatch):
+    """Only extended re-checks that did not confirm count as dismissed, not
+    the double-precision values below -tol that the noise floor absorbs."""
+    from matmono import criteria
+
+    real = criteria.divided_difference_scaled
+    extended = []
+
+    def counted(f, nodes, precision="auto", *rest, **named):
+        extended.append(precision == "extended")
+        return real(f, nodes, precision, *rest, **named)
+
+    monkeypatch.setattr(criteria, "divided_difference_scaled", counted)
+    steep = FunctionModel(parse("10000000*x"), name="1e7 x")  # every 2nd dd is 0
+    rec = dd_criterion(steep, 1, (-2.0, 2.0), "convex", SamplerConfig(seed=0, samples=300))
+    assert rec.passed and sum(extended) > 0
+    assert rec.note.endswith(f"; {sum(extended)} candidate(s) dismissed in extended precision")
+
+
 def test_confluent_dd_criterion_modes():
     rec = confluent_dd_criterion(RECIP_NEG, 2, (0.5, 4.0), "monotone", SamplerConfig(seed=1, samples=200))
     assert rec.criterion == "dd-confluent" and rec.passed
@@ -180,6 +199,17 @@ def test_certify_exponential_fails_unanimously():
     rep = certify(EXP, 2, (-1.0, 1.0), "monotone", CertifyConfig(samples=1000))
     assert rep.verdict == "fail"
     assert rep.consistent  # unanimous failure is agreement, not a conflict
+    # first-failure indices: they pin each criterion's draw order
+    assert {r.criterion: r.configs for r in rep.records} == {
+        "dd-real-q": 2,
+        "dd-complex-q": 52,
+        "dd-confluent": 39,
+        "loewner-psd": 1,
+        "extended-loewner-psd": 1,
+        "product-derivative": 26,
+        "dobsch-psd": 1,
+        "matrix-oracle": 1,
+    }
     for rec in rep.records:
         assert not rec.passed
         assert rec.witness is not None
@@ -196,6 +226,20 @@ def test_certify_convex_battery():
     assert bad.verdict == "fail" and bad.consistent
     hankel = bad.record("hankel-psd")
     assert not hankel.passed and hankel.witness["criterion"] == "hankel-psd"
+    assert {r.criterion: r.configs for r in bad.records} == {
+        "dd-real-q": 6,
+        "dd-complex-q": 111,
+        "dd-confluent-anchored": 6,
+        "dd-confluent-free": 55,
+        "kraus-anchored-psd": 1,
+        "kraus-free-psd": 1,
+        "product-derivative": 18,
+        "hankel-psd": 1,
+        "matrix-oracle": 1,
+    }
+    for rec in bad.records:
+        assert not rec.passed
+        assert re_evaluate_witness(CUBE, rec.witness)["confirmed"], rec.criterion
 
 
 def test_certify_no_oracle_and_determinism():

@@ -178,3 +178,24 @@ def test_expression_operator_sugar():
     assert evaluate(Exp(X) + X, 0.0) == pytest.approx(1.0)
     assert evaluate(Recip(X), 4.0) == pytest.approx(0.25)
     assert isinstance(X, Var)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="simplify folds Mul(Const, Const) in double, so the extended-precision "
+    "derivatives of x^1.95 carry ~1e-16 relative error from k = 2 on",
+)
+def test_extended_derivatives_of_real_power_match_mpmath():
+    # deriv(3) holds Const(-0.09262500000000007), the double product of the
+    # falling factorial 1.95 * 0.95 * -0.05.  A confluent table at a node gap
+    # of 1e-9 amplifies that error into a dd-confluent-anchored reading of
+    # -1.85 where the true value is +1.165: a false refutation of x^1.95 at
+    # n = 2 convex.
+    f = catalog(power_exponents=(1.95,))[-1].model
+    p = mpmath.mpf(1.95)  # the double exponent the model holds
+    for x in (0.5, 1.3, 2.0):
+        for k in range(5):
+            got = f.eval_deriv(k, x, "extended")
+            with mpmath.workdps(100):
+                want = mpmath.diff(lambda y: y**p, mpmath.mpf(x), k)
+                assert abs((got - want) / want) < 1e-40, (x, k)
