@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from .divdiff import (
@@ -29,7 +30,7 @@ from .divdiff import (
     divided_difference_scaled,
     sample_distinct_tuple,
 )
-from .expr import FunctionModel
+from .expr import EXTENDED_DIGITS, FunctionModel
 from .linalg import (
     CheckResult,
     convexity_oracle,
@@ -100,28 +101,21 @@ def extended_loewner_matrix(
     return L
 
 
+def _jet_hankel(jet: list, offset: int, n: int) -> np.ndarray:
+    """n x n matrix with entry (i, j) = jet[i + j + offset]."""
+    return np.array([[jet[i + j + offset] for j in range(n)] for i in range(n)], dtype=float)
+
+
 def dobsch_matrix(f: FunctionModel, t: float, n: int, precision: str = "double") -> np.ndarray:
     """Local monotonicity matrix: entries f^(i+j-1)(t)/(i+j-1)!, i,j = 1..n."""
-    t = float(t)
-    M = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            k = i + j + 1
-            M[i, j] = M[j, i] = f.eval_deriv(k, t, precision) / math.factorial(k)
-    return M
+    return _jet_hankel(f.taylor(float(t), 2 * n, precision), 1, n)
 
 
 def hankel_convex_matrix(
     f: FunctionModel, t: float, n: int, precision: str = "double"
 ) -> np.ndarray:
     """Local convexity matrix: entries f^(i+j)(t)/(i+j)!, i,j = 1..n."""
-    t = float(t)
-    K = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            k = i + j + 2
-            K[i, j] = K[j, i] = f.eval_deriv(k, t, precision) / math.factorial(k)
-    return K
+    return _jet_hankel(f.taylor(float(t), 2 * n + 1, precision), 2, n)
 
 
 def kraus_matrix(
@@ -406,15 +400,10 @@ class _Tally:
 
 
 def _draw_multiset(
-    rng: np.random.Generator,
-    shape: str,
-    n: int,
-    interval: tuple[float, float],
-    sampler: SamplerConfig,
-    idx: int,
+    rng: np.random.Generator, shape: str, n: int, interval: tuple[float, float], idx: int
 ) -> NodeMultiset:
     count = {"distinct-2n": 2 * n, "distinct-2n+1": 2 * n + 1, "doubled-free": n + 1}
-    pts = sample_distinct_tuple(rng, count.get(shape, n), interval, sampler, idx).tolist()
+    pts = sample_distinct_tuple(rng, count.get(shape, n), interval, idx).tolist()
     if shape.startswith("distinct"):
         return NodeMultiset.from_points(pts)
     mults = [2] * len(pts)
@@ -493,7 +482,7 @@ def _run_dd_sweep(
     shape = _DD_SHAPES[(mode, criterion)]
 
     def draw(idx: int) -> dict:
-        ms = _draw_multiset(rng, shape, n, interval, sampler, idx)
+        ms = _draw_multiset(rng, shape, n, interval, idx)
         use_complex = bool(idx % 2) if complex_coeffs is None else complex_coeffs
         q = _sample_q(rng, n - 1, ms.values(), span, idx, use_complex)
         return {"criterion": criterion, "nodes": ms, "q": q}
@@ -520,11 +509,11 @@ def _run_psd_point_sweep(
 
     def draw(idx: int) -> dict:
         if criterion == "kraus-free-psd":
-            pts = sample_distinct_tuple(rng, n + 1, interval, sampler, idx)
+            pts = sample_distinct_tuple(rng, n + 1, interval, idx)
             cut = int(rng.integers(0, n + 1))
             points = [float(p) for i, p in enumerate(pts) if i != cut]
             return {"criterion": criterion, "points": points, "base": float(pts[cut])}
-        points = [float(p) for p in sample_distinct_tuple(rng, n, interval, sampler, idx)]
+        points = [float(p) for p in sample_distinct_tuple(rng, n, interval, idx)]
         if criterion == "kraus-anchored-psd":
             base = points[int(rng.integers(0, n))]
             return {"criterion": criterion, "points": points, "base": base}
@@ -607,19 +596,13 @@ def _run_derivative_matrix_sweep(
 def _product_derivative_value(
     f: FunctionModel, weight: Poly, t: float, order: int, precision: str = "double"
 ) -> tuple[float, float]:
-    """((f * weight)^(order)(t) / order!, term magnitude scale)."""
-    total = 0.0
-    scale = 0.0
-    wp = weight
-    for l in range(order + 1):
-        if wp.is_zero():
-            break
-        wval = wp.eval(t).real / math.factorial(l)
-        term = (f.eval_deriv(order - l, t, precision) / math.factorial(order - l)) * wval
-        total += term
-        scale = max(scale, abs(term))
-        wp = wp.derivative()
-    return total, scale
+    """((f * weight)^(order)(t) / order!, term magnitude scale): coefficient
+    `order` of the product of the jets of f and weight at t, and its largest term."""
+    fjet = f.taylor(t, order + 1, precision)
+    with mpmath.workdps(EXTENDED_DIGITS if precision == "extended" else mpmath.mp.dps):
+        wjet = weight.taylor(mpmath.mpf(t) if precision == "extended" else t, order + 1)
+        terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
+        return sum(terms), max(abs(term) for term in terms)
 
 
 def _run_product_derivative_sweep(

@@ -1,7 +1,8 @@
 """Divided differences over node multisets, and their integral weight.
 
-The confluent (Hermite) table seeds repeated-node blocks with
-f^(j)(x)/j!, so multisets like (x, x, y, y) are first-class.  High
+The confluent (Hermite) table seeds repeated-node blocks with the Taylor
+jet f^(j)(x)/j! of the function model (times the jet of an optional
+polynomial weight), so multisets like (x, x, y, y) are first-class.  High
 orders and near-coincident nodes are numerically hostile in double
 precision; the table switches to extended precision automatically when
 the order or the node separation crosses the configured thresholds.
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from .expr import EXTENDED_DIGITS, FunctionModel
+from .expr import EXTENDED_DIGITS, FunctionModel, cauchy
 from .polynomial import Poly
 
 # auto-switch thresholds: divided differences of this order or with any
@@ -121,61 +122,19 @@ def _choose_precision(nodes: NodeMultiset, precision: str) -> str:
     return "double"
 
 
-def _weight_seeds(weight: Poly | None, x, max_order: int, mp: bool):
-    """Scaled derivatives w^(l)(x)/l! of the weight polynomial at x.
-
-    Differentiation happens on the coefficient list directly: going
-    through Poly.derivative would round k * c_k to double, and that
-    rounding error is amplified through confluent tables with tight
-    clusters far beyond what extended precision can absorb.
-    """
-    if weight is None:
-        return None
-    coeffs = [mpmath.mpf(c) for c in weight.real_coeffs()] if mp else list(
-        weight.real_coeffs()
-    )
-    out = []
-    fact = 1.0
-    for level in range(max_order + 1):
-        if not coeffs or all(c == 0 for c in coeffs):
-            out.append(mpmath.mpf(0) if mp else 0.0)
-        else:
-            acc = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                acc = acc * x + c
-            out.append(acc / fact)
-        coeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-        fact *= level + 1
-    return out
-
-
-def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, use_mp: bool, digits: int):
-    """Scaled derivatives g^(j)(v)/j!, j < multiplicity, of g = f * weight."""
-    precision = "extended" if use_mp else "double"
+def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, precision: str, digits: int):
+    """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node."""
     seeds = {}
     for v, m in nodes.nodes:
-        xv = mpmath.mpf(v) if use_mp else v
+        xv = mpmath.mpf(v) if precision == "extended" else v
         if isinstance(f, FunctionModel):
-            fvals = [
-                f.eval_deriv(j, v, precision, digits) / math.factorial(j)
-                for j in range(m)
-            ]
+            seeds[v] = f.taylor(v, m, precision, digits)
+        elif m > 1:
+            raise ValueError("repeated nodes need the Taylor jets of a FunctionModel")
         else:
-            if m > 1:
-                raise ValueError(
-                    "repeated nodes need symbolic derivatives; got a plain callable"
-                )
-            fvals = [f(xv)]
-        if weight is None:
-            seeds[v] = fvals
-        else:
-            wvals = _weight_seeds(weight, xv, m - 1, use_mp)
-            seeds[v] = [
-                sum(fvals[j - l] * wvals[l] for l in range(min(j, weight.degree) + 1))
-                if not weight.is_zero()
-                else (mpmath.mpf(0) if use_mp else 0.0)
-                for j in range(m)
-            ]
+            seeds[v] = [f(xv)]
+        if weight is not None:
+            seeds[v] = cauchy(weight.taylor(xv, m), seeds[v], m)
     return seeds
 
 
@@ -185,7 +144,7 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
     z = nodes.flatten()
     m = len(z)
     with mpmath.workdps(digits if use_mp else mpmath.mp.dps):
-        seeds = _seed_values(f, nodes, weight, use_mp, digits)
+        seeds = _seed_values(f, nodes, weight, precision, digits)
         # node gaps must be formed at working precision: a double-rounded
         # denominator under an exact numerator breaks the cancellations
         # the recursion relies on
@@ -217,9 +176,9 @@ def divided_difference(
     """Divided difference [nodes]_g with g = f * weight (weight optional).
 
     f is a FunctionModel (required when any node repeats) or a plain
-    callable; weight is a real polynomial folded in via the Leibniz rule
-    on the seeds.  precision is "auto" (escalate to extended for order
-    >= 6 or node separation < 1e-3), "double", or "extended".
+    callable; weight is a real polynomial whose jet multiplies the seeds.
+    precision is "auto" (escalate to extended for order >= 6 or node
+    separation < 1e-3), "double", or "extended".
     """
     value, _ = divided_difference_scaled(f, nodes, precision, weight, digits)
     return value
@@ -238,9 +197,6 @@ def divided_difference_scaled(
     absolute error is bounded by a small multiple of eps * that max.
     """
     ms = _as_multiset(nodes)
-    if isinstance(f, FunctionModel):
-        for v in ms.values():
-            f.check_inside(v)
     mode = _choose_precision(ms, precision)
     if mode == "extended":
         digits = max(digits, _needed_digits(ms))
@@ -434,22 +390,26 @@ def peano_weight(nodes) -> PiecewisePoly:
 # Node sampling and the k-tone check
 
 
+# Node sampler shape: shares of cluster draws (width scale * span, scales
+# in turn) and of confluent k-tone tuples, the end margin as a share of
+# the span, and the minimum gap of a free draw as span / SEPARATION_PARTS.
+CLUSTER_FRACTION = 0.3
+CLUSTER_SCALES = (1e-1, 1e-2, 1e-3)
+CONFLUENT_FRACTION = 0.15
+MARGIN_FRACTION = 1e-6
+SEPARATION_PARTS = 1000.0
+
+
 @dataclass
 class SamplerConfig:
-    """Seeded node-tuple sampler over an open interval.
+    """Seed and draw count of a node-tuple sampler over an open interval.
 
     Tuples mix low-discrepancy (Halton) draws, uniform draws and
-    deliberately near-coincident clusters; distinct tuples always
-    respect min_separation (default span/1000).
+    deliberately near-coincident clusters (see the constants above).
     """
 
     seed: int = 0
     samples: int = 1000
-    min_separation: float | None = None
-    cluster_fraction: float = 0.3
-    cluster_scales: tuple[float, ...] = (1e-1, 1e-2, 1e-3)
-    confluent_fraction: float = 0.15
-    margin_fraction: float = 1e-6
 
     def rng(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))
@@ -473,24 +433,21 @@ def sample_distinct_tuple(
     rng: np.random.Generator,
     count: int,
     interval: tuple[float, float],
-    config: SamplerConfig,
     index: int,
 ) -> np.ndarray:
     """One ascending tuple of `count` distinct nodes strictly inside."""
     a, b = interval
     span = b - a
-    margin = span * config.margin_fraction
-    delta = (
-        config.min_separation if config.min_separation is not None else span / 1000.0
-    )
+    margin = span * MARGIN_FRACTION
+    delta = span / SEPARATION_PARTS
     u = rng.uniform(size=count)
     if index % 3 == 0:
         u = np.array(
             [_halton(index + 1, _HALTON_BASES[d % len(_HALTON_BASES)]) for d in range(count)]
         )
         u = 0.999 * u + 0.0005
-    if rng.uniform() < config.cluster_fraction:
-        scale = config.cluster_scales[index % len(config.cluster_scales)]
+    if rng.uniform() < CLUSTER_FRACTION:
+        scale = CLUSTER_SCALES[index % len(CLUSTER_SCALES)]
         center = rng.uniform(a + margin, b - margin)
         width = scale * span
         x = center + width * (np.sort(u) - 0.5)
@@ -533,25 +490,24 @@ def ktone_check(
     """Sampled test of k-tonicity: [x_0..x_k]_f >= 0 on the interval.
 
     Tuples are k+1 nodes; confluent multisets are included when f has
-    symbolic derivatives.  Fails with the worst witness found.
+    Taylor jets (a FunctionModel).  Fails with the worst witness found.
     """
     sampler = sampler or SamplerConfig()
     rng = sampler.rng()
-    symbolic = isinstance(f, FunctionModel)
     worst = math.inf
     witness = None
     configs = 0
     for idx in range(sampler.samples):
-        confluent = symbolic and rng.uniform() < sampler.confluent_fraction and k >= 2
+        confluent = isinstance(f, FunctionModel) and rng.uniform() < CONFLUENT_FRACTION and k >= 2
         if confluent:
             distinct = max(2, (k + 2) // 2)
-            pts = sample_distinct_tuple(rng, distinct, interval, sampler, idx)
+            pts = sample_distinct_tuple(rng, distinct, interval, idx)
             mults = [1] * distinct
             for _ in range(k + 1 - distinct):
                 mults[rng.integers(0, distinct)] += 1
             ms = NodeMultiset.from_pairs(tuple(zip(pts.tolist(), mults)))
         else:
-            pts = sample_distinct_tuple(rng, k + 1, interval, sampler, idx)
+            pts = sample_distinct_tuple(rng, k + 1, interval, idx)
             ms = NodeMultiset.from_points(pts.tolist())
         value, scale = divided_difference_scaled(f, ms)
         configs += 1

@@ -1,10 +1,12 @@
-"""Symbolic function models: parsing, differentiation, evaluation.
+"""Symbolic function models: parsing, printing, Taylor jets.
 
 A function is represented as a small expression AST over one variable.
-Derivatives are taken symbolically (exact at the structure level), so
-divided-difference tables with repeated nodes can be seeded with
-f^(k)(x)/k! without finite differencing.  Evaluation runs either in
-double precision or in extended precision through mpmath.
+Values and derivatives come from one evaluator, jet(), which returns the
+scaled derivatives f^(j)(x)/j! for j < K by truncated Taylor arithmetic
+in double precision (scalar or numpy array) or in extended precision
+through mpmath, so repeated-node tables and local derivative matrices
+need no finite differencing.  Symbolic differentiation (differentiate,
+FunctionModel.deriv) only prints derivatives.
 """
 
 from __future__ import annotations
@@ -493,97 +495,141 @@ def differentiate(e: Expr, k: int = 1) -> Expr:
     """k-th symbolic derivative, simplified after every step."""
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    out = simplify(e)
-    for _ in range(k):
-        out = simplify(_d(out))
-    return out
+    return FunctionModel(e).deriv(k)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: truncated Taylor arithmetic
+#
+# Each node maps the jets of its children to its own by the recurrences
+# of Griewank & Walther, Evaluating Derivatives, ch. 13: O(K^2) operations
+# per node in the arithmetic of x (math, numpy, or mpmath at working precision).
+
+_MP_ZERO = mpmath.mpf(0)
 
 
-def _eval(e: Expr, x, lib):
-    """Evaluate over a scalar or numpy array; lib is math, mpmath or numpy."""
+def cauchy(a, b, count: int) -> list:
+    """First `count` coefficients of the product of two jets."""
+    out = []
+    for k in range(count):
+        acc = a[0] * b[k]
+        for j in range(1, k + 1):
+            acc += a[j] * b[k - j]
+        out.append(acc)
+    return out
+
+
+def _divide(u: list, v: list, K: int) -> list:
+    """Jet of u / v; v[0] must be nonzero."""
+    w = []
+    for k in range(K):
+        acc = u[k]
+        for j in range(k):
+            acc -= w[j] * v[k - j]
+        w.append(acc / v[0])
+    return w
+
+
+def _constant(value: float, K: int, mp: bool) -> list:
+    if mp:
+        return [mpmath.mpf(value)] + [_MP_ZERO] * (K - 1)
+    return [value] + [0.0] * (K - 1)
+
+
+def _check(bad, message: str):
+    if np.any(bad) if isinstance(bad, np.ndarray) else bad:
+        raise DomainError(message)
+
+
+def _jet(e: Expr, x, K: int, lib) -> list:
+    mp = lib is mpmath
     if isinstance(e, Const):
-        if lib is mpmath:
-            return mpmath.mpf(e.value)
-        return e.value
+        return _constant(e.value, K, mp)
     if isinstance(e, Var):
-        return x
+        return [x] + _constant(1.0, K - 1, mp) if K > 1 else [x]
     if isinstance(e, Neg):
-        return -_eval(e.arg, x, lib)
-    if isinstance(e, Add):
-        return _eval(e.left, x, lib) + _eval(e.right, x, lib)
-    if isinstance(e, Sub):
-        return _eval(e.left, x, lib) - _eval(e.right, x, lib)
-    if isinstance(e, Mul):
-        return _eval(e.left, x, lib) * _eval(e.right, x, lib)
-    if isinstance(e, Div):
-        num = _eval(e.left, x, lib)
-        den = _eval(e.right, x, lib)
-        _check_nonzero(den)
-        return num / den
-    if isinstance(e, Pow):
-        base = _eval(e.base, x, lib)
-        if e.exponent < 0:
-            _check_nonzero(base)
-        return base**e.exponent
-    if isinstance(e, PowReal):
-        base = _eval(e.base, x, lib)
-        _check_positive(base, "real power")
-        if lib is mpmath:
-            return mpmath.power(base, mpmath.mpf(e.exponent))
-        return base**e.exponent
-    if isinstance(e, Exp):
-        return lib.exp(_eval(e.arg, x, lib))
-    if isinstance(e, Log):
-        v = _eval(e.arg, x, lib)
-        _check_positive(v, "log")
-        return lib.log(v)
-    if isinstance(e, Sqrt):
-        v = _eval(e.arg, x, lib)
-        _check_nonnegative(v, "sqrt")
-        return lib.sqrt(v)
+        return [-c for c in _jet(e.arg, x, K, lib)]
     if isinstance(e, Recip):
-        v = _eval(e.arg, x, lib)
-        _check_nonzero(v)
-        return 1.0 / v if lib is not mpmath else mpmath.mpf(1) / v
+        e = Div(Const(1.0), e.arg)
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        u, v = _jet(e.left, x, K, lib), _jet(e.right, x, K, lib)
+        if isinstance(e, Add):
+            return [a + b for a, b in zip(u, v)]
+        if isinstance(e, Sub):
+            return [a - b for a, b in zip(u, v)]
+        if isinstance(e, Mul):
+            return cauchy(u, v, K)
+        _check(v[0] == 0, "division by zero")
+        return _divide(u, v, K)
+    if isinstance(e, Pow):
+        # square-and-multiply: never divides by the base, which may be 0
+        u, p = _jet(e.base, x, K, lib), e.exponent
+        _check(p < 0 and u[0] == 0, "division by zero")
+        if K == 1:
+            return [u[0] ** p]
+        w = u if p else _constant(1.0, K, mp)
+        for bit in bin(abs(p))[3:]:
+            w = cauchy(w, w, K)
+            if bit == "1":
+                w = cauchy(w, u, K)
+        return w if p >= 0 else _divide(_constant(1.0, K, mp), w, K)
+    if isinstance(e, PowReal):
+        # u w' = p u' w, so w_k = sum_j (p j - (k - j)) u_j w_(k-j) / (k u_0)
+        u = _jet(e.base, x, K, lib)
+        _check(u[0] <= 0, "real power of a non-positive value")
+        p = mpmath.mpf(e.exponent) if mp else e.exponent
+        w = [u[0] ** p]
+        for k in range(1, K):
+            terms = ((p * j - (k - j)) * u[j] * w[k - j] for j in range(1, k + 1))
+            w.append(sum(terms) / (k * u[0]))
+        return w
+    if isinstance(e, Exp):
+        # w' = u' w
+        u = _jet(e.arg, x, K, lib)
+        w = [lib.exp(u[0])]
+        for k in range(1, K):
+            w.append(sum(j * u[j] * w[k - j] for j in range(1, k + 1)) / k)
+        return w
+    if isinstance(e, Log):
+        # u w' = u'
+        u = _jet(e.arg, x, K, lib)
+        _check(u[0] <= 0, "log of a non-positive value")
+        w = [lib.log(u[0])]
+        for k in range(1, K):
+            w.append((k * u[k] - sum(j * w[j] * u[k - j] for j in range(1, k))) / (k * u[0]))
+        return w
+    if isinstance(e, Sqrt):
+        # w w = u
+        u = _jet(e.arg, x, K, lib)
+        _check(u[0] < 0, "sqrt of a negative value")
+        w = [lib.sqrt(u[0])]
+        _check(K > 1 and w[0] == 0, "division by zero")
+        for k in range(1, K):
+            w.append((u[k] - sum(w[j] * w[k - j] for j in range(1, k))) / (2 * w[0]))
+        return w
     raise TypeError(f"unknown node {e!r}")
 
 
-def _check_nonzero(v):
-    bad = np.any(v == 0) if isinstance(v, np.ndarray) else v == 0
-    if bad:
-        raise DomainError("division by zero")
+def jet(e: Expr, x, K: int, precision: str = "double", digits: int = EXTENDED_DIGITS) -> list:
+    """Scaled derivatives [e^(j)(x)/j! for j < K] by truncated Taylor arithmetic.
 
-
-def _check_positive(v, what: str):
-    bad = np.any(v <= 0) if isinstance(v, np.ndarray) else v <= 0
-    if bad:
-        raise DomainError(f"{what} of a non-positive value")
-
-
-def _check_nonnegative(v, what: str):
-    bad = np.any(v < 0) if isinstance(v, np.ndarray) else v < 0
-    if bad:
-        raise DomainError(f"{what} of a negative value")
+    x may be a float, a numpy array (double mode only) or an mpmath float.
+    Extended mode computes with ``digits`` significant decimal digits and
+    returns mpmath floats.  Raises DomainError outside the domain.
+    """
+    if K < 1:
+        raise ValueError("a jet needs at least one coefficient")
+    if precision == "double":
+        return _jet(e, x, K, np if isinstance(x, np.ndarray) else math)
+    if precision == "extended":
+        with mpmath.workdps(digits):
+            return _jet(e, mpmath.mpf(x), K, mpmath)
+    raise ValueError(f"unsupported precision mode {precision!r}")
 
 
 def evaluate(e: Expr, x, precision: str = "double", digits: int = EXTENDED_DIGITS):
-    """Evaluate an expression at x.
-
-    x may be a float, a numpy array (double mode only) or an mpmath float.
-    precision is "double" or "extended"; extended mode computes with
-    ``digits`` significant decimal digits and returns an mpmath float.
-    """
-    if precision == "double":
-        lib = np if isinstance(x, np.ndarray) else math
-        return _eval(e, x, lib)
-    if precision == "extended":
-        with mpmath.workdps(digits):
-            return _eval(e, mpmath.mpf(x), mpmath)
-    raise ValueError(f"unsupported precision mode {precision!r}")
+    """Value of an expression at x: the first coefficient of its jet."""
+    return jet(e, x, 1, precision, digits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +640,8 @@ def evaluate(e: Expr, x, precision: str = "double", digits: int = EXTENDED_DIGIT
 class FunctionModel:
     """An expression together with its open interval of definition.
 
-    Derivatives are cached: deriv_cache[k] is the k-th symbolic
-    derivative of expr.
+    Values and derivatives come from the Taylor jet of expr; deriv(k)
+    and deriv_cache hold symbolic derivatives for printing only.
     """
 
     expr: Expr
@@ -630,21 +676,28 @@ class FunctionModel:
                 f"{x} is not strictly inside the domain ({self.domain[0]}, {self.domain[1]})"
             )
 
+    def taylor(self, x, K: int, precision: str = "double", digits: int = EXTENDED_DIGITS) -> list:
+        """[f^(j)(x)/j! for j < K] at a point (or array of points) inside the domain."""
+        if not isinstance(x, np.ndarray):
+            self.check_inside(float(x))
+        elif precision != "double":
+            raise ValueError("array evaluation is double-precision only")
+        elif np.any(x <= self.domain[0]) or np.any(x >= self.domain[1]):
+            raise DomainError(f"point outside the open domain {self.domain}")
+        return jet(self.expr, x, K, precision, digits)
+
     def eval(self, x, precision: str = "double", digits: int = EXTENDED_DIGITS):
         return self.eval_deriv(0, x, precision, digits)
 
     def eval_deriv(
         self, k: int, x, precision: str = "double", digits: int = EXTENDED_DIGITS
     ):
-        if isinstance(x, np.ndarray):
-            if precision != "double":
-                raise ValueError("array evaluation is double-precision only")
-            lo, hi = self.domain
-            if np.any(x <= lo) or np.any(x >= hi):
-                raise DomainError(f"point outside the open domain ({lo}, {hi})")
-            return _eval(self.deriv(k), x, np)
-        self.check_inside(float(x))
-        return evaluate(self.deriv(k), x, precision, digits)
+        """k-th derivative at x: k! times the k-th jet coefficient."""
+        c = self.taylor(x, k + 1, precision, digits)[k]
+        if k < 2:
+            return c
+        with mpmath.workdps(digits if precision == "extended" else mpmath.mp.dps):
+            return c * math.factorial(k)
 
 
 # ---------------------------------------------------------------------------

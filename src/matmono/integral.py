@@ -67,11 +67,8 @@ def basis_change_matrix(points, t: float) -> BasisChange:
     C = np.empty((n, n))
     for j in range(n):
         p = Poly.from_roots(tuple(x for k, x in enumerate(pts) if k != j), 1.0)
-        # Taylor coefficients about t: coeff of (x-t)^m is p^(m)(t)/m!
-        work = p
-        for m in range(n):
-            C[n - 1 - m, j] = complex(work.eval(t)).real / math.factorial(m)
-            work = work.derivative()
+        # row n-1-m holds the coefficient p^(m)(t)/m! of (x-t)^m
+        C[::-1, j] = p.taylor(t, n)
     return BasisChange(pts, t, C)
 
 

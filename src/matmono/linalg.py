@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import CheckResult, SamplerConfig, sample_distinct_tuple
+from .divdiff import MARGIN_FRACTION, CheckResult, SamplerConfig, sample_distinct_tuple
 from .expr import FunctionModel
 
 HERMITIAN_TOL = 1e-13
@@ -200,7 +200,6 @@ def monotonicity_oracle(
     trials: int = 400,
     seed: int = 0,
     tol: float = 1e-9,
-    sampler: SamplerConfig | None = None,
 ) -> CheckResult:
     """Sampled search for an order violation of f at matrix size n.
 
@@ -209,21 +208,20 @@ def monotonicity_oracle(
     f(M) <= f(M').  worst_value is the most negative defect eigenvalue
     seen, normalized by the defect's entry scale.
     """
-    config = sampler or SamplerConfig(seed=seed, samples=trials)
-    rng = config.rng()
+    rng = SamplerConfig(seed=seed).rng()
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
-    margin = config.margin_fraction * span
+    margin = MARGIN_FRACTION * span
     worst = math.inf
     witness = None
     checked = 0
     for idx in range(trials):
         if idx % 2 == 0:
-            targets = sample_distinct_tuple(rng, 2 * n, interval, config, idx)
+            targets = sample_distinct_tuple(rng, 2 * n, interval, idx)
             pair = make_projection_pair(targets.tolist())
             steps = [pair.matrix_a, pair.matrix_b]
         else:
-            lam = sample_distinct_tuple(rng, n, (lo, lo + 0.7 * span), config, idx)
+            lam = sample_distinct_tuple(rng, n, (lo, lo + 0.7 * span), idx)
             complex_field = bool(rng.integers(0, 2))
             A = random_spectrum_matrix(rng, lam, complex_field)
             G = rng.normal(size=(n, n))
@@ -252,8 +250,8 @@ def monotonicity_oracle(
                     "threshold": tol * scale,
                 }
             if lam_min < -tol * scale:
-                return CheckResult(False, checked, config.seed, witness, worst)
-    return CheckResult(True, checked, config.seed, witness, worst)
+                return CheckResult(False, checked, seed, witness, worst)
+    return CheckResult(True, checked, seed, witness, worst)
 
 
 def convexity_oracle(
@@ -263,7 +261,6 @@ def convexity_oracle(
     trials: int = 400,
     seed: int = 0,
     tol: float = 1e-9,
-    sampler: SamplerConfig | None = None,
 ) -> CheckResult:
     """Sampled search for a Jensen violation of f at matrix size n.
 
@@ -271,11 +268,10 @@ def convexity_oracle(
     common center (the sharpest local probe), independent random pairs
     at t = 1/2, and independent pairs at a uniform weight.
     """
-    config = sampler or SamplerConfig(seed=seed, samples=trials)
-    rng = config.rng()
+    rng = SamplerConfig(seed=seed).rng()
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
-    margin = config.margin_fraction * span
+    margin = MARGIN_FRACTION * span
     worst = math.inf
     witness = None
     checked = 0
@@ -283,7 +279,7 @@ def convexity_oracle(
         complex_field = bool(rng.integers(0, 2))
         if idx % 3 == 0:
             center = (lo + 0.15 * span, hi - 0.15 * span)
-            lam = sample_distinct_tuple(rng, n, center, config, idx)
+            lam = sample_distinct_tuple(rng, n, center, idx)
             X = random_spectrum_matrix(rng, lam, complex_field)
             v = rng.normal(size=n)
             if complex_field:
@@ -296,8 +292,8 @@ def convexity_oracle(
             B = X - bump
             t = 0.5
         else:
-            lam_a = sample_distinct_tuple(rng, n, interval, config, 2 * idx)
-            lam_b = sample_distinct_tuple(rng, n, interval, config, 2 * idx + 1)
+            lam_a = sample_distinct_tuple(rng, n, interval, 2 * idx)
+            lam_b = sample_distinct_tuple(rng, n, interval, 2 * idx + 1)
             A = random_spectrum_matrix(rng, lam_a, complex_field)
             B = random_spectrum_matrix(rng, lam_b, complex_field)
             t = 0.5 if idx % 3 == 1 else float(rng.uniform(0.05, 0.95))
@@ -321,5 +317,5 @@ def convexity_oracle(
                 "threshold": tol * scale,
             }
         if lam_min < -tol * scale:
-            return CheckResult(False, checked, config.seed, witness, worst)
-    return CheckResult(True, checked, config.seed, witness, worst)
+            return CheckResult(False, checked, seed, witness, worst)
+    return CheckResult(True, checked, seed, witness, worst)

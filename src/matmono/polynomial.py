@@ -98,6 +98,20 @@ class Poly:
             p = Poly(_trim([i * c for i, c in enumerate(p.coeffs)][1:]))
         return p
 
+    def taylor(self, t, count: int) -> list:
+        """Jet [p^(k)(t)/k! for k < count] of the real part by synthetic
+        division by (x - t), repeated: no k * c_k product or factorial is
+        rounded, and t's arithmetic (float or mpmath) is used throughout."""
+        coeffs, out = list(self.real_coeffs()), []
+        for _ in range(count):
+            acc, partial = 0.0 * t, []
+            for c in reversed(coeffs):
+                acc = acc * t + c
+                partial.append(acc)
+            out.append(acc)
+            coeffs = partial[-2::-1]  # the quotient, ascending
+        return out
+
     def antiderivative(self) -> "Poly":
         return Poly(_trim([0.0] + [c / (i + 1) for i, c in enumerate(self.coeffs)]))
 

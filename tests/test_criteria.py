@@ -9,8 +9,9 @@ from matmono import (
     CertifyConfig,
     FunctionModel,
     Poly,
-    certify,
+    catalog,
     catalog_model,
+    certify,
     dd_criterion,
     divided_difference,
     dobsch_matrix,
@@ -240,6 +241,22 @@ def test_certify_convex_battery():
     for rec in bad.records:
         assert not rec.passed
         assert re_evaluate_witness(CUBE, rec.witness)["confirmed"], rec.criterion
+
+
+def test_certify_real_power_near_convex_boundary_passes():
+    # x^1.95 is n-convex for every n; with double-rounded derivative
+    # coefficients the anchored confluent table reported a false refutation
+    f = catalog(power_exponents=(1.95,))[-1].model
+    rep = certify(f, 2, (0.1, 10.0), "convex", CertifyConfig(seed=2))
+    assert rep.verdict == "pass" and rep.consistent
+
+
+def test_certify_order_four_is_usable():
+    rep = certify(
+        catalog_model("sqrt(x)"), 4, (0.5, 4.0), "monotone",
+        CertifyConfig(samples=200, oracle_trials=100),
+    )
+    assert rep.verdict == "pass" and rep.consistent
 
 
 def test_certify_no_oracle_and_determinism():

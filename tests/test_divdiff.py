@@ -197,13 +197,13 @@ def test_sample_distinct_tuple_contract():
     config = SamplerConfig(seed=9, samples=10)
     rng = config.rng()
     for idx in range(40):
-        pts = sample_distinct_tuple(rng, 4, (0.5, 4.0), config, idx)
+        pts = sample_distinct_tuple(rng, 4, (0.5, 4.0), idx)
         assert pts.shape == (4,)
         assert np.all(np.diff(pts) > 0)
         assert pts[0] > 0.5 and pts[-1] < 4.0
     # same seed, same stream
-    a = sample_distinct_tuple(SamplerConfig(seed=3).rng(), 3, (0.0, 1.0), config, 1)
-    b = sample_distinct_tuple(SamplerConfig(seed=3).rng(), 3, (0.0, 1.0), config, 1)
+    a = sample_distinct_tuple(SamplerConfig(seed=3).rng(), 3, (0.0, 1.0), 1)
+    b = sample_distinct_tuple(SamplerConfig(seed=3).rng(), 3, (0.0, 1.0), 1)
     np.testing.assert_array_equal(a, b)
 
 

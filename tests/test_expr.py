@@ -19,7 +19,7 @@ from matmono import (
     simplify,
     to_text,
 )
-from matmono.expr import Exp, Neg, Pow, PowReal, Recip, Var, X
+from matmono.expr import Exp, Neg, Pow, PowReal, Recip, Var, X, jet
 
 
 def test_parse_renders_back_to_equivalent_text():
@@ -180,22 +180,91 @@ def test_expression_operator_sugar():
     assert isinstance(X, Var)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="simplify folds Mul(Const, Const) in double, so the extended-precision "
-    "derivatives of x^1.95 carry ~1e-16 relative error from k = 2 on",
-)
 def test_extended_derivatives_of_real_power_match_mpmath():
-    # deriv(3) holds Const(-0.09262500000000007), the double product of the
-    # falling factorial 1.95 * 0.95 * -0.05.  A confluent table at a node gap
-    # of 1e-9 amplifies that error into a dd-confluent-anchored reading of
-    # -1.85 where the true value is +1.165: a false refutation of x^1.95 at
-    # n = 2 convex.
+    # The falling factorial of x^1.95 used to be folded into one double
+    # constant (-0.09262500000000007 in the third derivative); a confluent
+    # table at a node gap of 1e-9 amplified that error into a
+    # dd-confluent-anchored reading of -1.85 where the true value is
+    # +1.165.  Jet coefficients are formed at working precision.
     f = catalog(power_exponents=(1.95,))[-1].model
     p = mpmath.mpf(1.95)  # the double exponent the model holds
     for x in (0.5, 1.3, 2.0):
-        for k in range(5):
+        for k in range(11):
             got = f.eval_deriv(k, x, "extended")
             with mpmath.workdps(100):
                 want = mpmath.diff(lambda y: y**p, mpmath.mpf(x), k)
                 assert abs((got - want) / want) < 1e-40, (x, k)
+
+
+# The composed functions of the composite-n3 benchmark workload, with
+# their mpmath forms for the extended-precision reference.
+COMPOSITES = {
+    "sqrt(log(1+x))": lambda y: mpmath.sqrt(mpmath.log(1 + y)),
+    "log(1+sqrt(x))": lambda y: mpmath.log(1 + mpmath.sqrt(y)),
+    "x^2": lambda y: y**2,
+    "x*log(x)": lambda y: y * mpmath.log(y),
+}
+CATALOG_MPMATH = {
+    "x": lambda y: y,
+    "x^2": lambda y: y**2,
+    "x^3": lambda y: y**3,
+    "-1/x": lambda y: -1 / y,
+    "sqrt(x)": mpmath.sqrt,
+    "log(x)": mpmath.log,
+    "exp(x)": mpmath.exp,
+    "x^0.25": lambda y: y ** mpmath.mpf(0.25),
+    "x^0.75": lambda y: y ** mpmath.mpf(0.75),
+    "x^1.5": lambda y: y ** mpmath.mpf(1.5),
+}
+
+
+def _jet_cases():
+    """(label, expr, mpmath form, three points inside the test interval)."""
+    for e in catalog():
+        lo, hi = e.interval
+        pts = [lo + (hi - lo) * s for s in (0.1, 0.5, 0.9)]
+        yield e.key, e.model.expr, CATALOG_MPMATH[e.key], pts
+    for text, form in COMPOSITES.items():
+        yield text, parse(text), form, [0.5, 1.7, 4.0]
+
+
+def test_double_jets_match_symbolic_derivatives():
+    for label, e, _, pts in _jet_cases():
+        for x in pts:
+            got = jet(e, x, 7)
+            for k in range(7):
+                want = evaluate(differentiate(e, k), x) / math.factorial(k)
+                assert got[k] == pytest.approx(want, rel=1e-13, abs=0.0), (label, x, k)
+
+
+def test_extended_jets_match_mpmath_to_order_ten():
+    for label, e, form, pts in _jet_cases():
+        x = pts[1]
+        got = jet(e, x, 11, "extended", digits=60)
+        with mpmath.workdps(60):
+            for k in range(11):
+                want = mpmath.diff(form, mpmath.mpf(x), k) / math.factorial(k)
+                assert abs(got[k] - want) <= 1e-40 * max(1, abs(want)), (label, k)
+
+
+def test_integer_power_jets_are_exact_at_zero():
+    # no step divides by the base, so the zero base gives exact coefficients
+    for precision in ("double", "extended"):
+        assert jet(parse("x^3"), 0.0, 6, precision) == [0, 0, 0, 1, 0, 0]
+        assert jet(parse("x+x^3"), 0.0, 6, precision) == [0, 1, 0, 1, 0, 0]
+    assert FunctionModel(parse("x+x^3")).taylor(0.0, 4) == [0.0, 1.0, 0.0, 1.0]
+
+
+def test_jets_reject_points_outside_the_domain():
+    for precision in ("double", "extended"):
+        for text, x in (("log(x)", 0.0), ("log(x)", -1.0), ("1/x", 0.0), ("sqrt(x)", -1.0)):
+            with pytest.raises(DomainError):
+                jet(parse(text), x, 3, precision)
+    # the value of sqrt at 0 exists, its derivatives do not
+    assert jet(parse("sqrt(x)"), 0.0, 1) == [0.0]
+    with pytest.raises(DomainError):
+        jet(parse("sqrt(x)"), 0.0, 2)
+    with pytest.raises(DomainError):
+        jet(parse("log(x)"), np.array([1.0, -1.0]), 3)
+    with pytest.raises(DomainError):
+        FunctionModel(parse("log(x)"), domain=(0.0, math.inf)).taylor(np.array([2.0, 0.0]), 3)
