@@ -15,6 +15,7 @@ violation was found at the recorded number of configurations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,11 +25,13 @@ import numpy as np
 from .divdiff import (
     NodeMultiset,
     SamplerConfig,
-    _choose_precision,
     dd_noise_floor,
     divided_difference,
     divided_difference_scaled,
+    divided_differences,
+    double_settles,
     sample_distinct_tuple,
+    sweep_batches,
 )
 from .expr import EXTENDED_DIGITS, FunctionModel
 from .linalg import (
@@ -75,30 +78,84 @@ def _check_distinct(points) -> list[float]:
     return pts
 
 
-def loewner_matrix(f: FunctionModel, points, precision: str = "auto") -> np.ndarray:
-    """Matrix of first divided differences [x_i, x_j]_f (diagonal f')."""
+# Node lists of the upper triangle, row by row, of the divided-difference
+# matrices: entry (i, j) of the matrix is the divided difference of f over
+# the (i, j) list.
+
+
+def _loewner_nodes(points) -> list[tuple]:
     pts = _check_distinct(points)
     n = len(pts)
-    L = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            L[i, j] = L[j, i] = divided_difference(f, (pts[i], pts[j]), precision)
-    return L
+    return [(pts[i], pts[j]) for i in range(n) for j in range(i, n)]
+
+
+def _extended_loewner_nodes(points) -> list[tuple]:
+    pts = sorted(_check_distinct(points))
+    n = len(pts)
+    return [tuple(pts[: i + 1]) * 2 + tuple(pts[i + 1 : j + 1]) for i in range(n) for j in range(i, n)]
+
+
+def _kraus_nodes(points, base) -> list[tuple]:
+    pts = _check_distinct(points)
+    n = len(pts)
+    return [(pts[i], pts[j], float(base)) for i in range(n) for j in range(i, n)]
+
+
+@functools.cache
+def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of an n x n matrix, row by row."""
+    return np.triu_indices(n)
+
+
+def _symmetric(tri: np.ndarray) -> np.ndarray:
+    """(..., n(n+1)/2) upper triangles, row by row -> (..., n, n) symmetric."""
+    n = (math.isqrt(8 * tri.shape[-1] + 1) - 1) // 2
+    iu = _triangle(n)
+    out = np.empty(tri.shape[:-1] + (n, n))
+    out[..., iu[0], iu[1]] = tri
+    out[..., iu[1], iu[0]] = tri
+    return out
+
+
+def _dd_triangles(f: FunctionModel, entries: list[list[tuple]], precision: str):
+    """Divided differences over the node lists entries[b][k], and their
+    error bounds, as (len(entries), k) arrays.
+
+    "double" evaluates every entry of every matrix in one batch; "auto"
+    then recomputes in extended precision each entry whose bound does not
+    settle its value (double_settles); "extended" evaluates each entry in
+    extended precision.
+    """
+    if precision not in ("auto", "double", "extended"):
+        raise ValueError(f"unsupported precision mode {precision!r}")
+    flat = [nodes for row in entries for nodes in row]
+    if precision == "extended":
+        values = np.array([divided_difference(f, nodes, "extended") for nodes in flat])
+        bounds = np.zeros(len(flat))
+    else:
+        values, _, bounds = divided_differences(f, flat)
+        if precision == "auto":
+            for k in range(len(flat)):
+                if not double_settles(values[k], bounds[k]):
+                    values[k], bounds[k] = divided_difference(f, flat[k], "extended"), 0.0
+    return values.reshape(len(entries), -1), bounds.reshape(len(entries), -1)
+
+
+def _dd_matrix(f: FunctionModel, nodes: list[tuple], precision: str) -> np.ndarray:
+    values, _ = _dd_triangles(f, [nodes], precision)
+    return _symmetric(values[0])
+
+
+def loewner_matrix(f: FunctionModel, points, precision: str = "auto") -> np.ndarray:
+    """Matrix of first divided differences [x_i, x_j]_f (diagonal f')."""
+    return _dd_matrix(f, _loewner_nodes(points), precision)
 
 
 def extended_loewner_matrix(
     f: FunctionModel, points, precision: str = "auto"
 ) -> np.ndarray:
     """Entry (i, j) is [x_1..x_i, x_1..x_j]_f over ascending points."""
-    pts = sorted(_check_distinct(points))
-    n = len(pts)
-    L = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            pairs = [(pts[k], (1 if k <= i else 0) + (1 if k <= j else 0)) for k in range(n)]
-            ms = NodeMultiset.from_pairs([p for p in pairs if p[1] > 0])
-            L[i, j] = L[j, i] = divided_difference(f, ms, precision)
-    return L
+    return _dd_matrix(f, _extended_loewner_nodes(points), precision)
 
 
 def _jet_hankel(jet: list, offset: int, n: int) -> np.ndarray:
@@ -125,15 +182,7 @@ def kraus_matrix(
 
     base may coincide with a point; repeated nodes become confluent.
     """
-    pts = _check_distinct(points)
-    base = float(base)
-    n = len(pts)
-    K = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ms = NodeMultiset.from_points((pts[i], pts[j], base))
-            K[i, j] = K[j, i] = divided_difference(f, ms, precision)
-    return K
+    return _dd_matrix(f, _kraus_nodes(points, base), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -275,43 +324,101 @@ class CertifyConfig:
 #
 # A configuration is a dict of the witness fields that locate it, with
 # the nodes and q as NodeMultiset and Poly.  One evaluator per witness
-# kind maps (f, config, precision, tol) to (value, threshold, precision
-# it ran in, criterion matrix or None); the margin is value + threshold.
-# The sweeps, their extended-precision re-check and witness replay all
-# go through these evaluators.
+# kind maps (f, configs, precision, tol) to one row per configuration:
+# (value, threshold, bound, criterion matrix or None).  The margin is
+# value + threshold; bound limits the error of a double-precision value
+# (0 where none is known, and in extended precision).  The sweeps, their
+# extended-precision re-check and witness replay all go through these
+# evaluators.
 
 
-def _evaluate_dd(f: FunctionModel, config: dict, precision: str, tol: float):
-    """[nodes]_{f N(q)} against the roundoff floor of its table."""
-    ms = config["nodes"]
-    value, scale = divided_difference_scaled(f, ms, precision, n_of(config["q"]))
-    mode = _choose_precision(ms, precision)
-    return value, max(tol, dd_noise_floor(scale, mode)), mode, None
+def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
+    """[nodes]_{f N(q)} against the roundoff floor of its table; in double
+    precision one batched table with running error bounds."""
+    weights = [n_of(c["q"]) for c in configs]
+    if precision == "extended":
+        rows = []
+        for config, weight in zip(configs, weights):
+            value, scale = divided_difference_scaled(f, config["nodes"], "extended", weight)
+            rows.append((value, max(tol, dd_noise_floor(scale, "extended")), 0.0, None))
+        return rows
+    batch = divided_differences(f, [c["nodes"].flatten() for c in configs], weights)
+    return [
+        (value, max(tol, dd_noise_floor(scale, "double")), bound, None)
+        for value, scale, bound in zip(*(a.tolist() for a in batch))
+    ]
 
 
-def _evaluate_psd(f: FunctionModel, config: dict, precision: str, tol: float):
-    """Minimum eigenvalue of the criterion matrix against tol * its scale."""
+_PSD_NODES = {
+    "loewner-psd": lambda c: _loewner_nodes(c["points"]),
+    "extended-loewner-psd": lambda c: _extended_loewner_nodes(c["points"]),
+    "kraus-anchored-psd": lambda c: _kraus_nodes(c["points"], c["base"]),
+    "kraus-free-psd": lambda c: _kraus_nodes(c["points"], c["base"]),
+}
+
+
+def _psd_matrix(f: FunctionModel, config: dict, precision: str) -> np.ndarray:
     criterion = config["criterion"]
     if criterion == "loewner-psd":
-        M = loewner_matrix(f, config["points"], precision)
-    elif criterion == "extended-loewner-psd":
-        M = extended_loewner_matrix(f, config["points"], precision)
-    elif criterion == "dobsch-psd":
-        M = dobsch_matrix(f, config["t"], config["order"], precision)
-    elif criterion == "hankel-psd":
-        M = hankel_convex_matrix(f, config["t"], config["order"], precision)
-    else:
-        M = kraus_matrix(f, config["points"], config["base"], precision)
-    threshold = tol * max(1.0, float(np.abs(M).max()))
-    return min_eigenvalue(M), threshold, precision, M
+        return loewner_matrix(f, config["points"], precision)
+    if criterion == "extended-loewner-psd":
+        return extended_loewner_matrix(f, config["points"], precision)
+    if criterion == "dobsch-psd":
+        return dobsch_matrix(f, config["t"], config["order"], precision)
+    if criterion == "hankel-psd":
+        return hankel_convex_matrix(f, config["t"], config["order"], precision)
+    return kraus_matrix(f, config["points"], config["base"], precision)
 
 
-def _evaluate_product(f: FunctionModel, config: dict, precision: str, tol: float):
+def _psd_row(M: np.ndarray, bound: float, tol: float) -> tuple:
+    return min_eigenvalue(M), tol * max(1.0, float(np.abs(M).max())), bound, M
+
+
+def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
+    """Minimum eigenvalue of the criterion matrix against tol * its scale.
+
+    Loewner and Kraus matrices in double precision are built in one batch
+    with entrywise error bounds E.  When ||E||_F leaves the sign of a
+    margin open, the entries with the largest E are recomputed in extended
+    precision until the rest of ||E||_F is within half the slack
+    max(value, 0) + threshold (a margin below -||E||_F is a violation in
+    any case and goes straight to the extended re-check).
+    """
+    if precision == "extended" or configs[0]["criterion"] not in _PSD_NODES:
+        return [_psd_row(_psd_matrix(f, c, precision), 0.0, tol) for c in configs]
+    entries = [_PSD_NODES[c["criterion"]](c) for c in configs]
+    values, bounds = _dd_triangles(f, entries, "double")
+    iu = _triangle(len(configs[0]["points"]))
+    # each entry's share of ||E||_F^2; by Weyl's inequality lambda_min moves
+    # by at most ||M - M_hat||_2 <= ||E||_F
+    squares = np.where(iu[0] == iu[1], 1.0, 2.0) * bounds**2
+    matrices = _symmetric(values)
+    rows = []
+    for b, nodes in enumerate(entries):
+        row = _psd_row(matrices[b], math.sqrt(squares[b].sum()), tol)
+        value, threshold, bound, _ = row
+        if not double_settles(value, bound, threshold) and value + bound + threshold >= 0.0:
+            left = squares[b].sum() - (0.5 * (max(value, 0.0) + threshold)) ** 2
+            for k in np.argsort(-squares[b]).tolist():
+                if left <= 0.0:
+                    break
+                values[b, k] = divided_difference(f, nodes[k], "extended")
+                left -= squares[b, k]
+                squares[b, k] = 0.0
+            row = _psd_row(_symmetric(values[b]), math.sqrt(squares[b].sum()), tol)
+        rows.append(row)
+    return rows
+
+
+def _evaluate_product(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
     """(f N(q))^(order)(t) / order! against the roundoff floor of its terms."""
-    value, scale = _product_derivative_value(
-        f, n_of(config["q"]), config["t"], config["deriv_order"], precision
-    )
-    return float(value), float(max(tol, dd_noise_floor(scale, precision))), precision, None
+    rows = []
+    for config in configs:
+        value, scale = _product_derivative_value(
+            f, n_of(config["q"]), config["t"], config["deriv_order"], precision
+        )
+        rows.append((float(value), float(max(tol, dd_noise_floor(scale, precision))), 0.0, None))
+    return rows
 
 
 _EVALUATORS = {
@@ -350,33 +457,37 @@ class _Tally:
     """Running state of one sweep: configurations checked, the worst
     margin and its witness, and candidates dismissed on re-check."""
 
-    def __init__(self, f: FunctionModel, criterion: str, kind: str, precision: str, tol: float):
+    def __init__(self, f: FunctionModel, criterion: str, kind: str, tol: float):
         self.f, self.criterion, self.kind = f, criterion, kind
         self.evaluate = _EVALUATORS[kind]
-        self.precision, self.tol = precision, tol
+        self.tol = tol
         self.configs = 0
         self.worst = math.inf
         self.witness = None
         self.dismissed = 0
 
-    def check(self, config: dict) -> float:
+    def check(self, config: dict, row: tuple | None = None) -> float:
         """Margin of one configuration; negative means a confirmed violation.
 
-        A negative margin from a run that was not already in extended
-        precision is re-evaluated in extended precision, and only the
-        second margin counts.
+        row is its double-precision evaluation, made here when not given.
+        Unless its bound settles the sign of its margin (double_settles),
+        the configuration is evaluated again in extended precision, and
+        only the second margin counts.  A candidate is dismissed when its
+        double margin was negative and the extended one is not.
         """
         self.configs += 1
-        value, threshold, mode, matrix = self.evaluate(self.f, config, self.precision, self.tol)
-        rechecked = value + threshold < 0.0 and mode != "extended"
-        if rechecked:
-            value, threshold, _, matrix = self.evaluate(self.f, config, "extended", self.tol)
+        if row is None:
+            row = self.evaluate(self.f, [config], "double", self.tol)[0]
+        value, threshold, bound, matrix = row
         margin = value + threshold
+        if not double_settles(value, bound, threshold):
+            value, threshold, _, matrix = self.evaluate(self.f, [config], "extended", self.tol)[0]
+            if margin < 0.0 <= value + threshold:
+                self.dismissed += 1
+            margin = value + threshold
         if margin < self.worst:
             self.worst = margin
             self.witness = _witness(self.kind, config, value, threshold, matrix)
-        if rechecked and margin >= 0.0:
-            self.dismissed += 1
         return margin
 
     def record(self, passed: bool, note: str = "") -> CriterionRecord:
@@ -388,10 +499,14 @@ class _Tally:
         )
 
     def run(self, draw, samples: int, note: str = "") -> CriterionRecord:
-        """Check draw(0), ..., draw(samples - 1); stop at the first violation."""
-        for idx in range(samples):
-            if self.check(draw(idx)) < 0.0:
-                return self.record(False, note)
+        """Check draw(0), ..., draw(samples - 1), evaluated a batch at a
+        time; stop at the first violation, so later rows of its batch
+        count neither in configs nor in the worst margin."""
+        for configs in sweep_batches(draw, samples):
+            rows = self.evaluate(self.f, configs, "double", self.tol)
+            for config, row in zip(configs, rows):
+                if self.check(config, row) < 0.0:
+                    return self.record(False, note)
         return self.record(True, note)
 
 
@@ -487,13 +602,11 @@ def _run_dd_sweep(
         q = _sample_q(rng, n - 1, ms.values(), span, idx, use_complex)
         return {"criterion": criterion, "nodes": ms, "q": q}
 
-    return _Tally(f, criterion, "dd", "auto", tol).run(draw, sampler.samples, _Q_CADENCE_NOTE)
+    return _Tally(f, criterion, "dd", tol).run(draw, sampler.samples, _Q_CADENCE_NOTE)
 
 
 # ---------------------------------------------------------------------------
 # PSD sweeps over sampled points (Loewner, extended Loewner, Kraus)
-
-_PSD_POINT_CRITERIA = ("loewner-psd", "extended-loewner-psd", "kraus-anchored-psd", "kraus-free-psd")
 
 def _run_psd_point_sweep(
     f: FunctionModel,
@@ -503,7 +616,7 @@ def _run_psd_point_sweep(
     sampler: SamplerConfig,
     tol: float,
 ) -> CriterionRecord:
-    if criterion not in _PSD_POINT_CRITERIA:
+    if criterion not in _PSD_NODES:
         raise ValueError(f"unknown PSD criterion {criterion!r}")
     rng = sampler.rng()
 
@@ -519,7 +632,7 @@ def _run_psd_point_sweep(
             return {"criterion": criterion, "points": points, "base": base}
         return {"criterion": criterion, "points": points}
 
-    return _Tally(f, criterion, "psd-matrix", "auto", tol).run(draw, sampler.samples)
+    return _Tally(f, criterion, "psd-matrix", tol).run(draw, sampler.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +665,7 @@ def _run_derivative_matrix_sweep(
     grid, not as an almost-everywhere proof.
     """
     ts = np.sort(_chebyshev_grid(interval, grid))
-    tally = _Tally(f, criterion, "psd-matrix", "double", tol)
+    tally = _Tally(f, criterion, "psd-matrix", tol)
 
     def probe(t) -> float:
         return tally.check({"criterion": criterion, "t": float(t), "order": n})
@@ -627,7 +740,7 @@ def _run_product_derivative_sweep(
         q = _sample_q(rng, n - 1, anchors, span, idx, bool(idx % 2))
         return {"criterion": criterion, "t": t, "deriv_order": order, "q": q}
 
-    return _Tally(f, criterion, "derivative-sign", "double", tol).run(draw, sampler.samples)
+    return _Tally(f, criterion, "derivative-sign", tol).run(draw, sampler.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +757,7 @@ def re_evaluate_witness(f: FunctionModel, witness: dict, tol: float = 1e-9) -> d
     """
     kind = witness["kind"]
     if kind in _EVALUATORS:
-        value, threshold, _, _ = _EVALUATORS[kind](f, _config(witness), "extended", tol)
+        value, threshold, _, _ = _EVALUATORS[kind](f, [_config(witness)], "extended", tol)[0]
     elif kind in ("matrix-pair", "jensen"):
         A = matrix_from_jsonable(witness["matrix_a"])
         B = matrix_from_jsonable(witness["matrix_b"])
@@ -702,7 +815,7 @@ _SWEEPS = {
         lambda f, n, iv, m, s, c: _run_product_derivative_sweep(f, n, iv, m, s, c.tol),
     **{
         name: lambda f, n, iv, m, s, c, name=name: _run_psd_point_sweep(f, n, iv, name, s, c.tol)
-        for name in _PSD_POINT_CRITERIA
+        for name in _PSD_NODES
     },
     **{
         name: lambda f, n, iv, m, s, c, name=name: _run_derivative_matrix_sweep(

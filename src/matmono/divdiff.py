@@ -2,10 +2,13 @@
 
 The confluent (Hermite) table seeds repeated-node blocks with the Taylor
 jet f^(j)(x)/j! of the function model (times the jet of an optional
-polynomial weight), so multisets like (x, x, y, y) are first-class.  High
-orders and near-coincident nodes are numerically hostile in double
-precision; the table switches to extended precision automatically when
-the order or the node separation crosses the configured thresholds.
+polynomial weight), so multisets like (x, x, y, y) are first-class.
+
+Tables run in double precision a batch at a time, over (rows, nodes)
+arrays, and carry a running error bound (Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 3).  One rule, double_settles, decides from
+that bound whether a double result stands; a table it does not settle is
+recomputed in extended precision, with digits scaled to the node gaps.
 
 peano_weight returns the density w with
     [x_0, ..., x_n]_f = int f^(n)(t)/n! * w(t) dt,
@@ -25,10 +28,18 @@ import numpy as np
 from .expr import EXTENDED_DIGITS, FunctionModel, cauchy
 from .polynomial import Poly
 
-# auto-switch thresholds: divided differences of this order or with any
-# two distinct nodes closer than this run in extended precision
-EXTENDED_ORDER_THRESHOLD = 6
-EXTENDED_GAP_THRESHOLD = 1e-3
+# Running error bound of a double table.  A seed g_k = sum_j w_j f_(k-j)
+# (weight w = sum_i c_i t^i) errs by at most SEED_ERROR * eps *
+# sum_j |f_(k-j)| W_j, W the jet of the Horner bound sum_i |c_i| |t|^i at
+# |x|; a difference quotient adds (E[i+1] + E[i]) / |gap| plus
+# STEP_ERROR * eps * |entry| for its own subtraction and division.
+_EPS = float(np.finfo(float).eps)
+SEED_ERROR = 64.0
+STEP_ERROR = 4.0
+# a standalone value stays double when its bound is within this share of it
+VALUE_RTOL = 1e-12
+# sweeps evaluate their draws in batches of 1, 2, 4, ..., SWEEP_BATCH rows
+SWEEP_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -105,30 +116,125 @@ def _as_multiset(nodes) -> NodeMultiset:
     return NodeMultiset.from_points(nodes)
 
 
-def _choose_precision(nodes: NodeMultiset, precision: str) -> str:
-    if precision in ("double", "extended"):
-        return precision
-    if precision != "auto":
-        raise ValueError(f"unsupported precision mode {precision!r}")
-    if nodes.order >= EXTENDED_ORDER_THRESHOLD:
-        return "extended"
-    gap = nodes.min_gap()
-    if gap < EXTENDED_GAP_THRESHOLD:
-        return "extended"
-    # seed roundoff can amplify by up to gap^-order through the table;
-    # escalate whenever that would push the error above ~1e-11
-    if math.isfinite(gap) and gap**nodes.order < 2.2e-5:
-        return "extended"
-    return "double"
+def double_settles(value, bound, threshold=None) -> bool:
+    """The precision rule of every divided-difference table.
+
+    A double-precision result with running error bound `bound` stands
+    when the bound cannot change the answer asked of it.  A sign test
+    with tolerance `threshold` (a sweep row, whose margin is value +
+    threshold) stands when value - bound + threshold >= 0 proves the
+    margin nonnegative; a standalone value (threshold None) stands when
+    the bound is within VALUE_RTOL * |value|.  Anything else is
+    recomputed in extended precision.
+    """
+    if threshold is None:
+        return bound <= VALUE_RTOL * abs(value)
+    return value - bound + threshold >= 0.0
 
 
-def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, precision: str, digits: int):
-    """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node."""
+def sweep_batches(draw, samples: int):
+    """draw(0), ..., draw(samples - 1) in lists of 1, 2, 4, ..., SWEEP_BATCH.
+
+    A sweep that fails at its first rows evaluates few extra ones; a long
+    sweep runs one table per batch.  Draws keep their order, so a sweep's
+    result does not depend on the batch size.
+    """
+    start, size = 0, 1
+    while start < samples:
+        stop = min(start + size, samples)
+        yield [draw(idx) for idx in range(start, stop)]
+        start, size = stop, min(2 * size, SWEEP_BATCH)
+
+
+def _poly_jets(coeffs: np.ndarray, z: np.ndarray, count: int) -> list:
+    """[p_r^(k)(z_r)/k! for k < count] of the polynomials whose ascending
+    coefficients are the rows of coeffs, at the node rows z, by the
+    repeated synthetic division of Poly.taylor."""
+    cols, out = list(coeffs[:, :, None].transpose(1, 0, 2)), []
+    for _ in range(count):
+        acc, partial = 0.0 * z, []
+        for c in reversed(cols):
+            acc = acc * z + c
+            partial.append(acc)
+        out.append(acc)
+        cols = partial[-2::-1]
+    return out
+
+
+def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton/Hermite tables over the sorted node rows z (rows, nodes):
+    (value, max |table entry|, running error bound), one per row."""
+    rows, m = z.shape
+    K = 1  # longest run of equal nodes in any row
+    while K < m and (z[:, K:] == z[:, :-K]).any():
+        K += 1
+    if isinstance(f, FunctionModel):
+        fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c) for c in f.taylor(z, K)]
+    elif K > 1:
+        raise ValueError("repeated nodes need the Taylor jets of a FunctionModel")
+    else:
+        fjet = [np.array([[f(v) for v in row] for row in z.tolist()], dtype=float)]
+    fabs = [np.abs(c) for c in fjet]
+    if weights is None:
+        seeds, seed_err = fjet, fabs
+    else:
+        d = max(len(w.coeffs) for w in weights) or 1
+        coeffs = np.array([w.real_coeffs() + (0.0,) * (d - len(w.coeffs)) for w in weights])
+        # the weight's jet and the jet of its Horner bound in one pass
+        both = _poly_jets(np.concatenate([coeffs, np.abs(coeffs)]), np.concatenate([z, np.abs(z)]), K)
+        seeds = cauchy([c[:rows] for c in both], fjet, K)
+        seed_err = cauchy([c[rows:] for c in both], fabs, K)
+    seed_err = [SEED_ERROR * _EPS * e for e in seed_err]
+    col, err = seeds[0], seed_err[0]
+    entries = np.empty((rows, m * (m + 1) // 2))  # |table entries|, column by column
+    entries[:, :m] = np.abs(col)
+    at = m
+    for j in range(1, m):
+        gap = z[:, j:] - z[:, :-j]
+        if j < K:
+            same = gap == 0.0
+            gap[same] = 1.0
+        col = (col[:, 1:] - col[:, :-1]) / gap
+        if j < K:
+            col = np.where(same, seeds[j][:, : m - j], col)
+        size = np.abs(col)
+        entries[:, at : at + m - j] = size
+        at += m - j
+        err = (err[:, 1:] + err[:, :-1]) / gap + (STEP_ERROR * _EPS) * size
+        if j < K:
+            err = np.where(same, seed_err[j][:, : m - j], err)
+    return col[:, 0], entries.max(axis=1), err[:, 0]
+
+
+def divided_differences(f, rows, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Double-precision divided differences of many node multisets at once.
+
+    rows are node sequences (repeats allowed, any order); weights, if
+    given, holds one real Poly per row.  Returns float arrays (value,
+    scale, bound): [row]_{f * weight}, the largest |table entry| and a
+    running bound on the value's error.  Rows with the same node count
+    share one Newton/Hermite table over (rows, nodes) arrays.
+    """
+    groups: dict[int, list[int]] = {}
+    for r, z in enumerate(rows):
+        groups.setdefault(len(z), []).append(r)
+    if len(groups) == 1:
+        return _hermite_batch(f, np.sort(np.array(rows, dtype=float), axis=1), weights)
+    out = np.empty((3, len(rows)))
+    for idx in groups.values():
+        z = np.sort(np.array([rows[r] for r in idx], dtype=float), axis=1)
+        out[:, idx] = _hermite_batch(f, z, None if weights is None else [weights[r] for r in idx])
+    return out[0], out[1], out[2]
+
+
+def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int):
+    """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node,
+    in mpmath at the working precision."""
     seeds = {}
     for v, m in nodes.nodes:
-        xv = mpmath.mpf(v) if precision == "extended" else v
+        xv = mpmath.mpf(v)
         if isinstance(f, FunctionModel):
-            seeds[v] = f.taylor(v, m, precision, digits)
+            seeds[v] = f.taylor(v, m, "extended", digits)
         elif m > 1:
             raise ValueError("repeated nodes need the Taylor jets of a FunctionModel")
         else:
@@ -139,18 +245,25 @@ def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, precision: str, di
 
 
 def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digits: int):
-    """Newton/Hermite table; returns (value, max |table entry|)."""
-    use_mp = precision == "extended"
+    """Newton/Hermite table of one multiset: (value, max |table entry|, bound).
+
+    Double precision is a batch of one row.  Extended precision runs the
+    recursion in mpmath at `digits`; its bound is the rounding of the
+    value to a float.
+    """
+    if precision == "double":
+        batch = divided_differences(f, [nodes.flatten()], None if weight is None else [weight])
+        return tuple(float(a[0]) for a in batch)
     z = nodes.flatten()
     m = len(z)
-    with mpmath.workdps(digits if use_mp else mpmath.mp.dps):
-        seeds = _seed_values(f, nodes, weight, precision, digits)
+    with mpmath.workdps(digits):
+        seeds = _seed_values(f, nodes, weight, digits)
         # node gaps must be formed at working precision: a double-rounded
         # denominator under an exact numerator breaks the cancellations
         # the recursion relies on
-        zv = [mpmath.mpf(v) for v in z] if use_mp else z
+        zv = [mpmath.mpf(v) for v in z]
         col = [seeds[z[i]][0] for i in range(m)]
-        max_abs = max((abs(c) for c in col), default=0.0)
+        max_abs = max(abs(c) for c in col)
         for j in range(1, m):
             nxt = []
             for i in range(m - j):
@@ -162,8 +275,8 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
                 if abs(entry) > max_abs:
                     max_abs = abs(entry)
             col = nxt
-        value = col[0]
-    return float(value), float(max_abs)
+        value = float(col[0])
+    return value, float(max_abs), _EPS * abs(value)
 
 
 def divided_difference(
@@ -177,8 +290,14 @@ def divided_difference(
 
     f is a FunctionModel (required when any node repeats) or a plain
     callable; weight is a real polynomial whose jet multiplies the seeds.
-    precision is "auto" (escalate to extended for order >= 6 or node
-    separation < 1e-3), "double", or "extended".
+    precision is "double", "extended", or "auto".  A double table carries
+    a running error bound: each seed errs by at most 64 eps times the
+    product of |f|'s jet with the jet of the weight's Horner bound
+    sum_i |c_i| |x|^i, and each column adds (E[i+1] + E[i]) / |gap| +
+    4 eps |entry|.  "auto" keeps the double value when that bound is
+    within VALUE_RTOL of it (double_settles) and otherwise recomputes the
+    table in extended precision, with digits growing with
+    order * log10(1 / min gap).
     """
     value, _ = divided_difference_scaled(f, nodes, precision, weight, digits)
     return value
@@ -196,11 +315,15 @@ def divided_difference_scaled(
     The second value scales the attainable roundoff: the recursion's
     absolute error is bounded by a small multiple of eps * that max.
     """
+    if precision not in ("auto", "double", "extended"):
+        raise ValueError(f"unsupported precision mode {precision!r}")
     ms = _as_multiset(nodes)
-    mode = _choose_precision(ms, precision)
-    if mode == "extended":
-        digits = max(digits, _needed_digits(ms))
-    return _dd_table(f, ms, mode, weight, digits)
+    if precision != "extended":
+        value, scale, bound = _dd_table(f, ms, "double", weight, digits)
+        if precision == "double" or double_settles(value, bound):
+            return value, scale
+    value, scale, _ = _dd_table(f, ms, "extended", weight, max(digits, _needed_digits(ms)))
+    return value, scale
 
 
 def _needed_digits(nodes: NodeMultiset) -> int:
@@ -490,36 +613,42 @@ def ktone_check(
     """Sampled test of k-tonicity: [x_0..x_k]_f >= 0 on the interval.
 
     Tuples are k+1 nodes; confluent multisets are included when f has
-    Taylor jets (a FunctionModel).  Fails with the worst witness found.
+    Taylor jets (a FunctionModel).  Tuples run in double-precision
+    batches; one whose bound does not settle its sign (double_settles)
+    is recomputed in extended precision, so a failure is always an
+    extended-precision value.  Fails with the worst witness found.
     """
     sampler = sampler or SamplerConfig()
     rng = sampler.rng()
-    worst = math.inf
-    witness = None
-    configs = 0
-    for idx in range(sampler.samples):
-        confluent = isinstance(f, FunctionModel) and rng.uniform() < CONFLUENT_FRACTION and k >= 2
-        if confluent:
+
+    def draw(idx: int) -> NodeMultiset:
+        if isinstance(f, FunctionModel) and rng.uniform() < CONFLUENT_FRACTION and k >= 2:
             distinct = max(2, (k + 2) // 2)
             pts = sample_distinct_tuple(rng, distinct, interval, idx)
             mults = [1] * distinct
             for _ in range(k + 1 - distinct):
                 mults[rng.integers(0, distinct)] += 1
-            ms = NodeMultiset.from_pairs(tuple(zip(pts.tolist(), mults)))
-        else:
-            pts = sample_distinct_tuple(rng, k + 1, interval, idx)
-            ms = NodeMultiset.from_points(pts.tolist())
-        value, scale = divided_difference_scaled(f, ms)
-        configs += 1
-        mode = _choose_precision(ms, "auto")
-        floor = dd_noise_floor(scale, mode)
-        if value < worst:
-            worst = value
-            witness = {
-                "nodes": [list(pair) for pair in ms.nodes],
-                "value": value,
-                "threshold": max(tol, floor),
-            }
-        if value < -max(tol, floor):
-            return CheckResult(False, configs, sampler.seed, witness, worst)
+            return NodeMultiset.from_pairs(tuple(zip(pts.tolist(), mults)))
+        return NodeMultiset.from_points(sample_distinct_tuple(rng, k + 1, interval, idx).tolist())
+
+    worst = math.inf
+    witness = None
+    configs = 0
+    for batch in sweep_batches(draw, sampler.samples):
+        values, scales, bounds = divided_differences(f, [ms.flatten() for ms in batch])
+        for ms, value, scale, bound in zip(batch, values.tolist(), scales.tolist(), bounds.tolist()):
+            configs += 1
+            threshold = max(tol, dd_noise_floor(scale, "double"))
+            if not double_settles(value, bound, threshold):
+                value, scale = divided_difference_scaled(f, ms, "extended")
+                threshold = max(tol, dd_noise_floor(scale, "extended"))
+            if value < worst:
+                worst = value
+                witness = {
+                    "nodes": [list(pair) for pair in ms.nodes],
+                    "value": value,
+                    "threshold": threshold,
+                }
+            if value < -threshold:
+                return CheckResult(False, configs, sampler.seed, witness, worst)
     return CheckResult(True, configs, sampler.seed, witness, worst)

@@ -537,7 +537,7 @@ def _constant(value: float, K: int, mp: bool) -> list:
 
 
 def _check(bad, message: str):
-    if np.any(bad) if isinstance(bad, np.ndarray) else bad:
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
         raise DomainError(message)
 
 
@@ -682,7 +682,7 @@ class FunctionModel:
             self.check_inside(float(x))
         elif precision != "double":
             raise ValueError("array evaluation is double-precision only")
-        elif np.any(x <= self.domain[0]) or np.any(x >= self.domain[1]):
+        elif (x <= self.domain[0]).any() or (x >= self.domain[1]).any():
             raise DomainError(f"point outside the open domain {self.domain}")
         return jet(self.expr, x, K, precision, digits)
 

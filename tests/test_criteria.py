@@ -156,22 +156,30 @@ def test_dd_criterion_catches_square():
 
 
 def test_dd_dismissed_note_counts_unconfirmed_rechecks(monkeypatch):
-    """Only extended re-checks that did not confirm count as dismissed, not
-    the double-precision values below -tol that the noise floor absorbs."""
+    """Only rows whose double-precision margin was negative and that the
+    extended re-check did not confirm count as dismissed, not the rows
+    re-checked only because their error bound left the sign open."""
     from matmono import criteria
 
-    real = criteria.divided_difference_scaled
-    extended = []
+    real = criteria._EVALUATORS["dd"]
+    double_margin = {}
+    rechecked = []  # (double margin, extended margin) of each re-checked row
 
-    def counted(f, nodes, precision="auto", *rest, **named):
-        extended.append(precision == "extended")
-        return real(f, nodes, precision, *rest, **named)
+    def counted(f, configs, precision, tol):
+        rows = real(f, configs, precision, tol)
+        for config, (value, threshold, _, _) in zip(configs, rows):
+            if precision == "extended":
+                rechecked.append((double_margin[id(config)], value + threshold))
+            else:
+                double_margin[id(config)] = value + threshold
+        return rows
 
-    monkeypatch.setattr(criteria, "divided_difference_scaled", counted)
+    monkeypatch.setitem(criteria._EVALUATORS, "dd", counted)
     steep = FunctionModel(parse("10000000*x"), name="1e7 x")  # every 2nd dd is 0
     rec = dd_criterion(steep, 1, (-2.0, 2.0), "convex", SamplerConfig(seed=0, samples=300))
-    assert rec.passed and sum(extended) > 0
-    assert rec.note.endswith(f"; {sum(extended)} candidate(s) dismissed in extended precision")
+    dismissed = sum(1 for before, after in rechecked if before < 0.0 <= after)
+    assert rec.passed and 0 < dismissed < len(rechecked)
+    assert rec.note.endswith(f"; {dismissed} candidate(s) dismissed in extended precision")
 
 
 def test_confluent_dd_criterion_modes():
@@ -314,3 +322,63 @@ def test_product_derivative_value_matches_leibniz():
     want = prod.eval_deriv(3, t) / 6.0
     assert got == pytest.approx(want, rel=1e-12)
     assert scale > 0
+
+
+BOUND_FUNCTIONS = [(e.model, e.interval) for e in catalog()] + [
+    (FunctionModel(parse(text), (0.0, math.inf), name=text), interval)
+    for text, interval in (
+        ("sqrt(log(1+x))", (0.5, 4.0)),
+        ("log(1+sqrt(x))", (0.5, 4.0)),
+        ("x*log(x)", (0.1, 10.0)),
+    )
+] + [(FunctionModel(parse("x+x^3"), name="x+x^3"), (-0.5, 0.5))]
+
+
+def test_running_bound_covers_double_error():
+    """|double - extended| <= bound for every dd-sweep shape, n = 1-3, over
+    the sweep's own draws: clustered tuples and q with roots at the nodes
+    (cadence slot 2) included."""
+    from matmono.criteria import _DD_SHAPES, _draw_multiset
+    from matmono.divdiff import divided_differences
+
+    eps = np.finfo(float).eps
+    rows, violations = 0, []
+    for f, interval in BOUND_FUNCTIONS:
+        span = interval[1] - interval[0]
+        for shape in sorted(set(_DD_SHAPES.values())):
+            for n in (1, 2, 3):
+                rng = np.random.default_rng(n)
+                draws = []
+                for idx in range(16):
+                    ms = _draw_multiset(rng, shape, n, interval, idx)
+                    q = _sample_q(rng, n - 1, ms.values(), span, idx, bool(idx % 2))
+                    draws.append((ms, n_of(q)))
+                values, _, bounds = divided_differences(
+                    f, [ms.flatten() for ms, _ in draws], [w for _, w in draws]
+                )
+                for (ms, w), value, bound in zip(draws, values, bounds):
+                    exact = divided_difference(f, ms, "extended", w)
+                    rows += 1
+                    if abs(value - exact) > bound + eps * abs(exact):
+                        violations.append((f.name, shape, n, abs(value - exact) / bound))
+    assert rows == len(BOUND_FUNCTIONS) * 5 * 3 * 16
+    assert not violations, f"{len(violations)} of {rows} rows: {violations[:5]}"
+
+
+def test_sweep_records_do_not_depend_on_batch_size(monkeypatch):
+    """The batches only group evaluation: draws, escalation and the first
+    confirmed row are those of a one-row-at-a-time sweep."""
+    from matmono import divdiff
+
+    def records():
+        cfg = CertifyConfig(samples=300, include_oracle=False, seed=5)
+        reports = (
+            certify(RECIP_NEG, 2, (0.5, 4.0), "monotone", cfg),  # passes
+            certify(CUBE, 2, (0.5, 4.0), "convex", cfg),  # fails
+        )
+        return [(r.criterion, r.configs, r.worst_value, r.witness, r.note)
+                for rep in reports for r in rep.records]
+
+    batched = records()
+    monkeypatch.setattr(divdiff, "SWEEP_BATCH", 1)
+    assert records() == batched

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,9 +18,6 @@ from matmono import (
     refinement_coefficients,
 )
 from matmono.divdiff import (
-    EXTENDED_GAP_THRESHOLD,
-    EXTENDED_ORDER_THRESHOLD,
-    _choose_precision,
     dd_noise_floor,
     divided_difference_scaled,
     sample_distinct_tuple,
@@ -111,16 +109,26 @@ def test_weight_folding_matches_explicit_product():
     )
 
 
+def _mpmath_divided_difference(nodes, dps: int = 60) -> float:
+    """sum_i exp(x_i) / prod_(j != i) (x_i - x_j) over distinct nodes."""
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpf(float(x)) for x in nodes]
+        total = mpmath.mpf(0)
+        for i, xi in enumerate(xs):
+            total += mpmath.exp(xi) / mpmath.fprod(xi - xj for j, xj in enumerate(xs) if j != i)
+        return float(total)
+
+
 def test_precision_escalation_near_coincident_nodes():
-    a, h = 0.3, 1e-9
-    assert _choose_precision(NodeMultiset.from_points((a, a + h)), "auto") == "extended"
-    value = divided_difference(EXP, (a, a + h))
-    # double precision would be off by ~ eps/h ~ 1e-7; the band is 1e-9 wide
-    assert math.exp(a) - 1e-12 <= value <= math.exp(a + h) + 1e-12
-    many = NodeMultiset.from_points(np.linspace(0.0, 1.0, EXTENDED_ORDER_THRESHOLD + 1))
-    assert _choose_precision(many, "auto") == "extended"
-    assert _choose_precision(NodeMultiset.from_points((0.0, 1.0)), "auto") == "double"
-    assert EXTENDED_GAP_THRESHOLD == pytest.approx(1e-3)
+    # in double these tables are off by 1.3e-7 (the pair: eps / 1e-9) and
+    # 1.3e-9 (order 7) relative, so "auto" must see it from the running
+    # bound and finish in mpmath
+    pair = (0.3, 0.3 + 1e-9)
+    assert divided_difference(EXP, pair) == pytest.approx(_mpmath_divided_difference(pair), rel=1e-13)
+    equispaced = np.linspace(0.0, 1.0, 8)
+    assert divided_difference(EXP, equispaced) == pytest.approx(
+        _mpmath_divided_difference(equispaced), rel=1e-12
+    )
 
 
 def test_noise_floor_scales_with_table_magnitude():
