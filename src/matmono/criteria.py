@@ -199,26 +199,41 @@ def _sample_q(
     idx: int,
     complex_coeffs: bool,
 ) -> Poly:
-    """One polynomial of degree <= max_degree, max |coefficient| = 1."""
+    """One polynomial of degree <= max_degree, max |coefficient| = 1.
+
+    The coefficients are built as a list with the arithmetic of
+    Poly.from_roots and Poly.scale, and one Poly is made at the end.
+    """
     kind = idx % 4
     if kind == 0 or max_degree == 0:
         return Poly.of(1.0)
     if kind == 2:
         deg = int(rng.integers(1, max_degree + 1))
-        roots = [float(rng.choice(nodes)) for _ in range(deg)]
+        # the same draw as rng.choice(nodes), at a fraction of its cost
+        roots = [float(nodes[int(rng.integers(0, len(nodes)))]) for _ in range(deg)]
         if idx % 8 >= 4:
             roots = [r + float(rng.normal(scale=0.5 * span)) for r in roots]
         if complex_coeffs:
             roots = [r + 1j * float(rng.normal(scale=0.1 * span)) for r in roots]
-        q = Poly.from_roots(tuple(roots), 1.0)
+        coeffs = [1.0 + 0j]
+        for r in roots:
+            linear = (complex(-r), 1.0 + 0j)
+            product = [0j] * (len(coeffs) + 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(linear):
+                    product[i + j] += a * b
+            coeffs = product
     else:
         deg = max_degree if kind == 1 else int(rng.integers(0, max_degree + 1))
-        coeffs = rng.normal(size=deg + 1)
+        values = rng.normal(size=deg + 1)
         if complex_coeffs:
-            coeffs = coeffs + 1j * rng.normal(size=deg + 1)
-        q = Poly(tuple(complex(c) for c in coeffs))
-    m = q.max_abs_coeff()
-    return q.scale(1.0 / m) if m > 0 else Poly.of(1.0)
+            values = values + 1j * rng.normal(size=deg + 1)
+        coeffs = [complex(c) for c in values.tolist()]
+    m = max(abs(c) for c in coeffs)
+    if not m > 0:
+        return Poly.of(1.0)
+    s = 1.0 / m
+    return Poly.from_coeffs([s * c for c in coeffs])
 
 
 def _poly_to_jsonable(q: Poly) -> dict:

@@ -7,6 +7,15 @@ k = 1..n; when #F > 2n the single level k = n suffices.  The checks
 here evaluate N(q) pointwise as |q(x)|^2, so the weights are exactly
 nonnegative and a clean function never produces a spurious violation.
 
+One float64 kernel (_weighted_terms) evaluates the product formula
+over stacked rows of nodes, values and q coefficients.  A level sweep
+draws its q in generator order and evaluates them in batches of 1, 2,
+4, ..., SWEEP_BATCH rows (divdiff.sweep_batches), stopping at the first
+violating row; extension feasibility evaluates all of its constraints
+in one call, and replay is a one-row call.  Each row gets the
+operations of the one-term-at-a-time formula in the same order, so
+reports do not depend on the batch size.
+
 The counterexample construction assembles a finite function from two
 distinct rational Pick functions that agree on the middle points; it
 is n-monotone on F but admits no n-monotone extension to any point of
@@ -18,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import _poly_from_jsonable, _poly_to_jsonable, _sample_q
-from .divdiff import SamplerConfig, dd_noise_floor
+from .divdiff import SamplerConfig, dd_noise_floor, sweep_batches
 from .expr import FunctionModel
 from .polynomial import Poly
 
@@ -119,42 +129,65 @@ def write_points_file(path, f: FiniteFunction, header: str = "") -> None:
 # Finite divided differences with |q|^2 weights
 
 
-def _weighted_dd(pts, vals, q: Poly) -> tuple[float, float]:
-    """([pts]_{f |q|^2} via the product formula, max |term| scale)."""
-    total = 0.0
-    scale = 0.0
-    for i, (x, v) in enumerate(zip(pts, vals)):
-        denom = 1.0
-        for j, xj in enumerate(pts):
-            if j != i:
-                denom *= x - xj
-        term = v * abs(q.eval(x)) ** 2 / denom
-        total += term
-        scale = max(scale, abs(term))
-    return total, scale
+def _q_rows(qs) -> np.ndarray:
+    """Ascending coefficients of the polynomials qs as complex rows, zero-padded."""
+    width = max(1, max(len(q.coeffs) for q in qs))
+    return np.array([q.coeffs + (0j,) * (width - len(q.coeffs)) for q in qs], dtype=complex)
 
 
-def _linear_constraint(pts, vals, hole: int, q: Poly) -> tuple[float, float, float]:
-    """Value of [pts]_{f |q|^2} as alpha + beta * y, y = f(pts[hole]).
+def _weighted_terms(P, V, Q) -> np.ndarray:
+    """Terms v_i |q(x_i)|^2 / prod_{j != i} (x_i - x_j) of [x]_{f |q|^2}.
 
-    Returns (alpha, beta, scale); vals[hole] is ignored.
+    P and V hold node and value rows (rows, 2k), Q the coefficient rows
+    of q (rows, k), complex and ascending; V may be a scalar.  Every entry
+    takes the operations of the scalar product formula in its order, so a
+    row's terms do not depend on the rows beside it: the denominator is
+    multiplied in j order, q(x_i) is Horner on the real and imaginary
+    parts (as Python's complex Horner, zero signs aside), and |q|^2 is
+    hypot(re, im) ** 2.0 through float_power (x * x differs from
+    abs(z) ** 2 in about 1 of 1200 doubles).
     """
-    alpha = 0.0
-    beta = 0.0
-    scale = 0.0
-    for i, (x, v) in enumerate(zip(pts, vals)):
-        denom = 1.0
-        for j, xj in enumerate(pts):
-            if j != i:
-                denom *= x - xj
-        w = abs(q.eval(x)) ** 2 / denom
-        if i == hole:
-            beta = w
-            scale = max(scale, abs(w))
-        else:
-            alpha += v * w
-            scale = max(scale, abs(v * w))
-    return alpha, beta, scale
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=complex)
+    diff = P[:, :, None] - P[:, None, :]
+    idx = np.arange(P.shape[1])
+    diff[:, idx, idx] = 1.0
+    denom = np.ones_like(P)
+    for j in idx:
+        denom = denom * diff[:, :, j]
+    re, im = Q.real[:, -1:], Q.imag[:, -1:]
+    for c in range(Q.shape[1] - 2, -1, -1):
+        re = re * P + Q.real[:, c : c + 1]
+        im = im * P + Q.imag[:, c : c + 1]
+    return np.asarray(V, dtype=float) * np.float_power(np.hypot(re, im), 2.0) / denom
+
+
+def _row_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sum of each row's terms in column order, max |term|, at least 0)."""
+    total = np.zeros(len(terms))
+    for col in terms.T:
+        total = total + col
+    return total, np.fmax.reduce(np.abs(terms), axis=1, initial=0.0)
+
+
+def _weighted_dd(P, V, Q) -> tuple[np.ndarray, np.ndarray]:
+    """([x]_{f |q|^2} via the product formula, max |term| scale), row by row."""
+    return _row_sums(_weighted_terms(P, V, Q))
+
+
+def _linear_constraints(P, V, holes, Q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[x]_{f |q|^2} = alpha + beta * y, y = f(x_hole), row by row.
+
+    Returns (alpha, beta, scale); V at each row's hole is ignored.  Each
+    term is v * (|q|^2 / denom), the unit-weight term times v.
+    """
+    w = _weighted_terms(P, 1.0, Q)
+    at = (np.arange(len(w)), np.asarray(holes))
+    terms = np.asarray(V, dtype=float) * w
+    terms[at] = 0.0
+    alpha, scale = _row_sums(terms)
+    beta = w[at]
+    return alpha, beta, np.fmax(scale, np.abs(beta))
 
 
 # ---------------------------------------------------------------------------
@@ -243,31 +276,49 @@ def _level_sweep(
         windows = [tuple(range(i, i + size)) for i in range(m - size + 1)]
         subsets = list(windows)
         while len(subsets) < samples:
-            pick = tuple(sorted(int(v) for v in rng.choice(m, size=size, replace=False)))
-            subsets.append(pick)
+            subsets.append(tuple(sorted(rng.choice(m, size=size, replace=False).tolist())))
         note = f"sampled from {total} subsets; all sliding windows included"
+    points, values = np.array(f.points), np.array(f.values)
+
+    def draw(idx: int) -> Poly:
+        nodes = operator.itemgetter(*subsets[idx])(f.points)
+        return _sample_q(rng, k - 1, nodes, span, idx, bool(idx % 2))
+
     worst = math.inf
     worst_witness = None
-    for idx, subset in enumerate(subsets):
-        pts = [f.points[i] for i in subset]
-        vals = [f.values[i] for i in subset]
-        q = _sample_q(rng, k - 1, tuple(pts), span, idx, bool(idx % 2))
-        value, scale = _weighted_dd(pts, vals, q)
-        threshold = max(tol, dd_noise_floor(scale, "double"))
-        margin = value + threshold
-        if margin < worst:
-            worst = margin
+    start = 0
+    state = rng.bit_generator.state
+    for qs in sweep_batches(draw, len(subsets)):
+        rows = np.array(subsets[start : start + len(qs)])
+        P, V = points[rows], values[rows]
+        value, scale = _weighted_dd(P, V, _q_rows(qs))
+        threshold = np.array([max(tol, dd_noise_floor(s, "double")) for s in scale.tolist()])
+        failing = np.flatnonzero(value < -threshold)
+        stop = int(failing[0]) + 1 if len(failing) else len(qs)
+        # the first row with the least margin up to the first failure, as a
+        # row-by-row sweep keeps it (a NaN margin never replaces the worst)
+        margin = (value + threshold)[:stop]
+        best = int(np.argmin(np.where(np.isnan(margin), np.inf, margin)))
+        if margin[best] < worst:
+            worst = float(margin[best])
             worst_witness = {
                 "kind": "genset-dd",
                 "k": k,
-                "subset": pts,
-                "values": vals,
-                "q": _poly_to_jsonable(q),
-                "value": value,
-                "threshold": threshold,
+                "subset": P[best].tolist(),
+                "values": V[best].tolist(),
+                "q": _poly_to_jsonable(qs[best]),
+                "value": float(value[best]),
+                "threshold": float(threshold[best]),
             }
-        if value < -threshold:
-            return GensetLevelRecord(k, False, idx + 1, worst, worst_witness, note)
+        if len(failing):
+            # the levels of one check share rng: leave it after the failing
+            # row's draw, where a row-by-row sweep stops
+            rng.bit_generator.state = state
+            for idx in range(start, start + stop):
+                draw(idx)
+            return GensetLevelRecord(k, False, start + stop, worst, worst_witness, note)
+        start += len(qs)
+        state = rng.bit_generator.state
     return GensetLevelRecord(k, True, len(subsets), worst, worst_witness, note)
 
 
@@ -311,7 +362,7 @@ def re_evaluate_genset_witness(witness: dict, tol: float = 1e-9) -> dict:
     pts = [float(x) for x in witness["subset"]]
     vals = [float(v) for v in witness["values"]]
     q = _poly_from_jsonable(witness["q"])
-    value, scale = _weighted_dd(pts, vals, q)
+    value, scale = (float(a[0]) for a in _weighted_dd([pts], [vals], _q_rows([q])))
     threshold = max(tol, dd_noise_floor(scale, "double"))
     return {"value": value, "threshold": threshold, "confirmed": value < -threshold}
 
@@ -523,6 +574,9 @@ def build_counterexample(
 # ---------------------------------------------------------------------------
 # Extension feasibility
 
+# grid columns scanned at a time against every constraint
+_GRID_CHUNK = 256
+
 
 @dataclass
 class FeasibilityResult:
@@ -548,19 +602,21 @@ def _binding_solve(f: FiniteFunction, window_idx, x0: float, q: Poly) -> float:
     solutions must agree.
     """
     pts = sorted([f.points[i] for i in window_idx] + [x0])
-    hole = pts.index(x0)
     size = len(pts) - 1
     vals = [f.value_at(x) if x != x0 else 0.0 for x in pts]
-    solutions = []
-    for start in (0, 1):
-        sub = pts[start : start + size]
-        subvals = vals[start : start + size]
-        if x0 not in sub:
-            continue
-        alpha, beta, scale = _linear_constraint(sub, subvals, sub.index(x0), q)
-        if abs(beta) < 1e-14 * max(1.0, scale):
-            continue
-        solutions.append(-alpha / beta)
+    starts = [start for start in (0, 1) if x0 in pts[start : start + size]]
+    subs = [pts[start : start + size] for start in starts]
+    alpha, beta, scale = _linear_constraints(
+        subs,
+        [vals[start : start + size] for start in starts],
+        [sub.index(x0) for sub in subs],
+        _q_rows([q] * len(subs)),
+    )
+    solutions = [
+        -a / b
+        for a, b, s in zip(alpha.tolist(), beta.tolist(), scale.tolist())
+        if not abs(b) < 1e-14 * max(1.0, s)
+    ]
     if not solutions:
         raise RuntimeError("binding windows produced no solvable constraint")
     spread = max(solutions) - min(solutions)
@@ -628,20 +684,22 @@ def extension_feasibility(
             if r.poles:
                 special_q.append(Poly.from_roots(tuple(r.poles), 1.0))
 
-    alphas, betas, thresholds = [], [], []
+    P, V, holes, qs = [], [], [], []
     for subset in subsets:
         pts = sorted([f.points[i] for i in subset] + [x0])
         hole = pts.index(x0)
         vals = [f.value_at(x) if x != x0 else 0.0 for x in pts]
-        qs = [
+        draws = [
             _sample_q(rng, n - 1, tuple(pts), span, idx, bool(idx % 2))
             for idx in range(q_per)
         ]
-        for q in qs + special_q:
-            alpha, beta, scale = _linear_constraint(pts, vals, hole, q)
-            alphas.append(alpha)
-            betas.append(beta)
-            thresholds.append(max(tol, dd_noise_floor(scale, "double")))
+        for q in draws + special_q:
+            P.append(pts)
+            V.append(vals)
+            holes.append(hole)
+            qs.append(q)
+    a, b, scale = _linear_constraints(P, V, holes, _q_rows(qs))
+    th = np.array([max(tol, dd_noise_floor(s, "double")) for s in scale.tolist()])
 
     if bundle is not None:
         y_marks = (bundle.r1.eval(x0), bundle.r2.eval(x0))
@@ -651,10 +709,13 @@ def extension_feasibility(
     pad = 0.2 * max(y_hi - y_lo, 1e-3 * max(1.0, abs(y_lo), abs(y_hi)))
     y_lo, y_hi = y_lo - pad, y_hi + pad
     ys = np.linspace(y_lo, y_hi, grid)
-    a = np.array(alphas)
-    b = np.array(betas)
-    th = np.array(thresholds)
-    feasible = ((a[:, None] + b[:, None] * ys[None, :]) >= -th[:, None]).all(axis=0)
+    # column chunks keep the (constraints x chunk) temporaries small
+    feasible = np.empty(grid, dtype=bool)
+    for lo in range(0, grid, _GRID_CHUNK):
+        cols = ys[lo : lo + _GRID_CHUNK]
+        feasible[lo : lo + len(cols)] = (
+            (a[:, None] + b[:, None] * cols[None, :]) >= -th[:, None]
+        ).all(axis=0)
 
     intervals: list[tuple[float, float]] = []
     start = None
@@ -675,9 +736,7 @@ def extension_feasibility(
         binding[bundle.first] = _binding_solve(f, first_w, x0, special_q[0])
         binding[other] = _binding_solve(f, last_w, x0, special_q[1])
 
-    return FeasibilityResult(
-        x0, (y_lo, y_hi), intervals, binding, len(alphas), grid
-    )
+    return FeasibilityResult(x0, (y_lo, y_hi), intervals, binding, len(qs), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -745,9 +804,10 @@ def affine_rigidity_check(
 
     pts = list(triple)
     vals = [f.value_at(t) for t in triple]
-    one = Poly.of(1.0)
-    d_val, _ = _weighted_dd(pts, vals, one)
-    e_val, _ = _weighted_dd(pts, [t * v for t, v in zip(pts, vals)], one)
+    value, _ = _weighted_dd(
+        [pts, pts], [vals, [t * v for t, v in zip(pts, vals)]], _q_rows([Poly.of(1.0)] * 2)
+    )
+    d_val, e_val = value.tolist()
 
     records = []
     for m in sorted(ms, key=abs):

@@ -139,6 +139,46 @@ def test_sample_q_normalization_and_cadence():
     assert a.coeffs == b.coeffs
 
 
+# (real, imag) coefficient hex of _sample_q(rng, 2, nodes, 2.5, idx, idx % 3 == 0)
+# for idx < 16 from default_rng(11), as drawn with rng.choice and Poly arithmetic
+SAMPLE_Q_FROZEN = [
+    (["0x1.0000000000000p+0"], []),
+    (["0x1.9bffaea57e277p-6", "0x1.0000000000000p+0", "0x1.cd2835c4ce523p-1"], []),
+    (["0x1.999999999999ap-3", "-0x1.0000000000000p+0", "0x1.999999999999ap-1"], []),
+    (["-0x1.5bce9fa0e2ccep-1"], ["0x1.77bb4780b05fbp-1"]),
+    (["0x1.0000000000000p+0"], []),
+    (["-0x1.f13ce23fa8231p-6", "0x1.9e028ce9b8c81p-2", "-0x1.fffffffffffffp-1"], []),
+    (["0x1.522ac3d93ac62p-4", "-0x1.fff1dc3fdb5ebp-1", "0x1.660fe850b55e7p-1"],
+     ["0x1.aa59bb996a43cp-4", "-0x1.e14d4ac35bc0dp-7", "0x0.0p+0"]),
+    (["0x1.0000000000000p+0", "-0x1.f70fcb709c2fbp-3"], []),
+    (["0x1.0000000000000p+0"], []),
+    (["-0x1.9b2883e7832ccp-4", "0x1.cd50d17d14499p-2", "-0x1.24c4b74127c2fp-1"],
+     ["-0x1.fd69f8dfd6823p-1", "0x1.09bb1e9239c0dp-2", "-0x1.c322858a02143p-2"]),
+    (["0x1.b13b13b13b13cp-2", "-0x1.0000000000000p+0", "0x1.3b13b13b13b14p-2"], []),
+    (["-0x1.914a2bc309e84p-2", "-0x1.0000000000000p+0"], []),
+    (["0x1.0000000000000p+0"], []),
+    (["-0x1.0000000000000p+0", "0x1.923416c519e5cp-6", "0x1.33ceba2f1f5bfp-1"], []),
+    (["0x1.0eb68534ead5ap-1", "-0x1.0000000000000p+0", "0x1.e1404ce5b5e46p-2"], []),
+    (["-0x1.ee0b90a313168p-2"], ["0x1.c077e455786ffp-1"]),
+]
+
+
+def test_sample_q_draws_frozen():
+    """Pins the stream of the q drawer: every cadence kind, real and complex
+    roots, and the generator state the draws leave behind."""
+    rng = np.random.default_rng(11)
+    nodes = (0.25, 0.5, 1.0, 1.5, 2.75)
+    got = []
+    for idx in range(16):
+        q = _sample_q(rng, 2, nodes, 2.5, idx, idx % 3 == 0)
+        imag = [c.imag.hex() for c in q.coeffs] if not q.is_real() else []
+        got.append(([c.real.hex() for c in q.coeffs], imag))
+    assert got == SAMPLE_Q_FROZEN
+    state = rng.bit_generator.state
+    assert state["state"]["state"] == 0x38801A8E6FF2D3AD66EDAC6F34E9B8B5
+    assert state["has_uint32"] == 0
+
+
 def test_dd_criterion_affine_is_exact():
     ident = catalog_model("x")
     rec = dd_criterion(ident, 2, (-2.0, 2.0), "monotone", SamplerConfig(seed=0, samples=200))

@@ -320,3 +320,175 @@ def test_affine_rigidity_input_validation():
     one_sided = FiniteFunction.from_pairs([(t, t**3) for t in (0.0, 1.0, 2.0, 3.0, 4.0)])
     with pytest.raises(ValueError, match="insufficient spread"):
         affine_rigidity_check(one_sided, (0.0, 1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# Batched level sweeps: frozen reports, batch-size independence, replay
+
+def _square(points) -> FiniteFunction:
+    return FiniteFunction.from_pairs([(t, t * t) for t in points])
+
+
+def _genset_cases() -> dict:
+    """(finite function, n, samples) per case, all run at seed 4."""
+    recip = catalog_model("-1/x")
+    return {
+        # all-k; level 1 fails at its fourth row (q = 1 draws nothing at k = 1)
+        "pathological": (
+            FiniteFunction.from_pairs([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.0)]), 2, 10_000
+        ),
+        "square-sampled": (_square([0.1 * k for k in range(1, 17)]), 2, 1000),
+        "recip-exhaustive": (FiniteFunction.from_model(recip, [0.5 + 0.35 * k for k in range(8)]), 2, 600),
+        # k=n with auxiliary levels: exhaustive k=3 and k=1, sampled k=2
+        "recip-mixed": (FiniteFunction.from_model(recip, [0.5 + 0.3 * k for k in range(7)]), 3, 30),
+        # a level failing mid-batch, then a level that draws q from the same
+        # generator: all-k, and k=n with auxiliary levels
+        "square-all-k": (_square([0.2, 0.5, 0.9, 1.4, 2.0, 2.7]), 3, 500),
+        "square-aux": (_square([0.2, 0.5, 0.9, 1.4, 2.0, 2.7, 3.5]), 3, 500),
+    }
+
+
+def _genset_reports() -> dict:
+    return {
+        name: genset_check(f, n, samples=samples, seed=4)
+        for name, (f, n, samples) in _genset_cases().items()
+    }
+
+
+# (k, passed, configs, worst_value.hex()) of every level, levels then
+# auxiliary levels, as the row-by-row sweep computed them
+GENSET_FROZEN = {
+    "pathological": [(1, False, 4, "-0x1.fffffff768fa1p-1"), (2, True, 10000, "0x1.12e0be826d695p-30")],
+    "square-sampled": [(2, False, 2, "-0x1.755f2fa302341p-2")],
+    "recip-exhaustive": [(2, True, 560, "0x1.4e72eaf4136b5p-25")],
+    "recip-mixed": [
+        (3, True, 28, "0x1.4c5c6d5e037d0p-7"),
+        (1, True, 21, "0x1.bd37a7173ab35p-3"),
+        (2, True, 30, "0x1.61856356ffd05p-11"),
+    ],
+    "square-all-k": [
+        (1, True, 495, "0x1.6666666efd6c5p-1"),
+        (2, False, 23, "-0x1.6ff18be91c377p-5"),
+        (3, False, 55, "-0x1.180ae976db320p-5"),
+    ],
+    "square-aux": [
+        (3, False, 11, "-0x1.913da510a60d0p-6"),
+        (1, True, 483, "0x1.6666666efd6c5p-1"),
+        (2, False, 63, "-0x1.b6f3051758688p-4"),
+    ],
+}
+
+
+def test_genset_reports_match_frozen_values():
+    for name, rep in _genset_reports().items():
+        got = [(r.k, r.passed, r.configs, r.worst_value.hex()) for r in rep.levels + rep.auxiliary_levels]
+        assert got == GENSET_FROZEN[name], name
+    notes = {r.k: r.note for r in _genset_reports()["recip-mixed"].auxiliary_levels}
+    assert notes[1].startswith("all 21 subsets")
+    assert notes[2].startswith("sampled from 35 subsets")
+
+
+def test_genset_reports_do_not_depend_on_batch_size(monkeypatch):
+    """One-row batches never draw past a failing row, so equal reports
+    show that a batch failing mid-way leaves the shared generator where
+    the row-by-row sweep leaves it."""
+    from matmono import divdiff
+
+    batched = {name: rep.to_jsonable() for name, rep in _genset_reports().items()}
+    monkeypatch.setattr(divdiff, "SWEEP_BATCH", 1)
+    assert {name: rep.to_jsonable() for name, rep in _genset_reports().items()} == batched
+
+
+def test_failing_genset_witness_replays_exactly():
+    failing = [
+        rec
+        for rep in _genset_reports().values()
+        for rec in rep.levels + rep.auxiliary_levels
+        if not rec.passed
+    ]
+    assert len(failing) == 6
+    for rec in failing:
+        replay = re_evaluate_genset_witness(rec.witness)
+        assert replay["confirmed"]
+        assert replay["value"] == rec.witness["value"]
+        assert replay["threshold"] == rec.witness["threshold"]
+        assert rec.worst_value == rec.witness["value"] + rec.witness["threshold"]
+
+
+def test_counterexample_bundles_and_binding_values_frozen():
+    frozen = {
+        2: (
+            ["-0x1.6db6db6db6db6p-1", "0x1.2492492492494p-3", "0x1.b6db6db6db6dcp-2",
+             "0x1.2492492492492p-1", "0x1.b6db6db6db6dbp-1", "0x1.b6db6db6db6dbp+0"],
+            3.5, 640, {"r2": "0x1.05397829cbc16p-1", "r1": "0x1.f58d0fac687d6p-2"},
+        ),
+        3: (
+            ["-0x1.c000000000000p+8", "-0x1.5d11111111111p+8", "-0x1.1f00000000000p+8",
+             "-0x1.e800000000000p+7", "-0x1.a8aaaaaaaaaabp+7", "-0x1.7800000000000p+7",
+             "-0x1.5164d9364d936p+7", "-0x1.3200000000000p+7"],
+            4.5, 672, {"r1": "-0x1.c61bed61bed62p+7", "r2": "-0x1.c61bcd081bcd0p+7"},
+        ),
+    }
+    inputs = {2: ((1, 2, 3, 4, 5, 6), (0, 7)), 3: ((1, 2, 3, 4, 5, 6, 7, 8), (-4, -3, -2, -1))}
+    for n, (values, x0, constraints, binding) in frozen.items():
+        bundle = build_counterexample(n, *inputs[n], samples=800, seed=4)
+        assert [v.hex() for v in bundle.finite_function.values] == values
+        feas = extension_feasibility(bundle, x0, samples=600, grid=4000, seed=4)
+        assert feas.feasible_intervals == []
+        assert feas.constraint_count == constraints
+        assert {k: v.hex() for k, v in feas.binding.items()} == binding
+
+
+def _scalar_weighted_dd(pts, vals, q):
+    """The product formula one term at a time (reference for the kernel)."""
+    total, scale = 0.0, 0.0
+    for i, (x, v) in enumerate(zip(pts, vals)):
+        denom = 1.0
+        for j, xj in enumerate(pts):
+            if j != i:
+                denom *= x - xj
+        term = v * abs(q.eval(x)) ** 2 / denom
+        total += term
+        scale = max(scale, abs(term))
+    return total, scale
+
+
+def _scalar_linear_constraint(pts, vals, hole, q):
+    alpha, beta, scale = 0.0, 0.0, 0.0
+    for i, (x, v) in enumerate(zip(pts, vals)):
+        denom = 1.0
+        for j, xj in enumerate(pts):
+            if j != i:
+                denom *= x - xj
+        w = abs(q.eval(x)) ** 2 / denom
+        if i == hole:
+            beta = w
+            scale = max(scale, abs(w))
+        else:
+            alpha += v * w
+            scale = max(scale, abs(v * w))
+    return alpha, beta, scale
+
+
+def test_weighted_kernel_matches_scalar_product_formula():
+    """Bit for bit, on rows of mixed q degree, real and complex q."""
+    from matmono.criteria import _sample_q
+    from matmono.gensets import _linear_constraints, _q_rows, _weighted_dd
+
+    rng = np.random.default_rng(21)
+    for size in (2, 4, 6):
+        P = np.sort(rng.uniform(-3.0, 5.0, size=(1500, size)), axis=1)
+        V = rng.normal(size=(1500, size)) * 10.0 ** rng.uniform(-3, 3, size=(1500, 1))
+        holes = rng.integers(0, size, size=1500)
+        qs = [
+            _sample_q(rng, size // 2 - 1, tuple(P[r]), 8.0, r, bool(r % 2))
+            for r in range(1500)
+        ]
+        value, scale = _weighted_dd(P, V, _q_rows(qs))
+        alpha, beta, lscale = _linear_constraints(P, V, holes, _q_rows(qs))
+        for r in range(1500):
+            pts, vals = P[r].tolist(), V[r].tolist()
+            assert (value[r], scale[r]) == _scalar_weighted_dd(pts, vals, qs[r])
+            assert (alpha[r], beta[r], lscale[r]) == _scalar_linear_constraint(
+                pts, vals, int(holes[r]), qs[r]
+            )
