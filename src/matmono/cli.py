@@ -105,6 +105,13 @@ def _parse_floats(text: str, name: str, count: int | None = None) -> tuple[float
     return vals
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _subexprs(node: Expr) -> list[Expr]:
     return [
         getattr(node, f.name)
@@ -206,7 +213,7 @@ def _emit(payload: dict, args) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: random, echoed in output)")
-    p.add_argument("--tol", type=float, default=1e-9, help="violation tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=1e-9, help="violation tolerance (default %(default)s)")
     p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
     p.add_argument("--output", help="write the report to this file instead of stdout")
     p.add_argument("--no-timestamp", action="store_true", help="omit the generated_at field")
@@ -221,39 +228,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run the full criterion battery")
     p.add_argument("-f", "--function", help="expression in x or a catalog key")
-    p.add_argument("-n", "--order", type=int, help="matrix order n")
+    p.add_argument("-n", "--order", type=_positive_int, help="matrix order n")
     p.add_argument("--interval", help="open interval lo,hi")
     p.add_argument("--domain", help="override the inferred domain lo,hi")
     p.add_argument("--mode", choices=("monotone", "convex"), default="monotone")
-    p.add_argument("--samples", type=int, default=1000, help="configurations per sampled criterion")
-    p.add_argument("--oracle-trials", type=int, default=400, help="matrix oracle trials")
+    p.add_argument("--samples", type=_positive_int, default=1000, help="configurations per sampled criterion")
+    p.add_argument("--oracle-trials", type=_positive_int, default=400, help="matrix oracle trials")
     p.add_argument("--no-oracle", action="store_true", help="skip the matrix oracle")
     p.add_argument("--replay", help="re-evaluate witnesses from a report or witness JSON file")
     _add_common(p)
 
     p = sub.add_parser("oracle", help="matrix search for order violations")
     p.add_argument("-f", "--function", required=True)
-    p.add_argument("-n", "--order", type=int, required=True)
+    p.add_argument("-n", "--order", type=_positive_int, required=True)
     p.add_argument("--interval", required=True)
     p.add_argument("--domain")
     p.add_argument("--mode", choices=("monotone", "convex"), default="monotone")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     _add_common(p)
 
     p = sub.add_parser("genset", help="finite-set monotonicity check")
     p.add_argument("--points-file", required=True, help="two-column text file of (point, value)")
-    p.add_argument("-n", "--order", type=int, required=True)
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("-n", "--order", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_positive_int, default=2000)
     p.add_argument("--glue-file", help="second points file; checks both pieces and their union")
     _add_common(p)
 
     p = sub.add_parser("counterexample", help="build the non-extendable finite function")
-    p.add_argument("-n", "--order", type=int, required=True)
+    p.add_argument("-n", "--order", type=_positive_int, required=True)
     p.add_argument("--points", required=True, help="2n+2 ascending reals, comma-separated")
     p.add_argument("--aux-poles", required=True, help="2n-2 reals outside the point hull")
     p.add_argument("--x0", help="extension point (default: gap midpoint)")
-    p.add_argument("--samples", type=int, default=1500)
-    p.add_argument("--grid", type=int, default=10000, help="y-grid size for the feasibility scan")
+    p.add_argument("--samples", type=_positive_int, default=1500)
+    p.add_argument("--grid", type=_positive_int, default=10000, help="y-grid size for the feasibility scan")
     _add_common(p)
 
     p = sub.add_parser("identity", help="verify an integral representation")
@@ -262,8 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain")
     p.add_argument("--mode", choices=("monotone", "convex"), default="monotone")
     p.add_argument("--base", help="base point (convex mode)")
-    p.add_argument("--quad-order", type=int, default=20, help="Gauss-Legendre points per piece")
+    p.add_argument("--quad-order", type=_positive_int, default=20, help="Gauss-Legendre points per piece")
     _add_common(p)
+    p.set_defaults(tol=1e-8)
 
     p = sub.add_parser("catalog", help="list the reference functions")
     _add_common(p)
@@ -414,10 +422,9 @@ def _cmd_identity(args) -> tuple[int, dict]:
         report = verify_convex_identity(model, nodes, float(args.base), args.quad_order)
     else:
         report = verify_monotone_identity(model, nodes, args.quad_order)
-    tol = args.tol if args.tol != 1e-9 else 1e-8
     payload = report.to_jsonable()
-    payload["tol"] = tol
-    return (EXIT_PASS if report.max_error <= tol else EXIT_REFUTED), payload
+    payload["tol"] = args.tol
+    return (EXIT_PASS if report.max_error <= args.tol else EXIT_REFUTED), payload
 
 
 def _cmd_catalog(args) -> tuple[int, dict]:
@@ -464,13 +471,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         code, payload = _HANDLERS[args.command](args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (_Usage, ParseError, argparse.ArgumentTypeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, ValueError, RuntimeError, ArithmeticError) as exc:

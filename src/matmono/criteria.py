@@ -25,7 +25,7 @@ import numpy as np
 from .divdiff import (
     NodeMultiset,
     SamplerConfig,
-    dd_noise_floor,
+    dd_threshold,
     divided_difference,
     divided_difference_scaled,
     divided_differences,
@@ -355,11 +355,11 @@ def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: flo
         rows = []
         for config, weight in zip(configs, weights):
             value, scale = divided_difference_scaled(f, config["nodes"], "extended", weight)
-            rows.append((value, max(tol, dd_noise_floor(scale, "extended")), 0.0, None))
+            rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
         return rows
     batch = divided_differences(f, [c["nodes"].flatten() for c in configs], weights)
     return [
-        (value, max(tol, dd_noise_floor(scale, "double")), bound, None)
+        (value, dd_threshold(scale, "double", tol), bound, None)
         for value, scale, bound in zip(*(a.tolist() for a in batch))
     ]
 
@@ -432,7 +432,7 @@ def _evaluate_product(f: FunctionModel, configs: list[dict], precision: str, tol
         value, scale = _product_derivative_value(
             f, n_of(config["q"]), config["t"], config["deriv_order"], precision
         )
-        rows.append((float(value), float(max(tol, dd_noise_floor(scale, precision))), 0.0, None))
+        rows.append((float(value), float(dd_threshold(scale, precision, tol)), 0.0, None))
     return rows
 
 
@@ -865,6 +865,8 @@ def certify(
     if not lo < hi:
         raise ValueError("interval must have positive length")
     config = config or CertifyConfig()
+    if config.samples < 1 or config.grid < 1 or (config.include_oracle and config.oracle_trials < 1):
+        raise ValueError("samples, grid and oracle_trials must be >= 1")
     names = MONOTONE_CRITERIA if mode == "monotone" else CONVEX_CRITERIA
     seeds = np.random.SeedSequence(config.seed).spawn(len(names) + 1)
     child = {name: int(s.generate_state(1)[0]) for name, s in zip(names, seeds)}

@@ -280,11 +280,7 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
 
 
 def divided_difference(
-    f,
-    nodes,
-    precision: str = "auto",
-    weight: Poly | None = None,
-    digits: int = EXTENDED_DIGITS,
+    f, nodes, precision: str = "auto", weight: Poly | None = None
 ) -> float:
     """Divided difference [nodes]_g with g = f * weight (weight optional).
 
@@ -297,18 +293,14 @@ def divided_difference(
     4 eps |entry|.  "auto" keeps the double value when that bound is
     within VALUE_RTOL of it (double_settles) and otherwise recomputes the
     table in extended precision, with digits growing with
-    order * log10(1 / min gap).
+    order * log10(1 / min gap), and never fewer than EXTENDED_DIGITS.
     """
-    value, _ = divided_difference_scaled(f, nodes, precision, weight, digits)
+    value, _ = divided_difference_scaled(f, nodes, precision, weight)
     return value
 
 
 def divided_difference_scaled(
-    f,
-    nodes,
-    precision: str = "auto",
-    weight: Poly | None = None,
-    digits: int = EXTENDED_DIGITS,
+    f, nodes, precision: str = "auto", weight: Poly | None = None
 ) -> tuple[float, float]:
     """Like divided_difference, also returns max |table entry|.
 
@@ -319,10 +311,11 @@ def divided_difference_scaled(
         raise ValueError(f"unsupported precision mode {precision!r}")
     ms = _as_multiset(nodes)
     if precision != "extended":
-        value, scale, bound = _dd_table(f, ms, "double", weight, digits)
+        value, scale, bound = _dd_table(f, ms, "double", weight, EXTENDED_DIGITS)
         if precision == "double" or double_settles(value, bound):
             return value, scale
-    value, scale, _ = _dd_table(f, ms, "extended", weight, max(digits, _needed_digits(ms)))
+    digits = max(EXTENDED_DIGITS, _needed_digits(ms))
+    value, scale, _ = _dd_table(f, ms, "extended", weight, digits)
     return value, scale
 
 
@@ -339,10 +332,11 @@ def _needed_digits(nodes: NodeMultiset) -> int:
     return min(400, int(nodes.order * math.log10(1.0 / gap)) + 30)
 
 
-def dd_noise_floor(max_entry: float, precision: str, digits: int = EXTENDED_DIGITS) -> float:
-    """Conservative bound on table roundoff for a given entry scale."""
-    eps = 2.3e-16 if precision == "double" else 10.0 ** (1 - digits)
-    return 64.0 * eps * max(max_entry, 1.0)
+def dd_threshold(max_entry: float, precision: str, tol: float) -> float:
+    """Threshold of every divided-difference sign test (value >= -threshold):
+    tol, or the roundoff bound of a table with largest |entry| max_entry."""
+    eps = 2.3e-16 if precision == "double" else 10.0 ** (1 - EXTENDED_DIGITS)
+    return max(tol, 64.0 * eps * max(max_entry, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +632,10 @@ def ktone_check(
         values, scales, bounds = divided_differences(f, [ms.flatten() for ms in batch])
         for ms, value, scale, bound in zip(batch, values.tolist(), scales.tolist(), bounds.tolist()):
             configs += 1
-            threshold = max(tol, dd_noise_floor(scale, "double"))
+            threshold = dd_threshold(scale, "double", tol)
             if not double_settles(value, bound, threshold):
                 value, scale = divided_difference_scaled(f, ms, "extended")
-                threshold = max(tol, dd_noise_floor(scale, "extended"))
+                threshold = dd_threshold(scale, "extended", tol)
             if value < worst:
                 worst = value
                 witness = {

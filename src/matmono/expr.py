@@ -627,9 +627,9 @@ def jet(e: Expr, x, K: int, precision: str = "double", digits: int = EXTENDED_DI
     raise ValueError(f"unsupported precision mode {precision!r}")
 
 
-def evaluate(e: Expr, x, precision: str = "double", digits: int = EXTENDED_DIGITS):
+def evaluate(e: Expr, x, precision: str = "double"):
     """Value of an expression at x: the first coefficient of its jet."""
-    return jet(e, x, 1, precision, digits)[0]
+    return jet(e, x, 1, precision)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -686,17 +686,17 @@ class FunctionModel:
             raise DomainError(f"point outside the open domain {self.domain}")
         return jet(self.expr, x, K, precision, digits)
 
-    def eval(self, x, precision: str = "double", digits: int = EXTENDED_DIGITS):
-        return self.eval_deriv(0, x, precision, digits)
+    def eval(self, x):
+        """Double-precision value at a point or an array of points."""
+        return self.eval_deriv(0, x)
 
-    def eval_deriv(
-        self, k: int, x, precision: str = "double", digits: int = EXTENDED_DIGITS
-    ):
-        """k-th derivative at x: k! times the k-th jet coefficient."""
-        c = self.taylor(x, k + 1, precision, digits)[k]
+    def eval_deriv(self, k: int, x, precision: str = "double"):
+        """k-th derivative at x: k! times the k-th jet coefficient
+        (extended precision works at EXTENDED_DIGITS)."""
+        c = self.taylor(x, k + 1, precision)[k]
         if k < 2:
             return c
-        with mpmath.workdps(digits if precision == "extended" else mpmath.mp.dps):
+        with mpmath.workdps(EXTENDED_DIGITS if precision == "extended" else mpmath.mp.dps):
             return c * math.factorial(k)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _poly_from_jsonable, _poly_to_jsonable, _sample_q
-from .divdiff import SamplerConfig, dd_noise_floor, sweep_batches
+from .divdiff import SamplerConfig, dd_threshold, sweep_batches
 from .expr import FunctionModel
 from .polynomial import Poly
 
@@ -259,7 +259,6 @@ def _level_sweep(
     samples: int,
     rng: np.random.Generator,
     tol: float,
-    subset_cap: int,
 ) -> GensetLevelRecord:
     m = f.size
     size = 2 * k
@@ -267,7 +266,7 @@ def _level_sweep(
         return GensetLevelRecord(k, True, 0, math.inf, None, "no subsets of this size")
     span = f.points[-1] - f.points[0]
     total = math.comb(m, size)
-    if total <= min(subset_cap, samples):
+    if total <= samples:
         base = list(itertools.combinations(range(m), size))
         reps = max(1, samples // len(base))
         subsets = base * reps
@@ -292,7 +291,7 @@ def _level_sweep(
         rows = np.array(subsets[start : start + len(qs)])
         P, V = points[rows], values[rows]
         value, scale = _weighted_dd(P, V, _q_rows(qs))
-        threshold = np.array([max(tol, dd_noise_floor(s, "double")) for s in scale.tolist()])
+        threshold = np.array([dd_threshold(s, "double", tol) for s in scale.tolist()])
         failing = np.flatnonzero(value < -threshold)
         stop = int(failing[0]) + 1 if len(failing) else len(qs)
         # the first row with the least margin up to the first failure, as a
@@ -328,7 +327,6 @@ def genset_check(
     samples: int = 2000,
     seed: int = 0,
     tol: float = 1e-9,
-    subset_cap: int = 100_000,
 ) -> GensetReport:
     """Finite-set n-monotonicity check.
 
@@ -349,8 +347,8 @@ def genset_check(
         rule = "all-k"
         ks = list(range(1, n + 1))
         aux_ks = []
-    levels = [_level_sweep(f, k, samples, rng, tol, subset_cap) for k in ks]
-    aux = [_level_sweep(f, k, samples, rng, tol, subset_cap) for k in aux_ks]
+    levels = [_level_sweep(f, k, samples, rng, tol) for k in ks]
+    aux = [_level_sweep(f, k, samples, rng, tol) for k in aux_ks]
     verdict = "pass" if all(rec.passed for rec in levels) else "fail"
     return GensetReport(n, f.size, rule, levels, aux, verdict, seed)
 
@@ -363,7 +361,7 @@ def re_evaluate_genset_witness(witness: dict, tol: float = 1e-9) -> dict:
     vals = [float(v) for v in witness["values"]]
     q = _poly_from_jsonable(witness["q"])
     value, scale = (float(a[0]) for a in _weighted_dd([pts], [vals], _q_rows([q])))
-    threshold = max(tol, dd_noise_floor(scale, "double"))
+    threshold = dd_threshold(scale, "double", tol)
     return {"value": value, "threshold": threshold, "confirmed": value < -threshold}
 
 
@@ -642,6 +640,8 @@ def extension_feasibility(
     roots at the poles of r1, and the r2 mirror) force y = r1(x0) and
     y = r2(x0) simultaneously, so the feasible set is empty.
     """
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     bundle = target if isinstance(target, CounterexampleBundle) else None
     if bundle is not None:
         f = bundle.finite_function
@@ -699,7 +699,7 @@ def extension_feasibility(
             holes.append(hole)
             qs.append(q)
     a, b, scale = _linear_constraints(P, V, holes, _q_rows(qs))
-    th = np.array([max(tol, dd_noise_floor(s, "double")) for s in scale.tolist()])
+    th = np.array([dd_threshold(s, "double", tol) for s in scale.tolist()])
 
     if bundle is not None:
         y_marks = (bundle.r1.eval(x0), bundle.r2.eval(x0))

@@ -41,8 +41,8 @@ class BasisChange:
     t: float
     matrix: np.ndarray
 
-    def verify(self, tol: float = 1e-9) -> float:
-        """Max reconstruction error of p_j at the nodes; raises if > tol."""
+    def verify(self) -> float:
+        """Max reconstruction error of p_j at the nodes; raises if > 1e-9."""
         n = len(self.points)
         worst = 0.0
         for j in range(n):
@@ -53,7 +53,7 @@ class BasisChange:
                     self.matrix[i, j] * (x - self.t) ** (n - 1 - i) for i in range(n)
                 )
                 worst = max(worst, abs(direct - expanded) / max(1.0, abs(direct)))
-        if worst > tol:
+        if worst > 1e-9:
             raise ValueError(f"basis change fails to reconstruct: error {worst}")
         return worst
 
@@ -135,7 +135,6 @@ def verify_monotone_identity(
     f: FunctionModel,
     points,
     quad_points: int = 20,
-    precision: str = "auto",
 ) -> IdentityReport:
     """Loewner matrix vs its local-matrix average; needs n >= 2 nodes."""
     pts = tuple(sorted(float(p) for p in points))
@@ -144,7 +143,7 @@ def verify_monotone_identity(
         raise ValueError("need at least two nodes")
     if len(set(pts)) != n:
         raise ValueError("points must be distinct")
-    lhs = loewner_matrix(f, pts, precision)
+    lhs = loewner_matrix(f, pts)
     w = peano_weight(NodeMultiset.from_pairs([(x, 2) for x in pts]))
 
     def integrand(t: float) -> np.ndarray:
@@ -162,7 +161,6 @@ def verify_convex_identity(
     points,
     base: float,
     quad_points: int = 20,
-    precision: str = "auto",
 ) -> IdentityReport:
     """Kraus matrix vs its local-matrix average; needs n >= 2 nodes."""
     pts = tuple(sorted(float(p) for p in points))
@@ -172,7 +170,7 @@ def verify_convex_identity(
     if len(set(pts)) != n:
         raise ValueError("points must be distinct")
     base = float(base)
-    lhs = kraus_matrix(f, pts, base, precision)
+    lhs = kraus_matrix(f, pts, base)
     flat = [x for x in pts for _ in range(2)] + [base]
     w = peano_weight(NodeMultiset.from_points(flat))
     knots = sorted(set(pts) | {base})

@@ -29,18 +29,18 @@ def _as_matrix(H) -> np.ndarray:
     return H
 
 
-def check_hermitian(H, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry and return the symmetrized matrix."""
+def check_hermitian(H) -> np.ndarray:
+    """Validate Hermitian symmetry (to HERMITIAN_TOL) and return the symmetrized matrix."""
     H = _as_matrix(H)
     scale = max(1.0, float(np.abs(H).max()))
-    if float(np.abs(H - H.conj().T).max()) > tol * scale:
+    if float(np.abs(H - H.conj().T).max()) > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian")
     return 0.5 * (H + H.conj().T)
 
 
-def eigh(H, tol: float = HERMITIAN_TOL):
+def eigh(H):
     """Eigenvalues (ascending) and unitary Q with H = Q diag(w) Q*."""
-    w, Q = np.linalg.eigh(check_hermitian(H, tol))
+    w, Q = np.linalg.eigh(check_hermitian(H))
     return w, Q
 
 
@@ -56,13 +56,13 @@ def is_psd(H, tol: float = 1e-9, scale: float | None = None) -> bool:
     return min_eigenvalue(H) >= -tol * scale
 
 
-def matrix_function(f, H, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def matrix_function(f, H) -> np.ndarray:
     """f applied through the spectral decomposition of Hermitian H.
 
     f is a FunctionModel (eigenvalues are domain-checked) or a plain
     scalar callable.
     """
-    w, Q = eigh(H, tol)
+    w, Q = eigh(H)
     if isinstance(f, FunctionModel):
         fw = f.eval(w)
     else:
@@ -104,8 +104,8 @@ class ProjectionPair:
     vector: np.ndarray
     targets: tuple[float, ...]
 
-    def validate(self, tol: float = 1e-8) -> float:
-        """Max deviation from the contract; raises when above tol * scale."""
+    def validate(self) -> float:
+        """Max deviation from the contract; raises when above 1e-8 * scale."""
         bump = np.outer(self.vector, self.vector.conj())
         err = float(np.abs(self.matrix_b - self.matrix_a - bump).max())
         wa = np.linalg.eigvalsh(self.matrix_a)
@@ -113,7 +113,7 @@ class ProjectionPair:
         err = max(err, float(np.abs(wa - np.array(self.targets[0::2])).max()))
         err = max(err, float(np.abs(wb - np.array(self.targets[1::2])).max()))
         scale = max(1.0, max(abs(t) for t in self.targets))
-        if err > tol * scale:
+        if err > 1e-8 * scale:
             raise ValueError(f"projection pair deviates by {err:.3e}")
         return err
 
@@ -149,10 +149,10 @@ def make_projection_pair(targets) -> ProjectionPair:
     return pair
 
 
-def rank_one_chain(A, B, rel_tol: float = 1e-12) -> list[np.ndarray]:
+def rank_one_chain(A, B) -> list[np.ndarray]:
     """Matrices A = M_0 <= M_1 <= ... <= M_k = B with rank-one PSD steps.
 
-    Eigen-directions of B - A below rel_tol of its largest eigenvalue
+    Eigen-directions of B - A below 1e-12 of its largest eigenvalue
     are folded into the final step, which lands exactly on B.
     """
     A = check_hermitian(A)
@@ -163,7 +163,7 @@ def rank_one_chain(A, B, rel_tol: float = 1e-12) -> list[np.ndarray]:
     scale = max(1.0, float(np.abs(D).max()))
     if float(w[0]) < -1e-9 * scale:
         raise ValueError("B - A is not positive semidefinite")
-    kept = [i for i in range(w.size) if float(w[i]) > rel_tol * max(1.0, top)]
+    kept = [i for i in range(w.size) if float(w[i]) > 1e-12 * max(1.0, top)]
     chain = [A]
     M = A
     for i in kept[:-1]:

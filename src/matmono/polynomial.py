@@ -156,13 +156,17 @@ def n_of(q: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # Root finding: Aberth simultaneous iteration
 
+ROOT_TOL = 1e-10
+ROOT_MAX_ITERATIONS = 500
 
-def roots(p: Poly, tol: float = 1e-10, max_iterations: int = 500) -> list[complex]:
+
+def roots(p: Poly) -> list[complex]:
     """All complex roots with multiplicity (repeated entries for clusters).
 
     Simultaneous Newton-with-repulsion iteration started from a slightly
     perturbed circle of Cauchy-bound radius.  Each returned z satisfies
-    |p(z)| <= tol * sum_k |c_k| |z|^k.  Deterministic.
+    |p(z)| <= ROOT_TOL * sum_k |c_k| |z|^k, reached within
+    ROOT_MAX_ITERATIONS sweeps or NonConvergenceError.  Deterministic.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1 to have roots")
@@ -181,9 +185,9 @@ def roots(p: Poly, tol: float = 1e-10, max_iterations: int = 500) -> list[comple
 
     def residual_ok(zi: complex) -> bool:
         scale = sum(abs(ck) * abs(zi) ** k for k, ck in enumerate(p.coeffs))
-        return abs(p.eval(zi)) <= tol * max(scale, 1e-300)
+        return abs(p.eval(zi)) <= ROOT_TOL * max(scale, 1e-300)
 
-    for it in range(max_iterations):
+    for it in range(ROOT_MAX_ITERATIONS):
         converged = True
         offsets = []
         for i, zi in enumerate(z):
@@ -209,7 +213,7 @@ def roots(p: Poly, tol: float = 1e-10, max_iterations: int = 500) -> list[comple
     else:
         if not all(residual_ok(zi) for zi in z):
             raise NonConvergenceError(
-                f"root iteration did not converge in {max_iterations} steps"
+                f"root iteration did not converge in {ROOT_MAX_ITERATIONS} steps"
             )
     return sorted(z, key=lambda v: (round(v.real, 12), round(v.imag, 12)))
 
@@ -261,7 +265,7 @@ def _split_roots_robust(rts: list[complex]):
     """Strict split, then a loose retry for high-multiplicity clusters.
 
     A real root of multiplicity m is rendered by the iteration as a
-    cluster of radius ~ tol^(1/m), far wider than the strict pairing
+    cluster of radius ~ ROOT_TOL^(1/m), far wider than the strict pairing
     tolerance; the retry classifies with a 1e-3 relative radius and the
     caller's reconstruction check vouches for the result.
     """
@@ -271,7 +275,7 @@ def _split_roots_robust(rts: list[complex]):
         return _split_roots(rts, rel=1e-3)
 
 
-def sos_decompose(p: Poly, tol: float = 1e-10) -> Poly:
+def sos_decompose(p: Poly) -> Poly:
     """Write a real polynomial p >= 0 on R as N(q), deg q = deg p / 2.
 
     q collects one root of each conjugate pair (the closed upper
@@ -340,7 +344,7 @@ class ABTerm:
         return (self.factor_poly(a, b) * n_of(self.q)).scale(self.weight)
 
 
-def ab_decompose(p: Poly, a: float, b: float, tol: float = 1e-10) -> list[ABTerm]:
+def ab_decompose(p: Poly, a: float, b: float) -> list[ABTerm]:
     """Positive combination for a polynomial nonnegative outside (a, b).
 
     Hypothesis (checked via root locations): p real with positive

@@ -174,6 +174,13 @@ def test_identity_subcommand(capsys):
     assert payload["kind"] == "monotone"
     assert payload["max_error"] < 1e-10
     assert payload["tol"] == 1e-8
+    # an explicit --tol is used as given, even one below the default
+    code, out, _ = _run(capsys, [
+        "identity", "-f", "x^3", "--nodes", "0.3,1.7", "--tol", "1e-9",
+        "--format", "text", "--no-timestamp",
+    ])
+    assert code == 0
+    assert "tol: 1e-09" in out.splitlines()
 
     code, _, err = _run(capsys, [
         "identity", "-f", "x^3", "--nodes", "0.3,1.7", "--mode", "convex",
@@ -242,3 +249,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["catalog"]) == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "-f", "-1/x", "-n", "2", "--interval", "0.5,4",
+     "--samples", "0", "--oracle-trials", "0"],
+    ["certify", "-f", "-1/x", "-n", "0", "--interval", "0.5,4"],
+    ["oracle", "-f", "-1/x", "-n", "2", "--interval", "0.5,4", "--trials", "0"],
+    ["counterexample", "-n", "2", "--points", "1,2,3,4,5,6", "--aux-poles", "0,7", "--grid", "0"],
+    ["genset", "--points-file", "points.txt", "-n", "2", "--samples", "-3"],
+    ["identity", "-f", "x^3", "--nodes", "0.3,1.7", "--quad-order", "0"],
+])
+def test_counts_below_one_exit_two(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert "expected an integer >= 1" in err

@@ -337,6 +337,13 @@ def test_certify_input_validation():
         certify(EXP, 0, (-1.0, 1.0))
     with pytest.raises(ValueError):
         certify(EXP, 2, (1.0, 1.0))
+    # a sweep over zero configurations would pass vacuously
+    for cfg in (CertifyConfig(samples=0), CertifyConfig(grid=0), CertifyConfig(oracle_trials=0)):
+        with pytest.raises(ValueError, match=">= 1"):
+            certify(EXP, 2, (-1.0, 1.0), config=cfg)
+    # the trial count of an oracle that does not run is not used
+    cfg = CertifyConfig(samples=20, grid=9, oracle_trials=0, include_oracle=False)
+    assert certify(catalog_model("-1/x"), 1, (0.5, 4.0), config=cfg).verdict == "pass"
 
 
 def test_re_evaluate_witness_matrix_kinds():

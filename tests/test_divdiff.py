@@ -18,7 +18,7 @@ from matmono import (
     refinement_coefficients,
 )
 from matmono.divdiff import (
-    dd_noise_floor,
+    dd_threshold,
     divided_difference_scaled,
     sample_distinct_tuple,
 )
@@ -132,9 +132,12 @@ def test_precision_escalation_near_coincident_nodes():
 
 
 def test_noise_floor_scales_with_table_magnitude():
-    assert dd_noise_floor(1.0, "double") == pytest.approx(64 * 2.3e-16)
-    assert dd_noise_floor(1e6, "double") == pytest.approx(64 * 2.3e-16 * 1e6)
-    assert dd_noise_floor(1.0, "extended") < dd_noise_floor(1.0, "double")
+    assert dd_threshold(1.0, "double", 0.0) == pytest.approx(64 * 2.3e-16)
+    assert dd_threshold(1e6, "double", 0.0) == pytest.approx(64 * 2.3e-16 * 1e6)
+    assert dd_threshold(1.0, "extended", 0.0) < dd_threshold(1.0, "double", 0.0)
+    # the violation tolerance wins when it exceeds the roundoff floor
+    assert dd_threshold(1.0, "double", 1e-9) == 1e-9
+    assert dd_threshold(1e9, "double", 1e-9) == pytest.approx(64 * 2.3e-16 * 1e9)
     _, scale = divided_difference_scaled(EXP, (0.0, 1e-5))
     assert scale >= math.exp(0.0)  # the table maximum dominates the value
 

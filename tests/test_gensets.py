@@ -278,6 +278,8 @@ def test_extension_feasibility_plain_function():
         extension_feasibility(f, 9.0, n=1)
     with pytest.raises(ValueError, match="already a point"):
         extension_feasibility(f, 1.0, n=1)
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        extension_feasibility(f, 1.5, n=1, grid=0)
 
 
 def test_affine_rigidity_flags_cubic_growth():
