@@ -35,7 +35,6 @@ from .expr import (
     ParseError,
     Pow,
     PowReal,
-    Recip,
     Sqrt,
     Var,
     catalog,
@@ -69,8 +68,6 @@ _DASH_VALUE_LONG = {
     "--aux-poles",
     "--base",
     "--x0",
-    "--triple",
-    "--m-values",
 }
 _DASH_VALUE_SHORT = {"-f"}
 
@@ -133,7 +130,7 @@ def _infer_domain(e: Expr) -> tuple[float, float]:
     """
 
     def positive_only(node: Expr) -> bool:
-        if isinstance(node, (Log, Sqrt, PowReal, Recip)):
+        if isinstance(node, (Log, Sqrt, PowReal)):
             return True
         if isinstance(node, Pow) and node.exponent < 0:
             return True
@@ -211,9 +208,13 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: random, echoed in output)")
-    p.add_argument("--tol", type=float, default=1e-9, help="violation tolerance (default %(default)s)")
+def _add_common(p: argparse.ArgumentParser, seed: bool = True, tol: bool = True) -> None:
+    """Output flags, plus --seed for the sampling subcommands and --tol
+    for those that compare against a tolerance."""
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: random, echoed in output)")
+    if tol:
+        p.add_argument("--tol", type=float, default=1e-9, help="violation tolerance (default %(default)s)")
     p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
     p.add_argument("--output", help="write the report to this file instead of stdout")
     p.add_argument("--no-timestamp", action="store_true", help="omit the generated_at field")
@@ -270,11 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("monotone", "convex"), default="monotone")
     p.add_argument("--base", help="base point (convex mode)")
     p.add_argument("--quad-order", type=_positive_int, default=20, help="Gauss-Legendre points per piece")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(tol=1e-8)
 
     p = sub.add_parser("catalog", help="list the reference functions")
-    _add_common(p)
+    _add_common(p, seed=False, tol=False)
 
     return top
 

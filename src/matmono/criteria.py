@@ -42,6 +42,8 @@ from .linalg import (
     matrix_to_jsonable,
     min_eigenvalue,
     monotonicity_oracle,
+    oracle_defect,
+    psd_scale,
 )
 from .polynomial import Poly, n_of
 
@@ -386,7 +388,7 @@ def _psd_matrix(f: FunctionModel, config: dict, precision: str) -> np.ndarray:
 
 
 def _psd_row(M: np.ndarray, bound: float, tol: float) -> tuple:
-    return min_eigenvalue(M), tol * max(1.0, float(np.abs(M).max())), bound, M
+    return min_eigenvalue(M), tol * psd_scale(M), bound, M
 
 
 def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
@@ -767,8 +769,8 @@ def re_evaluate_witness(f: FunctionModel, witness: dict, tol: float = 1e-9) -> d
 
     Returns {"value", "threshold", "confirmed"}.  Criterion witnesses
     go through the evaluator of their sweep in extended precision,
-    oracle witnesses (matrix-pair, jensen) through the spectral
-    calculus.
+    oracle witnesses (matrix-pair, jensen) through the oracle's own
+    defect and threshold scale (linalg.oracle_defect).
     """
     kind = witness["kind"]
     if kind in _EVALUATORS:
@@ -776,15 +778,11 @@ def re_evaluate_witness(f: FunctionModel, witness: dict, tol: float = 1e-9) -> d
     elif kind in ("matrix-pair", "jensen"):
         A = matrix_from_jsonable(witness["matrix_a"])
         B = matrix_from_jsonable(witness["matrix_b"])
-        FA = matrix_function(f, A)
-        FB = matrix_function(f, B)
-        if kind == "matrix-pair":
-            D = FB - FA
-        else:
-            t = float(witness["weight"])
-            D = t * FA + (1.0 - t) * FB - matrix_function(f, t * A + (1.0 - t) * B)
+        t = float(witness.get("weight", 1.0))
+        FM = matrix_function(f, t * A + (1.0 - t) * B) if kind == "jensen" else None
+        D, scale = oracle_defect(matrix_function(f, A), matrix_function(f, B), FM, t)
         value = min_eigenvalue(D)
-        threshold = tol * max(1.0, float(np.abs(FA).max()), float(np.abs(FB).max()))
+        threshold = tol * scale
     else:
         raise ValueError(f"unknown witness kind {kind!r}")
     return {"value": value, "threshold": threshold, "confirmed": value < -threshold}

@@ -435,18 +435,12 @@ class PiecewisePoly:
     def scale(self, s: float) -> "PiecewisePoly":
         return PiecewisePoly(self.breakpoints, tuple(p.scale(s) for p in self.pieces))
 
-    def _binary(self, other: "PiecewisePoly", sub: bool) -> "PiecewisePoly":
+    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if self.breakpoints != other.breakpoints:
             raise ValueError("breakpoint mismatch")
         return PiecewisePoly(
-            self.breakpoints,
-            tuple(
-                (a - b) if sub else (a + b) for a, b in zip(self.pieces, other.pieces)
-            ),
+            self.breakpoints, tuple(a + b for a, b in zip(self.pieces, other.pieces))
         )
-
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self._binary(other, sub=False)
 
     def mul_linear(self, c0: float, c1: float) -> "PiecewisePoly":
         """Multiply by the affine polynomial c0 + c1 * t."""
@@ -613,6 +607,8 @@ def ktone_check(
     extended-precision value.  Fails with the worst witness found.
     """
     sampler = sampler or SamplerConfig()
+    if sampler.samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = sampler.rng()
 
     def draw(idx: int) -> NodeMultiset:

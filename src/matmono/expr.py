@@ -82,11 +82,6 @@ class Sqrt(Expr):
 
 
 @dataclass(frozen=True)
-class Recip(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
 class Add(Expr):
     left: Expr
     right: Expr
@@ -349,11 +344,6 @@ def to_text(e: Expr) -> str:
     if isinstance(e, (Exp, Log, Sqrt)):
         name = type(e).__name__.lower()
         return f"{name}({to_text(e.arg)})"
-    if isinstance(e, Recip):
-        inner = to_text(e.arg)
-        if _prec(e.arg) <= _PREC[Div]:
-            inner = f"({inner})"
-        return f"1/{inner}"
     if isinstance(e, (Add, Sub, Mul, Div)):
         op = {"Add": "+", "Sub": "-", "Mul": "*", "Div": "/"}[type(e).__name__]
         lhs, rhs = to_text(e.left), to_text(e.right)
@@ -395,7 +385,7 @@ def simplify(e: Expr) -> Expr:
         if isinstance(a, Neg):
             return a.arg
         return Neg(a)
-    if isinstance(e, (Exp, Log, Sqrt, Recip)):
+    if isinstance(e, (Exp, Log, Sqrt)):
         return type(e)(simplify(e.arg))
     if isinstance(e, Add):
         a, b = simplify(e.left), simplify(e.right)
@@ -486,8 +476,6 @@ def _d(e: Expr) -> Expr:
         return Div(_d(e.arg), e.arg)
     if isinstance(e, Sqrt):
         return Div(_d(e.arg), Mul(Const(2.0), e))
-    if isinstance(e, Recip):
-        return Neg(Div(_d(e.arg), Pow(e.arg, 2)))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -549,8 +537,6 @@ def _jet(e: Expr, x, K: int, lib) -> list:
         return [x] + _constant(1.0, K - 1, mp) if K > 1 else [x]
     if isinstance(e, Neg):
         return [-c for c in _jet(e.arg, x, K, lib)]
-    if isinstance(e, Recip):
-        e = Div(Const(1.0), e.arg)
     if isinstance(e, (Add, Sub, Mul, Div)):
         u, v = _jet(e.left, x, K, lib), _jet(e.right, x, K, lib)
         if isinstance(e, Add):

@@ -253,6 +253,18 @@ class GensetReport:
         }
 
 
+def _index_subsets(m: int, size: int, count: int, rng: np.random.Generator) -> list[tuple]:
+    """Ascending index subsets of range(m) of the given size: all of them
+    when there are at most count, else the sliding windows topped up to
+    count with rng.choice draws."""
+    if math.comb(m, size) <= count:
+        return list(itertools.combinations(range(m), size))
+    subsets = [tuple(range(i, i + size)) for i in range(m - size + 1)]
+    while len(subsets) < count:
+        subsets.append(tuple(sorted(rng.choice(m, size=size, replace=False).tolist())))
+    return subsets
+
+
 def _level_sweep(
     f: FiniteFunction,
     k: int,
@@ -266,16 +278,12 @@ def _level_sweep(
         return GensetLevelRecord(k, True, 0, math.inf, None, "no subsets of this size")
     span = f.points[-1] - f.points[0]
     total = math.comb(m, size)
+    subsets = _index_subsets(m, size, samples, rng)
     if total <= samples:
-        base = list(itertools.combinations(range(m), size))
-        reps = max(1, samples // len(base))
-        subsets = base * reps
+        reps = samples // total
+        subsets = subsets * reps
         note = f"all {total} subsets, {reps} q draw(s) each"
     else:
-        windows = [tuple(range(i, i + size)) for i in range(m - size + 1)]
-        subsets = list(windows)
-        while len(subsets) < samples:
-            subsets.append(tuple(sorted(rng.choice(m, size=size, replace=False).tolist())))
         note = f"sampled from {total} subsets; all sliding windows included"
     points, values = np.array(f.points), np.array(f.values)
 
@@ -338,6 +346,8 @@ def genset_check(
     """
     if n < 1:
         raise ValueError("order must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = SamplerConfig(seed=seed).rng()
     if f.size > 2 * n:
         rule = "k=n"
@@ -667,15 +677,7 @@ def extension_feasibility(
     rng = SamplerConfig(seed=seed).rng()
     span = max(f.points[-1], x0) - min(f.points[0], x0)
 
-    total = math.comb(m, others)
-    if total <= 2000:
-        subsets = list(itertools.combinations(range(m), others))
-    else:
-        subsets = [tuple(range(i, i + others)) for i in range(m - others + 1)]
-        while len(subsets) < 2000:
-            subsets.append(
-                tuple(sorted(int(v) for v in rng.choice(m, size=others, replace=False)))
-            )
+    subsets = _index_subsets(m, others, 2000, rng)
     q_per = max(1, samples // len(subsets))
 
     special_q = []

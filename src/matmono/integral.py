@@ -131,29 +131,39 @@ def _normalized_error(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def verify_monotone_identity(
-    f: FunctionModel,
-    points,
-    quad_points: int = 20,
-) -> IdentityReport:
-    """Loewner matrix vs its local-matrix average; needs n >= 2 nodes."""
+def _verify_identity(f: FunctionModel, points, base, quad_points: int) -> IdentityReport:
+    """Loewner matrix (base None) or Kraus matrix at base vs its
+    local-matrix average; needs n >= 2 nodes."""
     pts = tuple(sorted(float(p) for p in points))
     n = len(pts)
     if n < 2:
         raise ValueError("need at least two nodes")
     if len(set(pts)) != n:
         raise ValueError("points must be distinct")
-    lhs = loewner_matrix(f, pts)
-    w = peano_weight(NodeMultiset.from_pairs([(x, 2) for x in pts]))
+    if base is None:
+        kind, extra, local = "monotone", (), dobsch_matrix
+        lhs = loewner_matrix(f, pts)
+    else:
+        base = float(base)
+        kind, extra, local = "convex", (base,), hankel_convex_matrix
+        lhs = kraus_matrix(f, pts, base)
+    w = peano_weight(NodeMultiset.from_points(pts * 2 + extra))
 
     def integrand(t: float) -> np.ndarray:
         C = basis_change_matrix(pts, t).matrix
-        return w(t) * (C.T @ dobsch_matrix(f, t, n) @ C)
+        return w(t) * (C.T @ local(f, t, n) @ C)
 
-    rhs = _piecewise_quad(integrand, pts, quad_points)
-    return IdentityReport(
-        "monotone", n, pts, None, quad_points, lhs, rhs, _normalized_error(lhs, rhs)
-    )
+    rhs = _piecewise_quad(integrand, sorted(set(pts + extra)), quad_points)
+    return IdentityReport(kind, n, pts, base, quad_points, lhs, rhs, _normalized_error(lhs, rhs))
+
+
+def verify_monotone_identity(
+    f: FunctionModel,
+    points,
+    quad_points: int = 20,
+) -> IdentityReport:
+    """Loewner matrix vs its local-matrix average; needs n >= 2 nodes."""
+    return _verify_identity(f, points, None, quad_points)
 
 
 def verify_convex_identity(
@@ -163,23 +173,4 @@ def verify_convex_identity(
     quad_points: int = 20,
 ) -> IdentityReport:
     """Kraus matrix vs its local-matrix average; needs n >= 2 nodes."""
-    pts = tuple(sorted(float(p) for p in points))
-    n = len(pts)
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if len(set(pts)) != n:
-        raise ValueError("points must be distinct")
-    base = float(base)
-    lhs = kraus_matrix(f, pts, base)
-    flat = [x for x in pts for _ in range(2)] + [base]
-    w = peano_weight(NodeMultiset.from_points(flat))
-    knots = sorted(set(pts) | {base})
-
-    def integrand(t: float) -> np.ndarray:
-        C = basis_change_matrix(pts, t).matrix
-        return w(t) * (C.T @ hankel_convex_matrix(f, t, n) @ C)
-
-    rhs = _piecewise_quad(integrand, knots, quad_points)
-    return IdentityReport(
-        "convex", n, pts, base, quad_points, lhs, rhs, _normalized_error(lhs, rhs)
-    )
+    return _verify_identity(f, points, base, quad_points)

@@ -32,8 +32,7 @@ def _as_matrix(H) -> np.ndarray:
 def check_hermitian(H) -> np.ndarray:
     """Validate Hermitian symmetry (to HERMITIAN_TOL) and return the symmetrized matrix."""
     H = _as_matrix(H)
-    scale = max(1.0, float(np.abs(H).max()))
-    if float(np.abs(H - H.conj().T).max()) > HERMITIAN_TOL * scale:
+    if float(np.abs(H - H.conj().T).max()) > HERMITIAN_TOL * psd_scale(H):
         raise ValueError("matrix is not Hermitian")
     return 0.5 * (H + H.conj().T)
 
@@ -48,12 +47,15 @@ def min_eigenvalue(H) -> float:
     return float(np.linalg.eigvalsh(_as_matrix(H))[0])
 
 
-def is_psd(H, tol: float = 1e-9, scale: float | None = None) -> bool:
-    """Positive semidefinite up to -tol * scale (scale: max(1, max |entry|))."""
+def psd_scale(*mats) -> float:
+    """max(1, max |entry|) over the matrices: the scale of every PSD threshold."""
+    return max(1.0, *(float(np.abs(M).max()) for M in mats))
+
+
+def is_psd(H, tol: float = 1e-9) -> bool:
+    """Positive semidefinite up to -tol * psd_scale(H)."""
     H = check_hermitian(H)
-    if scale is None:
-        scale = max(1.0, float(np.abs(H).max()))
-    return min_eigenvalue(H) >= -tol * scale
+    return min_eigenvalue(H) >= -tol * psd_scale(H)
 
 
 def matrix_function(f, H) -> np.ndarray:
@@ -71,10 +73,13 @@ def matrix_function(f, H) -> np.ndarray:
     return 0.5 * (F + F.conj().T)
 
 
+def _gaussian(rng: np.random.Generator, shape, complex_field: bool) -> np.ndarray:
+    G = rng.normal(size=shape)
+    return G + 1j * rng.normal(size=shape) if complex_field else G
+
+
 def haar_unitary(rng: np.random.Generator, n: int, complex_field: bool = True) -> np.ndarray:
-    G = rng.normal(size=(n, n))
-    if complex_field:
-        G = G + 1j * rng.normal(size=(n, n))
+    G = _gaussian(rng, (n, n), complex_field)
     Q, R = np.linalg.qr(G)
     d = np.diagonal(R).copy()
     d[d == 0] = 1.0
@@ -160,8 +165,7 @@ def rank_one_chain(A, B) -> list[np.ndarray]:
     D = B - A
     w, Q = np.linalg.eigh(D)
     top = max(float(w[-1]), 0.0)
-    scale = max(1.0, float(np.abs(D).max()))
-    if float(w[0]) < -1e-9 * scale:
+    if float(w[0]) < -1e-9 * psd_scale(D):
         raise ValueError("B - A is not positive semidefinite")
     kept = [i for i in range(w.size) if float(w[i]) > 1e-12 * max(1.0, top)]
     chain = [A]
@@ -189,8 +193,39 @@ def matrix_from_jsonable(data: dict) -> np.ndarray:
     return H
 
 
-def _defect_scale(*mats) -> float:
-    return max(1.0, *(float(np.abs(M).max()) for M in mats))
+def oracle_defect(FA, FB, FM=None, t: float = 1.0) -> tuple[np.ndarray, float]:
+    """(defect, scale) of an oracle configuration: f(B) - f(A) for a
+    matrix pair A <= B, or t f(A) + (1 - t) f(B) - f(M) for a Jensen
+    configuration with FM = f(tA + (1 - t)B).  A defect eigenvalue below
+    -tol * scale is a violation; scale is psd_scale of every f-value."""
+    if FM is None:
+        return FB - FA, psd_scale(FA, FB)
+    return t * FA + (1.0 - t) * FB - FM, psd_scale(FA, FB, FM)
+
+
+def _search(kind: str, trials: int, seed: int, tol: float, draw) -> CheckResult:
+    """The oracle loop: trial idx checks every configuration draw(rng, idx)
+    yields, as (A, B, f(A), f(B), f(M) or None, t), and the search stops at
+    the first defect eigenvalue below -tol * scale.  worst_value is the
+    most negative defect eigenvalue over its scale."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = SamplerConfig(seed=seed).rng()
+    worst, witness, checked = math.inf, None, 0
+    for idx in range(trials):
+        for A, B, FA, FB, FM, t in draw(rng, idx):
+            checked += 1
+            defect, scale = oracle_defect(FA, FB, FM, t)
+            lam_min = min_eigenvalue(defect)
+            if lam_min / scale < worst:
+                worst = lam_min / scale
+                witness = {"kind": kind, "matrix_a": matrix_to_jsonable(A),
+                           "matrix_b": matrix_to_jsonable(B),
+                           **({} if FM is None else {"weight": t}),
+                           "min_eigenvalue": lam_min, "threshold": tol * scale}
+            if lam_min < -tol * scale:
+                return CheckResult(False, checked, seed, witness, worst)
+    return CheckResult(True, checked, seed, witness, worst)
 
 
 def monotonicity_oracle(
@@ -208,14 +243,11 @@ def monotonicity_oracle(
     f(M) <= f(M').  worst_value is the most negative defect eigenvalue
     seen, normalized by the defect's entry scale.
     """
-    rng = SamplerConfig(seed=seed).rng()
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
     margin = MARGIN_FRACTION * span
-    worst = math.inf
-    witness = None
-    checked = 0
-    for idx in range(trials):
+
+    def draw(rng, idx):
         if idx % 2 == 0:
             targets = sample_distinct_tuple(rng, 2 * n, interval, idx)
             pair = make_projection_pair(targets.tolist())
@@ -224,9 +256,7 @@ def monotonicity_oracle(
             lam = sample_distinct_tuple(rng, n, (lo, lo + 0.7 * span), idx)
             complex_field = bool(rng.integers(0, 2))
             A = random_spectrum_matrix(rng, lam, complex_field)
-            G = rng.normal(size=(n, n))
-            if complex_field:
-                G = G + 1j * rng.normal(size=(n, n))
+            G = _gaussian(rng, (n, n), complex_field)
             D = G @ G.conj().T
             D = 0.5 * (D + D.conj().T)
             norm = float(np.linalg.eigvalsh(D)[-1])
@@ -234,24 +264,13 @@ def monotonicity_oracle(
             if norm > 0.0:
                 D *= headroom * float(rng.uniform(0.1, 1.0)) / norm
             steps = rank_one_chain(A, A + D)
-        values = [matrix_function(f, M) for M in steps]
-        for Ma, Mb, Fa, Fb in zip(steps, steps[1:], values, values[1:]):
-            checked += 1
-            defect = Fb - Fa
-            scale = _defect_scale(Fa, Fb)
-            lam_min = min_eigenvalue(defect)
-            if lam_min / scale < worst:
-                worst = lam_min / scale
-                witness = {
-                    "kind": "matrix-pair",
-                    "matrix_a": matrix_to_jsonable(Ma),
-                    "matrix_b": matrix_to_jsonable(Mb),
-                    "min_eigenvalue": lam_min,
-                    "threshold": tol * scale,
-                }
-            if lam_min < -tol * scale:
-                return CheckResult(False, checked, seed, witness, worst)
-    return CheckResult(True, checked, seed, witness, worst)
+        FA = matrix_function(f, steps[0])
+        for Ma, Mb in zip(steps, steps[1:]):
+            FB = matrix_function(f, Mb)
+            yield Ma, Mb, FA, FB, None, 1.0
+            FA = FB
+
+    return _search("matrix-pair", trials, seed, tol, draw)
 
 
 def convexity_oracle(
@@ -268,22 +287,17 @@ def convexity_oracle(
     common center (the sharpest local probe), independent random pairs
     at t = 1/2, and independent pairs at a uniform weight.
     """
-    rng = SamplerConfig(seed=seed).rng()
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
     margin = MARGIN_FRACTION * span
-    worst = math.inf
-    witness = None
-    checked = 0
-    for idx in range(trials):
+
+    def draw(rng, idx):
         complex_field = bool(rng.integers(0, 2))
         if idx % 3 == 0:
             center = (lo + 0.15 * span, hi - 0.15 * span)
             lam = sample_distinct_tuple(rng, n, center, idx)
             X = random_spectrum_matrix(rng, lam, complex_field)
-            v = rng.normal(size=n)
-            if complex_field:
-                v = v + 1j * rng.normal(size=n)
+            v = _gaussian(rng, n, complex_field)
             v = v / np.linalg.norm(v)
             headroom = min(float(lam[0]) - lo - margin, hi - margin - float(lam[-1]))
             s = headroom * float(rng.uniform(0.1, 1.0))
@@ -298,24 +312,6 @@ def convexity_oracle(
             B = random_spectrum_matrix(rng, lam_b, complex_field)
             t = 0.5 if idx % 3 == 1 else float(rng.uniform(0.05, 0.95))
         M = t * A + (1.0 - t) * B
-        M = 0.5 * (M + M.conj().T)
-        FA = matrix_function(f, A)
-        FB = matrix_function(f, B)
-        FM = matrix_function(f, M)
-        defect = t * FA + (1.0 - t) * FB - FM
-        checked += 1
-        scale = _defect_scale(FA, FB, FM)
-        lam_min = min_eigenvalue(defect)
-        if lam_min / scale < worst:
-            worst = lam_min / scale
-            witness = {
-                "kind": "jensen",
-                "matrix_a": matrix_to_jsonable(A),
-                "matrix_b": matrix_to_jsonable(B),
-                "weight": t,
-                "min_eigenvalue": lam_min,
-                "threshold": tol * scale,
-            }
-        if lam_min < -tol * scale:
-            return CheckResult(False, checked, seed, witness, worst)
-    return CheckResult(True, checked, seed, witness, worst)
+        yield A, B, matrix_function(f, A), matrix_function(f, B), matrix_function(f, M), t
+
+    return _search("jensen", trials, seed, tol, draw)

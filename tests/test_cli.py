@@ -265,3 +265,15 @@ def test_counts_below_one_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "expected an integer >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--seed", "1"],
+    ["catalog", "--tol", "3"],
+    ["identity", "-f", "x^3", "--nodes", "0.3,1.7", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
+    code, out, err = _run(capsys, argv + ["--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err

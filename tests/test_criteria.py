@@ -30,6 +30,7 @@ from matmono.criteria import (
     re_evaluate_witness,
 )
 from matmono.divdiff import NodeMultiset, SamplerConfig
+from matmono.linalg import matrix_function, matrix_to_jsonable, oracle_defect
 from matmono.polynomial import n_of
 
 EXP = catalog_model("exp(x)")
@@ -347,8 +348,6 @@ def test_certify_input_validation():
 
 
 def test_re_evaluate_witness_matrix_kinds():
-    from matmono.linalg import matrix_to_jsonable
-
     wit = {
         "kind": "matrix-pair",
         "matrix_a": matrix_to_jsonable(np.diag([0.1, 0.2])),
@@ -358,6 +357,24 @@ def test_re_evaluate_witness_matrix_kinds():
     assert not out["confirmed"]  # diagonal pairs commute, no violation
     with pytest.raises(ValueError):
         re_evaluate_witness(EXP, {"kind": "hearsay"})
+
+
+def test_jensen_replay_threshold_is_the_search_threshold():
+    # f(M) = sqrt(2.005) I outweighs every entry of f(A) and f(B) (at most
+    # 1.05), so the threshold must scale with f(M) as the search's does
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    A = H @ np.diag([0.01, 4.0]) @ H.T
+    B = 4.01 * np.eye(2) - A
+    root = catalog_model("sqrt(x)")
+    wit = {"kind": "jensen", "matrix_a": matrix_to_jsonable(A),
+           "matrix_b": matrix_to_jsonable(B), "weight": 0.5}
+    out = re_evaluate_witness(root, wit)
+    FA, FB, FM = (matrix_function(root, X) for X in (A, B, 0.5 * A + 0.5 * B))
+    assert out["threshold"] == 1e-9 * oracle_defect(FA, FB, FM, 0.5)[1]
+    assert out["threshold"] == pytest.approx(1e-9 * math.sqrt(2.005), rel=1e-12)
+    # sqrt is operator concave: the midpoint defect is 1.05 - sqrt(2.005)
+    assert out["value"] == pytest.approx(1.05 - math.sqrt(2.005), rel=1e-12)
+    assert out["confirmed"]
 
 
 def test_product_derivative_value_matches_leibniz():

@@ -19,7 +19,7 @@ from matmono import (
     simplify,
     to_text,
 )
-from matmono.expr import Exp, Neg, Pow, PowReal, Recip, Var, X, jet
+from matmono.expr import Exp, Neg, Pow, PowReal, Var, X, jet
 
 
 def test_parse_renders_back_to_equivalent_text():
@@ -176,7 +176,6 @@ def test_expression_operator_sugar():
     assert evaluate(e, 3.0) == pytest.approx(6.0)
     assert evaluate(-X, 2.0) == pytest.approx(-2.0)
     assert evaluate(Exp(X) + X, 0.0) == pytest.approx(1.0)
-    assert evaluate(Recip(X), 4.0) == pytest.approx(0.25)
     assert isinstance(X, Var)
 
 

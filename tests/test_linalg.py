@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from matmono import (
+    FiniteFunction,
     FunctionModel,
+    SamplerConfig,
     convexity_oracle,
     eigh,
+    genset_check,
     is_psd,
+    ktone_check,
     make_projection_pair,
     matrix_function,
     monotonicity_oracle,
@@ -189,3 +193,19 @@ def test_oracle_determinism():
     r2 = monotonicity_oracle(exp, 2, (-1.0, 1.0), trials=50, seed=7)
     assert r1.passed == r2.passed and r1.configs == r2.configs
     assert r1.worst_value == r2.worst_value
+
+
+_SQUARE = FunctionModel(parse("x^2"), name="x^2")
+_CUBE = FunctionModel(parse("x^3"), name="x^3")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: monotonicity_oracle(_SQUARE, 2, (0.5, 4.0), trials=0),
+    lambda: convexity_oracle(_CUBE, 2, (0.5, 4.0), trials=0),
+    lambda: genset_check(FiniteFunction.from_model(_SQUARE, [1, 2, 3, 4, 5, 6]), 2, samples=0),
+    lambda: ktone_check(_CUBE, 2, (-1.0, 1.0), SamplerConfig(samples=0)),
+], ids=["monotonicity-oracle", "convexity-oracle", "genset-check", "ktone-check"])
+def test_library_rejects_counts_below_one(call):
+    # a sweep of no configurations would report a pass
+    with pytest.raises(ValueError, match=">= 1"):
+        call()
