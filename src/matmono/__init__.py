@@ -28,7 +28,6 @@ from .divdiff import (
     PiecewisePoly,
     SamplerConfig,
     divided_difference,
-    ktone_check,
     peano_weight,
     refinement_coefficients,
 )
@@ -52,6 +51,7 @@ from .criteria import (
     extended_loewner_matrix,
     hankel_convex_matrix,
     kraus_matrix,
+    ktone_check,
     loewner_matrix,
 )
 from .gensets import (

@@ -142,10 +142,12 @@ def _infer_domain(e: Expr) -> tuple[float, float]:
 
 
 def _load_model(text: str, domain: str | None) -> FunctionModel:
-    for entry in catalog():
-        if entry.key == text:
-            return entry.model
-    expr = parse(text)
+    """A catalog key or an expression in x, on --domain when given.  A
+    catalog key keeps its entry's expression (real powers do not parse)."""
+    entry = next((e for e in catalog() if e.key == text), None)
+    if entry is not None and domain is None:
+        return entry.model
+    expr = parse(text) if entry is None else entry.model.expr
     if domain is not None:
         lo, hi = _parse_floats(domain, "--domain", 2)
         return FunctionModel(expr, domain=(lo, hi), name=text)
@@ -349,7 +351,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     lo, hi = _parse_floats(args.interval, "--interval", 2)
     seed = _materialize_seed(args.seed)
     search = monotonicity_oracle if args.mode == "monotone" else convexity_oracle
-    result = search(model, args.order, (lo, hi), trials=args.trials, seed=seed, tol=args.tol)
+    record = search(model, args.order, (lo, hi), trials=args.trials, seed=seed, tol=args.tol)
     payload = {
         "function": args.function,
         "order": args.order,
@@ -357,13 +359,13 @@ def _cmd_oracle(args) -> tuple[int, dict]:
         "interval": [lo, hi],
         "seed": seed,
         "trials": args.trials,
-        "passed": bool(result),
-        "configs": result.configs,
-        "note": "sampled matrix pairs; a pass is not a proof",
+        "passed": record.passed,
+        "configs": record.configs,
+        "note": record.note,
     }
-    if result.witness is not None:
-        payload["witness"] = result.witness
-    return (EXIT_PASS if result else EXIT_REFUTED), payload
+    if record.witness is not None:
+        payload["witness"] = record.witness
+    return (EXIT_PASS if record.passed else EXIT_REFUTED), payload
 
 
 def _cmd_genset(args) -> tuple[int, dict]:
@@ -421,6 +423,8 @@ def _cmd_identity(args) -> tuple[int, dict]:
         if args.base is None:
             raise _Usage("convex identity needs --base")
         report = verify_convex_identity(model, nodes, float(args.base), args.quad_order)
+    elif args.base is not None:
+        raise _Usage("--base is a convex-mode flag")
     else:
         report = verify_monotone_identity(model, nodes, args.quad_order)
     payload = report.to_jsonable()

@@ -6,7 +6,9 @@ differences of f * N(q) over node multisets, PSD sweeps of the Loewner
 / extended Loewner / Kraus matrices, sign sweeps of the (2n-1)-st (or
 2n-th) derivative of f * N(q), and PSD sweeps of the Dobsch / Hankel
 derivative matrices on a t-grid.  certify() runs the full family plus
-the matrix oracle and reports per-criterion verdicts.
+the matrix oracle and reports per-criterion verdicts.  ktone_check is
+the divided-difference sweep with q = 1.  Every sweep, both oracles and
+ktone_check return one record type, divdiff.CriterionRecord.
 
 A failing record carries a concrete witness, re-verified in extended
 precision before it is reported.  A passing record only says that no
@@ -23,6 +25,7 @@ import mpmath
 import numpy as np
 
 from .divdiff import (
+    CriterionRecord,
     NodeMultiset,
     SamplerConfig,
     dd_threshold,
@@ -35,7 +38,6 @@ from .divdiff import (
 )
 from .expr import EXTENDED_DIGITS, FunctionModel
 from .linalg import (
-    CheckResult,
     convexity_oracle,
     matrix_from_jsonable,
     matrix_function,
@@ -252,32 +254,7 @@ def _poly_from_jsonable(data: dict) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Records and report
-
-
-@dataclass
-class CriterionRecord:
-    """Outcome of one criterion sweep."""
-
-    criterion: str
-    passed: bool
-    configs: int
-    worst_value: float
-    witness: dict | None = None
-    note: str = ""
-
-    def to_jsonable(self) -> dict:
-        out = {
-            "id": self.criterion,
-            "verdict": "pass" if self.passed else "fail",
-            "configs": self.configs,
-            "worst_value": self.worst_value,
-        }
-        if self.note:
-            out["note"] = self.note
-        if not self.passed and self.witness is not None:
-            out["witness"] = self.witness
-        return out
+# Report
 
 
 @dataclass
@@ -591,6 +568,8 @@ def confluent_dd_criterion(
     a separate simple node (base="free").  q alternates real and
     complex coefficients.
     """
+    if base not in ("anchored", "free"):
+        raise ValueError(f"base must be 'anchored' or 'free', got {base!r}")
     if mode == "monotone":
         criterion = "dd-confluent"
     else:
@@ -608,6 +587,8 @@ def _run_dd_sweep(
     sampler: SamplerConfig | None,
     tol: float,
 ) -> CriterionRecord:
+    if (mode, criterion) not in _DD_SHAPES:
+        raise ValueError(f"mode must be 'monotone' or 'convex', got {mode!r}")
     sampler = sampler or SamplerConfig()
     rng = sampler.rng()
     span = float(interval[1]) - float(interval[0])
@@ -620,6 +601,45 @@ def _run_dd_sweep(
         return {"criterion": criterion, "nodes": ms, "q": q}
 
     return _Tally(f, criterion, "dd", tol).run(draw, sampler.samples, _Q_CADENCE_NOTE)
+
+
+# share of confluent multisets among the k-tone draws of a FunctionModel
+CONFLUENT_FRACTION = 0.15
+
+
+def ktone_check(
+    f,
+    k: int,
+    interval: tuple[float, float],
+    sampler: SamplerConfig | None = None,
+    tol: float = 1e-9,
+) -> CriterionRecord:
+    """Sampled test of k-tonicity, [x_0..x_k]_f >= 0 on the interval: the
+    "dd" sweep with q = 1, whose failing witness replays through
+    re_evaluate_witness.
+
+    Tuples are k+1 nodes; confluent multisets are included when f has
+    Taylor jets (a FunctionModel).
+    """
+    sampler = sampler or SamplerConfig()
+    if sampler.samples < 1:
+        raise ValueError("samples must be >= 1")
+    rng = sampler.rng()
+    one = Poly.of(1.0)
+
+    def draw(idx: int) -> dict:
+        if isinstance(f, FunctionModel) and rng.uniform() < CONFLUENT_FRACTION and k >= 2:
+            distinct = max(2, (k + 2) // 2)
+            pts = sample_distinct_tuple(rng, distinct, interval, idx)
+            mults = [1] * distinct
+            for _ in range(k + 1 - distinct):
+                mults[rng.integers(0, distinct)] += 1
+            ms = NodeMultiset.from_pairs(zip(pts.tolist(), mults))
+        else:
+            ms = NodeMultiset.from_points(sample_distinct_tuple(rng, k + 1, interval, idx).tolist())
+        return {"criterion": "k-tone", "nodes": ms, "q": one}
+
+    return _Tally(f, "k-tone", "dd", tol).run(draw, sampler.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -802,15 +822,7 @@ def _oracle_record(
     tol: float,
 ) -> CriterionRecord:
     oracle = monotonicity_oracle if mode == "monotone" else convexity_oracle
-    result: CheckResult = oracle(f, n, interval, trials=trials, seed=seed, tol=tol)
-    return CriterionRecord(
-        "matrix-oracle",
-        result.passed,
-        result.configs,
-        result.worst_value,
-        result.witness,
-        "sampled matrix pairs; a pass is not a proof",
-    )
+    return oracle(f, n, interval, trials=trials, seed=seed, tol=tol)
 
 
 # criterion id -> its sweep, called as (f, n, interval, mode, sampler, config).

@@ -498,15 +498,14 @@ def peano_weight(nodes) -> PiecewisePoly:
 
 
 # ---------------------------------------------------------------------------
-# Node sampling and the k-tone check
+# Node sampling and the record of a sampled check
 
 
-# Node sampler shape: shares of cluster draws (width scale * span, scales
-# in turn) and of confluent k-tone tuples, the end margin as a share of
-# the span, and the minimum gap of a free draw as span / SEPARATION_PARTS.
+# Node sampler shape: share of cluster draws (width scale * span, scales
+# in turn), the end margin as a share of the span, and the minimum gap of
+# a free draw as span / SEPARATION_PARTS.
 CLUSTER_FRACTION = 0.3
 CLUSTER_SCALES = (1e-1, 1e-2, 1e-3)
-CONFLUENT_FRACTION = 0.15
 MARGIN_FRACTION = 1e-6
 SEPARATION_PARTS = 1000.0
 
@@ -578,67 +577,31 @@ def sample_distinct_tuple(
 
 
 @dataclass
-class CheckResult:
-    """Outcome of a sampled nonnegativity sweep."""
+class CriterionRecord:
+    """Outcome of one sampled check (a criterion sweep, a matrix oracle or
+    the k-tone check); true when it passed.  worst_value is the least
+    margin seen, or for an oracle the least defect eigenvalue over its
+    scale; witness holds the configuration where it was seen."""
 
+    criterion: str
     passed: bool
     configs: int
-    seed: int
+    worst_value: float
     witness: dict | None = None
-    worst_value: float = math.inf
+    note: str = ""
 
     def __bool__(self) -> bool:
         return self.passed
 
-
-def ktone_check(
-    f,
-    k: int,
-    interval: tuple[float, float],
-    sampler: SamplerConfig | None = None,
-    tol: float = 1e-9,
-) -> CheckResult:
-    """Sampled test of k-tonicity: [x_0..x_k]_f >= 0 on the interval.
-
-    Tuples are k+1 nodes; confluent multisets are included when f has
-    Taylor jets (a FunctionModel).  Tuples run in double-precision
-    batches; one whose bound does not settle its sign (double_settles)
-    is recomputed in extended precision, so a failure is always an
-    extended-precision value.  Fails with the worst witness found.
-    """
-    sampler = sampler or SamplerConfig()
-    if sampler.samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = sampler.rng()
-
-    def draw(idx: int) -> NodeMultiset:
-        if isinstance(f, FunctionModel) and rng.uniform() < CONFLUENT_FRACTION and k >= 2:
-            distinct = max(2, (k + 2) // 2)
-            pts = sample_distinct_tuple(rng, distinct, interval, idx)
-            mults = [1] * distinct
-            for _ in range(k + 1 - distinct):
-                mults[rng.integers(0, distinct)] += 1
-            return NodeMultiset.from_pairs(tuple(zip(pts.tolist(), mults)))
-        return NodeMultiset.from_points(sample_distinct_tuple(rng, k + 1, interval, idx).tolist())
-
-    worst = math.inf
-    witness = None
-    configs = 0
-    for batch in sweep_batches(draw, sampler.samples):
-        values, scales, bounds = divided_differences(f, [ms.flatten() for ms in batch])
-        for ms, value, scale, bound in zip(batch, values.tolist(), scales.tolist(), bounds.tolist()):
-            configs += 1
-            threshold = dd_threshold(scale, "double", tol)
-            if not double_settles(value, bound, threshold):
-                value, scale = divided_difference_scaled(f, ms, "extended")
-                threshold = dd_threshold(scale, "extended", tol)
-            if value < worst:
-                worst = value
-                witness = {
-                    "nodes": [list(pair) for pair in ms.nodes],
-                    "value": value,
-                    "threshold": threshold,
-                }
-            if value < -threshold:
-                return CheckResult(False, configs, sampler.seed, witness, worst)
-    return CheckResult(True, configs, sampler.seed, witness, worst)
+    def to_jsonable(self) -> dict:
+        out = {
+            "id": self.criterion,
+            "verdict": "pass" if self.passed else "fail",
+            "configs": self.configs,
+            "worst_value": self.worst_value,
+        }
+        if self.note:
+            out["note"] = self.note
+        if not self.passed and self.witness is not None:
+            out["witness"] = self.witness
+        return out

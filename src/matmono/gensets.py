@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _poly_from_jsonable, _poly_to_jsonable, _sample_q
+from .criteria import _poly_from_jsonable, _sample_q, _witness
 from .divdiff import SamplerConfig, dd_threshold, sweep_batches
 from .expr import FunctionModel
 from .polynomial import Poly
@@ -308,15 +308,10 @@ def _level_sweep(
         best = int(np.argmin(np.where(np.isnan(margin), np.inf, margin)))
         if margin[best] < worst:
             worst = float(margin[best])
-            worst_witness = {
-                "kind": "genset-dd",
-                "k": k,
-                "subset": P[best].tolist(),
-                "values": V[best].tolist(),
-                "q": _poly_to_jsonable(qs[best]),
-                "value": float(value[best]),
-                "threshold": float(threshold[best]),
-            }
+            config = {"k": k, "subset": P[best].tolist(), "values": V[best].tolist(), "q": qs[best]}
+            worst_witness = _witness(
+                "genset-dd", config, float(value[best]), float(threshold[best]), None
+            )
         if len(failing):
             # the levels of one check share rng: leave it after the failing
             # row's draw, where a row-by-row sweep stops
@@ -591,11 +586,9 @@ class FeasibilityResult:
     """Feasible extension values at x0, from grid scan plus binding solve."""
 
     x0: float
-    y_range: tuple[float, float]
     feasible_intervals: list[tuple[float, float]]
     binding: dict
     constraint_count: int
-    grid_points: int
 
     @property
     def empty(self) -> bool:
@@ -719,16 +712,11 @@ def extension_feasibility(
             (a[:, None] + b[:, None] * cols[None, :]) >= -th[:, None]
         ).all(axis=0)
 
-    intervals: list[tuple[float, float]] = []
-    start = None
-    for i, ok in enumerate(feasible):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            intervals.append((float(ys[start]), float(ys[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(ys[start]), float(ys[-1])))
+    # each constraint holds on a prefix or a suffix of the ascending grid
+    # (float multiply and add are monotone), so the feasible points form
+    # at most one run
+    run = np.flatnonzero(feasible)
+    intervals = [(float(ys[run[0]]), float(ys[run[-1]]))] if len(run) else []
 
     binding = {}
     if bundle is not None:
@@ -738,7 +726,7 @@ def extension_feasibility(
         binding[bundle.first] = _binding_solve(f, first_w, x0, special_q[0])
         binding[other] = _binding_solve(f, last_w, x0, special_q[1])
 
-    return FeasibilityResult(x0, (y_lo, y_hi), intervals, binding, len(qs), grid)
+    return FeasibilityResult(x0, intervals, binding, len(qs))
 
 
 # ---------------------------------------------------------------------------

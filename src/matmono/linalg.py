@@ -16,10 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import MARGIN_FRACTION, CheckResult, SamplerConfig, sample_distinct_tuple
+from .divdiff import MARGIN_FRACTION, CriterionRecord, SamplerConfig, sample_distinct_tuple
 from .expr import FunctionModel
 
 HERMITIAN_TOL = 1e-13
+ORACLE_NOTE = "sampled matrix pairs; a pass is not a proof"
 
 
 def _as_matrix(H) -> np.ndarray:
@@ -203,11 +204,12 @@ def oracle_defect(FA, FB, FM=None, t: float = 1.0) -> tuple[np.ndarray, float]:
     return t * FA + (1.0 - t) * FB - FM, psd_scale(FA, FB, FM)
 
 
-def _search(kind: str, trials: int, seed: int, tol: float, draw) -> CheckResult:
+def _search(kind: str, trials: int, seed: int, tol: float, draw) -> CriterionRecord:
     """The oracle loop: trial idx checks every configuration draw(rng, idx)
     yields, as (A, B, f(A), f(B), f(M) or None, t), and the search stops at
-    the first defect eigenvalue below -tol * scale.  worst_value is the
-    most negative defect eigenvalue over its scale."""
+    the first defect eigenvalue below -tol * scale.  Returns the
+    "matrix-oracle" record, whose worst_value is the most negative defect
+    eigenvalue over its scale."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = SamplerConfig(seed=seed).rng()
@@ -224,8 +226,8 @@ def _search(kind: str, trials: int, seed: int, tol: float, draw) -> CheckResult:
                            **({} if FM is None else {"weight": t}),
                            "min_eigenvalue": lam_min, "threshold": tol * scale}
             if lam_min < -tol * scale:
-                return CheckResult(False, checked, seed, witness, worst)
-    return CheckResult(True, checked, seed, witness, worst)
+                return CriterionRecord("matrix-oracle", False, checked, worst, witness, ORACLE_NOTE)
+    return CriterionRecord("matrix-oracle", True, checked, worst, witness, ORACLE_NOTE)
 
 
 def monotonicity_oracle(
@@ -235,7 +237,7 @@ def monotonicity_oracle(
     trials: int = 400,
     seed: int = 0,
     tol: float = 1e-9,
-) -> CheckResult:
+) -> CriterionRecord:
     """Sampled search for an order violation of f at matrix size n.
 
     Alternates interlacing projection pairs with random pairs joined by
@@ -280,7 +282,7 @@ def convexity_oracle(
     trials: int = 400,
     seed: int = 0,
     tol: float = 1e-9,
-) -> CheckResult:
+) -> CriterionRecord:
     """Sampled search for a Jensen violation of f at matrix size n.
 
     Three probe families: symmetric rank-one bumps X +- s vv* around a

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import matmono
-from matmono import FiniteFunction, catalog_model, write_points_file
+from matmono import FiniteFunction, FunctionModel, catalog_model, ktone_check, parse, write_points_file
 from matmono.cli import run
 
 
@@ -277,3 +277,37 @@ def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("key, interval, domain, want", [
+    ("x^2", "-1,1", "-2,2", 1),  # x^2 decreases on (-1, 0)
+    ("x^0.25", "0.5,4", "0,20", 0),  # a real power, which does not parse
+])
+def test_domain_applies_to_catalog_keys(capsys, key, interval, domain, want):
+    code, payload = _run_json(capsys, [
+        "certify", "-f", key, "-n", "1", "--interval", interval, "--domain", domain,
+        "--samples", "150", "--oracle-trials", "60", "--seed", "1", "--no-timestamp",
+    ])
+    assert code == want
+    assert payload["function"] == key
+
+
+def test_identity_base_is_a_convex_mode_flag(capsys):
+    code, out, err = _run(capsys, [
+        "identity", "-f", "log(x)", "--nodes", "1,2,3", "--base", "7", "--no-timestamp",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "--base" in err
+
+
+def test_ktone_witness_replays_from_a_file(capsys, tmp_path):
+    rec = ktone_check(FunctionModel(parse("x^3")), 2, (-1.0, 1.0))
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(rec.witness))
+    code, payload = _run_json(capsys, [
+        "certify", "--replay", str(path), "-f", "x^3", "--domain", "-2,2", "--no-timestamp",
+    ])
+    assert code == 0
+    assert payload["all_confirmed"]
+    assert payload["replayed"][0]["replay"]["value"] == rec.witness["value"]

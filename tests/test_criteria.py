@@ -18,6 +18,7 @@ from matmono import (
     extended_loewner_matrix,
     hankel_convex_matrix,
     kraus_matrix,
+    ktone_check,
     loewner_matrix,
     parse,
 )
@@ -446,3 +447,92 @@ def test_sweep_records_do_not_depend_on_batch_size(monkeypatch):
     batched = records()
     monkeypatch.setattr(divdiff, "SWEEP_BATCH", 1)
     assert records() == batched
+
+
+def test_dd_criteria_reject_unknown_mode_and_base():
+    sampler = SamplerConfig(samples=10)
+    with pytest.raises(ValueError, match="base"):
+        confluent_dd_criterion(SQUARE, 2, (0.1, 10.0), "convex", sampler, base="anchord")
+    with pytest.raises(ValueError, match="mode"):
+        confluent_dd_criterion(SQUARE, 2, (0.1, 10.0), "convx", sampler)
+    with pytest.raises(ValueError, match="mode"):
+        dd_criterion(SQUARE, 2, (0.1, 10.0), "convx", sampler)
+
+
+def test_ktone_witness_replays_bit_for_bit():
+    cube = FunctionModel(parse("x^3"))
+    rec = ktone_check(cube, 2, (-1.0, 1.0))
+    assert not rec.passed
+    assert rec.witness["kind"] == "dd" and rec.witness["criterion"] == "k-tone"
+    assert rec.worst_value == rec.witness["value"] + rec.witness["threshold"]
+    replay = re_evaluate_witness(cube, rec.witness)
+    assert replay["confirmed"]
+    assert replay["value"] == rec.witness["value"]
+
+
+# (passed, configs, witness value) of ktone_check at k = 1..4 and seeds 0,
+# 1 with 300 samples, frozen so that a change in draw order, settle rule
+# or verdict shows here.
+KTONE_FROZEN = {
+    "x^2": [
+        (True, 300, "0x1.09d56530e9b2cp-2"),
+        (True, 300, "0x1.073a00c677e44p-1"),
+        (True, 300, "0x1.fffffd84f3b62p-1"),
+        (True, 300, "0x1.ffffffed74ea7p-1"),
+        (True, 300, "-0x1.de542bdfae109p-40"),
+        (True, 300, "-0x1.7218d0ba8366ep-42"),
+        (True, 300, "-0x1.42d88cd11db8fp-42"),
+        (True, 300, "-0x1.0989ddaa7d7bdp-41"),
+    ],
+    "x^3": [
+        (True, 300, "0x1.905adc7148657p-1"),
+        (True, 300, "0x1.db99c8be4d456p-1"),
+        (True, 300, "0x1.a487b3d5be62ap+0"),
+        (True, 300, "0x1.a9be22697833dp+0"),
+        (True, 300, "0x1.fffa3004a75c0p-1"),
+        (True, 300, "0x1.ff268e9aaaa1cp-1"),
+        (True, 300, "-0x1.3350e785406e0p-41"),
+        (True, 300, "-0x1.84d6967d97c6ep-40"),
+    ],
+    "exp(x)": [
+        (True, 300, "0x1.7afbc1647f92cp-2"),
+        (True, 300, "0x1.84eafc1dbbd20p-2"),
+        (True, 300, "0x1.8316844c45aeap-3"),
+        (True, 300, "0x1.84a2d62a302d8p-3"),
+        (True, 300, "0x1.f647710481290p-5"),
+        (True, 300, "0x1.032fda0df65ccp-4"),
+        (True, 300, "0x1.00a143552e38dp-6"),
+        (True, 300, "0x1.02e3a778065f5p-6"),
+    ],
+    "-1/x": [
+        (True, 300, "0x1.0fab44760d38cp-4"),
+        (True, 300, "0x1.059d4b10757c8p-4"),
+        (False, 1, "-0x1.c60f60d589b83p-3"),
+        (False, 1, "-0x1.c60f60d589b83p-3"),
+        (True, 300, "0x1.07de06756052cp-8"),
+        (True, 300, "0x1.109d4f2f46296p-8"),
+        (False, 1, "-0x1.1230726d1810cp-2"),
+        (False, 1, "-0x1.1230726d1810cp-2"),
+    ],
+    "sqrt(x)": [
+        (True, 300, "0x1.03d2078d125d2p-2"),
+        (True, 300, "0x1.01636fb9f5f13p-2"),
+        (False, 1, "-0x1.d947fdac1754fp-5"),
+        (False, 1, "-0x1.d947fdac1754fp-5"),
+        (True, 300, "0x1.04df4ed6864a5p-9"),
+        (True, 300, "0x1.0a0983b1cb54ep-9"),
+        (False, 1, "-0x1.e10452e7ac53bp-7"),
+        (False, 1, "-0x1.e10452e7ac53bp-7"),
+    ],
+}
+
+
+@pytest.mark.parametrize("key", sorted(KTONE_FROZEN))
+def test_ktone_check_frozen_results(key):
+    entry = next(e for e in catalog() if e.key == key)
+    got = []
+    for k in (1, 2, 3, 4):
+        for seed in (0, 1):
+            rec = ktone_check(entry.model, k, entry.interval, SamplerConfig(seed=seed, samples=300))
+            got.append((rec.passed, rec.configs, rec.witness["value"].hex()))
+    assert got == KTONE_FROZEN[key]
