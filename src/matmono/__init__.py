@@ -26,7 +26,6 @@ from .polynomial import Poly, ab_decompose, n_of, roots, sos_decompose
 from .divdiff import (
     NodeMultiset,
     PiecewisePoly,
-    SamplerConfig,
     divided_difference,
     peano_weight,
     refinement_coefficients,

@@ -102,6 +102,13 @@ def _parse_floats(text: str, name: str, count: int | None = None) -> tuple[float
     return vals
 
 
+def _parse_interval(text: str, name: str) -> tuple[float, float]:
+    lo, hi = _parse_floats(text, name, 2)
+    if not lo < hi:
+        raise argparse.ArgumentTypeError(f"{name}: expected lo < hi, got {text!r}")
+    return lo, hi
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -149,8 +156,7 @@ def _load_model(text: str, domain: str | None) -> FunctionModel:
         return entry.model
     expr = parse(text) if entry is None else entry.model.expr
     if domain is not None:
-        lo, hi = _parse_floats(domain, "--domain", 2)
-        return FunctionModel(expr, domain=(lo, hi), name=text)
+        return FunctionModel(expr, domain=_parse_interval(domain, "--domain"), name=text)
     return FunctionModel(expr, domain=_infer_domain(expr), name=text)
 
 
@@ -292,7 +298,7 @@ def _cmd_certify(args) -> tuple[int, dict]:
     if not args.function or args.order is None or not args.interval:
         raise _Usage("certify needs --function, --order, and --interval")
     model = _load_model(args.function, args.domain)
-    lo, hi = _parse_floats(args.interval, "--interval", 2)
+    lo, hi = _parse_interval(args.interval, "--interval")
     seed = _materialize_seed(args.seed)
     cfg = CertifyConfig(
         samples=args.samples,
@@ -348,7 +354,7 @@ def _cmd_replay(args) -> tuple[int, dict]:
 
 def _cmd_oracle(args) -> tuple[int, dict]:
     model = _load_model(args.function, args.domain)
-    lo, hi = _parse_floats(args.interval, "--interval", 2)
+    lo, hi = _parse_interval(args.interval, "--interval")
     seed = _materialize_seed(args.seed)
     search = monotonicity_oracle if args.mode == "monotone" else convexity_oracle
     record = search(model, args.order, (lo, hi), trials=args.trials, seed=seed, tol=args.tol)
@@ -394,11 +400,13 @@ def _cmd_genset(args) -> tuple[int, dict]:
 def _cmd_counterexample(args) -> tuple[int, dict]:
     points = _parse_floats(args.points, "--points")
     poles = _parse_floats(args.aux_poles, "--aux-poles")
+    x0 = None if args.x0 is None else _parse_floats(args.x0, "--x0", 1)[0]
     seed = _materialize_seed(args.seed)
     bundle = build_counterexample(
         args.order, points, poles, samples=args.samples, seed=seed, tol=args.tol
     )
-    x0 = float(args.x0) if args.x0 is not None else 0.5 * sum(bundle.gap_interval)
+    if x0 is None:
+        x0 = 0.5 * sum(bundle.gap_interval)
     feas = extension_feasibility(
         bundle, x0, grid=args.grid, seed=seed, tol=args.tol
     )

@@ -27,7 +27,6 @@ import numpy as np
 from .divdiff import (
     CriterionRecord,
     NodeMultiset,
-    SamplerConfig,
     dd_threshold,
     divided_difference,
     divided_difference_scaled,
@@ -309,9 +308,6 @@ class CertifyConfig:
     grid: int = 257
     include_oracle: bool = True
 
-    def sampler(self, seed: int) -> SamplerConfig:
-        return SamplerConfig(seed=seed, samples=self.samples)
-
 
 # ---------------------------------------------------------------------------
 # Evaluation, confirmation and witnesses
@@ -496,6 +492,8 @@ class _Tally:
         """Check draw(0), ..., draw(samples - 1), evaluated a batch at a
         time; stop at the first violation, so later rows of its batch
         count neither in configs nor in the worst margin."""
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         for configs in sweep_batches(draw, samples):
             rows = self.evaluate(self.f, configs, "double", self.tol)
             for config, row in zip(configs, rows):
@@ -539,7 +537,8 @@ def dd_criterion(
     n: int,
     interval: tuple[float, float],
     mode: str = "monotone",
-    sampler: SamplerConfig | None = None,
+    samples: int = 1000,
+    seed: int = 0,
     complex_coeffs: bool = False,
     tol: float = 1e-9,
 ) -> CriterionRecord:
@@ -549,7 +548,7 @@ def dd_criterion(
     structured cadence in degree <= n-1 (real or complex coefficients).
     """
     criterion = "dd-complex-q" if complex_coeffs else "dd-real-q"
-    return _run_dd_sweep(f, n, interval, mode, criterion, complex_coeffs, sampler, tol)
+    return _run_dd_sweep(f, n, interval, mode, criterion, complex_coeffs, samples, seed, tol)
 
 
 def confluent_dd_criterion(
@@ -557,7 +556,8 @@ def confluent_dd_criterion(
     n: int,
     interval: tuple[float, float],
     mode: str = "monotone",
-    sampler: SamplerConfig | None = None,
+    samples: int = 1000,
+    seed: int = 0,
     base: str = "anchored",
     tol: float = 1e-9,
 ) -> CriterionRecord:
@@ -574,7 +574,7 @@ def confluent_dd_criterion(
         criterion = "dd-confluent"
     else:
         criterion = "dd-confluent-anchored" if base == "anchored" else "dd-confluent-free"
-    return _run_dd_sweep(f, n, interval, mode, criterion, None, sampler, tol)
+    return _run_dd_sweep(f, n, interval, mode, criterion, None, samples, seed, tol)
 
 
 def _run_dd_sweep(
@@ -584,13 +584,13 @@ def _run_dd_sweep(
     mode: str,
     criterion: str,
     complex_coeffs: bool | None,
-    sampler: SamplerConfig | None,
+    samples: int,
+    seed: int,
     tol: float,
 ) -> CriterionRecord:
     if (mode, criterion) not in _DD_SHAPES:
         raise ValueError(f"mode must be 'monotone' or 'convex', got {mode!r}")
-    sampler = sampler or SamplerConfig()
-    rng = sampler.rng()
+    rng = np.random.default_rng(seed)
     span = float(interval[1]) - float(interval[0])
     shape = _DD_SHAPES[(mode, criterion)]
 
@@ -600,35 +600,33 @@ def _run_dd_sweep(
         q = _sample_q(rng, n - 1, ms.values(), span, idx, use_complex)
         return {"criterion": criterion, "nodes": ms, "q": q}
 
-    return _Tally(f, criterion, "dd", tol).run(draw, sampler.samples, _Q_CADENCE_NOTE)
+    return _Tally(f, criterion, "dd", tol).run(draw, samples, _Q_CADENCE_NOTE)
 
 
-# share of confluent multisets among the k-tone draws of a FunctionModel
+# share of confluent multisets among the k-tone draws (k >= 2)
 CONFLUENT_FRACTION = 0.15
 
 
 def ktone_check(
-    f,
+    f: FunctionModel,
     k: int,
     interval: tuple[float, float],
-    sampler: SamplerConfig | None = None,
+    samples: int = 1000,
+    seed: int = 0,
     tol: float = 1e-9,
 ) -> CriterionRecord:
     """Sampled test of k-tonicity, [x_0..x_k]_f >= 0 on the interval: the
     "dd" sweep with q = 1, whose failing witness replays through
     re_evaluate_witness.
 
-    Tuples are k+1 nodes; confluent multisets are included when f has
-    Taylor jets (a FunctionModel).
+    Tuples are k+1 nodes, a CONFLUENT_FRACTION of them (k >= 2) with
+    repeated nodes.
     """
-    sampler = sampler or SamplerConfig()
-    if sampler.samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = sampler.rng()
+    rng = np.random.default_rng(seed)
     one = Poly.of(1.0)
 
     def draw(idx: int) -> dict:
-        if isinstance(f, FunctionModel) and rng.uniform() < CONFLUENT_FRACTION and k >= 2:
+        if rng.uniform() < CONFLUENT_FRACTION and k >= 2:
             distinct = max(2, (k + 2) // 2)
             pts = sample_distinct_tuple(rng, distinct, interval, idx)
             mults = [1] * distinct
@@ -639,7 +637,7 @@ def ktone_check(
             ms = NodeMultiset.from_points(sample_distinct_tuple(rng, k + 1, interval, idx).tolist())
         return {"criterion": "k-tone", "nodes": ms, "q": one}
 
-    return _Tally(f, "k-tone", "dd", tol).run(draw, sampler.samples)
+    return _Tally(f, "k-tone", "dd", tol).run(draw, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +648,13 @@ def _run_psd_point_sweep(
     n: int,
     interval: tuple[float, float],
     criterion: str,
-    sampler: SamplerConfig,
+    samples: int,
+    seed: int,
     tol: float,
 ) -> CriterionRecord:
     if criterion not in _PSD_NODES:
         raise ValueError(f"unknown PSD criterion {criterion!r}")
-    rng = sampler.rng()
+    rng = np.random.default_rng(seed)
 
     def draw(idx: int) -> dict:
         if criterion == "kraus-free-psd":
@@ -669,7 +668,7 @@ def _run_psd_point_sweep(
             return {"criterion": criterion, "points": points, "base": base}
         return {"criterion": criterion, "points": points}
 
-    return _Tally(f, criterion, "psd-matrix", tol).run(draw, sampler.samples)
+    return _Tally(f, criterion, "psd-matrix", tol).run(draw, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -760,13 +759,14 @@ def _run_product_derivative_sweep(
     n: int,
     interval: tuple[float, float],
     mode: str,
-    sampler: SamplerConfig,
+    samples: int,
+    seed: int,
     tol: float,
 ) -> CriterionRecord:
     """Sampled sign check of (f N(q))^(2n-1) (monotone) or ^(2n) (convex)."""
     criterion = "product-derivative"
     order = 2 * n - 1 if mode == "monotone" else 2 * n
-    rng = sampler.rng()
+    rng = np.random.default_rng(seed)
     lo, hi = float(interval[0]), float(interval[1])
     span = hi - lo
     margin_t = 1e-6 * span
@@ -777,7 +777,7 @@ def _run_product_derivative_sweep(
         q = _sample_q(rng, n - 1, anchors, span, idx, bool(idx % 2))
         return {"criterion": criterion, "t": t, "deriv_order": order, "q": q}
 
-    return _Tally(f, criterion, "derivative-sign", tol).run(draw, sampler.samples)
+    return _Tally(f, criterion, "derivative-sign", tol).run(draw, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -825,21 +825,23 @@ def _oracle_record(
     return oracle(f, n, interval, trials=trials, seed=seed, tol=tol)
 
 
-# criterion id -> its sweep, called as (f, n, interval, mode, sampler, config).
-# The sweep functions are looked up by name at call time, so rebinding one
-# of them on this module reaches certify.
+# criterion id -> its sweep, called as (f, n, interval, mode, seed, config)
+# with the seed certify spawns for it.  The sweep functions are looked up by
+# name at call time, so rebinding one of them on this module reaches certify.
 _SWEEPS = {
-    "dd-real-q": lambda f, n, iv, m, s, c: dd_criterion(f, n, iv, m, s, False, c.tol),
-    "dd-complex-q": lambda f, n, iv, m, s, c: dd_criterion(f, n, iv, m, s, True, c.tol),
-    "dd-confluent": lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, s, tol=c.tol),
+    "dd-real-q": lambda f, n, iv, m, s, c: dd_criterion(f, n, iv, m, c.samples, s, False, c.tol),
+    "dd-complex-q": lambda f, n, iv, m, s, c: dd_criterion(f, n, iv, m, c.samples, s, True, c.tol),
+    "dd-confluent":
+        lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, c.samples, s, tol=c.tol),
     "dd-confluent-anchored":
-        lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, s, "anchored", c.tol),
+        lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, c.samples, s, "anchored", c.tol),
     "dd-confluent-free":
-        lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, s, "free", c.tol),
+        lambda f, n, iv, m, s, c: confluent_dd_criterion(f, n, iv, m, c.samples, s, "free", c.tol),
     "product-derivative":
-        lambda f, n, iv, m, s, c: _run_product_derivative_sweep(f, n, iv, m, s, c.tol),
+        lambda f, n, iv, m, s, c: _run_product_derivative_sweep(f, n, iv, m, c.samples, s, c.tol),
     **{
-        name: lambda f, n, iv, m, s, c, name=name: _run_psd_point_sweep(f, n, iv, name, s, c.tol)
+        name: lambda f, n, iv, m, s, c, name=name:
+            _run_psd_point_sweep(f, n, iv, name, c.samples, s, c.tol)
         for name in _PSD_NODES
     },
     **{
@@ -883,7 +885,7 @@ def certify(
     oracle_seed = int(seeds[-1].generate_state(1)[0])
 
     records = [
-        _SWEEPS[name](f, n, interval, mode, config.sampler(child[name]), config)
+        _SWEEPS[name](f, n, interval, mode, child[name], config)
         for name in names
     ]
     if config.include_oracle:

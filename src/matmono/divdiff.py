@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .expr import EXTENDED_DIGITS, FunctionModel, cauchy
+from .expr import EXTENDED_DIGITS, cauchy
 from .polynomial import Poly
 
 # Running error bound of a double table.  A seed g_k = sum_j w_j f_(k-j)
@@ -168,12 +168,7 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
     K = 1  # longest run of equal nodes in any row
     while K < m and (z[:, K:] == z[:, :-K]).any():
         K += 1
-    if isinstance(f, FunctionModel):
-        fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c) for c in f.taylor(z, K)]
-    elif K > 1:
-        raise ValueError("repeated nodes need the Taylor jets of a FunctionModel")
-    else:
-        fjet = [np.array([[f(v) for v in row] for row in z.tolist()], dtype=float)]
+    fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c) for c in f.taylor(z, K)]
     fabs = [np.abs(c) for c in fjet]
     if weights is None:
         seeds, seed_err = fjet, fabs
@@ -232,15 +227,9 @@ def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int):
     in mpmath at the working precision."""
     seeds = {}
     for v, m in nodes.nodes:
-        xv = mpmath.mpf(v)
-        if isinstance(f, FunctionModel):
-            seeds[v] = f.taylor(v, m, "extended", digits)
-        elif m > 1:
-            raise ValueError("repeated nodes need the Taylor jets of a FunctionModel")
-        else:
-            seeds[v] = [f(xv)]
+        seeds[v] = f.taylor(v, m, "extended", digits)
         if weight is not None:
-            seeds[v] = cauchy(weight.taylor(xv, m), seeds[v], m)
+            seeds[v] = cauchy(weight.taylor(mpmath.mpf(v), m), seeds[v], m)
     return seeds
 
 
@@ -284,8 +273,8 @@ def divided_difference(
 ) -> float:
     """Divided difference [nodes]_g with g = f * weight (weight optional).
 
-    f is a FunctionModel (required when any node repeats) or a plain
-    callable; weight is a real polynomial whose jet multiplies the seeds.
+    f is a FunctionModel, whose Taylor jets seed repeated nodes; weight
+    is a real polynomial whose jet multiplies the seeds.
     precision is "double", "extended", or "auto".  A double table carries
     a running error bound: each seed errs by at most 64 eps times the
     product of |f|'s jet with the jet of the weight's Horner bound
@@ -510,21 +499,6 @@ MARGIN_FRACTION = 1e-6
 SEPARATION_PARTS = 1000.0
 
 
-@dataclass
-class SamplerConfig:
-    """Seed and draw count of a node-tuple sampler over an open interval.
-
-    Tuples mix low-discrepancy (Halton) draws, uniform draws and
-    deliberately near-coincident clusters (see the constants above).
-    """
-
-    seed: int = 0
-    samples: int = 1000
-
-    def rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed))
-
-
 def _halton(index: int, base: int) -> float:
     f = 1.0
     r = 0.0
@@ -545,8 +519,13 @@ def sample_distinct_tuple(
     interval: tuple[float, float],
     index: int,
 ) -> np.ndarray:
-    """One ascending tuple of `count` distinct nodes strictly inside."""
+    """One ascending tuple of `count` >= 1 distinct nodes strictly inside
+    the interval lo < hi; every sampled check draws its nodes here."""
     a, b = interval
+    if count < 1:
+        raise ValueError(f"node count must be >= 1, got {count}")
+    if not a < b:
+        raise ValueError(f"interval ({a}, {b}) is empty: need lo < hi")
     span = b - a
     margin = span * MARGIN_FRACTION
     delta = span / SEPARATION_PARTS

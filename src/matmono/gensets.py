@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _poly_from_jsonable, _sample_q, _witness
-from .divdiff import SamplerConfig, dd_threshold, sweep_batches
+from .divdiff import dd_threshold, sweep_batches
 from .expr import FunctionModel
 from .polynomial import Poly
 
@@ -343,7 +343,7 @@ def genset_check(
         raise ValueError("order must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = SamplerConfig(seed=seed).rng()
+    rng = np.random.default_rng(seed)
     if f.size > 2 * n:
         rule = "k=n"
         ks = [n]
@@ -667,7 +667,7 @@ def extension_feasibility(
     others = size - 1
     if m < others:
         raise ValueError("not enough points for a single constraint window")
-    rng = SamplerConfig(seed=seed).rng()
+    rng = np.random.default_rng(seed)
     span = max(f.points[-1], x0) - min(f.points[0], x0)
 
     subsets = _index_subsets(m, others, 2000, rng)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import MARGIN_FRACTION, CriterionRecord, SamplerConfig, sample_distinct_tuple
-from .expr import FunctionModel
+from .divdiff import MARGIN_FRACTION, CriterionRecord, sample_distinct_tuple
 
 HERMITIAN_TOL = 1e-13
 ORACLE_NOTE = "sampled matrix pairs; a pass is not a proof"
@@ -60,17 +59,10 @@ def is_psd(H, tol: float = 1e-9) -> bool:
 
 
 def matrix_function(f, H) -> np.ndarray:
-    """f applied through the spectral decomposition of Hermitian H.
-
-    f is a FunctionModel (eigenvalues are domain-checked) or a plain
-    scalar callable.
-    """
+    """The FunctionModel f applied through the spectral decomposition of
+    Hermitian H (eigenvalues are domain-checked)."""
     w, Q = eigh(H)
-    if isinstance(f, FunctionModel):
-        fw = f.eval(w)
-    else:
-        fw = np.array([float(f(v)) for v in w])
-    F = (Q * fw) @ Q.conj().T
+    F = (Q * f.eval(w)) @ Q.conj().T
     return 0.5 * (F + F.conj().T)
 
 
@@ -212,7 +204,7 @@ def _search(kind: str, trials: int, seed: int, tol: float, draw) -> CriterionRec
     eigenvalue over its scale."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = SamplerConfig(seed=seed).rng()
+    rng = np.random.default_rng(seed)
     worst, witness, checked = math.inf, None, 0
     for idx in range(trials):
         for A, B, FA, FB, FM, t in draw(rng, idx):

@@ -93,6 +93,20 @@ def test_usage_errors_exit_two(capsys):
     assert _run(capsys, ["--help"])[0] == 0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["certify", "-f", "x", "-n", "1", "--interval", "4,0.5", "--seed", "1"], "--interval"),
+    (["oracle", "-f", "x", "-n", "1", "--interval", "1,1", "--seed", "1"], "--interval"),
+    (["certify", "-f", "x", "-n", "1", "--interval", "0.5,4", "--domain", "1,0"], "--domain"),
+    (["counterexample", "-n", "2", "--points", "1,2,3,4,5,6", "--aux-poles", "0,7",
+      "--x0", "abc", "--seed", "1"], "--x0"),
+], ids=["certify-reversed-interval", "oracle-empty-interval", "reversed-domain", "x0-not-a-number"])
+def test_malformed_flag_values_exit_two(capsys, argv, flag):
+    code, out, err = _run(capsys, argv + ["--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}:")
+
+
 def test_numerical_failures_exit_three(capsys):
     code, _, err = _run(capsys, [
         "certify", "-f", "log(x)", "-n", "2", "--interval", "-2,-1", "--seed", "1",

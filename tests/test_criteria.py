@@ -30,7 +30,7 @@ from matmono.criteria import (
     confluent_dd_criterion,
     re_evaluate_witness,
 )
-from matmono.divdiff import NodeMultiset, SamplerConfig
+from matmono.divdiff import NodeMultiset
 from matmono.linalg import matrix_function, matrix_to_jsonable, oracle_defect
 from matmono.polynomial import n_of
 
@@ -183,13 +183,13 @@ def test_sample_q_draws_frozen():
 
 def test_dd_criterion_affine_is_exact():
     ident = catalog_model("x")
-    rec = dd_criterion(ident, 2, (-2.0, 2.0), "monotone", SamplerConfig(seed=0, samples=200))
+    rec = dd_criterion(ident, 2, (-2.0, 2.0), "monotone", samples=200, seed=0)
     assert rec.passed and rec.configs == 200
     assert rec.worst_value >= 0.0  # value is |lead q|^2 plus the threshold
 
 
 def test_dd_criterion_catches_square():
-    rec = dd_criterion(SQUARE, 2, (0.1, 10.0), "monotone", SamplerConfig(seed=0, samples=500))
+    rec = dd_criterion(SQUARE, 2, (0.1, 10.0), "monotone", samples=500, seed=0)
     assert not rec.passed
     assert rec.witness["kind"] == "dd"
     again = re_evaluate_witness(SQUARE, rec.witness)
@@ -218,21 +218,21 @@ def test_dd_dismissed_note_counts_unconfirmed_rechecks(monkeypatch):
 
     monkeypatch.setitem(criteria._EVALUATORS, "dd", counted)
     steep = FunctionModel(parse("10000000*x"), name="1e7 x")  # every 2nd dd is 0
-    rec = dd_criterion(steep, 1, (-2.0, 2.0), "convex", SamplerConfig(seed=0, samples=300))
+    rec = dd_criterion(steep, 1, (-2.0, 2.0), "convex", samples=300, seed=0)
     dismissed = sum(1 for before, after in rechecked if before < 0.0 <= after)
     assert rec.passed and 0 < dismissed < len(rechecked)
     assert rec.note.endswith(f"; {dismissed} candidate(s) dismissed in extended precision")
 
 
 def test_confluent_dd_criterion_modes():
-    rec = confluent_dd_criterion(RECIP_NEG, 2, (0.5, 4.0), "monotone", SamplerConfig(seed=1, samples=200))
+    rec = confluent_dd_criterion(RECIP_NEG, 2, (0.5, 4.0), "monotone", samples=200, seed=1)
     assert rec.criterion == "dd-confluent" and rec.passed
     anchored = confluent_dd_criterion(
-        SQUARE, 2, (0.1, 10.0), "convex", SamplerConfig(seed=1, samples=200), base="anchored"
+        SQUARE, 2, (0.1, 10.0), "convex", samples=200, seed=1, base="anchored"
     )
     assert anchored.criterion == "dd-confluent-anchored" and anchored.passed
     free = confluent_dd_criterion(
-        CUBE, 2, (0.5, 4.0), "convex", SamplerConfig(seed=1, samples=500), base="free"
+        CUBE, 2, (0.5, 4.0), "convex", samples=500, seed=1, base="free"
     )
     assert free.criterion == "dd-confluent-free" and not free.passed
     assert re_evaluate_witness(CUBE, free.witness)["confirmed"]
@@ -450,13 +450,12 @@ def test_sweep_records_do_not_depend_on_batch_size(monkeypatch):
 
 
 def test_dd_criteria_reject_unknown_mode_and_base():
-    sampler = SamplerConfig(samples=10)
     with pytest.raises(ValueError, match="base"):
-        confluent_dd_criterion(SQUARE, 2, (0.1, 10.0), "convex", sampler, base="anchord")
+        confluent_dd_criterion(SQUARE, 2, (0.1, 10.0), "convex", samples=10, base="anchord")
     with pytest.raises(ValueError, match="mode"):
-        confluent_dd_criterion(SQUARE, 2, (0.1, 10.0), "convx", sampler)
+        confluent_dd_criterion(SQUARE, 2, (0.1, 10.0), "convx", samples=10)
     with pytest.raises(ValueError, match="mode"):
-        dd_criterion(SQUARE, 2, (0.1, 10.0), "convx", sampler)
+        dd_criterion(SQUARE, 2, (0.1, 10.0), "convx", samples=10)
 
 
 def test_ktone_witness_replays_bit_for_bit():
@@ -533,6 +532,6 @@ def test_ktone_check_frozen_results(key):
     got = []
     for k in (1, 2, 3, 4):
         for seed in (0, 1):
-            rec = ktone_check(entry.model, k, entry.interval, SamplerConfig(seed=seed, samples=300))
+            rec = ktone_check(entry.model, k, entry.interval, samples=300, seed=seed)
             got.append((rec.passed, rec.configs, rec.witness["value"].hex()))
     assert got == KTONE_FROZEN[key]

@@ -8,8 +8,9 @@ import pytest
 from matmono import (
     FiniteFunction,
     FunctionModel,
-    SamplerConfig,
+    confluent_dd_criterion,
     convexity_oracle,
+    dd_criterion,
     eigh,
     genset_check,
     is_psd,
@@ -68,8 +69,6 @@ def test_is_psd_scale_awareness():
 def test_matrix_function_agrees_with_powers():
     rng = np.random.default_rng(1)
     H = _random_hermitian(rng, 3)
-    sq = matrix_function(lambda x: x * x, H)
-    np.testing.assert_allclose(sq, H @ H, atol=1e-12)
     model = FunctionModel(parse("x^2"))
     np.testing.assert_allclose(matrix_function(model, H), H @ H, atol=1e-12)
 
@@ -203,9 +202,27 @@ _CUBE = FunctionModel(parse("x^3"), name="x^3")
     lambda: monotonicity_oracle(_SQUARE, 2, (0.5, 4.0), trials=0),
     lambda: convexity_oracle(_CUBE, 2, (0.5, 4.0), trials=0),
     lambda: genset_check(FiniteFunction.from_model(_SQUARE, [1, 2, 3, 4, 5, 6]), 2, samples=0),
-    lambda: ktone_check(_CUBE, 2, (-1.0, 1.0), SamplerConfig(samples=0)),
-], ids=["monotonicity-oracle", "convexity-oracle", "genset-check", "ktone-check"])
+    lambda: ktone_check(_CUBE, 2, (-1.0, 1.0), samples=0),
+    lambda: dd_criterion(_SQUARE, 2, (0.5, 4.0), "monotone", samples=0),
+    lambda: confluent_dd_criterion(_SQUARE, 2, (0.5, 4.0), "monotone", samples=0),
+], ids=["monotonicity-oracle", "convexity-oracle", "genset-check", "ktone-check",
+        "dd-criterion", "confluent-dd-criterion"])
 def test_library_rejects_counts_below_one(call):
     # a sweep of no configurations would report a pass
     with pytest.raises(ValueError, match=">= 1"):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: monotonicity_oracle(_SQUARE, 0, (0.5, 4.0), trials=5), "node count"),
+    (lambda: convexity_oracle(_CUBE, 0, (0.5, 4.0), trials=5), "node count"),
+    (lambda: monotonicity_oracle(_SQUARE, 2, (4.0, 0.5), trials=5), "lo < hi"),
+    (lambda: convexity_oracle(_CUBE, 2, (4.0, 0.5), trials=5), "lo < hi"),
+    (lambda: dd_criterion(_SQUARE, 2, (4.0, 0.5), samples=5), "lo < hi"),
+    (lambda: ktone_check(_CUBE, 2, (1.0, -1.0), samples=5), "lo < hi"),
+], ids=["monotonicity-oracle-n0", "convexity-oracle-n0", "monotonicity-oracle-reversed",
+        "convexity-oracle-reversed", "dd-criterion-reversed", "ktone-check-reversed"])
+def test_sampled_checks_name_a_bad_order_or_interval(call, match):
+    # every draw passes through sample_distinct_tuple, which names the cause
+    with pytest.raises(ValueError, match=match):
         call()
