@@ -25,13 +25,14 @@ import mpmath
 import numpy as np
 
 from .divdiff import (
+    LONG_DOUBLE_WIDER,
     CriterionRecord,
     NodeMultiset,
     dd_threshold,
-    divided_difference,
     divided_difference_scaled,
     divided_differences,
     double_settles,
+    extended_divided_differences,
     sample_distinct_tuple,
     sweep_batches,
 )
@@ -127,21 +128,22 @@ def _dd_triangles(f: FunctionModel, entries: list[list[tuple]], precision: str):
     "double" evaluates every entry of every matrix in one batch; "auto"
     then recomputes in extended precision each entry whose bound does not
     settle its value (double_settles); "extended" evaluates each entry in
-    extended precision.
+    extended precision.  The extended entries of one matrix share their
+    mpmath jets (extended_divided_differences).
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unsupported precision mode {precision!r}")
-    flat = [nodes for row in entries for nodes in row]
     if precision == "extended":
-        values = np.array([divided_difference(f, nodes, "extended") for nodes in flat])
-        bounds = np.zeros(len(flat))
-    else:
-        values, _, bounds = divided_differences(f, flat)
-        if precision == "auto":
-            for k in range(len(flat)):
-                if not double_settles(values[k], bounds[k]):
-                    values[k], bounds[k] = divided_difference(f, flat[k], "extended"), 0.0
-    return values.reshape(len(entries), -1), bounds.reshape(len(entries), -1)
+        values = np.array([extended_divided_differences(f, row) for row in entries])
+        return values, np.zeros_like(values)
+    values, _, bounds = divided_differences(f, [nodes for row in entries for nodes in row])
+    values, bounds = values.reshape(len(entries), -1), bounds.reshape(len(entries), -1)
+    if precision == "auto":
+        for b, row in enumerate(entries):
+            ks = [k for k in range(len(row)) if not double_settles(values[b, k], bounds[b, k])]
+            values[b, ks] = extended_divided_differences(f, [row[k] for k in ks])
+            bounds[b, ks] = 0.0
+    return values, bounds
 
 
 def _dd_matrix(f: FunctionModel, nodes: list[tuple], precision: str) -> np.ndarray:
@@ -322,9 +324,21 @@ class CertifyConfig:
 # evaluators.
 
 
+def _open(value: float, threshold: float, bound: float) -> bool:
+    """The bound leaves the sign of the margin value + threshold open: it
+    neither settles it (double_settles) nor proves it negative."""
+    return not double_settles(value, bound, threshold) and value + bound + threshold >= 0.0
+
+
 def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
-    """[nodes]_{f N(q)} against the roundoff floor of its table; in double
-    precision one batched table with running error bounds."""
+    """[nodes]_{f N(q)} against the roundoff floor of its table.
+
+    In double precision one batched table with running error bounds; where
+    the platform's long double is wider, the rows it leaves open are re-run
+    as one long-double batch.  A long-double row is held to the extended
+    floor, so it settles only margins the extended re-check would find
+    nonnegative.
+    """
     weights = [n_of(c["q"]) for c in configs]
     if precision == "extended":
         rows = []
@@ -332,11 +346,20 @@ def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: flo
             value, scale = divided_difference_scaled(f, config["nodes"], "extended", weight)
             rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
         return rows
-    batch = divided_differences(f, [c["nodes"].flatten() for c in configs], weights)
-    return [
+    nodes = [c["nodes"].flatten() for c in configs]
+    batch = divided_differences(f, nodes, weights)
+    rows = [
         (value, dd_threshold(scale, "double", tol), bound, None)
         for value, scale, bound in zip(*(a.tolist() for a in batch))
     ]
+    redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
+    if redo and LONG_DOUBLE_WIDER:
+        batch = divided_differences(
+            f, [nodes[i] for i in redo], [weights[i] for i in redo], np.longdouble
+        )
+        for i, value, scale, bound in zip(redo, *(a.tolist() for a in batch)):
+            rows[i] = (value, dd_threshold(scale, "extended", tol), bound, None)
+    return rows
 
 
 _PSD_NODES = {
@@ -368,11 +391,14 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: fl
     """Minimum eigenvalue of the criterion matrix against tol * its scale.
 
     Loewner and Kraus matrices in double precision are built in one batch
-    with entrywise error bounds E.  When ||E||_F leaves the sign of a
-    margin open, the entries with the largest E are recomputed in extended
-    precision until the rest of ||E||_F is within half the slack
-    max(value, 0) + threshold (a margin below -||E||_F is a violation in
-    any case and goes straight to the extended re-check).
+    with entrywise error bounds E.  The matrices whose ||E||_F leaves the
+    sign of their margin open (_open) are rebuilt as one long-double batch
+    where the platform's long double is wider.  For those still open, the
+    entries with the largest E are recomputed in extended precision, in
+    one call that shares their mpmath jets, until the rest of ||E||_F is
+    within half the slack max(value, 0) + threshold (a margin below
+    -||E||_F is a violation in any case and goes straight to the extended
+    re-check).
     """
     if precision == "extended" or configs[0]["criterion"] not in _PSD_NODES:
         return [_psd_row(_psd_matrix(f, c, precision), 0.0, tol) for c in configs]
@@ -381,22 +407,30 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: fl
     iu = _triangle(len(configs[0]["points"]))
     # each entry's share of ||E||_F^2; by Weyl's inequality lambda_min moves
     # by at most ||M - M_hat||_2 <= ||E||_F
-    squares = np.where(iu[0] == iu[1], 1.0, 2.0) * bounds**2
-    matrices = _symmetric(values)
-    rows = []
-    for b, nodes in enumerate(entries):
-        row = _psd_row(matrices[b], math.sqrt(squares[b].sum()), tol)
-        value, threshold, bound, _ = row
-        if not double_settles(value, bound, threshold) and value + bound + threshold >= 0.0:
+    share = np.where(iu[0] == iu[1], 1.0, 2.0)
+    squares = share * bounds**2
+    rows = [_psd_row(M, math.sqrt(sq.sum()), tol) for M, sq in zip(_symmetric(values), squares)]
+    redo = [b for b, row in enumerate(rows) if _open(*row[:3])]
+    if redo and LONG_DOUBLE_WIDER:
+        flat = [nodes for b in redo for nodes in entries[b]]
+        value, _, bound = divided_differences(f, flat, None, np.longdouble)
+        values[redo] = value.reshape(len(redo), -1)
+        squares[redo] = share * bound.reshape(len(redo), -1) ** 2
+        for b in redo:
+            rows[b] = _psd_row(_symmetric(values[b]), math.sqrt(squares[b].sum()), tol)
+    for b in redo:
+        value, threshold, bound, _ = rows[b]
+        if _open(value, threshold, bound):
             left = squares[b].sum() - (0.5 * (max(value, 0.0) + threshold)) ** 2
+            picked = []
             for k in np.argsort(-squares[b]).tolist():
                 if left <= 0.0:
                     break
-                values[b, k] = divided_difference(f, nodes[k], "extended")
+                picked.append(k)
                 left -= squares[b, k]
-                squares[b, k] = 0.0
-            row = _psd_row(_symmetric(values[b]), math.sqrt(squares[b].sum()), tol)
-        rows.append(row)
+            values[b, picked] = extended_divided_differences(f, [entries[b][k] for k in picked])
+            squares[b, picked] = 0.0
+            rows[b] = _psd_row(_symmetric(values[b]), math.sqrt(squares[b].sum()), tol)
     return rows
 
 
@@ -459,11 +493,12 @@ class _Tally:
     def check(self, config: dict, row: tuple | None = None) -> float:
         """Margin of one configuration; negative means a confirmed violation.
 
-        row is its double-precision evaluation, made here when not given.
-        Unless its bound settles the sign of its margin (double_settles),
-        the configuration is evaluated again in extended precision, and
-        only the second margin counts.  A candidate is dismissed when its
-        double margin was negative and the extended one is not.
+        row is its double-precision evaluation (with the evaluator's
+        long-double step), made here when not given.  Unless its bound
+        settles the sign of its margin (double_settles), the configuration
+        is evaluated again in mpmath, and only the second margin counts.  A
+        candidate is dismissed when the margin of its row was negative and
+        the mpmath one is not.
         """
         self.configs += 1
         if row is None:
@@ -700,6 +735,8 @@ def _run_derivative_matrix_sweep(
     search.  Positivity at every probe is reported as a pass for the
     grid, not as an almost-everywhere proof.
     """
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     ts = np.sort(_chebyshev_grid(interval, grid))
     tally = _Tally(f, criterion, "psd-matrix", tol)
 

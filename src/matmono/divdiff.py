@@ -7,8 +7,13 @@ polynomial weight), so multisets like (x, x, y, y) are first-class.
 Tables run in double precision a batch at a time, over (rows, nodes)
 arrays, and carry a running error bound (Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 3).  One rule, double_settles, decides from
-that bound whether a double result stands; a table it does not settle is
-recomputed in extended precision, with digits scaled to the node gaps.
+that bound whether a result stands.  The precision ladder is double ->
+long double -> mpmath: where the platform's long double is wider than
+double (LONG_DOUBLE_WIDER, x86), the sweeps re-run the rows double
+leaves open as one long-double batch under the same bound, and what
+that does not settle is recomputed in mpmath, with digits scaled to the
+node gaps.  The mpmath entries of one criterion matrix share one jet per
+distinct node (extended_divided_differences).
 
 peano_weight returns the density w with
     [x_0, ..., x_n]_f = int f^(n)(t)/n! * w(t) dt,
@@ -34,6 +39,9 @@ from .polynomial import Poly
 # |x|; a difference quotient adds (E[i+1] + E[i]) / |gap| plus
 # STEP_ERROR * eps * |entry| for its own subtraction and division.
 _EPS = float(np.finfo(float).eps)
+# long double is wider than double on x86, the same type elsewhere
+# (Windows, macOS arm64), where the long-double step is skipped
+LONG_DOUBLE_WIDER = bool(np.finfo(np.longdouble).eps < _EPS)
 SEED_ERROR = 64.0
 STEP_ERROR = 4.0
 # a standalone value stays double when its bound is within this share of it
@@ -163,12 +171,14 @@ def _poly_jets(coeffs: np.ndarray, z: np.ndarray, count: int) -> list:
 
 def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton/Hermite tables over the sorted node rows z (rows, nodes):
-    (value, max |table entry|, running error bound), one per row."""
+    (value, max |table entry|, running error bound), one per row, in the
+    float type of z (double or long double), whose eps the bound uses."""
     rows, m = z.shape
+    eps = float(np.finfo(z.dtype).eps)
     K = 1  # longest run of equal nodes in any row
     while K < m and (z[:, K:] == z[:, :-K]).any():
         K += 1
-    fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c) for c in f.taylor(z, K)]
+    fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c, z.dtype) for c in f.taylor(z, K)]
     fabs = [np.abs(c) for c in fjet]
     if weights is None:
         seeds, seed_err = fjet, fabs
@@ -179,9 +189,9 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
         both = _poly_jets(np.concatenate([coeffs, np.abs(coeffs)]), np.concatenate([z, np.abs(z)]), K)
         seeds = cauchy([c[:rows] for c in both], fjet, K)
         seed_err = cauchy([c[rows:] for c in both], fabs, K)
-    seed_err = [SEED_ERROR * _EPS * e for e in seed_err]
+    seed_err = [SEED_ERROR * eps * e for e in seed_err]
     col, err = seeds[0], seed_err[0]
-    entries = np.empty((rows, m * (m + 1) // 2))  # |table entries|, column by column
+    entries = np.empty((rows, m * (m + 1) // 2), z.dtype)  # |table entries|, column by column
     entries[:, :m] = np.abs(col)
     at = m
     for j in range(1, m):
@@ -195,50 +205,60 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
         size = np.abs(col)
         entries[:, at : at + m - j] = size
         at += m - j
-        err = (err[:, 1:] + err[:, :-1]) / gap + (STEP_ERROR * _EPS) * size
+        err = (err[:, 1:] + err[:, :-1]) / gap + (STEP_ERROR * eps) * size
         if j < K:
             err = np.where(same, seed_err[j][:, : m - j], err)
     return col[:, 0], entries.max(axis=1), err[:, 0]
 
 
-def divided_differences(f, rows, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Double-precision divided differences of many node multisets at once.
+def divided_differences(
+    f, rows, weights=None, dtype=float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Divided differences of many node multisets at once, in the float
+    type dtype (double, or np.longdouble for the long-double step).
 
     rows are node sequences (repeats allowed, any order); weights, if
     given, holds one real Poly per row.  Returns float arrays (value,
     scale, bound): [row]_{f * weight}, the largest |table entry| and a
-    running bound on the value's error.  Rows with the same node count
-    share one Newton/Hermite table over (rows, nodes) arrays.
+    running bound on the value's error.  A long-double value is rounded
+    to a float, and its bound gains eps * |value| for that rounding.
+    Rows with the same node count share one Newton/Hermite table over
+    (rows, nodes) arrays.
     """
     groups: dict[int, list[int]] = {}
     for r, z in enumerate(rows):
         groups.setdefault(len(z), []).append(r)
     if len(groups) == 1:
-        return _hermite_batch(f, np.sort(np.array(rows, dtype=float), axis=1), weights)
-    out = np.empty((3, len(rows)))
-    for idx in groups.values():
-        z = np.sort(np.array([rows[r] for r in idx], dtype=float), axis=1)
-        out[:, idx] = _hermite_batch(f, z, None if weights is None else [weights[r] for r in idx])
-    return out[0], out[1], out[2]
+        value, scale, bound = _hermite_batch(f, np.sort(np.array(rows, dtype=dtype), axis=1), weights)
+    else:
+        value, scale, bound = out = np.empty((3, len(rows)), dtype)
+        for idx in groups.values():
+            z = np.sort(np.array([rows[r] for r in idx], dtype=dtype), axis=1)
+            out[:, idx] = _hermite_batch(f, z, None if weights is None else [weights[r] for r in idx])
+    if np.finfo(dtype).eps < _EPS:
+        value, scale = value.astype(float), scale.astype(float)
+        bound = bound.astype(float) + _EPS * np.abs(value)
+    return value, scale, bound
 
 
-def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int):
+def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, jet=None):
     """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node,
-    in mpmath at the working precision."""
+    in mpmath at the working precision; jet(v), if given, is f's jet at v
+    (at least that long)."""
     seeds = {}
     for v, m in nodes.nodes:
-        seeds[v] = f.taylor(v, m, "extended", digits)
+        seeds[v] = f.taylor(v, m, "extended", digits) if jet is None else jet(v)
         if weight is not None:
             seeds[v] = cauchy(weight.taylor(mpmath.mpf(v), m), seeds[v], m)
     return seeds
 
 
-def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digits: int):
+def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digits: int, jet=None):
     """Newton/Hermite table of one multiset: (value, max |table entry|, bound).
 
     Double precision is a batch of one row.  Extended precision runs the
-    recursion in mpmath at `digits`; its bound is the rounding of the
-    value to a float.
+    recursion in mpmath at `digits`, seeded from jet(v) where given; its
+    bound is the rounding of the value to a float.
     """
     if precision == "double":
         batch = divided_differences(f, [nodes.flatten()], None if weight is None else [weight])
@@ -246,7 +266,7 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
     z = nodes.flatten()
     m = len(z)
     with mpmath.workdps(digits):
-        seeds = _seed_values(f, nodes, weight, digits)
+        seeds = _seed_values(f, nodes, weight, digits, jet)
         # node gaps must be formed at working precision: a double-rounded
         # denominator under an exact numerator breaks the cancellations
         # the recursion relies on
@@ -289,12 +309,14 @@ def divided_difference(
 
 
 def divided_difference_scaled(
-    f, nodes, precision: str = "auto", weight: Poly | None = None
+    f, nodes, precision: str = "auto", weight: Poly | None = None, jet=None
 ) -> tuple[float, float]:
     """Like divided_difference, also returns max |table entry|.
 
     The second value scales the attainable roundoff: the recursion's
     absolute error is bounded by a small multiple of eps * that max.
+    jet(v), if given, supplies f's mpmath jet at each node to an
+    extended table (see extended_divided_differences).
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unsupported precision mode {precision!r}")
@@ -303,13 +325,37 @@ def divided_difference_scaled(
         value, scale, bound = _dd_table(f, ms, "double", weight, EXTENDED_DIGITS)
         if precision == "double" or double_settles(value, bound):
             return value, scale
-    digits = max(EXTENDED_DIGITS, _needed_digits(ms))
-    value, scale, _ = _dd_table(f, ms, "extended", weight, digits)
+    value, scale, _ = _dd_table(f, ms, "extended", weight, _needed_digits(ms), jet)
     return value, scale
 
 
+def extended_divided_differences(f, node_lists) -> list[float]:
+    """Extended-precision divided differences over node lists that share
+    their nodes, such as the entries of one criterion matrix.
+
+    Each distinct node takes one mpmath jet, at the longest length and the
+    most digits any list needs, and every table is seeded from those jets;
+    each recursion runs at its own list's digits.
+    """
+    multisets = [_as_multiset(nodes) for nodes in node_lists]
+    length: dict[float, int] = {}
+    for ms in multisets:
+        for v, m in ms.nodes:
+            length[v] = max(length.get(v, 0), m)
+    digits = max((_needed_digits(ms) for ms in multisets), default=EXTENDED_DIGITS)
+    jets: dict[float, list] = {}
+
+    def jet(v: float) -> list:
+        if v not in jets:
+            jets[v] = f.taylor(v, length[v], "extended", digits)
+        return jets[v]
+
+    return [divided_difference_scaled(f, ms, "extended", None, jet)[0] for ms in multisets]
+
+
 def _needed_digits(nodes: NodeMultiset) -> int:
-    """Working precision that keeps the table roundoff near 1e-12.
+    """Working precision that keeps the table roundoff near 1e-12, never
+    below EXTENDED_DIGITS.
 
     Seed errors can grow by up to gap^-order through the recursion, so
     the digit count must scale with order * log10(1/gap); a fixed
@@ -318,7 +364,7 @@ def _needed_digits(nodes: NodeMultiset) -> int:
     gap = nodes.min_gap()
     if not math.isfinite(gap) or gap <= 0 or gap >= 1:
         return EXTENDED_DIGITS
-    return min(400, int(nodes.order * math.log10(1.0 / gap)) + 30)
+    return max(EXTENDED_DIGITS, min(400, int(nodes.order * math.log10(1.0 / gap)) + 30))
 
 
 def dd_threshold(max_entry: float, precision: str, tol: float) -> float:
@@ -513,6 +559,14 @@ def _halton(index: int, base: int) -> float:
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
+def check_interval(interval) -> tuple[float, float]:
+    """(lo, hi) as floats; ValueError naming the interval unless lo < hi."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if not lo < hi:
+        raise ValueError(f"interval ({lo}, {hi}) is empty: need lo < hi")
+    return lo, hi
+
+
 def sample_distinct_tuple(
     rng: np.random.Generator,
     count: int,
@@ -521,11 +575,9 @@ def sample_distinct_tuple(
 ) -> np.ndarray:
     """One ascending tuple of `count` >= 1 distinct nodes strictly inside
     the interval lo < hi; every sampled check draws its nodes here."""
-    a, b = interval
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
-    if not a < b:
-        raise ValueError(f"interval ({a}, {b}) is empty: need lo < hi")
+    a, b = check_interval(interval)
     span = b - a
     margin = span * MARGIN_FRACTION
     delta = span / SEPARATION_PARTS

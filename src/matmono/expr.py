@@ -599,7 +599,8 @@ def _jet(e: Expr, x, K: int, lib) -> list:
 def jet(e: Expr, x, K: int, precision: str = "double", digits: int = EXTENDED_DIGITS) -> list:
     """Scaled derivatives [e^(j)(x)/j! for j < K] by truncated Taylor arithmetic.
 
-    x may be a float, a numpy array (double mode only) or an mpmath float.
+    x may be a float, a numpy array (double mode only, in the array's float
+    type: double or long double) or an mpmath float.
     Extended mode computes with ``digits`` significant decimal digits and
     returns mpmath floats.  Raises DomainError outside the domain.
     """

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import MARGIN_FRACTION, CriterionRecord, sample_distinct_tuple
+from .divdiff import MARGIN_FRACTION, CriterionRecord, check_interval, sample_distinct_tuple
 
 HERMITIAN_TOL = 1e-13
 ORACLE_NOTE = "sampled matrix pairs; a pass is not a proof"
@@ -237,7 +237,7 @@ def monotonicity_oracle(
     f(M) <= f(M').  worst_value is the most negative defect eigenvalue
     seen, normalized by the defect's entry scale.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = check_interval(interval)
     span = hi - lo
     margin = MARGIN_FRACTION * span
 
@@ -281,7 +281,7 @@ def convexity_oracle(
     common center (the sharpest local probe), independent random pairs
     at t = 1/2, and independent pairs at a uniform weight.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = check_interval(interval)
     span = hi - lo
     margin = MARGIN_FRACTION * span
 

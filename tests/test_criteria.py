@@ -30,7 +30,7 @@ from matmono.criteria import (
     confluent_dd_criterion,
     re_evaluate_witness,
 )
-from matmono.divdiff import NodeMultiset
+from matmono.divdiff import LONG_DOUBLE_WIDER, NodeMultiset, sample_distinct_tuple
 from matmono.linalg import matrix_function, matrix_to_jsonable, oracle_defect
 from matmono.polynomial import n_of
 
@@ -198,9 +198,10 @@ def test_dd_criterion_catches_square():
 
 
 def test_dd_dismissed_note_counts_unconfirmed_rechecks(monkeypatch):
-    """Only rows whose double-precision margin was negative and that the
-    extended re-check did not confirm count as dismissed, not the rows
-    re-checked only because their error bound left the sign open."""
+    """Only rows whose margin before the mpmath re-check (double or long
+    double) was negative and that the re-check did not confirm count as
+    dismissed, not the rows re-checked only because their error bound left
+    the sign open."""
     from matmono import criteria
 
     real = criteria._EVALUATORS["dd"]
@@ -430,6 +431,99 @@ def test_running_bound_covers_double_error():
     assert not violations, f"{len(violations)} of {rows} rows: {violations[:5]}"
 
 
+@pytest.mark.skipif(not LONG_DOUBLE_WIDER, reason="long double is double here")
+def test_long_double_bound_covers_its_error():
+    """|float(long double) - extended| <= the returned bound, which includes
+    the rounding to a float: dd rows of every dd-sweep shape, n = 1-3, with
+    the sweeps' q weights, and the entries of Kraus and extended Loewner
+    matrices, over the sweeps' own draws (clustered tuples included)."""
+    from matmono.criteria import _DD_SHAPES, _draw_multiset, _extended_loewner_nodes, _kraus_nodes
+    from matmono.divdiff import divided_differences, extended_divided_differences
+
+    rows, clustered, violations = 0, 0, []
+
+    def check(f, span, node_lists, weights, exact):
+        nonlocal rows, clustered
+        values, _, bounds = divided_differences(f, node_lists, weights, np.longdouble)
+        for nodes, value, bound, want in zip(node_lists, values, bounds, exact):
+            rows += 1
+            clustered += max(nodes) - min(nodes) <= 0.1 * span  # a cluster draw's width
+            if abs(value - want) > bound:
+                violations.append((f.name, len(nodes), abs(value - want) / bound))
+
+    for f, interval in BOUND_FUNCTIONS:
+        span = interval[1] - interval[0]
+        for shape in sorted(set(_DD_SHAPES.values())):
+            for n in (1, 2, 3):
+                rng = np.random.default_rng(n)
+                draws = []
+                for idx in range(8):
+                    ms = _draw_multiset(rng, shape, n, interval, idx)
+                    q = _sample_q(rng, n - 1, ms.values(), span, idx, bool(idx % 2))
+                    draws.append((ms, n_of(q)))
+                exact = [divided_difference(f, ms, "extended", w) for ms, w in draws]
+                check(f, span, [ms.flatten() for ms, _ in draws], [w for _, w in draws], exact)
+        rng = np.random.default_rng(0)
+        for idx in range(6):
+            pts = sample_distinct_tuple(rng, 3, interval, idx).tolist()
+            for nodes in (_kraus_nodes(pts[:2], pts[2]), _kraus_nodes(pts[:2], pts[0]),
+                          _extended_loewner_nodes(pts)):
+                check(f, span, nodes, None, extended_divided_differences(f, nodes))
+    assert rows >= 2000 and clustered >= 200
+    assert not violations, f"{len(violations)} of {rows} rows: {violations[:5]}"
+
+
+def _extended_jets(monkeypatch) -> list[float]:
+    """The nodes of every mpmath jet FunctionModel.taylor makes from now on."""
+    jets = []
+    taylor = FunctionModel.taylor
+
+    def counted(self, x, K, precision="double", digits=50):
+        if precision == "extended":
+            jets.append(float(x))
+        return taylor(self, x, K, precision, digits)
+
+    monkeypatch.setattr(FunctionModel, "taylor", counted)
+    return jets
+
+
+@pytest.mark.parametrize("build", ["kraus-anchored", "kraus-free", "extended-loewner"])
+def test_extended_matrix_takes_one_jet_per_distinct_node(monkeypatch, build):
+    """An extended-precision Kraus or extended Loewner matrix makes one
+    mpmath jet per distinct node, and its entries are those of per-entry
+    extended divided differences to within one ulp."""
+    from matmono.criteria import _extended_loewner_nodes, _kraus_nodes
+
+    f = FunctionModel(parse("x*log(x)"), (0.0, math.inf), name="x*log(x)")
+    pts = [1.0, 1.0 + 3e-9, 1.0 + 7e-9, 2.5]  # a tight cluster and a far node
+    base = {"kraus-anchored": pts[1], "kraus-free": 1.0 + 5e-9}.get(build)
+    nodes = _extended_loewner_nodes(pts) if base is None else _kraus_nodes(pts, base)
+    jets = _extended_jets(monkeypatch)
+    if base is None:
+        M = extended_loewner_matrix(f, pts, "extended")
+    else:
+        M = kraus_matrix(f, pts, base, "extended")
+    assert sorted(jets) == sorted({x for entry in nodes for x in entry})
+    iu = np.triu_indices(len(pts))
+    for value, entry in zip(M[iu], nodes):
+        want = divided_difference(f, entry, "extended")
+        assert abs(value - want) <= np.spacing(abs(want))
+
+
+def test_psd_escalation_takes_one_jet_per_distinct_node(monkeypatch):
+    """The partial extended re-check of an open Kraus matrix computes its
+    entries in one call: at most one mpmath jet per distinct node."""
+    from matmono import criteria
+
+    monkeypatch.setattr(criteria, "LONG_DOUBLE_WIDER", False)  # escalate from double
+    f = FunctionModel(parse("x*log(x)"), (0.0, math.inf), name="x*log(x)")
+    jets = _extended_jets(monkeypatch)
+    config = {"criterion": "kraus-free-psd", "points": [2.0, 2.0 + 1e-6, 5.0], "base": 2.0 + 2e-6}
+    (value, threshold, bound, _), = criteria._evaluate_psd(f, [config], "double", 1e-9)
+    assert jets and len(jets) == len(set(jets)) <= 4
+    assert value - bound + threshold >= 0.0
+
+
 def test_sweep_records_do_not_depend_on_batch_size(monkeypatch):
     """The batches only group evaluation: draws, escalation and the first
     confirmed row are those of a one-row-at-a-time sweep."""
@@ -479,9 +573,9 @@ KTONE_FROZEN = {
         (True, 300, "0x1.fffffd84f3b62p-1"),
         (True, 300, "0x1.ffffffed74ea7p-1"),
         (True, 300, "-0x1.de542bdfae109p-40"),
-        (True, 300, "-0x1.7218d0ba8366ep-42"),
-        (True, 300, "-0x1.42d88cd11db8fp-42"),
-        (True, 300, "-0x1.0989ddaa7d7bdp-41"),
+        (True, 300, "-0x1.16f0087541c10p-40"),
+        (True, 300, "-0x1.fcbcfaa5a5d72p-40"),
+        (True, 300, "-0x1.4970e06361f89p-40"),
     ],
     "x^3": [
         (True, 300, "0x1.905adc7148657p-1"),
@@ -491,7 +585,7 @@ KTONE_FROZEN = {
         (True, 300, "0x1.fffa3004a75c0p-1"),
         (True, 300, "0x1.ff268e9aaaa1cp-1"),
         (True, 300, "-0x1.3350e785406e0p-41"),
-        (True, 300, "-0x1.84d6967d97c6ep-40"),
+        (True, 300, "-0x1.ff27e59693250p-40"),
     ],
     "exp(x)": [
         (True, 300, "0x1.7afbc1647f92cp-2"),
@@ -519,7 +613,7 @@ KTONE_FROZEN = {
         (False, 1, "-0x1.d947fdac1754fp-5"),
         (False, 1, "-0x1.d947fdac1754fp-5"),
         (True, 300, "0x1.04df4ed6864a5p-9"),
-        (True, 300, "0x1.0a0983b1cb54ep-9"),
+        (True, 300, "0x1.0a096a70cee37p-9"),
         (False, 1, "-0x1.e10452e7ac53bp-7"),
         (False, 1, "-0x1.e10452e7ac53bp-7"),
     ],

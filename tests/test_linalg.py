@@ -21,6 +21,7 @@ from matmono import (
     parse,
     rank_one_chain,
 )
+from matmono.criteria import _run_derivative_matrix_sweep
 from matmono.linalg import (
     ProjectionPair,
     check_hermitian,
@@ -205,8 +206,9 @@ _CUBE = FunctionModel(parse("x^3"), name="x^3")
     lambda: ktone_check(_CUBE, 2, (-1.0, 1.0), samples=0),
     lambda: dd_criterion(_SQUARE, 2, (0.5, 4.0), "monotone", samples=0),
     lambda: confluent_dd_criterion(_SQUARE, 2, (0.5, 4.0), "monotone", samples=0),
+    lambda: _run_derivative_matrix_sweep(_SQUARE, 2, (0.5, 4.0), "dobsch-psd", 0, 1e-9),
 ], ids=["monotonicity-oracle", "convexity-oracle", "genset-check", "ktone-check",
-        "dd-criterion", "confluent-dd-criterion"])
+        "dd-criterion", "confluent-dd-criterion", "derivative-matrix-sweep"])
 def test_library_rejects_counts_below_one(call):
     # a sweep of no configurations would report a pass
     with pytest.raises(ValueError, match=">= 1"):
@@ -226,3 +228,11 @@ def test_sampled_checks_name_a_bad_order_or_interval(call, match):
     # every draw passes through sample_distinct_tuple, which names the cause
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("oracle", [monotonicity_oracle, convexity_oracle])
+def test_oracles_name_the_interval_they_were_given(oracle):
+    # the convexity oracle's first draw is from a centred sub-interval; the
+    # message must still name the caller's interval
+    with pytest.raises(ValueError, match=r"interval \(4\.0, 0\.5\) is empty"):
+        oracle(_SQUARE, 2, (4.0, 0.5), trials=5)
