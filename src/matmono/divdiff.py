@@ -367,10 +367,16 @@ def _needed_digits(nodes: NodeMultiset) -> int:
     return max(EXTENDED_DIGITS, min(400, int(nodes.order * math.log10(1.0 / gap)) + 30))
 
 
-def dd_threshold(max_entry: float, precision: str, tol: float) -> float:
+def dd_threshold(max_entry, precision: str, tol: float):
     """Threshold of every divided-difference sign test (value >= -threshold):
-    tol, or the roundoff bound of a table with largest |entry| max_entry."""
+    tol, or the roundoff bound of a table with largest |entry| max_entry.
+
+    An array of max entries gives the array of their thresholds, entry by
+    entry as the scalar rule (a NaN entry gives tol, as max(tol, nan) does).
+    """
     eps = 2.3e-16 if precision == "double" else 10.0 ** (1 - EXTENDED_DIGITS)
+    if isinstance(max_entry, np.ndarray):
+        return np.fmax(tol, 64.0 * eps * np.maximum(max_entry, 1.0))
     return max(tol, 64.0 * eps * max(max_entry, 1.0))
 
 

@@ -14,7 +14,10 @@ draws its q in generator order and evaluates them in batches of 1, 2,
 violating row; extension feasibility evaluates all of its constraints
 in one call, and replay is a one-row call.  Each row gets the
 operations of the one-term-at-a-time formula in the same order, so
-reports do not depend on the batch size.
+reports do not depend on the batch size.  A sampled level draws its
+random subsets in one generator call that reproduces the stream of one
+rng.choice(m, size, replace=False) per subset (_index_subsets; tested
+on numpy 2.4.6), and its thresholds in one dd_threshold call.
 
 The counterexample construction assembles a finite function from two
 distinct rational Pick functions that agree on the middle points; it
@@ -255,13 +258,34 @@ class GensetReport:
 
 def _index_subsets(m: int, size: int, count: int, rng: np.random.Generator) -> list[tuple]:
     """Ascending index subsets of range(m) of the given size: all of them
-    when there are at most count, else the sliding windows topped up to
-    count with rng.choice draws."""
+    when there are at most count (rng untouched), else the sliding windows
+    topped up to count with random subsets.
+
+    The random subsets are those of sorted(rng.choice(m, size,
+    replace=False)) called once per subset, drawn in one rng.integers
+    call.  choice runs Floyd's algorithm (a draw in [0, j] for j =
+    m-size..m-1, j itself if the draw is already in the subset) and then
+    shuffles the subset (a draw in [0, i] for i = size-1..1); every one
+    of these is the bounded draw integers makes against an array of
+    upper bounds, so the subsets and the generator state after them are
+    choice's (tested against it on numpy 2.4.6).  The shuffle's draws only
+    advance the stream, since the subsets are sorted.  (choice shuffles a
+    full arange instead when m > 10000 and size > m // 50, which needs a
+    level of order above 100.)
+    """
     if math.comb(m, size) <= count:
         return list(itertools.combinations(range(m), size))
     subsets = [tuple(range(i, i + size)) for i in range(m - size + 1)]
-    while len(subsets) < count:
-        subsets.append(tuple(sorted(rng.choice(m, size=size, replace=False).tolist())))
+    rows = count - len(subsets)
+    if rows > 0:
+        floyd = np.arange(m - size, m)
+        highs = np.concatenate([floyd + 1, np.arange(size, 1, -1)])
+        draws = rng.integers(0, np.tile(highs, rows)).reshape(rows, -1)[:, :size]
+        for t in range(1, size):
+            taken = (draws[:, :t] == draws[:, t : t + 1]).any(axis=1)
+            draws[taken, t] = floyd[t]
+        draws.sort(axis=1)
+        subsets += map(tuple, draws.tolist())
     return subsets
 
 
@@ -299,7 +323,7 @@ def _level_sweep(
         rows = np.array(subsets[start : start + len(qs)])
         P, V = points[rows], values[rows]
         value, scale = _weighted_dd(P, V, _q_rows(qs))
-        threshold = np.array([dd_threshold(s, "double", tol) for s in scale.tolist()])
+        threshold = dd_threshold(scale, "double", tol)
         failing = np.flatnonzero(value < -threshold)
         stop = int(failing[0]) + 1 if len(failing) else len(qs)
         # the first row with the least margin up to the first failure, as a
@@ -694,7 +718,7 @@ def extension_feasibility(
             holes.append(hole)
             qs.append(q)
     a, b, scale = _linear_constraints(P, V, holes, _q_rows(qs))
-    th = np.array([dd_threshold(s, "double", tol) for s in scale.tolist()])
+    th = dd_threshold(scale, "double", tol)
 
     if bundle is not None:
         y_marks = (bundle.r1.eval(x0), bundle.r2.eval(x0))

@@ -1,5 +1,6 @@
 """Criterion matrices, sampled sweeps, the certify battery, witness replay."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -179,6 +180,35 @@ def test_sample_q_draws_frozen():
     state = rng.bit_generator.state
     assert state["state"]["state"] == 0x38801A8E6FF2D3AD66EDAC6F34E9B8B5
     assert state["has_uint32"] == 0
+
+
+# (sha256 prefix of the coefficient hex, next rng.random() hex) after
+# _sample_q(rng, max_degree, nodes, 2.5, idx, complex_coeffs) for idx < 64
+# from default_rng(17), as drawn with one generator call per root and per
+# real or imaginary part
+SAMPLE_Q_STREAM_FROZEN = {
+    (1, False): ("af754fd520120f8e", "0x1.52d5491b63fc0p-7"),
+    (1, True): ("7234bb1045f388c5", "0x1.054fc240a8690p-4"),
+    (3, False): ("04e3f4d7c5b22b7d", "0x1.3f5242ee70587p-1"),
+    (3, True): ("54b8871d95be3e97", "0x1.7d080ee3494ecp-1"),
+}
+
+
+@pytest.mark.parametrize("max_degree, complex_coeffs", sorted(SAMPLE_Q_STREAM_FROZEN))
+def test_sample_q_stream_frozen(max_degree, complex_coeffs):
+    """Every cadence kind at degrees 1 and 3, real and complex: the draws
+    and the point of the stream they leave the generator at."""
+    rng = np.random.default_rng(17)
+    nodes = (0.25, 0.5, 1.0, 1.5, 2.75)
+    text = "\n".join(
+        " ".join(
+            f"{c.real.hex()},{c.imag.hex()}"
+            for c in _sample_q(rng, max_degree, nodes, 2.5, idx, complex_coeffs).coeffs
+        )
+        for idx in range(64)
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (digest, rng.random().hex()) == SAMPLE_Q_STREAM_FROZEN[max_degree, complex_coeffs]
 
 
 def test_dd_criterion_affine_is_exact():

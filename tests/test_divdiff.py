@@ -21,6 +21,7 @@ from matmono.divdiff import (
     divided_difference_scaled,
     sample_distinct_tuple,
 )
+from matmono.expr import EXTENDED_DIGITS
 
 EXP = FunctionModel(parse("exp(x)"), name="exp")
 RECIP_NEG = FunctionModel(parse("-1/x"), domain=(0.0, math.inf), name="-1/x")
@@ -131,6 +132,21 @@ def test_noise_floor_scales_with_table_magnitude():
     assert dd_threshold(1e9, "double", 1e-9) == pytest.approx(64 * 2.3e-16 * 1e9)
     _, scale = divided_difference_scaled(EXP, (0.0, 1e-5))
     assert scale >= math.exp(0.0)  # the table maximum dominates the value
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_threshold_of_an_array_is_the_scalar_rule_entry_by_entry(precision):
+    eps = 2.3e-16 if precision == "double" else 10.0 ** (1 - EXTENDED_DIGITS)
+    for tol in (0.0, 1e-15, 1e-9):
+        cross = tol / (64.0 * eps)  # where the roundoff floor overtakes tol
+        scales = [0.0, 0.5, 1.0, math.inf, math.nan, cross, 2.0 * cross + 3.0,
+                  np.nextafter(cross, 0.0), np.nextafter(cross, math.inf), 0.5 * cross]
+        scalar = [dd_threshold(float(s), precision, tol) for s in scales]
+        assert all(type(t) is float for t in scalar)
+        array = dd_threshold(np.array(scales), precision, tol)
+        assert [t.hex() for t in array.tolist()] == [t.hex() for t in scalar]
+    # a NaN scale gives tol, as max(tol, nan) does, even below the floor
+    assert dd_threshold(np.array([math.nan]), precision, 1e-20).tolist() == [1e-20]
 
 
 def test_refinement_coefficients_frozen_cases():

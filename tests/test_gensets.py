@@ -1,5 +1,6 @@
 """Tests for finite-set checks, gluing, counterexamples, and rigidity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from matmono import (
     read_points_file,
     write_points_file,
 )
-from matmono.gensets import re_evaluate_genset_witness
+from matmono.gensets import _index_subsets, re_evaluate_genset_witness
 
 
 def test_finite_function_table_contract():
@@ -494,3 +495,42 @@ def test_weighted_kernel_matches_scalar_product_formula():
             assert (alpha[r], beta[r], lscale[r]) == _scalar_linear_constraint(
                 pts, vals, int(holes[r]), qs[r]
             )
+
+
+def _choice_subsets(m, size, count, rng):
+    """The windows, then one sorted rng.choice draw per subset up to count."""
+    subsets = [tuple(range(i, i + size)) for i in range(m - size + 1)]
+    while len(subsets) < count:
+        subsets.append(tuple(sorted(rng.choice(m, size=size, replace=False).tolist())))
+    return subsets
+
+
+# (m, size, count) of sampled levels: sizes 1-7 (the odd ones are
+# extension_feasibility's 2n - 1), from no draw to 2000 subsets
+SAMPLED_SHAPES = [
+    (7, 1, 1), (16, 2, 15), (16, 2, 100), (7, 3, 30), (9, 3, 50), (16, 3, 559),
+    (12, 4, 300), (16, 4, 1819), (16, 6, 12), (11, 5, 400), (13, 5, 1286),
+    (14, 6, 2000), (16, 6, 2000), (10, 7, 100), (15, 7, 1000), (16, 7, 2000),
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_index_subsets_reproduce_choice_draws(seed):
+    """The subsets, the generator state after them and the next draws are
+    those of one rng.choice call per subset."""
+    for m, size, count in SAMPLED_SHAPES:
+        assert math.comb(m, size) > count
+        ref, got = np.random.default_rng([seed, m, size]), np.random.default_rng([seed, m, size])
+        assert _index_subsets(m, size, count, got) == _choice_subsets(m, size, count, ref)
+        assert got.bit_generator.state == ref.bit_generator.state
+        assert got.integers(0, 1000, size=3).tolist() == ref.integers(0, 1000, size=3).tolist()
+        assert got.normal() == ref.normal()
+
+
+def test_exhaustive_index_subsets_leave_the_generator_untouched():
+    for m, size, count in ((7, 3, 35), (8, 3, 56), (12, 4, 2000), (7, 1, 7)):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        subsets = _index_subsets(m, size, count, rng)
+        assert subsets == list(itertools.combinations(range(m), size))
+        assert rng.bit_generator.state == state
