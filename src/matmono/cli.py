@@ -26,6 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .criteria import CertifyConfig, certify, re_evaluate_witness
+from .divdiff import check_interval
 from .expr import (
     Div,
     DomainError,
@@ -107,6 +108,14 @@ def _parse_interval(text: str, name: str) -> tuple[float, float]:
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"{name}: expected lo < hi, got {text!r}")
     return lo, hi
+
+
+def _parse_sample_interval(text: str) -> tuple[float, float]:
+    """--interval: a finite lo < hi (a --domain may be infinite)."""
+    try:
+        return check_interval(_parse_interval(text, "--interval"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"--interval: {exc}")
 
 
 def _positive_int(text: str) -> int:
@@ -298,7 +307,7 @@ def _cmd_certify(args) -> tuple[int, dict]:
     if not args.function or args.order is None or not args.interval:
         raise _Usage("certify needs --function, --order, and --interval")
     model = _load_model(args.function, args.domain)
-    lo, hi = _parse_interval(args.interval, "--interval")
+    lo, hi = _parse_sample_interval(args.interval)
     seed = _materialize_seed(args.seed)
     cfg = CertifyConfig(
         samples=args.samples,
@@ -354,7 +363,7 @@ def _cmd_replay(args) -> tuple[int, dict]:
 
 def _cmd_oracle(args) -> tuple[int, dict]:
     model = _load_model(args.function, args.domain)
-    lo, hi = _parse_interval(args.interval, "--interval")
+    lo, hi = _parse_sample_interval(args.interval)
     seed = _materialize_seed(args.seed)
     search = monotonicity_oracle if args.mode == "monotone" else convexity_oracle
     record = search(model, args.order, (lo, hi), trials=args.trials, seed=seed, tol=args.tol)

@@ -28,6 +28,7 @@ from .divdiff import (
     LONG_DOUBLE_WIDER,
     CriterionRecord,
     NodeMultiset,
+    check_interval,
     dd_threshold,
     divided_difference_scaled,
     divided_differences,
@@ -45,7 +46,6 @@ from .linalg import (
     min_eigenvalue,
     monotonicity_oracle,
     oracle_defect,
-    psd_scale,
 )
 from .polynomial import ONE, Poly, n_of
 
@@ -212,7 +212,9 @@ def _sample_q(
     stream of as many scalar calls: the real and imaginary parts of the
     coefficients, and each perturbation of the deg roots.  The roots'
     node indices stay scalar integers calls (rng.choice(nodes)'s draw): on
-    numpy 2.4.6 a scalar call costs about a third of a sized one.
+    numpy 2.4.6 a scalar call costs about a third of a sized one.  The
+    normal draws stay normal() calls: standard_normal(k) + 0.0, the same
+    doubles, costs one more array operation than the wrapper saves.
     """
     kind = idx % 4
     if kind == 0 or max_degree == 0:
@@ -391,8 +393,14 @@ def _psd_matrix(f: FunctionModel, config: dict, precision: str) -> np.ndarray:
     return kraus_matrix(f, config["points"], config["base"], precision)
 
 
-def _psd_row(M: np.ndarray, bound: float, tol: float) -> tuple:
-    return min_eigenvalue(M), tol * psd_scale(M), bound, M
+def _psd_rows(mats: np.ndarray, bounds, tol: float) -> list:
+    """Rows (min eigenvalue, tol * psd_scale, bound, matrix) of a (rows, n, n)
+    stack, with one eigvalsh call for the stack.  numpy runs the same
+    LAPACK routine on each matrix of a stack, so each row is the one
+    min_eigenvalue and psd_scale give (fmax keeps max(1.0, nan) = 1.0)."""
+    lam = np.linalg.eigvalsh(mats)[:, 0].tolist()
+    scale = (tol * np.fmax(np.abs(mats).max(axis=(1, 2)), 1.0)).tolist()
+    return list(zip(lam, scale, bounds, mats))
 
 
 def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
@@ -409,7 +417,8 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: fl
     re-check).
     """
     if precision == "extended" or configs[0]["criterion"] not in _PSD_NODES:
-        return [_psd_row(_psd_matrix(f, c, precision), 0.0, tol) for c in configs]
+        mats = np.array([_psd_matrix(f, c, precision) for c in configs])
+        return _psd_rows(mats, [0.0] * len(configs), tol)
     entries = [_PSD_NODES[c["criterion"]](c) for c in configs]
     values, bounds = _dd_triangles(f, entries, "double")
     iu = _triangle(len(configs[0]["points"]))
@@ -417,15 +426,16 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: fl
     # by at most ||M - M_hat||_2 <= ||E||_F
     share = np.where(iu[0] == iu[1], 1.0, 2.0)
     squares = share * bounds**2
-    rows = [_psd_row(M, math.sqrt(sq.sum()), tol) for M, sq in zip(_symmetric(values), squares)]
+    rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
     redo = [b for b, row in enumerate(rows) if _open(*row[:3])]
     if redo and LONG_DOUBLE_WIDER:
         flat = [nodes for b in redo for nodes in entries[b]]
         value, _, bound = divided_differences(f, flat, None, np.longdouble)
         values[redo] = value.reshape(len(redo), -1)
         squares[redo] = share * bound.reshape(len(redo), -1) ** 2
-        for b in redo:
-            rows[b] = _psd_row(_symmetric(values[b]), math.sqrt(squares[b].sum()), tol)
+        redone = _psd_rows(_symmetric(values[redo]), [math.sqrt(squares[b].sum()) for b in redo], tol)
+        for b, row in zip(redo, redone):
+            rows[b] = row
     for b in redo:
         value, threshold, bound, _ = rows[b]
         if _open(value, threshold, bound):
@@ -438,7 +448,7 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: fl
                 left -= squares[b, k]
             values[b, picked] = extended_divided_differences(f, [entries[b][k] for k in picked])
             squares[b, picked] = 0.0
-            rows[b] = _psd_row(_symmetric(values[b]), math.sqrt(squares[b].sum()), tol)
+            rows[b] = _psd_rows(_symmetric(values[b : b + 1]), [math.sqrt(squares[b].sum())], tol)[0]
     return rows
 
 
@@ -555,6 +565,8 @@ def _draw_multiset(
     count = {"distinct-2n": 2 * n, "distinct-2n+1": 2 * n + 1, "doubled-free": n + 1}
     pts = sample_distinct_tuple(rng, count.get(shape, n), interval, idx).tolist()
     if shape.startswith("distinct"):
+        if all(p < q for p, q in zip(pts, pts[1:])):
+            return NodeMultiset(tuple((p, 1) for p in pts))
         return NodeMultiset.from_points(pts)
     mults = [2] * len(pts)
     if shape == "doubled-anchored":
@@ -666,10 +678,9 @@ def ktone_check(
     repeated nodes.
     """
     rng = np.random.default_rng(seed)
-    one = Poly.of(1.0)
 
     def draw(idx: int) -> dict:
-        if rng.uniform() < CONFLUENT_FRACTION and k >= 2:
+        if rng.random() < CONFLUENT_FRACTION and k >= 2:
             distinct = max(2, (k + 2) // 2)
             pts = sample_distinct_tuple(rng, distinct, interval, idx)
             mults = [1] * distinct
@@ -678,7 +689,7 @@ def ktone_check(
             ms = NodeMultiset.from_pairs(zip(pts.tolist(), mults))
         else:
             ms = NodeMultiset.from_points(sample_distinct_tuple(rng, k + 1, interval, idx).tolist())
-        return {"criterion": "k-tone", "nodes": ms, "q": one}
+        return {"criterion": "k-tone", "nodes": ms, "q": ONE}
 
     return _Tally(f, "k-tone", "dd", tol).run(draw, samples)
 
@@ -918,9 +929,7 @@ def certify(
         raise ValueError(f"mode must be 'monotone' or 'convex', got {mode!r}")
     if n < 1:
         raise ValueError("order must be >= 1")
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError("interval must have positive length")
+    lo, hi = check_interval(interval)
     config = config or CertifyConfig()
     if config.samples < 1 or config.grid < 1 or (config.include_oracle and config.oracle_trials < 1):
         raise ValueError("samples, grid and oracle_trials must be >= 1")

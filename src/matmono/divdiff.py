@@ -12,8 +12,15 @@ long double -> mpmath: where the platform's long double is wider than
 double (LONG_DOUBLE_WIDER, x86), the sweeps re-run the rows double
 leaves open as one long-double batch under the same bound, and what
 that does not settle is recomputed in mpmath, with digits scaled to the
-node gaps.  The mpmath entries of one criterion matrix share one jet per
-distinct node (extended_divided_differences).
+node gaps.  The mpmath tables run on raw mpf tuples (mpmath.libmp), one
+libmp call per mpf operation at the context precision, rounding to
+nearest: bit for bit the table mpf arithmetic gives.  The mpmath entries
+of one criterion matrix share one jet per distinct node
+(extended_divided_differences).
+
+The node sampler (sample_distinct_tuple) draws with Generator.random and
+computes on Python floats, the same doubles from the same stream as
+uniform() draws and numpy arithmetic.
 
 peano_weight returns the density w with
     [x_0, ..., x_n]_f = int f^(n)(t)/n! * w(t) dt,
@@ -23,12 +30,25 @@ normalization is forced by f = x^n, where both sides equal 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (
+    from_float,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_mul,
+    mpf_sub,
+    round_nearest as _RND,
+    to_float,
+)
 
 from .expr import EXTENDED_DIGITS, cauchy
 from .polynomial import Poly
@@ -174,10 +194,13 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
     (value, max |table entry|, running error bound), one per row, in the
     float type of z (double or long double), whose eps the bound uses."""
     rows, m = z.shape
-    eps = float(np.finfo(z.dtype).eps)
-    K = 1  # longest run of equal nodes in any row
-    while K < m and (z[:, K:] == z[:, :-K]).any():
-        K += 1
+    eps = _EPS if z.dtype.type is np.float64 else float(np.finfo(z.dtype).eps)
+    # equal[j - 1] marks the nodes equal to the one j places on: in sorted
+    # rows, runs of j + 1 equal nodes.  K is the longest run in any row.
+    equal = [z[:, 1:] == z[:, :-1]]
+    while equal[-1].any():
+        equal.append(equal[-1][:, :-1] & equal[0][:, len(equal) :])
+    K = len(equal)
     fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c, z.dtype) for c in f.taylor(z, K)]
     fabs = [np.abs(c) for c in fjet]
     if weights is None:
@@ -192,18 +215,17 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
     seed_err = [SEED_ERROR * eps * e for e in seed_err]
     col, err = seeds[0], seed_err[0]
     entries = np.empty((rows, m * (m + 1) // 2), z.dtype)  # |table entries|, column by column
-    entries[:, :m] = np.abs(col)
+    np.abs(col, out=entries[:, :m])
     at = m
     for j in range(1, m):
         gap = z[:, j:] - z[:, :-j]
         if j < K:
-            same = gap == 0.0
+            same = equal[j - 1]
             gap[same] = 1.0
         col = (col[:, 1:] - col[:, :-1]) / gap
         if j < K:
             col = np.where(same, seeds[j][:, : m - j], col)
-        size = np.abs(col)
-        entries[:, at : at + m - j] = size
+        size = np.abs(col, out=entries[:, at : at + m - j])
         at += m - j
         err = (err[:, 1:] + err[:, :-1]) / gap + (STEP_ERROR * eps) * size
         if j < K:
@@ -235,21 +257,51 @@ def divided_differences(
         for idx in groups.values():
             z = np.sort(np.array([rows[r] for r in idx], dtype=dtype), axis=1)
             out[:, idx] = _hermite_batch(f, z, None if weights is None else [weights[r] for r in idx])
-    if np.finfo(dtype).eps < _EPS:
+    if dtype is not float and np.finfo(dtype).eps < _EPS:
         value, scale = value.astype(float), scale.astype(float)
         bound = bound.astype(float) + _EPS * np.abs(value)
     return value, scale, bound
 
 
+def _mpf_taylor(coeffs: list, t: tuple, count: int, prec: int) -> list:
+    """Poly.taylor's synthetic division on raw mpf tuples: the jet of the
+    polynomial with ascending coefficients `coeffs` at t."""
+    out = []
+    for _ in range(count):
+        acc, partial = fzero, []
+        for c in reversed(coeffs):
+            acc = mpf_add(mpf_mul(acc, t, prec, _RND), c, prec, _RND)
+            partial.append(acc)
+        out.append(acc)
+        coeffs = partial[-2::-1]
+    return out
+
+
+def _mpf_cauchy(a: list, b: list, count: int, prec: int) -> list:
+    """expr.cauchy on raw mpf tuples."""
+    out = []
+    for k in range(count):
+        acc = mpf_mul(a[0], b[k], prec, _RND)
+        for j in range(1, k + 1):
+            acc = mpf_add(acc, mpf_mul(a[j], b[k - j], prec, _RND), prec, _RND)
+        out.append(acc)
+    return out
+
+
 def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, jet=None):
     """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node,
-    in mpmath at the working precision; jet(v), if given, is f's jet at v
-    (at least that long)."""
+    as raw mpf tuples at the working precision; jet(v), if given, is f's
+    mpmath jet at v (at least that long)."""
+    prec = mpmath.mp.prec
+    if weight is not None:
+        coeffs = [from_float(c) for c in weight.real_coeffs()]
     seeds = {}
     for v, m in nodes.nodes:
-        seeds[v] = f.taylor(v, m, "extended", digits) if jet is None else jet(v)
+        fjet = f.taylor(v, m, "extended", digits) if jet is None else jet(v)
+        seeds[v] = [c._mpf_ for c in fjet]
         if weight is not None:
-            seeds[v] = cauchy(weight.taylor(mpmath.mpf(v), m), seeds[v], m)
+            wjet = _mpf_taylor(coeffs, from_float(v), m, prec)
+            seeds[v] = _mpf_cauchy(wjet, seeds[v], m, prec)
     return seeds
 
 
@@ -257,8 +309,11 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
     """Newton/Hermite table of one multiset: (value, max |table entry|, bound).
 
     Double precision is a batch of one row.  Extended precision runs the
-    recursion in mpmath at `digits`, seeded from jet(v) where given; its
-    bound is the rounding of the value to a float.
+    recursion at `digits`, seeded from jet(v) where given, on raw mpf
+    tuples: each step is the libmp call an mpf operator makes at the
+    context precision, rounding to nearest, so the table is bit for bit
+    the one mpf arithmetic gives.  Its bound is the rounding of the value
+    to a float.
     """
     if precision == "double":
         batch = divided_differences(f, [nodes.flatten()], None if weight is None else [weight])
@@ -266,26 +321,39 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
     z = nodes.flatten()
     m = len(z)
     with mpmath.workdps(digits):
+        prec = mpmath.mp.prec
         seeds = _seed_values(f, nodes, weight, digits, jet)
         # node gaps must be formed at working precision: a double-rounded
         # denominator under an exact numerator breaks the cancellations
         # the recursion relies on
-        zv = [mpmath.mpf(v) for v in z]
+        zv = [from_float(v) for v in z]
         col = [seeds[z[i]][0] for i in range(m)]
-        max_abs = max(abs(c) for c in col)
+        # abs rounds to the working precision, as mpf's does: a shared jet
+        # may carry more digits than this table
+        max_abs = mpf_abs(col[0], prec, _RND)
+        for c in col[1:]:
+            size = mpf_abs(c, prec, _RND)
+            if mpf_gt(size, max_abs):
+                max_abs = size
         for j in range(1, m):
             nxt = []
             for i in range(m - j):
                 if z[i + j] == z[i]:
                     entry = seeds[z[i]][j]
                 else:
-                    entry = (col[i + 1] - col[i]) / (zv[i + j] - zv[i])
+                    entry = mpf_div(
+                        mpf_sub(col[i + 1], col[i], prec, _RND),
+                        mpf_sub(zv[i + j], zv[i], prec, _RND),
+                        prec,
+                        _RND,
+                    )
                 nxt.append(entry)
-                if abs(entry) > max_abs:
-                    max_abs = abs(entry)
+                size = mpf_abs(entry, prec, _RND)
+                if mpf_gt(size, max_abs):
+                    max_abs = size
             col = nxt
-        value = float(col[0])
-    return value, float(max_abs), _EPS * abs(value)
+    value = to_float(col[0], rnd=_RND)
+    return value, to_float(max_abs, rnd=_RND), _EPS * abs(value)
 
 
 def divided_difference(
@@ -565,9 +633,19 @@ def _halton(index: int, base: int) -> float:
 _HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
 
+# every third draw of a sweep takes a Halton row: 334 rows for 1000 draws
+@functools.lru_cache(maxsize=512)
+def _halton_row(index: int) -> tuple[float, ...]:
+    """Halton point index + 1 in every base, mapped into (0.0005, 0.9995)."""
+    return tuple(0.999 * _halton(index + 1, base) + 0.0005 for base in _HALTON_BASES)
+
+
 def check_interval(interval) -> tuple[float, float]:
-    """(lo, hi) as floats; ValueError naming the interval unless lo < hi."""
+    """(lo, hi) as floats; ValueError naming the interval unless lo < hi
+    are both finite."""
     lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval ({lo}, {hi}) needs finite endpoints")
     if not lo < hi:
         raise ValueError(f"interval ({lo}, {hi}) is empty: need lo < hi")
     return lo, hi
@@ -580,37 +658,49 @@ def sample_distinct_tuple(
     index: int,
 ) -> np.ndarray:
     """One ascending tuple of `count` >= 1 distinct nodes strictly inside
-    the interval lo < hi; every sampled check draws its nodes here."""
+    the finite interval lo < hi; every sampled check draws its nodes here.
+
+    Draws come from Generator.random, which gives uniform()'s doubles
+    from the same stream, and the arithmetic runs on Python floats: the
+    IEEE double operations numpy arrays would make, without their
+    per-call cost on a handful of nodes.
+    """
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
     a, b = check_interval(interval)
     span = b - a
     margin = span * MARGIN_FRACTION
     delta = span / SEPARATION_PARTS
-    u = rng.uniform(size=count)
+    u = rng.random(count).tolist()
     if index % 3 == 0:
-        u = np.array(
-            [_halton(index + 1, _HALTON_BASES[d % len(_HALTON_BASES)]) for d in range(count)]
-        )
-        u = 0.999 * u + 0.0005
-    if rng.uniform() < CLUSTER_FRACTION:
+        row = _halton_row(index)
+        u = [row[d % len(row)] for d in range(count)]
+    u.sort()
+    if rng.random() < CLUSTER_FRACTION:
         scale = CLUSTER_SCALES[index % len(CLUSTER_SCALES)]
-        center = rng.uniform(a + margin, b - margin)
+        lo, hi = a + margin, b - margin
+        center = rng.uniform(lo, hi)
         width = scale * span
-        x = center + width * (np.sort(u) - 0.5)
-        x = np.clip(x, a + margin, b - margin)
+        x = []
+        for s in u:
+            # np.clip's rule: max(v, lo) is lo unless v > lo
+            v = center + width * (s - 0.5)
+            v = v if v > lo else lo
+            x.append(v if v < hi else hi)
         # force strict ascent; duplicates collapse to tiny separations
         eps = max(width, 4 * margin) * 1e-9
         for i in range(1, count):
             if x[i] <= x[i - 1]:
                 x[i] = x[i - 1] + eps
-        if x[-1] >= b - margin:
-            x -= x[-1] - (b - margin)
-        return x
+        if x[-1] >= hi:
+            shift = x[-1] - hi
+            x = [v - shift for v in x]
+        return np.array(x)
     free = span - 2 * margin - (count - 1) * delta
     if free <= 0:
         raise ValueError("interval too small for the requested separation")
-    return a + margin + free * np.sort(u) + delta * np.arange(count)
+    base = a + margin
+    return np.array([base + free * s + delta * i for i, s in enumerate(u)])
 
 
 @dataclass

@@ -601,14 +601,17 @@ def jet(e: Expr, x, K: int, precision: str = "double", digits: int = EXTENDED_DI
 
     x may be a float, a numpy array (double mode only, in the array's float
     type: double or long double) or an mpmath float.
-    Extended mode computes with ``digits`` significant decimal digits and
-    returns mpmath floats.  Raises DomainError outside the domain.
+    Extended mode computes with ``digits`` significant decimal digits (the
+    context's own precision when it already has them) and returns mpmath
+    floats.  Raises DomainError outside the domain.
     """
     if K < 1:
         raise ValueError("a jet needs at least one coefficient")
     if precision == "double":
         return _jet(e, x, K, np if isinstance(x, np.ndarray) else math)
     if precision == "extended":
+        if mpmath.mp.prec == mpmath.libmp.dps_to_prec(digits):
+            return _jet(e, mpmath.mpf(x), K, mpmath)
         with mpmath.workdps(digits):
             return _jet(e, mpmath.mpf(x), K, mpmath)
     raise ValueError(f"unsupported precision mode {precision!r}")

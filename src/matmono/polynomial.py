@@ -147,8 +147,10 @@ def n_of(q: Poly) -> Poly:
     For real x, N(q)(x) = |q(x)|^2, so N(q) is real and nonnegative on
     the real line.  The returned coefficients are exactly real (the
     imaginary rounding dust is dropped; it is conjugate-symmetric and
-    cancels in exact arithmetic).
+    cancels in exact arithmetic).  N(ONE) is ONE itself.
     """
+    if q is ONE:
+        return ONE
     prod = q * q.conjugate_coeffs()
     return Poly(tuple(complex(c.real, 0.0) for c in prod.coeffs))
 

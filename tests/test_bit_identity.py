@@ -1,0 +1,287 @@
+"""The per-configuration fast paths reproduce the code they replaced bit for bit.
+
+The tests hold frozen copies of the replaced code and check that the
+current code gives the same bytes: node draws and the generator state
+after them, extended tables on raw mpf tuples against mpf arithmetic,
+double and long-double tables, random() draws against the uniform()
+draws they stand for, and one eigvalsh call per stack against one per
+matrix.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from matmono import FunctionModel, NodeMultiset, Poly, parse
+from matmono.criteria import _psd_rows
+from matmono.divdiff import (
+    _EPS,
+    SEED_ERROR,
+    STEP_ERROR,
+    _dd_table,
+    _hermite_batch,
+    _needed_digits,
+    _poly_jets,
+    sample_distinct_tuple,
+)
+from matmono.expr import cauchy, jet
+from matmono.linalg import min_eigenvalue, psd_scale
+from matmono.polynomial import ONE, n_of
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the replaced code
+
+
+def _frozen_halton(index, base):
+    f, r, i = 1.0, 0.0, index
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
+
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def _frozen_sample_distinct_tuple(rng, count, interval, index):
+    a, b = float(interval[0]), float(interval[1])
+    span = b - a
+    margin = span * 1e-6
+    delta = span / 1000.0
+    u = rng.uniform(size=count)
+    if index % 3 == 0:
+        u = np.array([_frozen_halton(index + 1, _BASES[d % len(_BASES)]) for d in range(count)])
+        u = 0.999 * u + 0.0005
+    if rng.uniform() < 0.3:
+        scale = (1e-1, 1e-2, 1e-3)[index % 3]
+        center = rng.uniform(a + margin, b - margin)
+        width = scale * span
+        x = center + width * (np.sort(u) - 0.5)
+        x = np.clip(x, a + margin, b - margin)
+        eps = max(width, 4 * margin) * 1e-9
+        for i in range(1, count):
+            if x[i] <= x[i - 1]:
+                x[i] = x[i - 1] + eps
+        if x[-1] >= b - margin:
+            x -= x[-1] - (b - margin)
+        return x
+    free = span - 2 * margin - (count - 1) * delta
+    if free <= 0:
+        raise ValueError("interval too small for the requested separation")
+    return a + margin + free * np.sort(u) + delta * np.arange(count)
+
+
+def _frozen_dd_table_extended(f, nodes, weight, digits, jet=None):
+    """The mpf recursion of the extended table, with its seeds."""
+    z = nodes.flatten()
+    m = len(z)
+    with mpmath.workdps(digits):
+        seeds = {}
+        for v, mult in nodes.nodes:
+            seeds[v] = f.taylor(v, mult, "extended", digits) if jet is None else jet(v)
+            if weight is not None:
+                seeds[v] = cauchy(weight.taylor(mpmath.mpf(v), mult), seeds[v], mult)
+        zv = [mpmath.mpf(v) for v in z]
+        col = [seeds[z[i]][0] for i in range(m)]
+        max_abs = max(abs(c) for c in col)
+        for j in range(1, m):
+            nxt = []
+            for i in range(m - j):
+                if z[i + j] == z[i]:
+                    entry = seeds[z[i]][j]
+                else:
+                    entry = (col[i + 1] - col[i]) / (zv[i + j] - zv[i])
+                nxt.append(entry)
+                if abs(entry) > max_abs:
+                    max_abs = abs(entry)
+            col = nxt
+        value = float(col[0])
+    return value, float(max_abs), _EPS * abs(value)
+
+
+def _frozen_hermite_batch(f, z, weights):
+    rows, m = z.shape
+    eps = float(np.finfo(z.dtype).eps)
+    K = 1
+    while K < m and (z[:, K:] == z[:, :-K]).any():
+        K += 1
+    fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c, z.dtype) for c in f.taylor(z, K)]
+    fabs = [np.abs(c) for c in fjet]
+    if weights is None:
+        seeds, seed_err = fjet, fabs
+    else:
+        d = max(len(w.coeffs) for w in weights) or 1
+        coeffs = np.array([w.real_coeffs() + (0.0,) * (d - len(w.coeffs)) for w in weights])
+        both = _poly_jets(np.concatenate([coeffs, np.abs(coeffs)]), np.concatenate([z, np.abs(z)]), K)
+        seeds = cauchy([c[:rows] for c in both], fjet, K)
+        seed_err = cauchy([c[rows:] for c in both], fabs, K)
+    seed_err = [SEED_ERROR * eps * e for e in seed_err]
+    col, err = seeds[0], seed_err[0]
+    entries = np.empty((rows, m * (m + 1) // 2), z.dtype)
+    entries[:, :m] = np.abs(col)
+    at = m
+    for j in range(1, m):
+        gap = z[:, j:] - z[:, :-j]
+        if j < K:
+            same = gap == 0.0
+            gap[same] = 1.0
+        col = (col[:, 1:] - col[:, :-1]) / gap
+        if j < K:
+            col = np.where(same, seeds[j][:, : m - j], col)
+        size = np.abs(col)
+        entries[:, at : at + m - j] = size
+        at += m - j
+        err = (err[:, 1:] + err[:, :-1]) / gap + (STEP_ERROR * eps) * size
+        if j < K:
+            err = np.where(same, seed_err[j][:, : m - j], err)
+    return col[:, 0], entries.max(axis=1), err[:, 0]
+
+
+def _frozen_psd_row(M, bound, tol):
+    return min_eigenvalue(M), tol * psd_scale(M), bound, M
+
+
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> list[str]:
+    """float.hex of each value: equal bits, signed zeros included."""
+    return [float(v).hex() for v in values]
+
+
+INTERVALS = [(0.5, 4.0), (-1.0, 1.0), (1e-9, 2e-9), (0.0, 1e-12), (-1e6, 1e6), (0.0, 1.0), (3.0, 3.5)]
+
+
+@pytest.mark.parametrize("interval", INTERVALS, ids=[str(iv) for iv in INTERVALS])
+def test_node_draws_and_generator_state_match_the_uniform_sampler(interval):
+    for seed in (0, 1, 7):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for count in range(1, 10):
+            for index in list(range(0, 60)) + [299, 300, 3000]:
+                a = sample_distinct_tuple(new, count, interval, index)
+                b = _frozen_sample_distinct_tuple(old, count, interval, index)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+def _table_cases():
+    clustered = NodeMultiset.from_points([0.7, 0.7 + 1e-9, 1.3, 1.3 + 1e-9, 2.1])
+    return {
+        "distinct": NodeMultiset.from_points([0.6, 0.9, 1.7, 2.2, 3.1, 3.9]),
+        "clustered": clustered,
+        "confluent-2": NodeMultiset.from_pairs([(0.8, 2), (1.9, 2), (2.6, 2)]),
+        "confluent-3": NodeMultiset.from_pairs([(0.8, 3), (1.4, 1), (3.2, 2)]),
+        "one-node": NodeMultiset.from_pairs([(1.1, 3)]),
+    }
+
+
+FUNCTIONS = {
+    "log": FunctionModel(parse("log(x)"), domain=(0.0, math.inf)),
+    "composite": FunctionModel(parse("sqrt(x) * log(1 + x) - 1/(x + 2)"), domain=(0.0, math.inf)),
+}
+WEIGHTS = {
+    "none": None,
+    "real": n_of(Poly.of(0.3, -1.2, 0.5)),
+    "complex": n_of(Poly.of(0.2 + 0.7j, -0.4 + 0.1j, 1.0)),
+}
+
+
+@pytest.mark.parametrize("weight", WEIGHTS, ids=list(WEIGHTS))
+@pytest.mark.parametrize("name", FUNCTIONS)
+def test_extended_table_on_mpf_tuples_matches_mpf_arithmetic(name, weight):
+    # 16 digits leave the clustered tables' cancellation visible in the
+    # result, so a slip of one bit of working precision shows
+    f, w = FUNCTIONS[name], WEIGHTS[weight]
+    for key, ms in _table_cases().items():
+        for digits in (16, 50, 90, _needed_digits(ms)):
+            got = _dd_table(f, ms, "extended", w, digits)
+            want = _frozen_dd_table_extended(f, ms, w, digits)
+            assert _bits(got) == _bits(want), (key, digits)
+
+
+def test_extended_table_seeded_from_shared_jets_matches_mpf_arithmetic():
+    # extended_divided_differences hands in jets computed at more digits
+    f = FUNCTIONS["composite"]
+    for ms in _table_cases().values():
+        def jet(v, ms=ms):
+            return f.taylor(v, ms.max_multiplicity, "extended", 120)
+        for digits in (16, 50, 90):
+            got = _dd_table(f, ms, "extended", None, digits, jet)
+            want = _frozen_dd_table_extended(f, ms, None, digits, jet)
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["double", "long-double"])
+def test_double_tables_match_the_frozen_batch(dtype):
+    rng = np.random.default_rng(5)
+    f = FUNCTIONS["composite"]
+    for m in range(1, 8):
+        for rows in (1, 3, 40):
+            z = rng.uniform(0.5, 4.0, (rows, m))
+            # repeat nodes in some rows: runs of 2 and 3, and all-equal rows
+            z[::2, 1:] = z[::2, :-1]
+            z[::3, 2:] = z[::3, :-2]
+            z[-1] = z[-1, 0]
+            z = np.sort(z.astype(dtype), axis=1)
+            qs = [n_of(Poly.of(*rng.standard_normal(rng.integers(1, 4)))) for _ in range(rows)]
+            for weights in (None, qs):
+                got = _hermite_batch(f, z, weights)
+                want = _frozen_hermite_batch(f, z, weights)
+                for a, b in zip(got, want):
+                    # values and signs, not bytes: a long double's padding is not set
+                    assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+                    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_jet_in_a_context_at_its_precision_matches_its_own_workdps():
+    e = FUNCTIONS["composite"].expr
+    for digits in (16, 50, 90):
+        for x in (0.7, 1.3 + 1e-9, 3.9):
+            fresh = jet(e, x, 4, "extended", digits)
+            with mpmath.workdps(digits):
+                inside = jet(e, x, 4, "extended", digits)
+            assert [c._mpf_ for c in inside] == [c._mpf_ for c in fresh]
+
+
+def test_random_draws_match_the_uniform_draws_they_replace():
+    for seed in range(5):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (1, 2, 3, 7, 9):
+            assert new.random(k).tobytes() == old.uniform(size=k).tobytes()
+            assert new.random().hex() == old.uniform().hex()
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_n_of_one_is_the_shared_constant():
+    assert n_of(ONE) is ONE
+    assert n_of(Poly.of(1.0)) == ONE
+    assert [c.imag.hex() for c in n_of(Poly.of(1.0)).coeffs] == [c.imag.hex() for c in ONE.coeffs]
+
+
+def _stacks(rng):
+    for n in (1, 2, 3, 4):
+        for rows in (1, 2, 5, 64, 256):
+            G = rng.standard_normal((rows, n, n))
+            scale = 10.0 ** rng.integers(-6, 7, size=(rows, 1, 1))
+            yield scale * (G + G.transpose(0, 2, 1))
+            # Loewner-like: rank-one plus a tiny perturbation, near-singular
+            v = rng.random((rows, n, 1))
+            yield v * v.transpose(0, 2, 1) + 1e-12 * (G + G.transpose(0, 2, 1))
+    # a NaN entry: eigenvalues NaN for that matrix only, psd_scale 1.0
+    G = rng.standard_normal((3, 2, 2))
+    G[1, 0, 1] = G[1, 1, 0] = math.nan
+    yield G + G.transpose(0, 2, 1)
+
+
+def test_batched_eigenvalues_match_one_call_per_matrix():
+    rng = np.random.default_rng(11)
+    for mats in _stacks(rng):
+        bounds = rng.random(len(mats)).tolist()
+        got = _psd_rows(mats, bounds, 1e-9)
+        for row, M, bound in zip(got, mats, bounds):
+            want = _frozen_psd_row(M, bound, 1e-9)
+            assert _bits(row[:3]) == _bits(want[:3])
+            assert row[3].tobytes() == M.tobytes()

@@ -325,3 +325,20 @@ def test_ktone_witness_replays_from_a_file(capsys, tmp_path):
     assert code == 0
     assert payload["all_confirmed"]
     assert payload["replayed"][0]["replay"]["value"] == rec.witness["value"]
+
+
+@pytest.mark.parametrize("interval", ["0,inf", "-inf,inf", "-inf,0"])
+@pytest.mark.parametrize("command", ["certify", "oracle"])
+def test_infinite_interval_exits_two(capsys, command, interval):
+    code, out, err = _run(capsys, [command, "-f", "x", "-n", "1", f"--interval={interval}",
+                                   "--seed", "1", "--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --interval:") and "finite endpoints" in err
+
+
+def test_infinite_domain_stays_valid(capsys):
+    code, report = _run_json(capsys, ["certify", "-f", "log(x)", "-n", "1", "--interval", "0.5,4",
+                                      "--domain", "0,inf", "--samples", "20", "--oracle-trials", "5",
+                                      "--seed", "1", "--no-timestamp"])
+    assert code == 0 and report["verdict"] == "pass"

@@ -16,7 +16,9 @@ from matmono import (
     peano_weight,
     refinement_coefficients,
 )
+from matmono.criteria import CertifyConfig, certify
 from matmono.divdiff import (
+    check_interval,
     dd_threshold,
     divided_difference_scaled,
     sample_distinct_tuple,
@@ -234,3 +236,13 @@ def test_ktone_check_pass_and_fail():
     assert sum(nodes) < 0  # second difference of x^3 is x_0 + x_1 + x_2
     assert cubic.witness["value"] == pytest.approx(cubic.worst_value)
     assert bool(convex) and not bool(cubic)
+
+
+@pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, math.inf), (0.0, math.nan), (2.0, 1.0)])
+def test_sampling_rejects_intervals_that_are_not_finite_and_ordered(interval):
+    with pytest.raises(ValueError, match=r"interval \("):
+        check_interval(interval)
+    with pytest.raises(ValueError, match=r"interval \("):
+        sample_distinct_tuple(np.random.default_rng(0), 3, interval, 0)
+    with pytest.raises(ValueError, match=r"interval \("):
+        certify(EXP, 1, interval, config=CertifyConfig(samples=5, oracle_trials=5))
