@@ -383,11 +383,19 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     return (EXIT_PASS if record.passed else EXIT_REFUTED), payload
 
 
+def _read_table(path: str, flag: str):
+    """A points file that reads as no valid table is a usage error."""
+    try:
+        return read_points_file(path)
+    except ValueError as exc:
+        raise _Usage(f"{flag}: {exc}") from None
+
+
 def _cmd_genset(args) -> tuple[int, dict]:
-    f = read_points_file(args.points_file)
+    f = _read_table(args.points_file, "--points-file")
     seed = _materialize_seed(args.seed)
     if args.glue_file:
-        g = read_points_file(args.glue_file)
+        g = _read_table(args.glue_file, "--glue-file")
         rep = glue_check(f, g, args.order, samples=args.samples, seed=seed, tol=args.tol)
         payload = {
             "overlap_count": rep.overlap_count,

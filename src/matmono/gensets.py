@@ -9,13 +9,17 @@ nonnegative and a clean function never produces a spurious violation.
 
 One float64 kernel (_weighted_terms) evaluates the product formula
 over stacked rows of nodes, values and q coefficients.  A level sweep
-draws its q in generator order and evaluates them in batches of 1, 2,
-4, ..., SWEEP_BATCH rows (divdiff.sweep_batches), stopping at the first
-violating row; extension feasibility evaluates all of its constraints
-in one call, and replay is a one-row call.  Each row gets the
-operations of the one-term-at-a-time formula in the same order, so
-reports do not depend on the batch size.  A sampled level draws its
-random subsets in one generator call that reproduces the stream of one
+holds its whole level as arrays: the subsets as an index array (a
+cached combinations table tiled for an exhaustive level), then every
+row's q drawn per kind in a few generator calls (_level_q), evaluated
+in chunks of _LEVEL_CHUNK rows up to the first violating row.  The
+level's draws do not depend on where it fails, so the generator the
+levels of one check share is always left after the whole level.
+Extension feasibility evaluates all of its constraints in one call,
+and replay is a one-row call.  Each row gets the operations of the
+one-term-at-a-time formula in the same order, so a row's value does
+not depend on the rows beside it.  A sampled level draws its random
+subsets in one generator call that reproduces the stream of one
 rng.choice(m, size, replace=False) per subset (_index_subsets; tested
 on numpy 2.4.6), and its thresholds in one dd_threshold call.
 
@@ -28,15 +32,15 @@ contradictory binding constraints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .criteria import _poly_from_jsonable, _sample_q, _witness
-from .divdiff import dd_threshold, sweep_batches
+from .divdiff import dd_threshold
 from .expr import FunctionModel
 from .polynomial import Poly
 
@@ -53,6 +57,9 @@ class FiniteFunction:
             raise ValueError("points and values must have equal length")
         if len(self.points) == 0:
             raise ValueError("empty finite function")
+        for x, y in zip(self.points, self.values):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"non-finite pair ({x!r}, {y!r}) in the table")
         if any(not a < b for a, b in zip(self.points, self.points[1:])):
             raise ValueError("points must be strictly increasing")
 
@@ -256,10 +263,20 @@ class GensetReport:
         }
 
 
-def _index_subsets(m: int, size: int, count: int, rng: np.random.Generator) -> list[tuple]:
-    """Ascending index subsets of range(m) of the given size: all of them
-    when there are at most count (rng untouched), else the sliding windows
-    topped up to count with random subsets.
+@functools.lru_cache(maxsize=64)
+def _combinations(m: int, size: int) -> np.ndarray:
+    """Every ascending index subset of range(m) of the given size, in
+    itertools.combinations order, as a read-only (comb, size) array."""
+    table = np.array(list(itertools.combinations(range(m), size)), dtype=np.intp)
+    table = table.reshape(-1, size)
+    table.flags.writeable = False
+    return table
+
+
+def _index_subsets(m: int, size: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending index subsets of range(m) of the given size, one per row:
+    all of them when there are at most count (rng untouched), else the
+    sliding windows topped up to count with random subsets.
 
     The random subsets are those of sorted(rng.choice(m, size,
     replace=False)) called once per subset, drawn in one rng.integers
@@ -274,19 +291,94 @@ def _index_subsets(m: int, size: int, count: int, rng: np.random.Generator) -> l
     level of order above 100.)
     """
     if math.comb(m, size) <= count:
-        return list(itertools.combinations(range(m), size))
-    subsets = [tuple(range(i, i + size)) for i in range(m - size + 1)]
-    rows = count - len(subsets)
-    if rows > 0:
-        floyd = np.arange(m - size, m)
-        highs = np.concatenate([floyd + 1, np.arange(size, 1, -1)])
-        draws = rng.integers(0, np.tile(highs, rows)).reshape(rows, -1)[:, :size]
-        for t in range(1, size):
-            taken = (draws[:, :t] == draws[:, t : t + 1]).any(axis=1)
-            draws[taken, t] = floyd[t]
-        draws.sort(axis=1)
-        subsets += map(tuple, draws.tolist())
-    return subsets
+        return _combinations(m, size)
+    windows = np.arange(m - size + 1)[:, None] + np.arange(size)
+    rows = count - len(windows)
+    if rows <= 0:
+        return windows
+    floyd = np.arange(m - size, m)
+    highs = np.concatenate([floyd + 1, np.arange(size, 1, -1)])
+    draws = rng.integers(0, np.tile(highs, rows)).reshape(rows, -1)[:, :size]
+    for t in range(1, size):
+        taken = (draws[:, :t] == draws[:, t : t + 1]).any(axis=1)
+        draws[taken, t] = floyd[t]
+    draws.sort(axis=1)
+    return np.concatenate([windows, draws])
+
+
+def _level_subsets(m: int, size: int, samples: int, rng: np.random.Generator):
+    """(index rows of a level's subsets, the level's note): every subset
+    repeated samples // comb times when there are at most samples of
+    them, else samples sampled subsets (_index_subsets)."""
+    total = math.comb(m, size)
+    subsets = _index_subsets(m, size, samples, rng)
+    if total > samples:
+        return subsets, f"sampled from {total} subsets; all sliding windows included"
+    reps = samples // total
+    return np.tile(subsets, (reps, 1)), f"all {total} subsets, {reps} q draw(s) each"
+
+
+def _level_q(rng: np.random.Generator, k: int, P: np.ndarray, span: float) -> np.ndarray:
+    """Coefficient rows (rows, k), complex and ascending, of the q of a
+    level whose row idx has the nodes P[idx], by criteria._sample_q's
+    cadence on idx (with complex coefficients on odd rows):
+
+    - idx % 4 == 0: q = 1;
+    - idx % 4 == 1: complex Gaussian coefficients, degree k-1;
+    - idx % 4 == 2: real, degree uniform in 1..k-1, with roots at
+      uniformly chosen nodes of the row, each shifted by
+      N(0, (0.5 span)^2) where idx % 8 >= 4;
+    - idx % 4 == 3: complex Gaussian coefficients, degree uniform in 0..k-1.
+
+    Every row is scaled to largest |coefficient| 1; a zero row becomes 1.
+    The draws cover the whole level, kind by kind, in this order: one
+    normal call for the kind-1 rows; for kind 2 an integers call for the
+    degrees, one for the root nodes and a normal call for the shifted
+    rows' shifts; for kind 3 an integers call for the degrees and a
+    normal call.  Each call draws for every row of its kind at full
+    degree, so the stream depends only on the seed and the level's
+    shape.  k = 1 draws nothing.
+    """
+    rows = len(P)
+    Q = np.zeros((rows, k), dtype=complex)
+    Q[:, 0] = 1.0
+    if k == 1:
+        return Q
+    degrees = np.arange(k)
+
+    one = np.arange(1, rows, 4)
+    parts = rng.normal(size=(len(one), 2, k))
+    Q[one] = parts[:, 0] + 1j * parts[:, 1]
+
+    two = np.arange(2, rows, 4)
+    deg = rng.integers(1, k, size=len(two))
+    picks = rng.integers(0, P.shape[1], size=(len(two), k - 1))
+    roots = np.take_along_axis(P[two], picks, axis=1)
+    shifted = two % 8 >= 4
+    roots[shifted] += rng.normal(scale=0.5 * span, size=(int(shifted.sum()), k - 1))
+    coeffs = np.zeros((len(two), k))
+    coeffs[:, 0] = 1.0
+    for j in range(k - 1):
+        # times (x - root j) on the rows whose degree reaches j + 1
+        times = -roots[:, j : j + 1] * coeffs
+        times[:, 1:] += coeffs[:, :-1]
+        coeffs = np.where((j < deg)[:, None], times, coeffs)
+    Q[two] = coeffs
+
+    three = np.arange(3, rows, 4)
+    deg = rng.integers(0, k, size=len(three))
+    parts = rng.normal(size=(len(three), 2, k))
+    Q[three] = np.where(degrees <= deg[:, None], parts[:, 0] + 1j * parts[:, 1], 0.0)
+
+    peak = np.abs(Q).max(axis=1)
+    live = peak > 0
+    Q[live] *= (1.0 / peak[live])[:, None]
+    Q[~live] = (degrees == 0).astype(complex)
+    return Q
+
+
+# rows of a level evaluated by one kernel call
+_LEVEL_CHUNK = 2048
 
 
 def _level_sweep(
@@ -300,52 +392,37 @@ def _level_sweep(
     size = 2 * k
     if m < size:
         return GensetLevelRecord(k, True, 0, math.inf, None, "no subsets of this size")
-    span = f.points[-1] - f.points[0]
-    total = math.comb(m, size)
-    subsets = _index_subsets(m, size, samples, rng)
-    if total <= samples:
-        reps = samples // total
-        subsets = subsets * reps
-        note = f"all {total} subsets, {reps} q draw(s) each"
-    else:
-        note = f"sampled from {total} subsets; all sliding windows included"
-    points, values = np.array(f.points), np.array(f.values)
-
-    def draw(idx: int) -> Poly:
-        nodes = operator.itemgetter(*subsets[idx])(f.points)
-        return _sample_q(rng, k - 1, nodes, span, idx, bool(idx % 2))
+    subsets, note = _level_subsets(m, size, samples, rng)
+    P, V = np.array(f.points)[subsets], np.array(f.values)[subsets]
+    Q = _level_q(rng, k, P, f.points[-1] - f.points[0])
 
     worst = math.inf
     worst_witness = None
-    start = 0
-    state = rng.bit_generator.state
-    for qs in sweep_batches(draw, len(subsets)):
-        rows = np.array(subsets[start : start + len(qs)])
-        P, V = points[rows], values[rows]
-        value, scale = _weighted_dd(P, V, _q_rows(qs))
+    for start in range(0, len(P), _LEVEL_CHUNK):
+        chunk = slice(start, start + _LEVEL_CHUNK)
+        value, scale = _weighted_dd(P[chunk], V[chunk], Q[chunk])
         threshold = dd_threshold(scale, "double", tol)
         failing = np.flatnonzero(value < -threshold)
-        stop = int(failing[0]) + 1 if len(failing) else len(qs)
+        stop = int(failing[0]) + 1 if len(failing) else len(value)
         # the first row with the least margin up to the first failure, as a
         # row-by-row sweep keeps it (a NaN margin never replaces the worst)
         margin = (value + threshold)[:stop]
         best = int(np.argmin(np.where(np.isnan(margin), np.inf, margin)))
         if margin[best] < worst:
             worst = float(margin[best])
-            config = {"k": k, "subset": P[best].tolist(), "values": V[best].tolist(), "q": qs[best]}
+            row = start + best
+            config = {
+                "k": k,
+                "subset": P[row].tolist(),
+                "values": V[row].tolist(),
+                "q": Poly.from_coeffs(Q[row].tolist()),
+            }
             worst_witness = _witness(
                 "genset-dd", config, float(value[best]), float(threshold[best]), None
             )
         if len(failing):
-            # the levels of one check share rng: leave it after the failing
-            # row's draw, where a row-by-row sweep stops
-            rng.bit_generator.state = state
-            for idx in range(start, start + stop):
-                draw(idx)
             return GensetLevelRecord(k, False, start + stop, worst, worst_witness, note)
-        start += len(qs)
-        state = rng.bit_generator.state
-    return GensetLevelRecord(k, True, len(subsets), worst, worst_witness, note)
+    return GensetLevelRecord(k, True, len(P), worst, worst_witness, note)
 
 
 def genset_check(
@@ -669,6 +746,8 @@ def extension_feasibility(
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     bundle = target if isinstance(target, CounterexampleBundle) else None
     if bundle is not None:
         f = bundle.finite_function
@@ -704,7 +783,7 @@ def extension_feasibility(
                 special_q.append(Poly.from_roots(tuple(r.poles), 1.0))
 
     P, V, holes, qs = [], [], [], []
-    for subset in subsets:
+    for subset in subsets.tolist():
         pts = sorted([f.points[i] for i in subset] + [x0])
         hole = pts.index(x0)
         vals = [f.value_at(x) if x != x0 else 0.0 for x in pts]

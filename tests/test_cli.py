@@ -147,6 +147,17 @@ def test_genset_subcommand(capsys, tmp_path):
     assert payload["verdict"] == "fail"
 
 
+def test_genset_rejects_a_non_finite_table(capsys, tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("0 0\n1 1\n2 nan\n3 3\n4 4\n")
+    code, out, err = _run(capsys, [
+        "genset", "--points-file", str(path), "-n", "2", "--seed", "1", "--no-timestamp",
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --points-file: non-finite pair (2.0, nan)")
+
+
 def test_genset_glue_mode(capsys, tmp_path):
     model = catalog_model("-1/x")
     a = FiniteFunction.from_model(model, [0.5 + 0.25 * k for k in range(7)])

@@ -1,5 +1,6 @@
 """Tests for finite-set checks, gluing, counterexamples, and rigidity."""
 
+import hashlib
 import itertools
 import math
 
@@ -18,7 +19,7 @@ from matmono import (
     read_points_file,
     write_points_file,
 )
-from matmono.gensets import _index_subsets, re_evaluate_genset_witness
+from matmono.gensets import _index_subsets, _level_q, _level_subsets, re_evaluate_genset_witness
 
 
 def test_finite_function_table_contract():
@@ -61,6 +62,20 @@ def test_finite_function_rejects_malformed_tables():
         FiniteFunction((0.0, 1.0), (1.0,))
     with pytest.raises(ValueError):
         FiniteFunction((0.0, 0.0), (1.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("as_point", [False, True])
+def test_finite_function_rejects_non_finite_pairs(bad, as_point):
+    """A NaN row never fails a sign test, so a table holding one would
+    pass every level vacuously."""
+    pair = (bad, 2.0) if as_point else (2.0, bad)
+    pairs = [(0.0, 0.0), (1.0, 1.0), pair, (3.0, 3.0), (4.0, 4.0)]
+    with pytest.raises(ValueError, match="non-finite pair") as err:
+        FiniteFunction.from_pairs(pairs)
+    assert repr(bad) in str(err.value)
+    with pytest.raises(ValueError, match="non-finite pair"):
+        FiniteFunction(tuple(x for x, _ in pairs), tuple(y for _, y in pairs))
 
 
 def test_points_file_round_trip(tmp_path):
@@ -283,6 +298,13 @@ def test_extension_feasibility_plain_function():
         extension_feasibility(f, 1.5, n=1, grid=0)
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_extension_feasibility_rejects_samples_below_one(samples):
+    bundle = build_counterexample(2, (1, 2, 3, 4, 5, 6), (0, 7), samples=800)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        extension_feasibility(bundle, 3.5, samples=samples)
+
+
 def test_affine_rigidity_flags_cubic_growth():
     pts = (-100.0, -10.0, -2.0, -1.0, 0.0, 1.0, 2.0, 10.0, 100.0)
     f = FiniteFunction.from_pairs([(t, t**3) for t in pts])
@@ -359,25 +381,25 @@ def _genset_reports() -> dict:
 
 
 # (k, passed, configs, worst_value.hex()) of every level, levels then
-# auxiliary levels, as the row-by-row sweep computed them
+# auxiliary levels, with each level's q drawn as arrays by _level_q
 GENSET_FROZEN = {
     "pathological": [(1, False, 4, "-0x1.fffffff768fa1p-1"), (2, True, 10000, "0x1.12e0be826d695p-30")],
-    "square-sampled": [(2, False, 2, "-0x1.755f2fa302341p-2")],
-    "recip-exhaustive": [(2, True, 560, "0x1.4e72eaf4136b5p-25")],
+    "square-sampled": [(2, False, 2, "-0x1.755f2fa3022c1p-2")],
+    "recip-exhaustive": [(2, True, 560, "0x1.2990664b5fa0ap-12")],
     "recip-mixed": [
-        (3, True, 28, "0x1.4c5c6d5e037d0p-7"),
+        (3, True, 28, "0x1.40cfcf50871d0p-7"),
         (1, True, 21, "0x1.bd37a7173ab35p-3"),
-        (2, True, 30, "0x1.61856356ffd05p-11"),
+        (2, True, 30, "0x1.97602ca7c08a1p-8"),
     ],
     "square-all-k": [
         (1, True, 495, "0x1.6666666efd6c5p-1"),
-        (2, False, 23, "-0x1.6ff18be91c377p-5"),
-        (3, False, 55, "-0x1.180ae976db320p-5"),
+        (2, False, 6, "-0x1.03695399a5998p-6"),
+        (3, False, 47, "-0x1.916758480508ap-4"),
     ],
     "square-aux": [
-        (3, False, 11, "-0x1.913da510a60d0p-6"),
+        (3, False, 167, "-0x1.67f7978f72365p-6"),
         (1, True, 483, "0x1.6666666efd6c5p-1"),
-        (2, False, 63, "-0x1.b6f3051758688p-4"),
+        (2, False, 71, "-0x1.3a8bb94ec92f1p-2"),
     ],
 }
 
@@ -402,6 +424,17 @@ def test_genset_reports_do_not_depend_on_batch_size(monkeypatch):
     assert {name: rep.to_jsonable() for name, rep in _genset_reports().items()} == batched
 
 
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_genset_reports_do_not_depend_on_level_chunk(monkeypatch, chunk):
+    """Rows are independent and a level draws all of its q before the
+    first chunk, so chunks that split a failing level change nothing."""
+    from matmono import gensets
+
+    whole = {name: rep.to_jsonable() for name, rep in _genset_reports().items()}
+    monkeypatch.setattr(gensets, "_LEVEL_CHUNK", chunk)
+    assert {name: rep.to_jsonable() for name, rep in _genset_reports().items()} == whole
+
+
 def test_failing_genset_witness_replays_exactly():
     failing = [
         rec
@@ -416,6 +449,75 @@ def test_failing_genset_witness_replays_exactly():
         assert replay["value"] == rec.witness["value"]
         assert replay["threshold"] == rec.witness["threshold"]
         assert rec.worst_value == rec.witness["value"] + rec.witness["threshold"]
+
+
+# (points m, k, samples) of level shapes: exhaustive (comb(m, 2k) <= samples)
+# and sampled, at k = 1, 2, 3
+LEVEL_SHAPES = [(6, 1, 40), (16, 1, 100), (7, 2, 100), (16, 2, 500), (7, 3, 30), (12, 3, 400)]
+
+
+def _level_nodes(m, k, samples, rng):
+    points = np.sort(rng.uniform(-2.0, 3.0, size=m))
+    subsets, _ = _level_subsets(m, 2 * k, samples, rng)
+    return points[subsets], float(points[-1] - points[0])
+
+
+def _degree(row) -> int:
+    return int(np.flatnonzero(row)[-1])
+
+
+@pytest.mark.parametrize("m, k, samples", LEVEL_SHAPES)
+def test_level_q_follows_the_cadence(m, k, samples):
+    rng = np.random.default_rng([m, k, samples])
+    P, span = _level_nodes(m, k, samples, rng)
+    state = rng.bit_generator.state
+    Q = _level_q(rng, k, P, span)
+    assert Q.shape == (len(P), k)
+    if k == 1:
+        assert rng.bit_generator.state == state
+    assert np.abs(Q).max(axis=1) == pytest.approx(np.ones(len(P)), rel=1e-15)
+    for idx, row in enumerate(Q):
+        if idx % 4 == 0:
+            assert row.tolist() == [1.0] + [0.0] * (k - 1)
+        elif k == 1:
+            assert row.tolist() == [1.0]
+        elif idx % 4 == 1:
+            assert _degree(row) == k - 1
+        elif idx % 4 == 2:
+            assert not row.imag.any()
+            assert 1 <= _degree(row) <= k - 1
+            if idx % 8 < 4:
+                # unshifted roots are nodes of the row's subset
+                roots = np.roots(row.real[_degree(row) :: -1])
+                gaps = np.abs(roots[:, None] - P[idx][None, :]).min(axis=1)
+                assert gaps.max() < 1e-6 * span
+        else:
+            assert 0 <= _degree(row) <= k - 1
+
+
+@pytest.mark.parametrize("m, k, samples", LEVEL_SHAPES)
+def test_level_q_stream_depends_only_on_the_level_shape(m, k, samples):
+    """Nodes move only the kind-2 roots, never the draws."""
+    P, span = _level_nodes(m, k, samples, np.random.default_rng(2))
+    a, b = np.random.default_rng(8), np.random.default_rng(8)
+    Qa, Qb = _level_q(a, k, P, span), _level_q(b, k, P + 1.0, span)
+    assert a.bit_generator.state == b.bit_generator.state
+    other = np.arange(len(P)) % 4 != 2
+    assert Qa[other].tolist() == Qb[other].tolist()
+
+
+# (sha256 prefix of the coefficient hex, next rng.random() hex) of one
+# sampled k = 3 level drawn by _level_q
+LEVEL_Q_STREAM_FROZEN = ("f31abaffd9b822db", "0x1.acca59adcdbb2p-1")
+
+
+def test_level_q_stream_frozen():
+    rng = np.random.default_rng(17)
+    P, span = _level_nodes(12, 3, 400, rng)
+    Q = _level_q(rng, 3, P, span)
+    text = "\n".join(" ".join(f"{c.real.hex()},{c.imag.hex()}" for c in row) for row in Q.tolist())
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert (digest, rng.random().hex()) == LEVEL_Q_STREAM_FROZEN
 
 
 def test_counterexample_bundles_and_binding_values_frozen():
@@ -521,7 +623,7 @@ def test_index_subsets_reproduce_choice_draws(seed):
     for m, size, count in SAMPLED_SHAPES:
         assert math.comb(m, size) > count
         ref, got = np.random.default_rng([seed, m, size]), np.random.default_rng([seed, m, size])
-        assert _index_subsets(m, size, count, got) == _choice_subsets(m, size, count, ref)
+        assert list(map(tuple, _index_subsets(m, size, count, got).tolist())) == _choice_subsets(m, size, count, ref)
         assert got.bit_generator.state == ref.bit_generator.state
         assert got.integers(0, 1000, size=3).tolist() == ref.integers(0, 1000, size=3).tolist()
         assert got.normal() == ref.normal()
@@ -531,6 +633,6 @@ def test_exhaustive_index_subsets_leave_the_generator_untouched():
     for m, size, count in ((7, 3, 35), (8, 3, 56), (12, 4, 2000), (7, 1, 7)):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        subsets = _index_subsets(m, size, count, rng)
+        subsets = list(map(tuple, _index_subsets(m, size, count, rng).tolist()))
         assert subsets == list(itertools.combinations(range(m), size))
         assert rng.bit_generator.state == state
