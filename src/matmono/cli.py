@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .criteria import CertifyConfig, certify, re_evaluate_witness
-from .divdiff import check_interval
+from .divdiff import check_interval, check_tol
 from .expr import (
     Div,
     DomainError,
@@ -118,11 +118,28 @@ def _parse_sample_interval(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"--interval: {exc}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, lo: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """--seed: numpy's generators take integers >= 0."""
+    return _int_at_least(text, 0)
+
+
+def _tol(text: str) -> float:
+    """--tol: a finite number > 0 (divdiff.check_tol)."""
+    try:
+        return check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _subexprs(node: Expr) -> list[Expr]:
@@ -229,9 +246,9 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True, tol: bool = True)
     """Output flags, plus --seed for the sampling subcommands and --tol
     for those that compare against a tolerance."""
     if seed:
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: random, echoed in output)")
+        p.add_argument("--seed", type=_seed, default=None, help="RNG seed (default: random, echoed in output)")
     if tol:
-        p.add_argument("--tol", type=float, default=1e-9, help="violation tolerance (default %(default)s)")
+        p.add_argument("--tol", type=_tol, default=1e-9, help="violation tolerance (default %(default)s)")
     p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
     p.add_argument("--output", help="write the report to this file instead of stdout")
     p.add_argument("--no-timestamp", action="store_true", help="omit the generated_at field")
@@ -323,23 +340,32 @@ def _cmd_certify(args) -> tuple[int, dict]:
     return (EXIT_PASS if report.verdict == "pass" else EXIT_REFUTED), payload
 
 
+def _witnesses(obj):
+    """Every object stored under a "witness" key in a report (certify
+    records, genset levels, the pieces of a glue report, an oracle
+    payload), each named by the criterion id or the level k beside it."""
+    if isinstance(obj, list):
+        for item in obj:
+            yield from _witnesses(item)
+    elif isinstance(obj, dict):
+        if isinstance(obj.get("witness"), dict):
+            where = {"k": obj["k"]} if "k" in obj else {"criterion": obj.get("id")}
+            yield {**where, "witness": obj["witness"]}
+        for key, val in obj.items():
+            if key != "witness":
+                yield from _witnesses(val)
+
+
 def _cmd_replay(args) -> tuple[int, dict]:
     with open(args.replay, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "criteria" in data:
-        witnesses = [
-            {"criterion": rec.get("id"), "witness": rec["witness"]}
-            for rec in data["criteria"]
-            if rec.get("witness")
-        ]
-        function_text = data.get("function")
-    elif "witness" in data or "kind" in data:
-        witnesses = [{"criterion": None, "witness": data.get("witness", data)}]
-        function_text = data.get("function") or args.function
+    if isinstance(data, dict) and "kind" in data:  # a bare witness
+        witnesses = [{"criterion": None, "witness": data}]
     else:
-        raise _Usage(f"{args.replay}: neither a report nor a witness object")
+        witnesses = list(_witnesses(data))
     if not witnesses:
         raise _Usage(f"{args.replay}: no witnesses to replay")
+    function_text = args.function or (data.get("function") if isinstance(data, dict) else None)
     model = None
     results = []
     confirmed = True
@@ -349,15 +375,15 @@ def _cmd_replay(args) -> tuple[int, dict]:
             replay = re_evaluate_genset_witness(w, tol=args.tol)
         else:
             if model is None:
-                if not function_text and not args.function:
+                if not function_text:
                     raise _Usage("replaying this witness needs --function")
-                model = _load_model(args.function or function_text, args.domain)
+                model = _load_model(function_text, args.domain)
             replay = re_evaluate_witness(model, w, tol=args.tol)
         confirmed &= bool(replay["confirmed"])
         results.append({**item, "replay": replay})
     payload = {"replayed": results, "all_confirmed": confirmed}
-    if function_text or args.function:
-        payload["function"] = args.function or function_text
+    if function_text:
+        payload["function"] = function_text
     return (EXIT_PASS if confirmed else EXIT_REFUTED), payload
 
 

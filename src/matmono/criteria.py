@@ -29,6 +29,7 @@ from .divdiff import (
     CriterionRecord,
     NodeMultiset,
     check_interval,
+    check_tol,
     dd_threshold,
     divided_difference_scaled,
     divided_differences,
@@ -502,7 +503,7 @@ class _Tally:
     def __init__(self, f: FunctionModel, criterion: str, kind: str, tol: float):
         self.f, self.criterion, self.kind = f, criterion, kind
         self.evaluate = _EVALUATORS[kind]
-        self.tol = tol
+        self.tol = check_tol(tol)
         self.configs = 0
         self.worst = math.inf
         self.witness = None
@@ -848,6 +849,7 @@ def re_evaluate_witness(f: FunctionModel, witness: dict, tol: float = 1e-9) -> d
     oracle witnesses (matrix-pair, jensen) through the oracle's own
     defect and threshold scale (linalg.oracle_defect).
     """
+    check_tol(tol)
     kind = witness["kind"]
     if kind in _EVALUATORS:
         value, threshold, _, _ = _EVALUATORS[kind](f, [_config(witness)], "extended", tol)[0]
@@ -931,6 +933,7 @@ def certify(
         raise ValueError("order must be >= 1")
     lo, hi = check_interval(interval)
     config = config or CertifyConfig()
+    check_tol(config.tol)
     if config.samples < 1 or config.grid < 1 or (config.include_oracle and config.oracle_trials < 1):
         raise ValueError("samples, grid and oracle_trials must be >= 1")
     names = MONOTONE_CRITERIA if mode == "monotone" else CONVEX_CRITERIA

@@ -51,7 +51,7 @@ from mpmath.libmp import (
 )
 
 from .expr import EXTENDED_DIGITS, cauchy
-from .polynomial import Poly
+from .polynomial import Poly, taylor_shift
 
 # Running error bound of a double table.  A seed g_k = sum_j w_j f_(k-j)
 # (weight w = sum_i c_i t^i) errs by at most SEED_ERROR * eps *
@@ -174,21 +174,6 @@ def sweep_batches(draw, samples: int):
         start, size = stop, min(2 * size, SWEEP_BATCH)
 
 
-def _poly_jets(coeffs: np.ndarray, z: np.ndarray, count: int) -> list:
-    """[p_r^(k)(z_r)/k! for k < count] of the polynomials whose ascending
-    coefficients are the rows of coeffs, at the node rows z, by the
-    repeated synthetic division of Poly.taylor."""
-    cols, out = list(coeffs[:, :, None].transpose(1, 0, 2)), []
-    for _ in range(count):
-        acc, partial = 0.0 * z, []
-        for c in reversed(cols):
-            acc = acc * z + c
-            partial.append(acc)
-        out.append(acc)
-        cols = partial[-2::-1]
-    return out
-
-
 def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton/Hermite tables over the sorted node rows z (rows, nodes):
     (value, max |table entry|, running error bound), one per row, in the
@@ -209,7 +194,8 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
         d = max(len(w.coeffs) for w in weights) or 1
         coeffs = np.array([w.real_coeffs() + (0.0,) * (d - len(w.coeffs)) for w in weights])
         # the weight's jet and the jet of its Horner bound in one pass
-        both = _poly_jets(np.concatenate([coeffs, np.abs(coeffs)]), np.concatenate([z, np.abs(z)]), K)
+        cols = np.concatenate([coeffs, np.abs(coeffs)]).T[:, :, None]
+        both = taylor_shift(cols, np.concatenate([z, np.abs(z)]), K)
         seeds = cauchy([c[:rows] for c in both], fjet, K)
         seed_err = cauchy([c[rows:] for c in both], fabs, K)
     seed_err = [SEED_ERROR * eps * e for e in seed_err]
@@ -264,8 +250,8 @@ def divided_differences(
 
 
 def _mpf_taylor(coeffs: list, t: tuple, count: int, prec: int) -> list:
-    """Poly.taylor's synthetic division on raw mpf tuples: the jet of the
-    polynomial with ascending coefficients `coeffs` at t."""
+    """taylor_shift on raw mpf tuples: the jet of the polynomial with
+    ascending coefficients `coeffs` at t."""
     out = []
     for _ in range(count):
         acc, partial = fzero, []
@@ -651,6 +637,15 @@ def check_interval(interval) -> tuple[float, float]:
     return lo, hi
 
 
+def check_tol(tol: float) -> float:
+    """tol itself; ValueError unless it is a finite number > 0.  Every
+    threshold scales tol: a NaN or infinite one passes any margin, and
+    one <= 0 refutes a function whose margins are exact zeros."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+    return tol
+
+
 def sample_distinct_tuple(
     rng: np.random.Generator,
     count: int,
@@ -721,14 +716,21 @@ class CriterionRecord:
         return self.passed
 
     def to_jsonable(self) -> dict:
-        out = {
-            "id": self.criterion,
-            "verdict": "pass" if self.passed else "fail",
-            "configs": self.configs,
-            "worst_value": self.worst_value,
-        }
-        if self.note:
-            out["note"] = self.note
-        if not self.passed and self.witness is not None:
-            out["witness"] = self.witness
-        return out
+        return record_jsonable({"id": self.criterion}, self)
+
+
+def record_jsonable(head: dict, rec) -> dict:
+    """The report entry of a sampled check's record (a CriterionRecord or
+    a genset level): the keys of head, then verdict, configs, worst_value,
+    the note when there is one and the witness of a failure."""
+    out = {
+        **head,
+        "verdict": "pass" if rec.passed else "fail",
+        "configs": rec.configs,
+        "worst_value": rec.worst_value,
+    }
+    if rec.note:
+        out["note"] = rec.note
+    if not rec.passed and rec.witness is not None:
+        out["witness"] = rec.witness
+    return out

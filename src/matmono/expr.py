@@ -6,7 +6,9 @@ scaled derivatives f^(j)(x)/j! for j < K by truncated Taylor arithmetic
 in double precision (scalar or numpy array) or in extended precision
 through mpmath, so repeated-node tables and local derivative matrices
 need no finite differencing.  Symbolic differentiation (differentiate,
-FunctionModel.deriv) only prints derivatives.
+FunctionModel.deriv) is off the numeric path: nothing calls it to
+compute a value, and it stays until it is deleted together with the
+benchmark tracer's patch of FunctionModel.deriv.
 """
 
 from __future__ import annotations
@@ -631,7 +633,7 @@ class FunctionModel:
     """An expression together with its open interval of definition.
 
     Values and derivatives come from the Taylor jet of expr; deriv(k)
-    and deriv_cache hold symbolic derivatives for printing only.
+    and deriv_cache hold symbolic derivatives off the numeric path.
     """
 
     expr: Expr

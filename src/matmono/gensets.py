@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _poly_from_jsonable, _sample_q, _witness
-from .divdiff import dd_threshold
+from .divdiff import check_tol, dd_threshold, record_jsonable
 from .expr import FunctionModel
 from .polynomial import Poly
 
@@ -94,6 +94,7 @@ class FiniteFunction:
 
     def union(self, other: "FiniteFunction", tol: float = 1e-9) -> "FiniteFunction":
         """Merge two tables; common points must carry equal values."""
+        check_tol(tol)
         merged = dict(zip(self.points, self.values))
         for x, y in zip(other.points, other.values):
             if x in merged and abs(merged[x] - y) > tol * max(1.0, abs(y)):
@@ -239,26 +240,13 @@ class GensetReport:
         raise KeyError(k)
 
     def to_jsonable(self) -> dict:
-        def level_json(rec: GensetLevelRecord) -> dict:
-            out = {
-                "k": rec.k,
-                "verdict": "pass" if rec.passed else "fail",
-                "configs": rec.configs,
-                "worst_value": rec.worst_value,
-            }
-            if rec.note:
-                out["note"] = rec.note
-            if not rec.passed and rec.witness is not None:
-                out["witness"] = rec.witness
-            return out
-
         return {
             "order": self.order,
             "size": self.size,
             "rule": self.rule,
             "seed": self.seed,
-            "levels": [level_json(r) for r in self.levels],
-            "auxiliary_levels": [level_json(r) for r in self.auxiliary_levels],
+            "levels": [record_jsonable({"k": r.k}, r) for r in self.levels],
+            "auxiliary_levels": [record_jsonable({"k": r.k}, r) for r in self.auxiliary_levels],
             "verdict": self.verdict,
         }
 
@@ -444,6 +432,7 @@ def genset_check(
         raise ValueError("order must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    check_tol(tol)
     rng = np.random.default_rng(seed)
     if f.size > 2 * n:
         rule = "k=n"
@@ -461,6 +450,7 @@ def genset_check(
 
 def re_evaluate_genset_witness(witness: dict, tol: float = 1e-9) -> dict:
     """Recompute a stored genset-dd witness from its own data."""
+    check_tol(tol)
     if witness.get("kind") != "genset-dd":
         raise ValueError(f"not a genset witness: {witness.get('kind')!r}")
     pts = [float(x) for x in witness["subset"]]
@@ -748,6 +738,7 @@ def extension_feasibility(
         raise ValueError("grid must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    check_tol(tol)
     bundle = target if isinstance(target, CounterexampleBundle) else None
     if bundle is not None:
         f = bundle.finite_function
@@ -874,6 +865,7 @@ def affine_rigidity_check(
     signs, so |D| <= |E| / |M| -> 0: only asymptotically affine
     functions survive on unbounded sets.
     """
+    check_tol(tol)
     triple = tuple(sorted(float(t) for t in triple))
     if len(set(triple)) != 3:
         raise ValueError("need three distinct base points")

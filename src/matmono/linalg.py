@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divdiff import MARGIN_FRACTION, CriterionRecord, check_interval, sample_distinct_tuple
+from .divdiff import MARGIN_FRACTION, CriterionRecord, check_interval, check_tol, sample_distinct_tuple
 
 HERMITIAN_TOL = 1e-13
 ORACLE_NOTE = "sampled matrix pairs; a pass is not a proof"
@@ -54,6 +54,7 @@ def psd_scale(*mats) -> float:
 
 def is_psd(H, tol: float = 1e-9) -> bool:
     """Positive semidefinite up to -tol * psd_scale(H)."""
+    check_tol(tol)
     H = check_hermitian(H)
     return min_eigenvalue(H) >= -tol * psd_scale(H)
 
@@ -204,6 +205,7 @@ def _search(kind: str, trials: int, seed: int, tol: float, draw) -> CriterionRec
     eigenvalue over its scale."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_tol(tol)
     rng = np.random.default_rng(seed)
     worst, witness, checked = math.inf, None, 0
     for idx in range(trials):

@@ -1,4 +1,4 @@
-"""Complex polynomials and the nonnegativity decompositions.
+"""Complex polynomials, their roots and the nonnegativity decompositions.
 
 Coefficients are stored ascending with trailing zeros trimmed, so the
 zero polynomial is the empty tuple.  N(q) = q * q~ (q~ has conjugated
@@ -6,12 +6,15 @@ coefficients) is real and nonnegative on the real line; the two
 decomposition routines invert that map: sos_decompose writes a globally
 nonnegative p as N(q), ab_decompose writes a polynomial that is
 nonnegative outside an interval (a, b) as a positive combination of
-N-terms times the boundary factors (x-a), (x-b), (x-a)(x-b).
+N-terms times the boundary factors (x-a), (x-b), (x-a)(x-b).  Both take
+the roots of p from roots(): the eigenvalues of the companion matrix
+(numpy.roots), each held to a residual bound.  taylor_shift is the
+synthetic-division loop of Poly.taylor and of the weight columns in
+divdiff's batched tables.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,7 +22,8 @@ import numpy as np
 
 
 class NonConvergenceError(RuntimeError):
-    """Root iteration failed to reach the residual tolerance."""
+    """A root misses the residual tolerance, or a decomposition does not
+    reconstruct its input."""
 
 
 class DecompositionError(ValueError):
@@ -31,6 +35,24 @@ def _trim(coeffs) -> tuple[complex, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def taylor_shift(coeffs, t, count: int) -> list:
+    """Jet [p^(k)(t)/k! for k < count] of the polynomial with ascending
+    coefficients coeffs, by synthetic division by (x - t), repeated: no
+    k * c_k product or factorial is rounded, and t's arithmetic (float,
+    mpmath or numpy) is used throughout.  The coefficients may be scalars
+    or numpy columns that broadcast against an array t, which gives one
+    jet per row."""
+    out = []
+    for _ in range(count):
+        acc, partial = 0.0 * t, []
+        for c in reversed(coeffs):
+            acc = acc * t + c
+            partial.append(acc)
+        out.append(acc)
+        coeffs = partial[-2::-1]  # the quotient, ascending
+    return out
 
 
 @dataclass(frozen=True)
@@ -99,18 +121,8 @@ class Poly:
         return p
 
     def taylor(self, t, count: int) -> list:
-        """Jet [p^(k)(t)/k! for k < count] of the real part by synthetic
-        division by (x - t), repeated: no k * c_k product or factorial is
-        rounded, and t's arithmetic (float or mpmath) is used throughout."""
-        coeffs, out = list(self.real_coeffs()), []
-        for _ in range(count):
-            acc, partial = 0.0 * t, []
-            for c in reversed(coeffs):
-                acc = acc * t + c
-                partial.append(acc)
-            out.append(acc)
-            coeffs = partial[-2::-1]  # the quotient, ascending
-        return out
+        """Jet [p^(k)(t)/k! for k < count] of the real part (taylor_shift)."""
+        return taylor_shift(self.real_coeffs(), t, count)
 
     def antiderivative(self) -> "Poly":
         return Poly(_trim([0.0] + [c / (i + 1) for i, c in enumerate(self.coeffs)]))
@@ -156,67 +168,26 @@ def n_of(q: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Root finding: Aberth simultaneous iteration
+# Root finding: companion-matrix eigenvalues under a residual contract
 
 ROOT_TOL = 1e-10
-ROOT_MAX_ITERATIONS = 500
 
 
 def roots(p: Poly) -> list[complex]:
     """All complex roots with multiplicity (repeated entries for clusters).
 
-    Simultaneous Newton-with-repulsion iteration started from a slightly
-    perturbed circle of Cauchy-bound radius.  Each returned z satisfies
-    |p(z)| <= ROOT_TOL * sum_k |c_k| |z|^k, reached within
-    ROOT_MAX_ITERATIONS sweeps or NonConvergenceError.  Deterministic.
+    The eigenvalues of the companion matrix (numpy.roots).  Each returned
+    z satisfies |p(z)| <= ROOT_TOL * sum_k |c_k| |z|^k, or
+    NonConvergenceError.  Deterministic; sorted by (real, imag) rounded
+    to 12 decimals.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1 to have roots")
-    lead = p.coeffs[-1]
-    c = [ck / lead for ck in p.coeffs]
-    n = len(c) - 1
-    if n == 1:
-        return [-c[0]]
-    dp = p.derivative()
-
-    radius = 1.0 + max(abs(ck) for ck in c[:-1])
-    z = [
-        radius * cmath.exp(2j * math.pi * (k / n + 0.26183 / n) + 0.001j * k)
-        for k in range(n)
-    ]
-
-    def residual_ok(zi: complex) -> bool:
+    z = [complex(r) for r in np.roots(p.coeffs[::-1])]
+    for zi in z:
         scale = sum(abs(ck) * abs(zi) ** k for k, ck in enumerate(p.coeffs))
-        return abs(p.eval(zi)) <= ROOT_TOL * max(scale, 1e-300)
-
-    for it in range(ROOT_MAX_ITERATIONS):
-        converged = True
-        offsets = []
-        for i, zi in enumerate(z):
-            pv = p.eval(zi)
-            dv = dp.eval(zi)
-            if dv == 0:
-                zi += 1e-8 * (1 + abs(zi))
-                pv = p.eval(zi)
-                dv = dp.eval(zi)
-                z[i] = zi
-            w = pv / dv
-            rep = sum(1.0 / (zi - zj) for j, zj in enumerate(z) if j != i)
-            denom = 1.0 - w * rep
-            step = w / denom if denom != 0 else w
-            offsets.append(step)
-            if abs(step) > 1e-14 * (1.0 + abs(zi)):
-                converged = False
-        z = [zi - s for zi, s in zip(z, offsets)]
-        # clustered (multiple) roots stall above the step criterion, so
-        # accept on residuals alone every few sweeps
-        if (converged or it % 8 == 7) and all(residual_ok(zi) for zi in z):
-            break
-    else:
-        if not all(residual_ok(zi) for zi in z):
-            raise NonConvergenceError(
-                f"root iteration did not converge in {ROOT_MAX_ITERATIONS} steps"
-            )
+        if abs(p.eval(zi)) > ROOT_TOL * max(scale, 1e-300):
+            raise NonConvergenceError(f"root {zi} misses the residual bound")
     return sorted(z, key=lambda v: (round(v.real, 12), round(v.imag, 12)))
 
 
@@ -266,7 +237,7 @@ def _split_roots(rts: list[complex], rel: float = 1e-7):
 def _split_roots_robust(rts: list[complex]):
     """Strict split, then a loose retry for high-multiplicity clusters.
 
-    A real root of multiplicity m is rendered by the iteration as a
+    A real root of multiplicity m is rendered by the eigenvalue solver as a
     cluster of radius ~ ROOT_TOL^(1/m), far wider than the strict pairing
     tolerance; the retry classifies with a 1e-3 relative radius and the
     caller's reconstruction check vouches for the result.

@@ -23,12 +23,11 @@ from matmono.divdiff import (
     _dd_table,
     _hermite_batch,
     _needed_digits,
-    _poly_jets,
     sample_distinct_tuple,
 )
 from matmono.expr import cauchy, jet
 from matmono.linalg import min_eigenvalue, psd_scale
-from matmono.polynomial import ONE, n_of
+from matmono.polynomial import ONE, n_of, taylor_shift
 
 # ---------------------------------------------------------------------------
 # Frozen copies of the replaced code
@@ -115,7 +114,7 @@ def _frozen_hermite_batch(f, z, weights):
     else:
         d = max(len(w.coeffs) for w in weights) or 1
         coeffs = np.array([w.real_coeffs() + (0.0,) * (d - len(w.coeffs)) for w in weights])
-        both = _poly_jets(np.concatenate([coeffs, np.abs(coeffs)]), np.concatenate([z, np.abs(z)]), K)
+        both = taylor_shift(np.concatenate([coeffs, np.abs(coeffs)]).T[:, :, None], np.concatenate([z, np.abs(z)]), K)
         seeds = cauchy([c[:rows] for c in both], fjet, K)
         seed_err = cauchy([c[rows:] for c in both], fabs, K)
     seed_err = [SEED_ERROR * eps * e for e in seed_err]

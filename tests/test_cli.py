@@ -353,3 +353,58 @@ def test_infinite_domain_stays_valid(capsys):
                                       "--domain", "0,inf", "--samples", "20", "--oracle-trials", "5",
                                       "--seed", "1", "--no-timestamp"])
     assert code == 0 and report["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3", "0"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "-f", "exp(x)", "-n", "2", "--interval", "-1,1", "--seed", "1"],
+    ["oracle", "-f", "x", "-n", "2", "--interval", "-1,1", "--seed", "1"],
+    ["counterexample", "-n", "2", "--points", "1,2,3,4,5,6", "--aux-poles", "0,7", "--seed", "1"],
+    ["identity", "-f", "x^3", "--nodes", "0.3,1.7"],
+], ids=["certify", "oracle", "counterexample", "identity"])
+def test_a_tol_that_is_not_finite_and_positive_exits_two(capsys, argv, tol):
+    code, out, err = _run(capsys, argv + [f"--tol={tol}", "--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert "tol must be a finite number > 0" in err
+
+
+def test_a_negative_seed_exits_two(capsys):
+    code, out, err = _run(capsys, [
+        "certify", "-f", "x", "-n", "1", "--interval", "0,1", "--seed", "-1", "--no-timestamp",
+    ])
+    assert code == 2
+    assert out == ""
+    assert "expected an integer >= 0" in err
+
+
+def _cube_table(path, points):
+    write_points_file(path, FiniteFunction.from_model(catalog_model("x^3"), points))
+
+
+def test_genset_and_glue_reports_replay(capsys, tmp_path):
+    table = tmp_path / "cube.txt"
+    _cube_table(table, [0.5 + 0.4 * k for k in range(8)])
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    _cube_table(first, [0.5 + 0.4 * k for k in range(6)])
+    _cube_table(second, [0.5 + 0.4 * k for k in range(3, 10)])
+    for argv in (["--points-file", str(table)],
+                 ["--points-file", str(first), "--glue-file", str(second)]):
+        report = tmp_path / "report.json"
+        code, _, _ = _run(capsys, ["genset", *argv, "-n", "2", "--seed", "1",
+                                   "--no-timestamp", "--output", str(report)])
+        assert code == 1
+        code, payload = _run_json(capsys, ["certify", "--replay", str(report), "--no-timestamp"])
+        assert code == 0
+        assert payload["all_confirmed"]
+        assert payload["replayed"] and all(item["k"] == 2 for item in payload["replayed"])
+
+
+def test_a_report_without_witnesses_does_not_replay(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    _run(capsys, ["certify", "-f", "-1/x", "-n", "1", "--interval", "0.5,4", "--samples", "20",
+                  "--oracle-trials", "5", "--seed", "1", "--no-timestamp", "--output", str(report)])
+    code, out, err = _run(capsys, ["certify", "--replay", str(report)])
+    assert code == 2
+    assert out == ""
+    assert "no witnesses to replay" in err

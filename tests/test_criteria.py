@@ -503,6 +503,33 @@ def test_long_double_bound_covers_its_error():
     assert not violations, f"{len(violations)} of {rows} rows: {violations[:5]}"
 
 
+@pytest.mark.skipif(not LONG_DOUBLE_WIDER, reason="long double is double here")
+def test_long_double_step_changes_no_verdict_configs_or_witness(monkeypatch):
+    """The catalog at n = 2 in both modes, with and without the long-double
+    step: verdicts, each record's id, verdict and configs, and the failing
+    witnesses agree; only worst_value and the dismissed count may move."""
+    from matmono import criteria
+
+    config = CertifyConfig(samples=200, oracle_trials=50, seed=3)
+
+    def run():
+        return [certify(e.model, 2, e.interval, mode, config)
+                for e in catalog() for mode in ("monotone", "convex")]
+
+    def records(report):
+        return [(r.criterion, r.passed, r.configs, None if r.passed else r.witness)
+                for r in report.records]
+
+    with_step = run()
+    monkeypatch.setattr(criteria, "LONG_DOUBLE_WIDER", False)
+    without = run()
+    assert [r.verdict for r in with_step] == [r.verdict for r in without]
+    assert [records(r) for r in with_step] == [records(r) for r in without]
+    # the step ran: some passing margin was settled in long double
+    assert any(a.worst_value != b.worst_value
+               for x, y in zip(with_step, without) for a, b in zip(x.records, y.records))
+
+
 def _extended_jets(monkeypatch) -> list[float]:
     """The nodes of every mpmath jet FunctionModel.taylor makes from now on."""
     jets = []

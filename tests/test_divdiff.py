@@ -16,14 +16,30 @@ from matmono import (
     peano_weight,
     refinement_coefficients,
 )
-from matmono.criteria import CertifyConfig, certify
+from matmono.criteria import (
+    CertifyConfig,
+    certify,
+    confluent_dd_criterion,
+    dd_criterion,
+    re_evaluate_witness,
+)
 from matmono.divdiff import (
     check_interval,
+    check_tol,
     dd_threshold,
     divided_difference_scaled,
     sample_distinct_tuple,
 )
 from matmono.expr import EXTENDED_DIGITS
+from matmono.gensets import (
+    FiniteFunction,
+    affine_rigidity_check,
+    build_counterexample,
+    extension_feasibility,
+    genset_check,
+    re_evaluate_genset_witness,
+)
+from matmono.linalg import convexity_oracle, is_psd, monotonicity_oracle
 
 EXP = FunctionModel(parse("exp(x)"), name="exp")
 RECIP_NEG = FunctionModel(parse("-1/x"), domain=(0.0, math.inf), name="-1/x")
@@ -246,3 +262,34 @@ def test_sampling_rejects_intervals_that_are_not_finite_and_ordered(interval):
         sample_distinct_tuple(np.random.default_rng(0), 3, interval, 0)
     with pytest.raises(ValueError, match=r"interval \("):
         certify(EXP, 1, interval, config=CertifyConfig(samples=5, oracle_trials=5))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-3, 0.0])
+def test_every_entry_taking_tol_rejects_one_that_is_not_finite_and_positive(tol):
+    """A NaN or infinite tol passes every margin and one <= 0 refutes exact
+    zeros, so each public entry that takes tol raises before any work."""
+    table = FiniteFunction.from_model(RECIP_NEG, [0.5 + 0.3 * k for k in range(8)])
+    bundle = build_counterexample(2, (1, 2, 3, 4, 5, 6), (0, 7), samples=50)
+    cube = FiniteFunction.from_model(FunctionModel(parse("x^3")), [0.5 + 0.4 * k for k in range(8)])
+    genset_witness = genset_check(cube, 2, samples=50).levels[0].witness
+    witness = dd_criterion(EXP, 2, (-1.0, 1.0), samples=20).witness
+    calls = {
+        "check_tol": lambda: check_tol(tol),
+        "certify": lambda: certify(EXP, 2, (-1.0, 1.0), config=CertifyConfig(samples=5, oracle_trials=5, tol=tol)),
+        "dd_criterion": lambda: dd_criterion(EXP, 2, (-1.0, 1.0), samples=5, tol=tol),
+        "confluent_dd_criterion": lambda: confluent_dd_criterion(EXP, 2, (-1.0, 1.0), samples=5, tol=tol),
+        "ktone_check": lambda: ktone_check(EXP, 2, (-1.0, 1.0), samples=5, tol=tol),
+        "monotonicity_oracle": lambda: monotonicity_oracle(EXP, 2, (-1.0, 1.0), trials=2, tol=tol),
+        "convexity_oracle": lambda: convexity_oracle(EXP, 2, (-1.0, 1.0), trials=2, tol=tol),
+        "re_evaluate_witness": lambda: re_evaluate_witness(EXP, witness, tol=tol),
+        "genset_check": lambda: genset_check(table, 2, samples=5, tol=tol),
+        "re_evaluate_genset_witness": lambda: re_evaluate_genset_witness(genset_witness, tol=tol),
+        "extension_feasibility": lambda: extension_feasibility(bundle, 3.5, grid=10, samples=5, tol=tol),
+        "affine_rigidity_check": lambda: affine_rigidity_check(table, table.points[:3], tol=tol),
+        "is_psd": lambda: is_psd(np.eye(2), tol=tol),
+        "FiniteFunction.union": lambda: table.union(table, tol=tol),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            call()
+            pytest.fail(f"{name} accepted tol={tol}")

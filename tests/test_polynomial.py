@@ -53,13 +53,12 @@ def test_roots_simple_and_against_numpy():
     rng = np.random.default_rng(3)
     for _ in range(10):
         deg = int(rng.integers(2, 7))
-        coeffs = rng.normal(size=deg + 1)
-        coeffs[-1] = coeffs[-1] if abs(coeffs[-1]) > 0.1 else 1.0
-        p = Poly(tuple(complex(c) for c in coeffs))
+        # known roots, real parts at least 0.4 apart
+        known = np.arange(deg) - deg / 2 + rng.uniform(-0.3, 0.3, deg) + 1j * rng.normal(size=deg)
+        p = Poly.from_roots(known.tolist(), leading=0.5 + abs(float(rng.normal())))
         mine = sorted(roots(p), key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-        ref = sorted(
-            np.roots(list(reversed(coeffs))), key=lambda z: (round(z.real, 6), round(z.imag, 6))
-        )
+        ref = sorted(known, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+        assert len(mine) == deg
         for a, b in zip(mine, ref):
             assert a == pytest.approx(b, abs=1e-6)
 
