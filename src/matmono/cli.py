@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux-poles", required=True, help="2n-2 reals outside the point hull")
     p.add_argument("--x0", help="extension point (default: gap midpoint)")
     p.add_argument("--samples", type=_positive_int, default=1500)
-    p.add_argument("--grid", type=_positive_int, default=10000, help="y-grid size for the feasibility scan")
+    p.add_argument("--grid", type=_positive_int, default=10000, help="y-grid size for the feasibility interval; searched by bisection, so it costs about 2 log2(grid) evaluations")
     _add_common(p)
 
     p = sub.add_parser("identity", help="verify an integral representation")
@@ -340,20 +340,24 @@ def _cmd_certify(args) -> tuple[int, dict]:
     return (EXIT_PASS if report.verdict == "pass" else EXIT_REFUTED), payload
 
 
-def _witnesses(obj):
+def _witnesses(obj, piece=None):
     """Every object stored under a "witness" key in a report (certify
     records, genset levels, the pieces of a glue report, an oracle
-    payload), each named by the criterion id or the level k beside it."""
+    payload), each named by the criterion id or the level k beside it,
+    and a glue report's by the piece it sits in as well."""
     if isinstance(obj, list):
         for item in obj:
-            yield from _witnesses(item)
+            yield from _witnesses(item, piece)
     elif isinstance(obj, dict):
         if isinstance(obj.get("witness"), dict):
             where = {"k": obj["k"]} if "k" in obj else {"criterion": obj.get("id")}
+            if piece is not None:
+                where = {"piece": piece, **where}
             yield {**where, "witness": obj["witness"]}
         for key, val in obj.items():
             if key != "witness":
-                yield from _witnesses(val)
+                inner = key if key in ("first", "second", "union") and isinstance(val, dict) else piece
+                yield from _witnesses(val, inner)
 
 
 def _cmd_replay(args) -> tuple[int, dict]:

@@ -156,21 +156,27 @@ def _weighted_terms(P, V, Q) -> np.ndarray:
     multiplied in j order, q(x_i) is Horner on the real and imaginary
     parts (as Python's complex Horner, zero signs aside), and |q|^2 is
     hypot(re, im) ** 2.0 through float_power (x * x differs from
-    abs(z) ** 2 in about 1 of 1200 doubles).
+    abs(z) ** 2 in about 1 of 1200 doubles).  The work runs on (rows, 2k)
+    arrays, updated in place where the operation allows, so a call holds
+    only a few of them at a time and no (rows, 2k, 2k) difference cube.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=complex)
-    diff = P[:, :, None] - P[:, None, :]
-    idx = np.arange(P.shape[1])
-    diff[:, idx, idx] = 1.0
     denom = np.ones_like(P)
-    for j in idx:
-        denom = denom * diff[:, :, j]
+    diff = np.empty_like(P)
+    for j in range(P.shape[1]):
+        np.subtract(P, P[:, j : j + 1], out=diff)
+        diff[:, j] = 1.0
+        denom *= diff
     re, im = Q.real[:, -1:], Q.imag[:, -1:]
     for c in range(Q.shape[1] - 2, -1, -1):
-        re = re * P + Q.real[:, c : c + 1]
-        im = im * P + Q.imag[:, c : c + 1]
-    return np.asarray(V, dtype=float) * np.float_power(np.hypot(re, im), 2.0) / denom
+        re = re * P
+        re += Q.real[:, c : c + 1]
+        im = im * P
+        im += Q.imag[:, c : c + 1]
+    w = np.hypot(re, im)
+    np.float_power(w, 2.0, out=w)
+    return np.divide(np.asarray(V, dtype=float) * w, denom, out=denom)
 
 
 def _row_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -668,13 +674,10 @@ def build_counterexample(
 # ---------------------------------------------------------------------------
 # Extension feasibility
 
-# grid columns scanned at a time against every constraint
-_GRID_CHUNK = 256
-
 
 @dataclass
 class FeasibilityResult:
-    """Feasible extension values at x0, from grid scan plus binding solve."""
+    """Feasible extension values at x0, from a bisected y-grid plus binding solve."""
 
     x0: float
     feasible_intervals: list[tuple[float, float]]
@@ -717,6 +720,51 @@ def _binding_solve(f: FiniteFunction, window_idx, x0: float, q: Poly) -> float:
     return sum(solutions) / len(solutions)
 
 
+def _feasible_run(a, b, th, ys) -> tuple[int, int] | None:
+    """(first, last) index of the ascending grid ys at which every row's
+    a + b * y >= -th holds, or None when there is no such index.
+
+    A row's test holds on a prefix or a suffix of the grid (float
+    multiply and add are monotone), except that a row with a finite, b
+    infinite and th = inf fails at y = 0 alone.  So the rows that fail
+    at ys[0] and hold at ys[-1] fix the first index by bisection, the
+    rows that hold at ys[0] and fail at ys[-1] fix the last, a row that
+    holds at neither end holds nowhere, and the two ends then step
+    inwards past a point where some row still fails.  Each point is
+    evaluated as the full scan (ys against every row) would, so the
+    answer is the scan's.
+    """
+
+    def holds(j):
+        return a + b * ys[j] >= -th
+
+    at_first, at_last = holds(0), holds(len(ys) - 1)
+    if not (at_first | at_last).all():
+        return None
+    rising, falling = at_last & ~at_first, at_first & ~at_last
+    lo, hi = 0, len(ys) - 1  # least index where every rising row holds
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid)[rising].all():
+            hi = mid
+        else:
+            lo = mid + 1
+    first = lo
+    lo, hi = 0, len(ys) - 1  # greatest index where every falling row holds
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(mid)[falling].all():
+            lo = mid
+        else:
+            hi = mid - 1
+    last = hi
+    while first <= last and not holds(first).all():
+        first += 1
+    while first <= last and not holds(last).all():
+        last -= 1
+    return (first, last) if first <= last else None
+
+
 def extension_feasibility(
     target,
     x0: float,
@@ -729,10 +777,13 @@ def extension_feasibility(
     """Feasible values y for extending the finite function to x0.
 
     Every constraint is linear in y: [S]_{f |q|^2} = alpha + beta y for
-    a 2n-subset S containing x0.  The grid scan over y is a safety
-    net; for a counterexample bundle the two binding windows (q with
-    roots at the poles of r1, and the r2 mirror) force y = r1(x0) and
-    y = r2(x0) simultaneously, so the feasible set is empty.
+    a 2n-subset S containing x0.  The feasible interval is read off a
+    y-grid of `grid` points around the marks, found by bisection
+    (_feasible_run), so it costs about 2 log2(grid) evaluations of the
+    constraints.  For a counterexample bundle the two binding windows
+    (q with roots at the poles of r1, and the r2 mirror) force y =
+    r1(x0) and y = r2(x0) simultaneously, so the feasible set is empty.
+    A bundle carries its order; an n that differs from it is an error.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -741,6 +792,8 @@ def extension_feasibility(
     check_tol(tol)
     bundle = target if isinstance(target, CounterexampleBundle) else None
     if bundle is not None:
+        if n is not None and n != bundle.order:
+            raise ValueError(f"n = {n} conflicts with the bundle's order {bundle.order}")
         f = bundle.finite_function
         n = bundle.order
         glo, ghi = bundle.gap_interval
@@ -797,20 +850,12 @@ def extension_feasibility(
     y_lo, y_hi = min(y_marks), max(y_marks)
     pad = 0.2 * max(y_hi - y_lo, 1e-3 * max(1.0, abs(y_lo), abs(y_hi)))
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(y_hi - y_lo):
+        # linspace would step by inf: a grid of NaN and inf, not ascending
+        raise ValueError(f"the y range ({y_lo!r}, {y_hi!r}) overflows a double")
     ys = np.linspace(y_lo, y_hi, grid)
-    # column chunks keep the (constraints x chunk) temporaries small
-    feasible = np.empty(grid, dtype=bool)
-    for lo in range(0, grid, _GRID_CHUNK):
-        cols = ys[lo : lo + _GRID_CHUNK]
-        feasible[lo : lo + len(cols)] = (
-            (a[:, None] + b[:, None] * cols[None, :]) >= -th[:, None]
-        ).all(axis=0)
-
-    # each constraint holds on a prefix or a suffix of the ascending grid
-    # (float multiply and add are monotone), so the feasible points form
-    # at most one run
-    run = np.flatnonzero(feasible)
-    intervals = [(float(ys[run[0]]), float(ys[run[-1]]))] if len(run) else []
+    run = _feasible_run(a, b, th, ys)
+    intervals = [(float(ys[run[0]]), float(ys[run[1]]))] if run else []
 
     binding = {}
     if bundle is not None:

@@ -4,8 +4,10 @@ The tests hold frozen copies of the replaced code and check that the
 current code gives the same bytes: node draws and the generator state
 after them, extended tables on raw mpf tuples against mpf arithmetic,
 double and long-double tables, random() draws against the uniform()
-draws they stand for, and one eigvalsh call per stack against one per
-matrix.
+draws they stand for, one eigvalsh call per stack against one per
+matrix, the bisected feasibility grid against the chunked scan of every
+grid point, and the column-by-column denominator of the finite-set
+kernel against its pairwise-difference cube.
 """
 
 import math
@@ -26,6 +28,14 @@ from matmono.divdiff import (
     sample_distinct_tuple,
 )
 from matmono.expr import cauchy, jet
+from matmono.gensets import (
+    FiniteFunction,
+    _feasible_run,
+    _level_q,
+    _level_subsets,
+    _weighted_terms,
+    extension_feasibility,
+)
 from matmono.linalg import min_eigenvalue, psd_scale
 from matmono.polynomial import ONE, n_of, taylor_shift
 
@@ -141,6 +151,39 @@ def _frozen_hermite_batch(f, z, weights):
 
 def _frozen_psd_row(M, bound, tol):
     return min_eigenvalue(M), tol * psd_scale(M), bound, M
+
+
+_FROZEN_GRID_CHUNK = 256
+
+
+def _frozen_feasible_scan(a, b, th, ys):
+    """Every constraint at every grid point, in chunks of grid columns."""
+    grid = len(ys)
+    feasible = np.empty(grid, dtype=bool)
+    for lo in range(0, grid, _FROZEN_GRID_CHUNK):
+        cols = ys[lo : lo + _FROZEN_GRID_CHUNK]
+        feasible[lo : lo + len(cols)] = (
+            (a[:, None] + b[:, None] * cols[None, :]) >= -th[:, None]
+        ).all(axis=0)
+    run = np.flatnonzero(feasible)
+    return (int(run[0]), int(run[-1])) if len(run) else None
+
+
+def _frozen_weighted_terms(P, V, Q):
+    """The finite-set kernel with its (rows, 2k, 2k) difference cube."""
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=complex)
+    diff = P[:, :, None] - P[:, None, :]
+    idx = np.arange(P.shape[1])
+    diff[:, idx, idx] = 1.0
+    denom = np.ones_like(P)
+    for j in idx:
+        denom = denom * diff[:, :, j]
+    re, im = Q.real[:, -1:], Q.imag[:, -1:]
+    for c in range(Q.shape[1] - 2, -1, -1):
+        re = re * P + Q.real[:, c : c + 1]
+        im = im * P + Q.imag[:, c : c + 1]
+    return np.asarray(V, dtype=float) * np.float_power(np.hypot(re, im), 2.0) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +327,109 @@ def test_batched_eigenvalues_match_one_call_per_matrix():
             want = _frozen_psd_row(M, bound, 1e-9)
             assert _bits(row[:3]) == _bits(want[:3])
             assert row[3].tobytes() == M.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Extension feasibility: bisection against the scan
+
+
+_SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 5e-324])
+
+
+def _spiked(rng, x, share):
+    """x with about `share` of its entries replaced by special values."""
+    hit = rng.random(len(x)) < share
+    x[hit] = rng.choice(_SPECIAL, size=int(hit.sum()))
+    return x
+
+
+def _feasibility_cases(rng):
+    """(a, b, th, ys): constraints around a common y0, a share of them
+    spiked with signed zeros, infinities, NaN and extreme magnitudes,
+    on grids of 1 to 300 points over a window, [-1, 1] (a point at 0)
+    or a window of width near the largest double."""
+    for _ in range(3000):
+        rows = int(rng.integers(0, 41))
+        share = float(rng.choice([0.0, 0.05, 0.3]))
+        y0 = rng.normal()
+        b = _spiked(rng, rng.normal(size=rows) * 10.0 ** rng.integers(-3, 4, size=rows), share)
+        a = _spiked(rng, -b * y0 + rng.normal(size=rows) * 10.0 ** rng.integers(-6, 1), share)
+        th = _spiked(rng, np.abs(rng.normal(size=rows)) * 10.0 ** rng.integers(-9, 0), share)
+        grid = int(rng.choice([1, 2, 3, rng.integers(1, 301)]))
+        lo, hi = [(y0 - 1, y0 + 1), (-1.0, 1.0), (-8e307, 8e307)][rng.integers(0, 3)]
+        yield a, b, th, np.linspace(lo, hi, grid)
+    inf, nan = math.inf, math.nan
+    # rows whose test is not monotone in the sign of b: with th = inf a
+    # row holds wherever a + b*y is not NaN, so b = inf fails at y = 0 only
+    # and a = -inf turns b's direction round
+    for a, b, th in [([1.0], [inf], [inf]), ([-inf], [1.0], [inf]), ([-inf], [inf], [inf]),
+                     ([-inf], [-inf], [inf]), ([1.0, -inf], [inf, inf], [inf, inf]),
+                     ([0.0, 0.5], [inf, -1.0], [inf, 0.0]), ([0.0, 0.0], [inf, 1.0], [inf, 0.0]),
+                     ([0.0], [nan], [1.0]), ([1.0], [0.0], [nan]), ([-0.0], [-0.0], [0.0]),
+                     ([inf], [-1.0], [0.0]), ([-1.0], [1.0], [-inf])]:
+        for grid in (1, 2, 3, 4, 5, 101):
+            yield np.array(a), np.array(b), np.array(th), np.linspace(-1.0, 1.0, grid)
+    # exactly one feasible point, every point, and none
+    ys = np.linspace(-2.0, 3.0, 4000)
+    for j in (0, 1, 1717, 3998, 3999):
+        yield np.array([-ys[j], ys[j]]), np.array([1.0, -1.0]), np.zeros(2), ys
+    yield np.array([1.0, 1.0]), np.array([0.5, -0.25]), np.full(2, 10.0), ys
+    yield np.array([-1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(2), ys
+
+
+def test_bisected_feasible_run_matches_the_grid_scan():
+    rng = np.random.default_rng(2024)
+    runs = {"empty": 0, "one point": 0, "whole grid": 0, "part": 0}
+    with np.errstate(all="ignore"):
+        for a, b, th, ys in _feasibility_cases(rng):
+            want = _frozen_feasible_scan(a, b, th, ys)
+            assert _feasible_run(a, b, th, ys) == want, (a, b, th, ys)
+            if want is None:
+                runs["empty"] += 1
+            elif want[0] == want[1]:
+                runs["one point"] += 1
+            elif want == (0, len(ys) - 1):
+                runs["whole grid"] += 1
+            else:
+                runs["part"] += 1
+    assert min(runs.values()) >= 20, runs
+
+
+def _kernel_cases(rng):
+    for k in (1, 2, 3):
+        for rows in (1, 7, 2048):
+            P = np.sort(rng.normal(size=(rows, 2 * k)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1)), axis=1)
+            V = rng.normal(size=(rows, 2 * k))
+            Q = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+            yield P, V, Q
+            yield P, 1.0, Q
+    # the level k = 2 of acceptance test 7's pathological set: 10,000 rows
+    f = FiniteFunction.from_pairs([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0), (3.0, 0.0)])
+    subsets, _ = _level_subsets(f.size, 4, 10_000, rng)
+    P, V = np.array(f.points)[subsets], np.array(f.values)[subsets]
+    yield P, V, _level_q(rng, 2, P, f.points[-1] - f.points[0])
+
+
+def test_column_by_column_denominator_matches_the_difference_cube():
+    rng = np.random.default_rng(5)
+    for P, V, Q in _kernel_cases(rng):
+        got, want = _weighted_terms(P, V, Q), _frozen_weighted_terms(P, V, Q)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+SLIVER_POINTS = (0.5, 0.9, 1.4, 2.0, 2.6, 3.1, 3.5, 4.0)
+
+
+@pytest.mark.parametrize("grid, intervals", [
+    (1000, []),
+    (4000, []),
+    (10_000, [(-0.5882738273827384, -0.5882738273827384)]),
+    (100_000, [(-0.588260882608826, -0.5881628816288162)]),
+])
+def test_feasibility_of_the_minus_one_over_x_sliver_is_unchanged(grid, intervals):
+    """-1/x at x0 = 1.7, n = 2: the grid steps over most of its narrow
+    feasible set (the known sliver defect), and the bisection keeps the
+    scan's answers, empty runs included."""
+    f = FiniteFunction(SLIVER_POINTS, tuple(-1.0 / x for x in SLIVER_POINTS))
+    assert extension_feasibility(f, 1.7, grid=grid, seed=1, n=2).feasible_intervals == intervals

@@ -398,6 +398,11 @@ def test_genset_and_glue_reports_replay(capsys, tmp_path):
         assert code == 0
         assert payload["all_confirmed"]
         assert payload["replayed"] and all(item["k"] == 2 for item in payload["replayed"])
+    # a glue report's entries also name the piece their witness sits in
+    names = [{key: val for key, val in item.items() if key not in ("witness", "replay")}
+             for item in payload["replayed"]]
+    assert names == [{"piece": "first", "k": 2}, {"piece": "second", "k": 2},
+                     {"piece": "union", "k": 2}]
 
 
 def test_a_report_without_witnesses_does_not_replay(capsys, tmp_path):

@@ -298,6 +298,27 @@ def test_extension_feasibility_plain_function():
         extension_feasibility(f, 1.5, n=1, grid=0)
 
 
+def test_extension_feasibility_rejects_an_n_that_conflicts_with_the_bundle():
+    bundle = build_counterexample(2, (1, 2, 3, 4, 5, 6), (0, 7), samples=800)
+    with pytest.raises(ValueError, match="conflicts with the bundle's order 2"):
+        extension_feasibility(bundle, 3.5, grid=10, samples=5, n=3)
+    # no n, or the bundle's own order, is the same call
+    plain = extension_feasibility(bundle, 3.5, grid=10, samples=5)
+    assert extension_feasibility(bundle, 3.5, grid=10, samples=5, n=2) == plain
+
+
+def test_extension_feasibility_rejects_a_y_range_that_overflows():
+    # the padded range of the values spans more than the largest double,
+    # so linspace would step by inf; a range just inside it still runs
+    f = FiniteFunction((1.0, 2.0, 3.0, 4.0), (-8e307, -1e307, 1e307, 8e307))
+    with pytest.raises(ValueError, match="overflows a double"):
+        extension_feasibility(f, 1.5, n=1, grid=50)
+    f = FiniteFunction((1.0, 2.0, 3.0, 4.0), (-1e307, -1e306, 1e306, 1e307))
+    assert extension_feasibility(f, 1.5, n=1, grid=50).feasible_intervals == [
+        (-1.0000000000000001e307, -1.4285714285714284e306)
+    ]
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_extension_feasibility_rejects_samples_below_one(samples):
     bundle = build_counterexample(2, (1, 2, 3, 4, 5, 6), (0, 7), samples=800)
