@@ -48,7 +48,7 @@ from .linalg import (
     monotonicity_oracle,
     oracle_defect,
 )
-from .polynomial import ONE, Poly, n_of
+from .polynomial import ONE, Poly, n_coeffs, n_of
 
 MONOTONE_CRITERIA = (
     "dd-real-q",
@@ -350,13 +350,14 @@ def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: flo
     floor, so it settles only margins the extended re-check would find
     nonnegative.
     """
-    weights = [n_of(c["q"]) for c in configs]
     if precision == "extended":
         rows = []
-        for config, weight in zip(configs, weights):
-            value, scale = divided_difference_scaled(f, config["nodes"], "extended", weight)
+        for config in configs:
+            value, scale = divided_difference_scaled(f, config["nodes"], "extended", n_of(config["q"]))
             rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
         return rows
+    # the coefficients of every N(q), built for the whole batch in one pass
+    weights = n_coeffs([c["q"] for c in configs])
     nodes = [c["nodes"].flatten() for c in configs]
     batch = divided_differences(f, nodes, weights)
     rows = [
@@ -366,7 +367,7 @@ def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: flo
     redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
     if redo and LONG_DOUBLE_WIDER:
         batch = divided_differences(
-            f, [nodes[i] for i in redo], [weights[i] for i in redo], np.longdouble
+            f, [nodes[i] for i in redo], weights[redo], np.longdouble
         )
         for i, value, scale, bound in zip(redo, *(a.tolist() for a in batch)):
             rows[i] = (value, dd_threshold(scale, "extended", tol), bound, None)
@@ -805,10 +806,17 @@ def _product_derivative_value(
     """((f * weight)^(order)(t) / order!, term magnitude scale): coefficient
     `order` of the product of the jets of f and weight at t, and its largest term."""
     fjet = f.taylor(t, order + 1, precision)
-    with mpmath.workdps(EXTENDED_DIGITS if precision == "extended" else mpmath.mp.dps):
-        wjet = weight.taylor(mpmath.mpf(t) if precision == "extended" else t, order + 1)
-        terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
-        return sum(terms), max(abs(term) for term in terms)
+    if precision != "extended":
+        # floats throughout: the double path reads no mpmath context
+        return _jet_product(fjet, weight.taylor(t, order + 1))
+    with mpmath.workdps(EXTENDED_DIGITS):
+        return _jet_product(fjet, weight.taylor(mpmath.mpf(t), order + 1))
+
+
+def _jet_product(fjet: list, wjet: list):
+    """Coefficient len(fjet) - 1 of the product of two jets, and its largest term."""
+    terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
+    return sum(terms), max(abs(term) for term in terms)
 
 
 def _run_product_derivative_sweep(

@@ -177,7 +177,9 @@ def sweep_batches(draw, samples: int):
 def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton/Hermite tables over the sorted node rows z (rows, nodes):
     (value, max |table entry|, running error bound), one per row, in the
-    float type of z (double or long double), whose eps the bound uses."""
+    float type of z (double or long double), whose eps the bound uses.
+    weights, if given, holds each row's real weight coefficients
+    (ascending, zero-padded) as a (rows, d) array."""
     rows, m = z.shape
     eps = _EPS if z.dtype.type is np.float64 else float(np.finfo(z.dtype).eps)
     # equal[j - 1] marks the nodes equal to the one j places on: in sorted
@@ -191,10 +193,8 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
     if weights is None:
         seeds, seed_err = fjet, fabs
     else:
-        d = max(len(w.coeffs) for w in weights) or 1
-        coeffs = np.array([w.real_coeffs() + (0.0,) * (d - len(w.coeffs)) for w in weights])
         # the weight's jet and the jet of its Horner bound in one pass
-        cols = np.concatenate([coeffs, np.abs(coeffs)]).T[:, :, None]
+        cols = np.concatenate([weights, np.abs(weights)]).T[:, :, None]
         both = taylor_shift(cols, np.concatenate([z, np.abs(z)]), K)
         seeds = cauchy([c[:rows] for c in both], fjet, K)
         seed_err = cauchy([c[rows:] for c in both], fabs, K)
@@ -226,9 +226,10 @@ def divided_differences(
     type dtype (double, or np.longdouble for the long-double step).
 
     rows are node sequences (repeats allowed, any order); weights, if
-    given, holds one real Poly per row.  Returns float arrays (value,
-    scale, bound): [row]_{f * weight}, the largest |table entry| and a
-    running bound on the value's error.  A long-double value is rounded
+    given, is a (rows, d) array of real weight coefficients, ascending and
+    zero-padded (polynomial.n_coeffs gives those of N(q)).  Returns float
+    arrays (value, scale, bound): [row]_{f * weight}, the largest |table
+    entry| and a running bound on the value's error.  A long-double value is rounded
     to a float, and its bound gains eps * |value| for that rounding.
     Rows with the same node count share one Newton/Hermite table over
     (rows, nodes) arrays.
@@ -242,7 +243,7 @@ def divided_differences(
         value, scale, bound = out = np.empty((3, len(rows)), dtype)
         for idx in groups.values():
             z = np.sort(np.array([rows[r] for r in idx], dtype=dtype), axis=1)
-            out[:, idx] = _hermite_batch(f, z, None if weights is None else [weights[r] for r in idx])
+            out[:, idx] = _hermite_batch(f, z, None if weights is None else weights[idx])
     if dtype is not float and np.finfo(dtype).eps < _EPS:
         value, scale = value.astype(float), scale.astype(float)
         bound = bound.astype(float) + _EPS * np.abs(value)
@@ -274,10 +275,10 @@ def _mpf_cauchy(a: list, b: list, count: int, prec: int) -> list:
     return out
 
 
-def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, jet=None):
+def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, xs: dict, jet=None):
     """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node,
-    as raw mpf tuples at the working precision; jet(v), if given, is f's
-    mpmath jet at v (at least that long)."""
+    as raw mpf tuples at the working precision; xs[v] is node v as an mpf
+    tuple, and jet(v), if given, is f's mpmath jet at v (at least that long)."""
     prec = mpmath.mp.prec
     if weight is not None:
         coeffs = [from_float(c) for c in weight.real_coeffs()]
@@ -286,7 +287,7 @@ def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, jet=N
         fjet = f.taylor(v, m, "extended", digits) if jet is None else jet(v)
         seeds[v] = [c._mpf_ for c in fjet]
         if weight is not None:
-            wjet = _mpf_taylor(coeffs, from_float(v), m, prec)
+            wjet = _mpf_taylor(coeffs, xs[v], m, prec)
             seeds[v] = _mpf_cauchy(wjet, seeds[v], m, prec)
     return seeds
 
@@ -302,17 +303,20 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
     to a float.
     """
     if precision == "double":
-        batch = divided_differences(f, [nodes.flatten()], None if weight is None else [weight])
+        coeffs = None if weight is None else np.array([weight.real_coeffs() or (0.0,)])
+        batch = divided_differences(f, [nodes.flatten()], coeffs)
         return tuple(float(a[0]) for a in batch)
     z = nodes.flatten()
     m = len(z)
     with mpmath.workdps(digits):
         prec = mpmath.mp.prec
-        seeds = _seed_values(f, nodes, weight, digits, jet)
+        # each distinct node converted once (exactly), for the gaps and the weight jet
+        xs = {v: from_float(v) for v, _ in nodes.nodes}
+        seeds = _seed_values(f, nodes, weight, digits, xs, jet)
         # node gaps must be formed at working precision: a double-rounded
         # denominator under an exact numerator breaks the cancellations
         # the recursion relies on
-        zv = [from_float(v) for v in z]
+        zv = [xs[v] for v in z]
         col = [seeds[z[i]][0] for i in range(m)]
         # abs rounds to the working precision, as mpf's does: a shared jet
         # may carry more digits than this table

@@ -153,18 +153,38 @@ class Poly:
 ONE = Poly.of(1.0)
 
 
+def n_coeffs(qs) -> np.ndarray:
+    """Real coefficients of N(q) = q * q~ for each Poly of qs, as one
+    (len(qs), 2k - 1) array, zero-padded, k the longest q.
+
+    The products and sums are Poly.__mul__'s, in its order: entry p sums
+    Re(q_i * conj(q_j)) over i + j = p by increasing i, from 0, each
+    product rounded as a complex product rounds its real part.  The
+    imaginary parts are conjugate-symmetric rounding dust and are never
+    formed, so every entry is exactly the real part Poly.__mul__ gives.
+    """
+    k = max(len(q.coeffs) for q in qs)
+    Q = np.array([q.coeffs + (0j,) * (k - len(q.coeffs)) for q in qs], dtype=complex)
+    re, im = Q.real, Q.imag
+    out = np.zeros((len(qs), max(2 * k - 1, 0)))
+    for i in range(k):
+        # re_i re_j - im_i (-im_j): the real part of q_i * conj(q_j)
+        out[:, i : i + k] += re[:, i, None] * re + im[:, i, None] * im
+    return out
+
+
 def n_of(q: Poly) -> Poly:
     """N(q) = q * q~ where q~ conjugates the coefficients.
 
     For real x, N(q)(x) = |q(x)|^2, so N(q) is real and nonnegative on
     the real line.  The returned coefficients are exactly real (the
     imaginary rounding dust is dropped; it is conjugate-symmetric and
-    cancels in exact arithmetic).  N(ONE) is ONE itself.
+    cancels in exact arithmetic); they are n_coeffs's, trimmed.  N(ONE)
+    is ONE itself.
     """
     if q is ONE:
         return ONE
-    prod = q * q.conjugate_coeffs()
-    return Poly(tuple(complex(c.real, 0.0) for c in prod.coeffs))
+    return Poly.from_coeffs(n_coeffs([q])[0].tolist())
 
 
 # ---------------------------------------------------------------------------

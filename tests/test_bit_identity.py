@@ -6,20 +6,24 @@ after them, extended tables on raw mpf tuples against mpf arithmetic,
 double and long-double tables, random() draws against the uniform()
 draws they stand for, one eigvalsh call per stack against one per
 matrix, the bisected feasibility grid against the chunked scan of every
-grid point, and the column-by-column denominator of the finite-set
-kernel against its pairwise-difference cube.
+grid point, the column-by-column denominator of the finite-set
+kernel against its pairwise-difference cube, the matrix oracle's
+stacked trials against its one-trial-at-a-time loop, and the batch's
+N(q) coefficient rows against n_of.
 """
 
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from matmono import FunctionModel, NodeMultiset, Poly, parse
+from matmono import DomainError, FunctionModel, NodeMultiset, Poly, parse
 from matmono.criteria import _psd_rows
 from matmono.divdiff import (
     _EPS,
+    MARGIN_FRACTION,
     SEED_ERROR,
     STEP_ERROR,
     _dd_table,
@@ -36,8 +40,14 @@ from matmono.gensets import (
     _weighted_terms,
     extension_feasibility,
 )
-from matmono.linalg import min_eigenvalue, psd_scale
-from matmono.polynomial import ONE, n_of, taylor_shift
+from matmono.linalg import (
+    convexity_oracle,
+    matrix_to_jsonable,
+    min_eigenvalue,
+    monotonicity_oracle,
+    psd_scale,
+)
+from matmono.polynomial import ONE, n_coeffs, n_of, taylor_shift
 
 # ---------------------------------------------------------------------------
 # Frozen copies of the replaced code
@@ -186,6 +196,166 @@ def _frozen_weighted_terms(P, V, Q):
     return np.asarray(V, dtype=float) * np.float_power(np.hypot(re, im), 2.0) / denom
 
 
+# The matrix oracle as it ran one trial at a time, on one matrix at a time.
+
+
+def _frozen_scale(*mats):
+    return max(1.0, *(float(np.abs(M).max()) for M in mats))
+
+
+def _frozen_hermitian(H):
+    if float(np.abs(H - H.conj().T).max()) > 1e-13 * _frozen_scale(H):
+        raise ValueError("matrix is not Hermitian")
+    return 0.5 * (H + H.conj().T)
+
+
+def _frozen_matrix_function(f, H):
+    w, Q = np.linalg.eigh(_frozen_hermitian(H))
+    F = (Q * f.eval(w)) @ Q.conj().T
+    return 0.5 * (F + F.conj().T)
+
+
+def _frozen_gaussian(rng, shape, complex_field):
+    G = rng.normal(size=shape)
+    return G + 1j * rng.normal(size=shape) if complex_field else G
+
+
+def _frozen_spectrum_matrix(rng, lam, complex_field):
+    lam = np.asarray(lam, dtype=float)
+    Q, R = np.linalg.qr(_frozen_gaussian(rng, (lam.size, lam.size), complex_field))
+    d = np.diagonal(R).copy()
+    d[d == 0] = 1.0
+    Q = Q * (d / np.abs(d))
+    H = (Q * lam) @ Q.conj().T
+    return 0.5 * (H + H.conj().T)
+
+
+def _frozen_projection_pair(targets):
+    t = tuple(float(v) for v in targets)
+    if any(not u < v for u, v in zip(t, t[1:])):
+        raise ValueError("targets must be strictly increasing")
+    a, b = np.array(t[0::2]), np.array(t[1::2])
+    n = a.size
+    v2 = np.empty(n)
+    for k in range(n):
+        num = float(np.prod(b[k] - a))
+        den = float(np.prod(np.delete(b[k] - b, k))) if n > 1 else 1.0
+        v2[k] = num / den
+    if np.any(v2 <= 0):
+        raise ValueError("targets do not interlace")
+    v = np.sqrt(v2)
+    B = np.diag(b).astype(float)
+    A = B - np.outer(v, v)
+    err = float(np.abs(B - A - np.outer(v, v.conj())).max())
+    err = max(err, float(np.abs(np.linalg.eigvalsh(A) - np.array(t[0::2])).max()))
+    err = max(err, float(np.abs(np.linalg.eigvalsh(B) - np.array(t[1::2])).max()))
+    if err > 1e-8 * max(1.0, max(abs(x) for x in t)):
+        raise ValueError(f"projection pair deviates by {err:.3e}")
+    return [A, B]
+
+
+def _frozen_rank_one_chain(A, B):
+    A, B = _frozen_hermitian(A), _frozen_hermitian(B)
+    D = B - A
+    w, Q = np.linalg.eigh(D)
+    top = max(float(w[-1]), 0.0)
+    if float(w[0]) < -1e-9 * _frozen_scale(D):
+        raise ValueError("B - A is not positive semidefinite")
+    kept = [i for i in range(w.size) if float(w[i]) > 1e-12 * max(1.0, top)]
+    chain, M = [A], A
+    for i in kept[:-1]:
+        M = M + float(w[i]) * np.outer(Q[:, i], Q[:, i].conj())
+        M = 0.5 * (M + M.conj().T)
+        chain.append(M)
+    chain.append(B)
+    return chain
+
+
+def _frozen_search(kind, trials, seed, tol, draw):
+    """The scalar loop, one generator of configurations per trial.  Returns
+    the records (passed, configs, worst_value, witness) a search of
+    1, 2, ... trials ends with, up to the first violation, and the
+    violation's record (None if there is none)."""
+    rng = np.random.default_rng(seed)
+    worst, witness, checked, records = math.inf, None, 0, []
+    for idx in range(trials):
+        for A, B, FA, FB, FM, t in draw(rng, idx):
+            checked += 1
+            if FM is None:
+                defect, scale = FB - FA, _frozen_scale(FA, FB)
+            else:
+                defect, scale = t * FA + (1.0 - t) * FB - FM, _frozen_scale(FA, FB, FM)
+            lam_min = float(np.linalg.eigvalsh(defect)[0])
+            if lam_min / scale < worst:
+                worst = lam_min / scale
+                witness = {"kind": kind, "matrix_a": matrix_to_jsonable(A),
+                           "matrix_b": matrix_to_jsonable(B),
+                           **({} if FM is None else {"weight": t}),
+                           "min_eigenvalue": lam_min, "threshold": tol * scale}
+            if lam_min < -tol * scale:
+                return records, (False, checked, worst, witness)
+        records.append((True, checked, worst, witness))
+    return records, None
+
+
+def _frozen_monotonicity_oracle(f, n, interval, trials, seed, tol=1e-9):
+    lo, hi = interval
+    span = hi - lo
+    margin = MARGIN_FRACTION * span
+
+    def draw(rng, idx):
+        if idx % 2 == 0:
+            steps = _frozen_projection_pair(sample_distinct_tuple(rng, 2 * n, interval, idx).tolist())
+        else:
+            lam = sample_distinct_tuple(rng, n, (lo, lo + 0.7 * span), idx)
+            complex_field = bool(rng.integers(0, 2))
+            A = _frozen_spectrum_matrix(rng, lam, complex_field)
+            G = _frozen_gaussian(rng, (n, n), complex_field)
+            D = G @ G.conj().T
+            D = 0.5 * (D + D.conj().T)
+            norm = float(np.linalg.eigvalsh(D)[-1])
+            headroom = (hi - margin) - float(lam[-1])
+            if norm > 0.0:
+                D *= headroom * float(rng.uniform(0.1, 1.0)) / norm
+            steps = _frozen_rank_one_chain(A, A + D)
+        FA = _frozen_matrix_function(f, steps[0])
+        for Ma, Mb in zip(steps, steps[1:]):
+            FB = _frozen_matrix_function(f, Mb)
+            yield Ma, Mb, FA, FB, None, 1.0
+            FA = FB
+
+    return _frozen_search("matrix-pair", trials, seed, tol, draw)
+
+
+def _frozen_convexity_oracle(f, n, interval, trials, seed, tol=1e-9):
+    lo, hi = interval
+    span = hi - lo
+    margin = MARGIN_FRACTION * span
+
+    def draw(rng, idx):
+        complex_field = bool(rng.integers(0, 2))
+        if idx % 3 == 0:
+            lam = sample_distinct_tuple(rng, n, (lo + 0.15 * span, hi - 0.15 * span), idx)
+            X = _frozen_spectrum_matrix(rng, lam, complex_field)
+            v = _frozen_gaussian(rng, n, complex_field)
+            v = v / np.linalg.norm(v)
+            headroom = min(float(lam[0]) - lo - margin, hi - margin - float(lam[-1]))
+            s = headroom * float(rng.uniform(0.1, 1.0))
+            bump = s * np.outer(v, v.conj())
+            A, B, t = X + bump, X - bump, 0.5
+        else:
+            lam_a = sample_distinct_tuple(rng, n, interval, 2 * idx)
+            lam_b = sample_distinct_tuple(rng, n, interval, 2 * idx + 1)
+            A = _frozen_spectrum_matrix(rng, lam_a, complex_field)
+            B = _frozen_spectrum_matrix(rng, lam_b, complex_field)
+            t = 0.5 if idx % 3 == 1 else float(rng.uniform(0.05, 0.95))
+        M = t * A + (1.0 - t) * B
+        yield (A, B, _frozen_matrix_function(f, A), _frozen_matrix_function(f, B),
+               _frozen_matrix_function(f, M), t)
+
+    return _frozen_search("jensen", trials, seed, tol, draw)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -268,10 +438,11 @@ def test_double_tables_match_the_frozen_batch(dtype):
             z[::3, 2:] = z[::3, :-2]
             z[-1] = z[-1, 0]
             z = np.sort(z.astype(dtype), axis=1)
-            qs = [n_of(Poly.of(*rng.standard_normal(rng.integers(1, 4)))) for _ in range(rows)]
-            for weights in (None, qs):
+            qs = [Poly.of(*rng.standard_normal(rng.integers(1, 4))) for _ in range(rows)]
+            # the batch takes N(q)'s coefficient rows, the frozen code n_of's Polys
+            for weights, polys in ((None, None), (n_coeffs(qs), [n_of(q) for q in qs])):
                 got = _hermite_batch(f, z, weights)
-                want = _frozen_hermite_batch(f, z, weights)
+                want = _frozen_hermite_batch(f, z, polys)
                 for a, b in zip(got, want):
                     # values and signs, not bytes: a long double's padding is not set
                     assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
@@ -433,3 +604,80 @@ def test_feasibility_of_the_minus_one_over_x_sliver_is_unchanged(grid, intervals
     scan's answers, empty runs included."""
     f = FiniteFunction(SLIVER_POINTS, tuple(-1.0 / x for x in SLIVER_POINTS))
     assert extension_feasibility(f, 1.7, grid=grid, seed=1, n=2).feasible_intervals == intervals
+
+
+# ---------------------------------------------------------------------------
+# The matrix oracle: stacked trials against one trial at a time
+
+
+ORACLE_FUNCTIONS = {
+    "log": (FunctionModel(parse("log(x)"), domain=(0.0, math.inf)), (0.5, 4.0)),
+    "sqrt": (FunctionModel(parse("sqrt(x)"), domain=(0.0, math.inf)), (0.5, 4.0)),
+    "x+x^3": (FunctionModel(parse("x + x^3")), (-0.45, 0.45)),
+    "x^3": (FunctionModel(parse("x^3")), (0.5, 4.0)),
+}
+ORACLES = {"monotone": (monotonicity_oracle, _frozen_monotonicity_oracle),
+           "convex": (convexity_oracle, _frozen_convexity_oracle)}
+# around the batch edges 1, 3, 7, 255 and 511 trials
+ORACLE_TRIALS = (1, 2, 3, 7, 255, 256, 257, 400)
+
+
+def _record_bytes(rec) -> tuple:
+    passed, configs, worst, witness = rec
+    return passed, configs, worst.hex(), json.dumps(witness, sort_keys=True)
+
+
+@pytest.mark.parametrize("mode", ORACLES)
+@pytest.mark.parametrize("name", ORACLE_FUNCTIONS)
+def test_stacked_oracle_matches_the_one_trial_loop(name, mode):
+    f, interval = ORACLE_FUNCTIONS[name]
+    oracle, frozen = ORACLES[mode]
+    for n in (1, 2, 3):
+        for seed in range(5):
+            records, violation = frozen(f, n, interval, max(ORACLE_TRIALS), seed)
+            for trials in ORACLE_TRIALS:
+                want = records[trials - 1] if trials <= len(records) else violation
+                rec = oracle(f, n, interval, trials=trials, seed=seed)
+                got = (rec.passed, rec.configs, rec.worst_value, rec.witness)
+                assert _record_bytes(got) == _record_bytes(want), (n, seed, trials)
+
+
+@pytest.mark.parametrize("mode, expr, interval, seed, violation, error", [
+    # trials 3-6 form the third batch
+    ("monotone", "x + x^3", (-0.5, 0.5), 28, 4, 6),
+    ("convex", "x^4", (-1.0, 1.0), 75, 3, 4),
+])
+def test_an_error_after_the_violation_in_its_batch_is_not_raised(
+        mode, expr, interval, seed, violation, error):
+    """The domain is narrower than the interval: trial `error` has an
+    eigenvalue outside it, trial `violation` of the same batch refutes f
+    first.  The one-trial loop returns that violation, and so must the
+    stacked one; with no violation possible, both raise."""
+    f = FunctionModel(parse(expr), domain=(interval[0] + 0.01, math.inf))
+    oracle, frozen = ORACLES[mode]
+    records, want = frozen(f, 2, interval, 400, seed)
+    assert len(records) == violation and want is not None
+    rec = oracle(f, 2, interval, trials=400, seed=seed)
+    assert _record_bytes((rec.passed, rec.configs, rec.worst_value, rec.witness)) == _record_bytes(want)
+    with pytest.raises(DomainError):
+        frozen(f, 2, interval, error + 1, seed, tol=1e300)
+    records, _ = frozen(f, 2, interval, error, seed, tol=1e300)
+    assert len(records) == error
+    with pytest.raises(DomainError):
+        oracle(f, 2, interval, trials=400, seed=seed, tol=1e300)
+
+
+def test_n_of_rows_of_a_batch_match_n_of():
+    """n_coeffs's rows are n_of(q).real_coeffs(), zero-padded, bit for bit:
+    q = ONE, real and complex q of mixed degrees in one batch."""
+    rng = np.random.default_rng(7)
+    qs = [ONE, Poly.of(0.3, -1.2, 0.5), Poly.of(0.2 + 0.7j, -0.4 + 0.1j, 1.0)]
+    for _ in range(60):
+        deg = int(rng.integers(0, 4))
+        coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1) * rng.integers(0, 2)
+        qs.append(Poly.of(*coeffs / np.abs(coeffs).max()))
+    rows = n_coeffs(qs)
+    assert rows.shape == (len(qs), 2 * max(len(q.coeffs) for q in qs) - 1)
+    for q, row in zip(qs, rows):
+        want = n_of(q).real_coeffs()
+        assert _bits(row) == _bits(want + (0.0,) * (len(row) - len(want)))

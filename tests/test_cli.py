@@ -241,6 +241,17 @@ def test_oracle_subcommand(capsys):
     assert "not a proof" in payload["note"]
 
 
+@pytest.mark.parametrize("mode", ["monotone", "convex"])
+def test_an_oracle_that_overflows_exits_three(capsys, mode):
+    # most defects are not finite on this interval: not a pass (exit 0)
+    code, out, err = _run(capsys, [
+        "oracle", "-f", "x", "-n", "2", "--interval", "1e307,1.7e308", "--mode", mode,
+        "--seed", "1", "--trials", "200", "--no-timestamp",
+    ])
+    assert code == 3 and out == ""
+    assert err.startswith("error: matrix oracle trial ") and "not finite" in err
+
+
 def test_catalog_subcommand(capsys):
     code, payload = _run_json(capsys, ["catalog", "--no-timestamp"])
     assert code == 0

@@ -33,7 +33,7 @@ from matmono.criteria import (
 )
 from matmono.divdiff import LONG_DOUBLE_WIDER, NodeMultiset, sample_distinct_tuple
 from matmono.linalg import matrix_function, matrix_to_jsonable, oracle_defect
-from matmono.polynomial import n_of
+from matmono.polynomial import n_coeffs, n_of
 
 EXP = catalog_model("exp(x)")
 SQUARE = catalog_model("x^2")
@@ -448,12 +448,12 @@ def test_running_bound_covers_double_error():
                 for idx in range(16):
                     ms = _draw_multiset(rng, shape, n, interval, idx)
                     q = _sample_q(rng, n - 1, ms.values(), span, idx, bool(idx % 2))
-                    draws.append((ms, n_of(q)))
+                    draws.append((ms, q))
                 values, _, bounds = divided_differences(
-                    f, [ms.flatten() for ms, _ in draws], [w for _, w in draws]
+                    f, [ms.flatten() for ms, _ in draws], n_coeffs([q for _, q in draws])
                 )
-                for (ms, w), value, bound in zip(draws, values, bounds):
-                    exact = divided_difference(f, ms, "extended", w)
+                for (ms, q), value, bound in zip(draws, values, bounds):
+                    exact = divided_difference(f, ms, "extended", n_of(q))
                     rows += 1
                     if abs(value - exact) > bound + eps * abs(exact):
                         violations.append((f.name, shape, n, abs(value - exact) / bound))
@@ -490,9 +490,9 @@ def test_long_double_bound_covers_its_error():
                 for idx in range(8):
                     ms = _draw_multiset(rng, shape, n, interval, idx)
                     q = _sample_q(rng, n - 1, ms.values(), span, idx, bool(idx % 2))
-                    draws.append((ms, n_of(q)))
-                exact = [divided_difference(f, ms, "extended", w) for ms, w in draws]
-                check(f, span, [ms.flatten() for ms, _ in draws], [w for _, w in draws], exact)
+                    draws.append((ms, q))
+                exact = [divided_difference(f, ms, "extended", n_of(q)) for ms, q in draws]
+                check(f, span, [ms.flatten() for ms, _ in draws], n_coeffs([q for _, q in draws]), exact)
         rng = np.random.default_rng(0)
         for idx in range(6):
             pts = sample_distinct_tuple(rng, 3, interval, idx).tolist()

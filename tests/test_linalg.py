@@ -236,3 +236,15 @@ def test_oracles_name_the_interval_they_were_given(oracle):
     # message must still name the caller's interval
     with pytest.raises(ValueError, match=r"interval \(4\.0, 0\.5\) is empty"):
         oracle(_SQUARE, 2, (4.0, 0.5), trials=5)
+
+
+@pytest.mark.parametrize("oracle, expr, n, interval", [
+    (monotonicity_oracle, "x", 2, (1e307, 1.7e308)),
+    (convexity_oracle, "x", 2, (1e307, 1.7e308)),
+    (convexity_oracle, "x^2", 3, (1e153, 1.3e154)),
+], ids=["monotone-x", "convex-x", "convex-x^2-n3"])
+def test_an_oracle_configuration_that_is_not_finite_names_its_trial(oracle, expr, n, interval):
+    # the matrices or f-values overflow; eigvalsh reads a NaN matrix as
+    # [0, -0], so such a configuration used to count as a pass
+    with pytest.raises(ValueError, match=r"^matrix oracle trial \d+: .* not finite$"):
+        oracle(FunctionModel(parse(expr)), n, interval, trials=200, seed=1)
