@@ -22,7 +22,7 @@ from .expr import (
     simplify,
     to_text,
 )
-from .polynomial import Poly, ab_decompose, n_of, roots, sos_decompose
+from .polynomial import Poly, n_of
 from .divdiff import (
     NodeMultiset,
     PiecewisePoly,

@@ -27,7 +27,9 @@ import numpy as np
 from .divdiff import (
     LONG_DOUBLE_WIDER,
     CriterionRecord,
+    DrawBlock,
     NodeMultiset,
+    _GeneratorDraws,
     check_interval,
     check_tol,
     dd_threshold,
@@ -35,6 +37,8 @@ from .divdiff import (
     divided_differences,
     double_settles,
     extended_divided_differences,
+    place_nodes,
+    place_width,
     sample_distinct_tuple,
     sweep_batches,
 )
@@ -48,7 +52,7 @@ from .linalg import (
     monotonicity_oracle,
     oracle_defect,
 )
-from .polynomial import ONE, Poly, n_coeffs, n_of
+from .polynomial import ONE, Poly, n_coeffs, n_of, taylor_shift
 
 MONOTONE_CRITERIA = (
     "dd-real-q",
@@ -83,27 +87,59 @@ def _check_distinct(points) -> list[float]:
     return pts
 
 
-# Node lists of the upper triangle, row by row, of the divided-difference
-# matrices: entry (i, j) of the matrix is the divided difference of f over
-# the (i, j) list.
+# The point criteria (Loewner, extended Loewner, Kraus): the nodes of their
+# matrices as one row of values (points..., then a Kraus matrix's base),
+# and each upper-triangle entry, row by row, as the positions of its nodes
+# in that row.
+POINT_CRITERIA = ("loewner-psd", "extended-loewner-psd", "kraus-anchored-psd", "kraus-free-psd")
 
 
-def _loewner_nodes(points) -> list[tuple]:
+def _point_row(criterion: str, points, base=None) -> list[float]:
+    """The node row of a criterion matrix: distinct points (ascending for
+    the extended Loewner matrix), then the base of a Kraus matrix."""
     pts = _check_distinct(points)
-    n = len(pts)
-    return [(pts[i], pts[j]) for i in range(n) for j in range(i, n)]
+    if criterion == "extended-loewner-psd":
+        pts.sort()
+    return pts if base is None else pts + [float(base)]
+
+
+@functools.cache
+def _layout(criterion: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """Positions in the node row of the nodes of each upper-triangle
+    entry (i, j) of the criterion matrix over n points: (x_i, x_j) for
+    Loewner, (x_1..x_i, x_1..x_j) for extended Loewner, (x_i, x_j, base)
+    for Kraus."""
+    iu = [(i, j) for i in range(n) for j in range(i, n)]
+    if criterion == "loewner-psd":
+        return tuple(iu)
+    if criterion == "extended-loewner-psd":
+        return tuple(tuple(range(i + 1)) * 2 + tuple(range(i + 1, j + 1)) for i, j in iu)
+    return tuple((i, j, n) for i, j in iu)
+
+
+@functools.cache
+def _layout_groups(layout: tuple) -> list[tuple[list[int], np.ndarray]]:
+    """The entries of a layout by node count: (entry indices, their
+    positions as a (entries, count) array)."""
+    groups: dict[int, list[int]] = {}
+    for k, pos in enumerate(layout):
+        groups.setdefault(len(pos), []).append(k)
+    return [(ks, np.array([layout[k] for k in ks])) for ks in groups.values()]
+
+
+def _entries(row: list, layout) -> list[tuple]:
+    """The node list of each entry of layout over one node row."""
+    return [tuple(row[k] for k in pos) for pos in layout]
 
 
 def _extended_loewner_nodes(points) -> list[tuple]:
-    pts = sorted(_check_distinct(points))
-    n = len(pts)
-    return [tuple(pts[: i + 1]) * 2 + tuple(pts[i + 1 : j + 1]) for i in range(n) for j in range(i, n)]
+    row = _point_row("extended-loewner-psd", points)
+    return _entries(row, _layout("extended-loewner-psd", len(row)))
 
 
 def _kraus_nodes(points, base) -> list[tuple]:
-    pts = _check_distinct(points)
-    n = len(pts)
-    return [(pts[i], pts[j], float(base)) for i in range(n) for j in range(i, n)]
+    row = _point_row("kraus-free-psd", points, base)
+    return _entries(row, _layout("kraus-free-psd", len(row) - 1))
 
 
 @functools.cache
@@ -122,46 +158,54 @@ def _symmetric(tri: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dd_triangles(f: FunctionModel, entries: list[list[tuple]], precision: str):
-    """Divided differences over the node lists entries[b][k], and their
-    error bounds, as (len(entries), k) arrays.
+def _dd_triangles(f: FunctionModel, X: np.ndarray, layout, precision: str, dtype=float):
+    """Divided differences over the entries of a batch of matrices, row b
+    of X holding the nodes of matrix b at the positions of layout, and
+    their error bounds, as (len(X), len(layout)) arrays.
 
-    "double" evaluates every entry of every matrix in one batch; "auto"
-    then recomputes in extended precision each entry whose bound does not
-    settle its value (double_settles); "extended" evaluates each entry in
-    extended precision.  The extended entries of one matrix share their
-    mpmath jets (extended_divided_differences).
+    "double" evaluates every entry of every matrix in one table batch per
+    entry length, in the float type dtype; "auto" then recomputes in
+    extended precision each entry whose bound does not settle its value
+    (double_settles); "extended" evaluates each entry in extended
+    precision.  The extended entries of one matrix share their mpmath jets
+    (extended_divided_differences).
     """
     if precision not in ("auto", "double", "extended"):
         raise ValueError(f"unsupported precision mode {precision!r}")
     if precision == "extended":
-        values = np.array([extended_divided_differences(f, row) for row in entries])
+        values = np.array([extended_divided_differences(f, _entries(x, layout)) for x in X.tolist()])
         return values, np.zeros_like(values)
-    values, _, bounds = divided_differences(f, [nodes for row in entries for nodes in row])
-    values, bounds = values.reshape(len(entries), -1), bounds.reshape(len(entries), -1)
+    values = np.empty((len(X), len(layout)))
+    bounds = np.empty_like(values)
+    for ks, pos in _layout_groups(layout):
+        value, _, bound = divided_differences(f, X[:, pos].reshape(-1, pos.shape[1]), None, dtype)
+        values[:, ks] = value.reshape(len(X), -1)
+        bounds[:, ks] = bound.reshape(len(X), -1)
     if precision == "auto":
-        for b, row in enumerate(entries):
-            ks = [k for k in range(len(row)) if not double_settles(values[b, k], bounds[b, k])]
-            values[b, ks] = extended_divided_differences(f, [row[k] for k in ks])
+        for b, x in enumerate(X.tolist()):
+            ks = [k for k in range(len(layout)) if not double_settles(values[b, k], bounds[b, k])]
+            values[b, ks] = extended_divided_differences(f, _entries(x, [layout[k] for k in ks]))
             bounds[b, ks] = 0.0
     return values, bounds
 
 
-def _dd_matrix(f: FunctionModel, nodes: list[tuple], precision: str) -> np.ndarray:
-    values, _ = _dd_triangles(f, [nodes], precision)
+def _dd_matrix(f: FunctionModel, criterion: str, row: list, precision: str) -> np.ndarray:
+    n = len(row) - criterion.startswith("kraus")
+    values, _ = _dd_triangles(f, np.array([row]), _layout(criterion, n), precision)
     return _symmetric(values[0])
 
 
 def loewner_matrix(f: FunctionModel, points, precision: str = "auto") -> np.ndarray:
     """Matrix of first divided differences [x_i, x_j]_f (diagonal f')."""
-    return _dd_matrix(f, _loewner_nodes(points), precision)
+    return _dd_matrix(f, "loewner-psd", _point_row("loewner-psd", points), precision)
 
 
 def extended_loewner_matrix(
     f: FunctionModel, points, precision: str = "auto"
 ) -> np.ndarray:
     """Entry (i, j) is [x_1..x_i, x_1..x_j]_f over ascending points."""
-    return _dd_matrix(f, _extended_loewner_nodes(points), precision)
+    row = _point_row("extended-loewner-psd", points)
+    return _dd_matrix(f, "extended-loewner-psd", row, precision)
 
 
 def _jet_hankel(jet: list, offset: int, n: int) -> np.ndarray:
@@ -188,7 +232,7 @@ def kraus_matrix(
 
     base may coincide with a point; repeated nodes become confluent.
     """
-    return _dd_matrix(f, _kraus_nodes(points, base), precision)
+    return _dd_matrix(f, "kraus-free-psd", _point_row("kraus-free-psd", points, base), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -197,37 +241,37 @@ def kraus_matrix(
 _Q_CADENCE_NOTE = "q cadence: 1, Gaussian coefficients, roots near nodes, mixed degree"
 
 
-def _sample_q(
-    rng: np.random.Generator,
-    max_degree: int,
-    nodes: tuple[float, ...],
-    span: float,
-    idx: int,
-    complex_coeffs: bool,
-) -> Poly:
-    """One polynomial of degree <= max_degree, max |coefficient| = 1.
+def _q_width(max_degree: int) -> int:
+    """Numbers of a DrawBlock row that _q_coeffs reads at most: the degree,
+    a node and two normals per root (cadence slot 2), or the degree and
+    2 (max_degree + 1) normals (slots 1 and 3); a normal reads two."""
+    return 0 if max_degree == 0 else max(1 + 5 * max_degree, 5 + 4 * max_degree)
 
-    The coefficients are built as a list with the arithmetic of
-    Poly.from_roots and Poly.scale, and one Poly is made at the end.
-    Normal draws of one kind share a generator call, which consumes the
-    stream of as many scalar calls: the real and imaginary parts of the
-    coefficients, and each perturbation of the deg roots.  The roots'
-    node indices stay scalar integers calls (rng.choice(nodes)'s draw): on
-    numpy 2.4.6 a scalar call costs about a third of a sized one.  The
-    normal draws stay normal() calls: standard_normal(k) + 0.0, the same
-    doubles, costs one more array operation than the wrapper saves.
+
+def _q_coeffs(
+    draws, max_degree: int, nodes, span: float, idx: int, complex_coeffs: bool
+) -> list[complex] | None:
+    """The q cadence: the coefficients of one polynomial of degree <=
+    max_degree, max |coefficient| = 1, ascending; None for q = 1.
+
+    Cadence slot idx % 4: 0 is q = 1; 1 has Gaussian coefficients at the
+    full degree, 3 at a random degree; 2 has roots at random nodes, shifted
+    by normal draws in half of its turns (idx % 8 >= 4), off the real line
+    when complex_coeffs.  draws is a DrawBlock row, or a Generator's calls
+    (_sample_q).  The coefficients are built with the arithmetic of
+    Poly.from_roots and Poly.scale.
     """
     kind = idx % 4
     if kind == 0 or max_degree == 0:
-        return ONE
+        return None
     if kind == 2:
-        deg = int(rng.integers(1, max_degree + 1))
-        roots = [float(nodes[int(rng.integers(0, len(nodes)))]) for _ in range(deg)]
+        deg = draws.integers(1, max_degree + 1)
+        roots = [float(nodes[draws.integers(0, len(nodes))]) for _ in range(deg)]
         if idx % 8 >= 4:
-            shifts = rng.normal(scale=0.5 * span, size=deg).tolist()
+            shifts = draws.normal(0.5 * span, deg)
             roots = [r + s for r, s in zip(roots, shifts)]
         if complex_coeffs:
-            shifts = rng.normal(scale=0.1 * span, size=deg).tolist()
+            shifts = draws.normal(0.1 * span, deg)
             roots = [r + 1j * s for r, s in zip(roots, shifts)]
         coeffs = [1.0 + 0j]
         for r in roots:
@@ -238,18 +282,44 @@ def _sample_q(
                     product[i + j] += a * b
             coeffs = product
     else:
-        deg = max_degree if kind == 1 else int(rng.integers(0, max_degree + 1))
+        deg = max_degree if kind == 1 else draws.integers(0, max_degree + 1)
         if complex_coeffs:
-            parts = rng.normal(size=2 * (deg + 1))
-            values = parts[: deg + 1] + 1j * parts[deg + 1 :]
+            parts = draws.normal(1.0, 2 * (deg + 1))
+            coeffs = [complex(a, b) for a, b in zip(parts[: deg + 1], parts[deg + 1 :])]
         else:
-            values = rng.normal(size=deg + 1)
-        coeffs = [complex(c) for c in values.tolist()]
+            coeffs = [complex(c) for c in draws.normal(1.0, deg + 1)]
     m = max(map(abs, coeffs))
     if not m > 0:
-        return ONE
+        return None
     s = 1.0 / m
-    return Poly.from_coeffs([s * c for c in coeffs])
+    return [s * c for c in coeffs]
+
+
+def _sample_q(
+    rng: np.random.Generator,
+    max_degree: int,
+    nodes: tuple[float, ...],
+    span: float,
+    idx: int,
+    complex_coeffs: bool,
+) -> Poly:
+    """One q of the cadence (_q_coeffs) from the generator's own calls.
+
+    Normal draws of one kind share a generator call, which consumes the
+    stream of as many scalar calls; the roots' node indices stay scalar
+    integers calls (rng.choice(nodes)'s draw).
+    """
+    return _q_poly(_q_coeffs(_GeneratorDraws(rng), max_degree, nodes, span, idx, complex_coeffs))
+
+
+def _q_poly(coeffs: list[complex] | None) -> Poly:
+    return ONE if coeffs is None else Poly.from_coeffs(coeffs)
+
+
+def _q_array(qs: list, k: int) -> np.ndarray:
+    """(len(qs), k) complex coefficients of _q_coeffs results, zero-padded."""
+    one = [1.0 + 0j] + [0j] * (k - 1)
+    return np.array([one if q is None else q + [0j] * (k - len(q)) for q in qs], dtype=complex)
 
 
 def _poly_to_jsonable(q: Poly) -> dict:
@@ -330,9 +400,12 @@ class CertifyConfig:
 # kind maps (f, configs, precision, tol) to one row per configuration:
 # (value, threshold, bound, criterion matrix or None).  The margin is
 # value + threshold; bound limits the error of a double-precision value
-# (0 where none is known, and in extended precision).  The sweeps, their
-# extended-precision re-check and witness replay all go through these
-# evaluators.
+# (0 where none is known, and in extended precision).  The sampled sweeps
+# evaluate a batch in double precision from its arrays (_dd_rows,
+# _point_rows, _product_rows; the first two also serve the dd and PSD
+# evaluators' double paths); their extended-precision re-check and
+# witness replay go through the evaluators, on the configuration
+# materialized for that row.
 
 
 def _open(value: float, threshold: float, bound: float) -> bool:
@@ -341,45 +414,36 @@ def _open(value: float, threshold: float, bound: float) -> bool:
     return not double_settles(value, bound, threshold) and value + bound + threshold >= 0.0
 
 
-def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
-    """[nodes]_{f N(q)} against the roundoff floor of its table.
+def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: float) -> list:
+    """Rows of [nodes]_{f N(q)} over a (rows, nodes) array, weights the
+    n_coeffs rows of the N(q): one batched table with running error
+    bounds; where the platform's long double is wider, the rows it leaves
+    open are re-run as one long-double batch.  A long-double row is held to
+    the extended floor, so it settles only margins the extended re-check
+    would find nonnegative."""
+    value, scale, bound = divided_differences(f, nodes, weights)
+    threshold = dd_threshold(scale, "double", tol)
+    rows = [(*row, None) for row in zip(value.tolist(), threshold.tolist(), bound.tolist())]
+    redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
+    if redo and LONG_DOUBLE_WIDER:
+        value, scale, bound = divided_differences(f, nodes[redo], weights[redo], np.longdouble)
+        threshold = dd_threshold(scale, "extended", tol)
+        for i, *row in zip(redo, value.tolist(), threshold.tolist(), bound.tolist()):
+            rows[i] = (*row, None)
+    return rows
 
-    In double precision one batched table with running error bounds; where
-    the platform's long double is wider, the rows it leaves open are re-run
-    as one long-double batch.  A long-double row is held to the extended
-    floor, so it settles only margins the extended re-check would find
-    nonnegative.
-    """
+
+def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
+    """[nodes]_{f N(q)} against the roundoff floor of its table (_dd_rows
+    in double precision)."""
     if precision == "extended":
         rows = []
         for config in configs:
             value, scale = divided_difference_scaled(f, config["nodes"], "extended", n_of(config["q"]))
             rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
         return rows
-    # the coefficients of every N(q), built for the whole batch in one pass
-    weights = n_coeffs([c["q"] for c in configs])
-    nodes = [c["nodes"].flatten() for c in configs]
-    batch = divided_differences(f, nodes, weights)
-    rows = [
-        (value, dd_threshold(scale, "double", tol), bound, None)
-        for value, scale, bound in zip(*(a.tolist() for a in batch))
-    ]
-    redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
-    if redo and LONG_DOUBLE_WIDER:
-        batch = divided_differences(
-            f, [nodes[i] for i in redo], weights[redo], np.longdouble
-        )
-        for i, value, scale, bound in zip(redo, *(a.tolist() for a in batch)):
-            rows[i] = (value, dd_threshold(scale, "extended", tol), bound, None)
-    return rows
-
-
-_PSD_NODES = {
-    "loewner-psd": lambda c: _loewner_nodes(c["points"]),
-    "extended-loewner-psd": lambda c: _extended_loewner_nodes(c["points"]),
-    "kraus-anchored-psd": lambda c: _kraus_nodes(c["points"], c["base"]),
-    "kraus-free-psd": lambda c: _kraus_nodes(c["points"], c["base"]),
-}
+    nodes = np.array([c["nodes"].flatten() for c in configs])
+    return _dd_rows(f, nodes, n_coeffs([c["q"] for c in configs]), tol)
 
 
 def _psd_matrix(f: FunctionModel, config: dict, precision: str) -> np.ndarray:
@@ -405,25 +469,21 @@ def _psd_rows(mats: np.ndarray, bounds, tol: float) -> list:
     return list(zip(lam, scale, bounds, mats))
 
 
-def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
-    """Minimum eigenvalue of the criterion matrix against tol * its scale.
+def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> list:
+    """Minimum eigenvalue of each criterion matrix of a batch of node rows
+    X (_layout) against tol * its scale, in double precision.
 
-    Loewner and Kraus matrices in double precision are built in one batch
-    with entrywise error bounds E.  The matrices whose ||E||_F leaves the
-    sign of their margin open (_open) are rebuilt as one long-double batch
-    where the platform's long double is wider.  For those still open, the
-    entries with the largest E are recomputed in extended precision, in
-    one call that shares their mpmath jets, until the rest of ||E||_F is
-    within half the slack max(value, 0) + threshold (a margin below
-    -||E||_F is a violation in any case and goes straight to the extended
-    re-check).
+    The matrices are built in one batch with entrywise error bounds E.
+    Those whose ||E||_F leaves the sign of their margin open (_open) are
+    rebuilt as one long-double batch where the platform's long double is
+    wider.  For those still open, the entries with the largest E are
+    recomputed in extended precision, in one call that shares their mpmath
+    jets, until the rest of ||E||_F is within half the slack max(value, 0)
+    + threshold (a margin below -||E||_F is a violation in any case and
+    goes straight to the extended re-check).
     """
-    if precision == "extended" or configs[0]["criterion"] not in _PSD_NODES:
-        mats = np.array([_psd_matrix(f, c, precision) for c in configs])
-        return _psd_rows(mats, [0.0] * len(configs), tol)
-    entries = [_PSD_NODES[c["criterion"]](c) for c in configs]
-    values, bounds = _dd_triangles(f, entries, "double")
-    iu = _triangle(len(configs[0]["points"]))
+    values, bounds = _dd_triangles(f, X, layout, "double")
+    iu = _triangle((math.isqrt(8 * len(layout) + 1) - 1) // 2)
     # each entry's share of ||E||_F^2; by Weyl's inequality lambda_min moves
     # by at most ||M - M_hat||_2 <= ||E||_F
     share = np.where(iu[0] == iu[1], 1.0, 2.0)
@@ -431,10 +491,8 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: fl
     rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
     redo = [b for b, row in enumerate(rows) if _open(*row[:3])]
     if redo and LONG_DOUBLE_WIDER:
-        flat = [nodes for b in redo for nodes in entries[b]]
-        value, _, bound = divided_differences(f, flat, None, np.longdouble)
-        values[redo] = value.reshape(len(redo), -1)
-        squares[redo] = share * bound.reshape(len(redo), -1) ** 2
+        values[redo], bound = _dd_triangles(f, X[redo], layout, "double", np.longdouble)
+        squares[redo] = share * bound**2
         redone = _psd_rows(_symmetric(values[redo]), [math.sqrt(squares[b].sum()) for b in redo], tol)
         for b, row in zip(redo, redone):
             rows[b] = row
@@ -448,10 +506,36 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: fl
                     break
                 picked.append(k)
                 left -= squares[b, k]
-            values[b, picked] = extended_divided_differences(f, [entries[b][k] for k in picked])
+            entries = _entries(X[b].tolist(), [layout[k] for k in picked])
+            values[b, picked] = extended_divided_differences(f, entries)
             squares[b, picked] = 0.0
             rows[b] = _psd_rows(_symmetric(values[b : b + 1]), [math.sqrt(squares[b].sum())], tol)[0]
     return rows
+
+
+def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
+    """Minimum eigenvalue of the criterion matrix against tol * its scale;
+    the point criteria in double precision as one batch (_point_rows)."""
+    criterion = configs[0]["criterion"]
+    if precision == "extended" or criterion not in POINT_CRITERIA:
+        mats = np.array([_psd_matrix(f, c, precision) for c in configs])
+        return _psd_rows(mats, [0.0] * len(configs), tol)
+    X = np.array([_point_row(criterion, c["points"], c.get("base")) for c in configs])
+    return _point_rows(f, X, _layout(criterion, len(configs[0]["points"])), tol)
+
+
+def _product_rows(
+    f: FunctionModel, t: np.ndarray, weights: np.ndarray, order: int, tol: float
+) -> list:
+    """Rows of (f N(q))^(order)(t) / order! at an array of t, weights the
+    n_coeffs rows of the N(q), in double precision: the jets of f and of
+    the weights at every t in one pass each, and their product
+    (_jet_product's terms, summed in its order)."""
+    fjet = [c if isinstance(c, np.ndarray) else np.full(t.shape, c) for c in f.taylor(t, order + 1)]
+    wjet = taylor_shift(list(weights.T), t, order + 1)
+    terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
+    threshold = dd_threshold(np.abs(terms).max(axis=0), "double", tol)
+    return [(value, th, 0.0, None) for value, th in zip(sum(terms).tolist(), threshold.tolist())]
 
 
 def _evaluate_product(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
@@ -510,29 +594,32 @@ class _Tally:
         self.witness = None
         self.dismissed = 0
 
-    def check(self, config: dict, row: tuple | None = None) -> float:
+    def check(self, row: tuple, config, i: int = 0) -> float:
         """Margin of one configuration; negative means a confirmed violation.
 
         row is its double-precision evaluation (with the evaluator's
-        long-double step), made here when not given.  Unless its bound
-        settles the sign of its margin (double_settles), the configuration
-        is evaluated again in mpmath, and only the second margin counts.  A
-        candidate is dismissed when the margin of its row was negative and
-        the mpmath one is not.
+        long-double step); config(i) materializes the configuration, only
+        when it is needed.  Unless the row's bound settles the sign of its
+        margin (double_settles), the configuration is evaluated again in
+        mpmath, and only the second margin counts.  A candidate is
+        dismissed when the margin of its row was negative and the mpmath
+        one is not.  A new worst margin keeps the configuration as the
+        witness.
         """
         self.configs += 1
-        if row is None:
-            row = self.evaluate(self.f, [config], "double", self.tol)[0]
         value, threshold, bound, matrix = row
         margin = value + threshold
+        made = None
         if not double_settles(value, bound, threshold):
-            value, threshold, _, matrix = self.evaluate(self.f, [config], "extended", self.tol)[0]
+            made = config(i)
+            value, threshold, _, matrix = self.evaluate(self.f, [made], "extended", self.tol)[0]
             if margin < 0.0 <= value + threshold:
                 self.dismissed += 1
             margin = value + threshold
         if margin < self.worst:
             self.worst = margin
-            self.witness = _witness(self.kind, config, value, threshold, matrix)
+            made = config(i) if made is None else made
+            self.witness = _witness(self.kind, made, value, threshold, matrix)
         return margin
 
     def record(self, passed: bool, note: str = "") -> CriterionRecord:
@@ -544,15 +631,18 @@ class _Tally:
         )
 
     def run(self, draw, samples: int, note: str = "") -> CriterionRecord:
-        """Check draw(0), ..., draw(samples - 1), evaluated a batch at a
-        time; stop at the first violation, so later rows of its batch
-        count neither in configs nor in the worst margin."""
+        """Check the configurations 0, ..., samples - 1 a batch at a time
+        (sweep_batches): draw(indices) draws those of a range of indices
+        and returns (rows, config), their double-precision rows and
+        config(i), which materializes the i-th of them.  Stop at the first
+        violation, so later rows of its batch count neither in configs nor
+        in the worst margin."""
         if samples < 1:
             raise ValueError("samples must be >= 1")
-        for configs in sweep_batches(draw, samples):
-            rows = self.evaluate(self.f, configs, "double", self.tol)
-            for config, row in zip(configs, rows):
-                if self.check(config, row) < 0.0:
+        for indices in sweep_batches(samples):
+            rows, config = draw(indices)
+            for i, row in enumerate(rows):
+                if self.check(row, config, i) < 0.0:
                     return self.record(False, note)
         return self.record(True, note)
 
@@ -561,21 +651,32 @@ class _Tally:
 # Divided-difference criteria
 
 
-def _draw_multiset(
-    rng: np.random.Generator, shape: str, n: int, interval: tuple[float, float], idx: int
-) -> NodeMultiset:
-    count = {"distinct-2n": 2 * n, "distinct-2n+1": 2 * n + 1, "doubled-free": n + 1}
-    pts = sample_distinct_tuple(rng, count.get(shape, n), interval, idx).tolist()
-    if shape.startswith("distinct"):
-        if all(p < q for p, q in zip(pts, pts[1:])):
-            return NodeMultiset(tuple((p, 1) for p in pts))
-        return NodeMultiset.from_points(pts)
-    mults = [2] * len(pts)
-    if shape == "doubled-anchored":
-        mults[int(rng.integers(0, n))] = 3
-    elif shape == "doubled-free":
-        mults[int(rng.integers(0, n + 1))] = 1
-    return NodeMultiset.from_pairs(zip(pts, mults))
+def _draw_dd(rng, shape: str, n: int, interval, complex_coeffs: bool | None, indices) -> list:
+    """The dd draws of a range of indices, from one DrawBlock of the
+    sweep's generator rng: (points, multiplicities, flattened nodes, q
+    coefficients) each, multiplicities None for a distinct shape.  Doubled
+    shapes double every point; the anchored one then triples one of them,
+    the free one keeps one of its n + 1 points simple.  complex_coeffs None
+    alternates real and complex q."""
+    lo, hi = check_interval(interval)
+    count = {"distinct-2n": 2 * n, "distinct-2n+1": 2 * n + 1, "doubled-free": n + 1}.get(shape, n)
+    # a row reads its nodes, a doubled shape's choice of a point, and q
+    width = place_width(count) + shape.startswith("doubled-") + _q_width(n - 1)
+    block = DrawBlock(rng, len(indices), width)
+    drawn = []
+    for idx in block.rows(indices):
+        pts = flat = place_nodes(block, count, lo, hi, idx)
+        mults = None
+        if shape.startswith("doubled"):
+            mults = [2] * count
+            if shape == "doubled-anchored":
+                mults[block.integers(0, n)] = 3
+            elif shape == "doubled-free":
+                mults[block.integers(0, n + 1)] = 1
+            flat = [v for v, m in zip(pts, mults) for _ in range(m)]
+        use_complex = bool(idx % 2) if complex_coeffs is None else complex_coeffs
+        drawn.append((pts, mults, flat, _q_coeffs(block, n - 1, pts, hi - lo, idx, use_complex)))
+    return drawn
 
 
 _DD_SHAPES = {
@@ -648,14 +749,22 @@ def _run_dd_sweep(
     if (mode, criterion) not in _DD_SHAPES:
         raise ValueError(f"mode must be 'monotone' or 'convex', got {mode!r}")
     rng = np.random.default_rng(seed)
-    span = float(interval[1]) - float(interval[0])
     shape = _DD_SHAPES[(mode, criterion)]
 
-    def draw(idx: int) -> dict:
-        ms = _draw_multiset(rng, shape, n, interval, idx)
-        use_complex = bool(idx % 2) if complex_coeffs is None else complex_coeffs
-        q = _sample_q(rng, n - 1, ms.values(), span, idx, use_complex)
-        return {"criterion": criterion, "nodes": ms, "q": q}
+    def draw(indices):
+        drawn = _draw_dd(rng, shape, n, interval, complex_coeffs, indices)
+
+        def config(i: int) -> dict:
+            pts, mults, _, q = drawn[i]
+            if mults is None:
+                nodes = NodeMultiset.from_points(pts)
+            else:
+                nodes = NodeMultiset.from_pairs(zip(pts, mults))
+            return {"criterion": criterion, "nodes": nodes, "q": _q_poly(q)}
+
+        nodes = np.array([d[2] for d in drawn])
+        weights = n_coeffs(_q_array([d[3] for d in drawn], n))
+        return _dd_rows(f, nodes, weights, tol), config
 
     return _Tally(f, criterion, "dd", tol).run(draw, samples, _Q_CADENCE_NOTE)
 
@@ -681,7 +790,7 @@ def ktone_check(
     """
     rng = np.random.default_rng(seed)
 
-    def draw(idx: int) -> dict:
+    def draw_one(idx: int) -> dict:
         if rng.random() < CONFLUENT_FRACTION and k >= 2:
             distinct = max(2, (k + 2) // 2)
             pts = sample_distinct_tuple(rng, distinct, interval, idx)
@@ -692,6 +801,10 @@ def ktone_check(
         else:
             ms = NodeMultiset.from_points(sample_distinct_tuple(rng, k + 1, interval, idx).tolist())
         return {"criterion": "k-tone", "nodes": ms, "q": ONE}
+
+    def draw(indices):
+        configs = [draw_one(idx) for idx in indices]
+        return _evaluate_dd(f, configs, "double", tol), configs.__getitem__
 
     return _Tally(f, "k-tone", "dd", tol).run(draw, samples)
 
@@ -708,21 +821,34 @@ def _run_psd_point_sweep(
     seed: int,
     tol: float,
 ) -> CriterionRecord:
-    if criterion not in _PSD_NODES:
+    """Sampled PSD check of a point criterion's matrix: n points, and for
+    Kraus a base, one of the points (anchored) or a further point (free)."""
+    if criterion not in POINT_CRITERIA:
         raise ValueError(f"unknown PSD criterion {criterion!r}")
     rng = np.random.default_rng(seed)
+    lo, hi = check_interval(interval)
+    kraus = criterion.startswith("kraus")
+    count = n + 1 if criterion == "kraus-free-psd" else n
+    width = place_width(count) + kraus
+    layout = _layout(criterion, n)
 
-    def draw(idx: int) -> dict:
-        if criterion == "kraus-free-psd":
-            pts = sample_distinct_tuple(rng, n + 1, interval, idx)
-            cut = int(rng.integers(0, n + 1))
-            points = [float(p) for i, p in enumerate(pts) if i != cut]
-            return {"criterion": criterion, "points": points, "base": float(pts[cut])}
-        points = [float(p) for p in sample_distinct_tuple(rng, n, interval, idx)]
-        if criterion == "kraus-anchored-psd":
-            base = points[int(rng.integers(0, n))]
-            return {"criterion": criterion, "points": points, "base": base}
-        return {"criterion": criterion, "points": points}
+    def draw(indices):
+        block = DrawBlock(rng, len(indices), width)
+        X = []
+        for idx in block.rows(indices):
+            row = place_nodes(block, count, lo, hi, idx)
+            if criterion == "kraus-free-psd":
+                row.append(row.pop(block.integers(0, n + 1)))
+            elif kraus:
+                row.append(row[block.integers(0, n)])
+            X.append(row)
+
+        def config(i: int) -> dict:
+            if not kraus:
+                return {"criterion": criterion, "points": X[i]}
+            return {"criterion": criterion, "points": X[i][:n], "base": X[i][n]}
+
+        return _point_rows(f, np.array(X), layout, tol), config
 
     return _Tally(f, criterion, "psd-matrix", tol).run(draw, samples)
 
@@ -762,7 +888,8 @@ def _run_derivative_matrix_sweep(
     tally = _Tally(f, criterion, "psd-matrix", tol)
 
     def probe(t) -> float:
-        return tally.check({"criterion": criterion, "t": float(t), "order": n})
+        config = {"criterion": criterion, "t": float(t), "order": n}
+        return tally.check(tally.evaluate(f, [config], "double", tol)[0], lambda _: config)
 
     margins = []
     for t in ts:
@@ -832,15 +959,25 @@ def _run_product_derivative_sweep(
     criterion = "product-derivative"
     order = 2 * n - 1 if mode == "monotone" else 2 * n
     rng = np.random.default_rng(seed)
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = check_interval(interval)
     span = hi - lo
     margin_t = 1e-6 * span
+    width = 1 + _q_width(n - 1)
 
-    def draw(idx: int) -> dict:
-        t = float(rng.uniform(lo + margin_t, hi - margin_t))
-        anchors = (t, lo + 0.25 * span, lo + 0.75 * span)
-        q = _sample_q(rng, n - 1, anchors, span, idx, bool(idx % 2))
-        return {"criterion": criterion, "t": t, "deriv_order": order, "q": q}
+    def draw(indices):
+        block = DrawBlock(rng, len(indices), width)
+        ts, qs = [], []
+        for idx in block.rows(indices):
+            t = block.uniform(lo + margin_t, hi - margin_t)
+            anchors = (t, lo + 0.25 * span, lo + 0.75 * span)
+            ts.append(t)
+            qs.append(_q_coeffs(block, n - 1, anchors, span, idx, bool(idx % 2)))
+
+        def config(i: int) -> dict:
+            return {"criterion": criterion, "t": ts[i], "deriv_order": order, "q": _q_poly(qs[i])}
+
+        weights = n_coeffs(_q_array(qs, n))
+        return _product_rows(f, np.array(ts), weights, order, tol), config
 
     return _Tally(f, criterion, "derivative-sign", tol).run(draw, samples)
 
@@ -908,7 +1045,7 @@ _SWEEPS = {
     **{
         name: lambda f, n, iv, m, s, c, name=name:
             _run_psd_point_sweep(f, n, iv, name, c.samples, s, c.tol)
-        for name in _PSD_NODES
+        for name in POINT_CRITERIA
     },
     **{
         name: lambda f, n, iv, m, s, c, name=name: _run_derivative_matrix_sweep(

@@ -18,9 +18,13 @@ nearest: bit for bit the table mpf arithmetic gives.  The mpmath entries
 of one criterion matrix share one jet per distinct node
 (extended_divided_differences).
 
-The node sampler (sample_distinct_tuple) draws with Generator.random and
-computes on Python floats, the same doubles from the same stream as
-uniform() draws and numpy arithmetic.
+Every sampled check places its nodes by one rule, place_nodes, on
+Python floats.  The criterion sweeps feed it from a DrawBlock: a batch's
+numbers drawn from the sweep's generator in one call, a fixed-size block
+per row, so the stream does not depend on the batch size (sweep_batches).
+The matrix oracle and the k-tone check feed it from their generator's
+own calls (sample_distinct_tuple), the same doubles from the same stream
+as uniform() draws and numpy arithmetic.
 
 peano_weight returns the density w with
     [x_0, ..., x_n]_f = int f^(n)(t)/n! * w(t) dt,
@@ -68,6 +72,7 @@ STEP_ERROR = 4.0
 VALUE_RTOL = 1e-12
 # sweeps evaluate their draws in batches of 1, 2, 4, ..., SWEEP_BATCH rows
 SWEEP_BATCH = 256
+_TAU = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -160,17 +165,19 @@ def double_settles(value, bound, threshold=None) -> bool:
     return value - bound + threshold >= 0.0
 
 
-def sweep_batches(draw, samples: int):
-    """draw(0), ..., draw(samples - 1) in lists of 1, 2, 4, ..., SWEEP_BATCH.
+def sweep_batches(samples: int):
+    """range(0, samples) in consecutive ranges of 1, 2, 4, ..., SWEEP_BATCH.
 
     A sweep that fails at its first rows evaluates few extra ones; a long
-    sweep runs one table per batch.  Draws keep their order, so a sweep's
-    result does not depend on the batch size.
+    sweep runs one table per batch.  A batch only groups evaluation: a
+    sampled sweep draws row idx from its own block of numbers (DrawBlock)
+    and the oracle draws its trials from one generator in order, so a
+    sweep's result does not depend on the batch size.
     """
     start, size = 0, 1
     while start < samples:
         stop = min(start + size, samples)
-        yield [draw(idx) for idx in range(start, stop)]
+        yield range(start, stop)
         start, size = stop, min(2 * size, SWEEP_BATCH)
 
 
@@ -225,20 +232,22 @@ def divided_differences(
     """Divided differences of many node multisets at once, in the float
     type dtype (double, or np.longdouble for the long-double step).
 
-    rows are node sequences (repeats allowed, any order); weights, if
-    given, is a (rows, d) array of real weight coefficients, ascending and
-    zero-padded (polynomial.n_coeffs gives those of N(q)).  Returns float
-    arrays (value, scale, bound): [row]_{f * weight}, the largest |table
-    entry| and a running bound on the value's error.  A long-double value is rounded
-    to a float, and its bound gains eps * |value| for that rounding.
+    rows are node sequences (repeats allowed, any order) or a (rows,
+    nodes) array; weights, if given, is a (rows, d) array of real weight
+    coefficients, ascending and zero-padded (polynomial.n_coeffs gives
+    those of N(q)).  Returns float arrays (value, scale, bound):
+    [row]_{f * weight}, the largest |table entry| and a running bound on
+    the value's error.  A long-double value is rounded to a float, and its
+    bound gains eps * |value| for that rounding.
     Rows with the same node count share one Newton/Hermite table over
     (rows, nodes) arrays.
     """
     groups: dict[int, list[int]] = {}
-    for r, z in enumerate(rows):
-        groups.setdefault(len(z), []).append(r)
-    if len(groups) == 1:
-        value, scale, bound = _hermite_batch(f, np.sort(np.array(rows, dtype=dtype), axis=1), weights)
+    if not isinstance(rows, np.ndarray):  # an array's rows share one node count
+        for r, z in enumerate(rows):
+            groups.setdefault(len(z), []).append(r)
+    if len(groups) <= 1:
+        value, scale, bound = _hermite_batch(f, np.sort(np.asarray(rows, dtype=dtype), axis=1), weights)
     else:
         value, scale, bound = out = np.empty((3, len(rows)), dtype)
         for idx in groups.values():
@@ -620,14 +629,24 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
-_HALTON_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+@functools.cache
+def _primes(count: int) -> tuple[int, ...]:
+    """The first count primes: the Halton bases of a count-node row."""
+    found: list[int] = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return tuple(found)
 
 
 # every third draw of a sweep takes a Halton row: 334 rows for 1000 draws
-@functools.lru_cache(maxsize=512)
-def _halton_row(index: int) -> tuple[float, ...]:
-    """Halton point index + 1 in every base, mapped into (0.0005, 0.9995)."""
-    return tuple(0.999 * _halton(index + 1, base) + 0.0005 for base in _HALTON_BASES)
+@functools.lru_cache(maxsize=2048)
+def _halton_row(index: int, count: int) -> tuple[float, ...]:
+    """Halton point index + 1 in the first count prime bases, mapped into
+    (0.0005, 0.9995): count distinct coordinates."""
+    return tuple(0.999 * _halton(index + 1, base) + 0.0005 for base in _primes(count))
 
 
 def check_interval(interval) -> tuple[float, float]:
@@ -650,35 +669,111 @@ def check_tol(tol: float) -> float:
     return tol
 
 
-def sample_distinct_tuple(
-    rng: np.random.Generator,
-    count: int,
-    interval: tuple[float, float],
-    index: int,
-) -> np.ndarray:
-    """One ascending tuple of `count` >= 1 distinct nodes strictly inside
-    the finite interval lo < hi; every sampled check draws its nodes here.
+class _GeneratorDraws:
+    """A Generator's calls as the draw rules make them, answered in Python
+    floats and ints: one generator call each, in the order made."""
 
-    Draws come from Generator.random, which gives uniform()'s doubles
-    from the same stream, and the arithmetic runs on Python floats: the
-    IEEE double operations numpy arrays would make, without their
-    per-call cost on a handful of nodes.
+    __slots__ = ("rng",)
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+
+    def random(self, size=None):
+        return self.rng.random() if size is None else self.rng.random(size).tolist()
+
+    def uniform(self, low: float, high: float) -> float:
+        return self.rng.uniform(low, high)
+
+    def integers(self, low: int, high: int) -> int:
+        return int(self.rng.integers(low, high))
+
+    def normal(self, scale: float, size: int) -> list[float]:
+        return self.rng.normal(scale=scale, size=size).tolist()
+
+
+class DrawBlock:
+    """The numbers of a batch of draws, taken from a sweep's generator in
+    one call: `width` uniform doubles per row, row-major, so the row of
+    draw idx holds the same numbers however the draws are batched.
+
+    rows(indices) steps through the rows; the draw rules read the current
+    row's numbers in order through the calls a Generator answers
+    (_GeneratorDraws), on Python floats: uniform(low, high) is low + (high
+    - low) * u, integers(low, high) is low + floor((high - low) * u), and a
+    normal is scale * sqrt(-2 log(1 - u)) cos(2 pi u') from two numbers
+    (Box-Muller).  A row that reads more than width numbers raises.
+    """
+
+    __slots__ = ("u", "at", "width")
+
+    def __init__(self, rng: np.random.Generator, rows: int, width: int):
+        self.u = rng.random(rows * width).tolist()
+        self.width = width
+        self.at = 0
+
+    def rows(self, indices):
+        """Each index of indices, with the block at the start of its row."""
+        for r, idx in enumerate(indices):
+            self.at = r * self.width
+            yield idx
+            if self.at > (r + 1) * self.width:
+                raise RuntimeError(f"draw {idx} read past its {self.width} numbers")
+
+    def random(self, size=None):
+        at = self.at
+        if size is None:
+            self.at = at + 1
+            return self.u[at]
+        self.at = at + size
+        return self.u[at : at + size]
+
+    def uniform(self, low: float, high: float) -> float:
+        self.at += 1
+        return low + (high - low) * self.u[self.at - 1]
+
+    def integers(self, low: int, high: int) -> int:
+        self.at += 1
+        return min(low + int((high - low) * self.u[self.at - 1]), high - 1)
+
+    def normal(self, scale: float, size: int) -> list[float]:
+        u, at = self.u, self.at
+        self.at = at + 2 * size
+        return [
+            scale * math.sqrt(-2.0 * math.log(1.0 - u[i])) * math.cos(_TAU * u[i + 1])
+            for i in range(at, at + 2 * size, 2)
+        ]
+
+
+def place_width(count: int) -> int:
+    """Numbers the placement rule reads for a count-node tuple: the count
+    uniforms, the cluster choice and the cluster centre."""
+    return count + 2
+
+
+def place_nodes(draws, count: int, a: float, b: float, index: int) -> list[float]:
+    """The placement rule of every sampled check: one ascending list of
+    `count` >= 1 distinct nodes strictly inside a < b (check_interval),
+    read from draws (a DrawBlock row, or a Generator's calls through
+    sample_distinct_tuple) on Python floats.
+
+    Every third index takes its uniforms from a Halton row (the uniforms
+    are still drawn); a CLUSTER_FRACTION of draws place the nodes in a
+    cluster of width scale * span around a uniform centre, the others
+    spread them with at least span / SEPARATION_PARTS between neighbours.
     """
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
-    a, b = check_interval(interval)
     span = b - a
     margin = span * MARGIN_FRACTION
     delta = span / SEPARATION_PARTS
-    u = rng.random(count).tolist()
+    u = draws.random(count)
     if index % 3 == 0:
-        row = _halton_row(index)
-        u = [row[d % len(row)] for d in range(count)]
+        u = list(_halton_row(index, count))
     u.sort()
-    if rng.random() < CLUSTER_FRACTION:
+    if draws.random() < CLUSTER_FRACTION:
         scale = CLUSTER_SCALES[index % len(CLUSTER_SCALES)]
         lo, hi = a + margin, b - margin
-        center = rng.uniform(lo, hi)
+        center = draws.uniform(lo, hi)
         width = scale * span
         x = []
         for s in u:
@@ -694,12 +789,29 @@ def sample_distinct_tuple(
         if x[-1] >= hi:
             shift = x[-1] - hi
             x = [v - shift for v in x]
-        return np.array(x)
+        return x
     free = span - 2 * margin - (count - 1) * delta
     if free <= 0:
         raise ValueError("interval too small for the requested separation")
     base = a + margin
-    return np.array([base + free * s + delta * i for i, s in enumerate(u)])
+    return [base + free * s + delta * i for i, s in enumerate(u)]
+
+
+def sample_distinct_tuple(
+    rng: np.random.Generator,
+    count: int,
+    interval: tuple[float, float],
+    index: int,
+) -> np.ndarray:
+    """place_nodes fed by the generator's own calls, as an array: the
+    matrix oracle and the k-tone check draw their nodes here.
+
+    Generator.random gives uniform()'s doubles from the same stream, and
+    the arithmetic runs on Python floats: the IEEE double operations numpy
+    arrays would make, without their per-call cost on a handful of nodes.
+    """
+    a, b = check_interval(interval)
+    return np.array(place_nodes(_GeneratorDraws(rng), count, a, b, index))
 
 
 @dataclass

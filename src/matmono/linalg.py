@@ -383,7 +383,7 @@ def _search(kind: str, trials: int, seed: int, tol: float, draw, evaluate) -> Cr
     check_tol(tol)
     rng = np.random.default_rng(seed)
     worst, witness, checked = math.inf, None, 0
-    for indices in sweep_batches(int, trials):
+    for indices in sweep_batches(trials):
         drawn, failure = [], None
         for idx in indices:
             try:

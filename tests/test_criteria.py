@@ -233,21 +233,19 @@ def test_dd_dismissed_note_counts_unconfirmed_rechecks(monkeypatch):
     dismissed, not the rows re-checked only because their error bound left
     the sign open."""
     from matmono import criteria
+    from matmono.divdiff import double_settles
 
-    real = criteria._EVALUATORS["dd"]
-    double_margin = {}
-    rechecked = []  # (double margin, extended margin) of each re-checked row
+    check = criteria._Tally.check
+    rechecked = []  # (row margin, extended margin) of each re-checked row
 
-    def counted(f, configs, precision, tol):
-        rows = real(f, configs, precision, tol)
-        for config, (value, threshold, _, _) in zip(configs, rows):
-            if precision == "extended":
-                rechecked.append((double_margin[id(config)], value + threshold))
-            else:
-                double_margin[id(config)] = value + threshold
-        return rows
+    def counted(self, row, config, i=0):
+        margin = check(self, row, config, i)
+        value, threshold, bound, _ = row
+        if not double_settles(value, bound, threshold):
+            rechecked.append((value + threshold, margin))
+        return margin
 
-    monkeypatch.setitem(criteria._EVALUATORS, "dd", counted)
+    monkeypatch.setattr(criteria._Tally, "check", counted)
     steep = FunctionModel(parse("10000000*x"), name="1e7 x")  # every 2nd dd is 0
     rec = dd_criterion(steep, 1, (-2.0, 2.0), "convex", samples=300, seed=0)
     dismissed = sum(1 for before, after in rechecked if before < 0.0 <= after)
@@ -283,12 +281,12 @@ def test_certify_exponential_fails_unanimously():
     assert rep.consistent  # unanimous failure is agreement, not a conflict
     # first-failure indices: they pin each criterion's draw order
     assert {r.criterion: r.configs for r in rep.records} == {
-        "dd-real-q": 2,
-        "dd-complex-q": 52,
-        "dd-confluent": 39,
+        "dd-real-q": 46,
+        "dd-complex-q": 8,
+        "dd-confluent": 47,
         "loewner-psd": 1,
         "extended-loewner-psd": 1,
-        "product-derivative": 26,
+        "product-derivative": 18,
         "dobsch-psd": 1,
         "matrix-oracle": 1,
     }
@@ -310,12 +308,12 @@ def test_certify_convex_battery():
     assert not hankel.passed and hankel.witness["criterion"] == "hankel-psd"
     assert {r.criterion: r.configs for r in bad.records} == {
         "dd-real-q": 6,
-        "dd-complex-q": 111,
-        "dd-confluent-anchored": 6,
-        "dd-confluent-free": 55,
+        "dd-complex-q": 76,
+        "dd-confluent-anchored": 23,
+        "dd-confluent-free": 175,
         "kraus-anchored-psd": 1,
         "kraus-free-psd": 1,
-        "product-derivative": 18,
+        "product-derivative": 39,
         "hankel-psd": 1,
         "matrix-oracle": 1,
     }
@@ -430,25 +428,28 @@ BOUND_FUNCTIONS = [(e.model, e.interval) for e in catalog()] + [
 ] + [(FunctionModel(parse("x+x^3"), name="x+x^3"), (-0.5, 0.5))]
 
 
+def _sweep_draws(shape, n, interval, count):
+    """The first count draws of a dd sweep of the shape with seed n, as
+    (NodeMultiset, q); q alternates real and complex coefficients."""
+    from matmono.criteria import _draw_dd, _q_poly
+
+    drawn = _draw_dd(np.random.default_rng(n), shape, n, interval, None, range(count))
+    return [(NodeMultiset.from_points(flat), _q_poly(q)) for _, _, flat, q in drawn]
+
+
 def test_running_bound_covers_double_error():
     """|double - extended| <= bound for every dd-sweep shape, n = 1-3, over
     the sweep's own draws: clustered tuples and q with roots at the nodes
     (cadence slot 2) included."""
-    from matmono.criteria import _DD_SHAPES, _draw_multiset
+    from matmono.criteria import _DD_SHAPES
     from matmono.divdiff import divided_differences
 
     eps = np.finfo(float).eps
     rows, violations = 0, []
     for f, interval in BOUND_FUNCTIONS:
-        span = interval[1] - interval[0]
         for shape in sorted(set(_DD_SHAPES.values())):
             for n in (1, 2, 3):
-                rng = np.random.default_rng(n)
-                draws = []
-                for idx in range(16):
-                    ms = _draw_multiset(rng, shape, n, interval, idx)
-                    q = _sample_q(rng, n - 1, ms.values(), span, idx, bool(idx % 2))
-                    draws.append((ms, q))
+                draws = _sweep_draws(shape, n, interval, 16)
                 values, _, bounds = divided_differences(
                     f, [ms.flatten() for ms, _ in draws], n_coeffs([q for _, q in draws])
                 )
@@ -467,7 +468,7 @@ def test_long_double_bound_covers_its_error():
     the rounding to a float: dd rows of every dd-sweep shape, n = 1-3, with
     the sweeps' q weights, and the entries of Kraus and extended Loewner
     matrices, over the sweeps' own draws (clustered tuples included)."""
-    from matmono.criteria import _DD_SHAPES, _draw_multiset, _extended_loewner_nodes, _kraus_nodes
+    from matmono.criteria import _DD_SHAPES, _extended_loewner_nodes, _kraus_nodes
     from matmono.divdiff import divided_differences, extended_divided_differences
 
     rows, clustered, violations = 0, 0, []
@@ -485,12 +486,7 @@ def test_long_double_bound_covers_its_error():
         span = interval[1] - interval[0]
         for shape in sorted(set(_DD_SHAPES.values())):
             for n in (1, 2, 3):
-                rng = np.random.default_rng(n)
-                draws = []
-                for idx in range(8):
-                    ms = _draw_multiset(rng, shape, n, interval, idx)
-                    q = _sample_q(rng, n - 1, ms.values(), span, idx, bool(idx % 2))
-                    draws.append((ms, q))
+                draws = _sweep_draws(shape, n, interval, 8)
                 exact = [divided_difference(f, ms, "extended", n_of(q)) for ms, q in draws]
                 check(f, span, [ms.flatten() for ms, _ in draws], n_coeffs([q for _, q in draws]), exact)
         rng = np.random.default_rng(0)
@@ -598,6 +594,113 @@ def test_sweep_records_do_not_depend_on_batch_size(monkeypatch):
     batched = records()
     monkeypatch.setattr(divdiff, "SWEEP_BATCH", 1)
     assert records() == batched
+
+
+# (criterion, mode, passing function and interval, failing one) of every
+# sweep that draws its batches from a DrawBlock
+BLOCK_DRAWN = [
+    ("dd-complex-q", "monotone", (RECIP_NEG, (0.5, 4.0)), (EXP, (-1.0, 1.0))),
+    ("extended-loewner-psd", "monotone", (RECIP_NEG, (0.5, 4.0)), (EXP, (-1.0, 1.0))),
+    ("product-derivative", "monotone", (RECIP_NEG, (0.5, 4.0)), (EXP, (-1.0, 1.0))),
+    ("dd-confluent-anchored", "convex", (SQUARE, (0.1, 10.0)), (CUBE, (0.5, 4.0))),
+    ("dd-confluent-free", "convex", (SQUARE, (0.1, 10.0)), (CUBE, (0.5, 4.0))),
+    ("kraus-anchored-psd", "convex", (SQUARE, (0.1, 10.0)), (CUBE, (0.5, 4.0))),
+    ("kraus-free-psd", "convex", (SQUARE, (0.1, 10.0)), (CUBE, (0.5, 4.0))),
+    ("product-derivative", "convex", (SQUARE, (0.1, 10.0)), (CUBE, (0.5, 4.0))),
+]
+
+
+def _block_drawn_records(criterion, mode, cases, samples=300, seed=7):
+    from matmono.criteria import _SWEEPS
+
+    cfg = CertifyConfig(samples=samples, seed=seed)
+    return [_SWEEPS[criterion](f, 2, interval, mode, seed, cfg) for f, interval in cases]
+
+
+@pytest.mark.parametrize("criterion, mode, passing, failing", BLOCK_DRAWN,
+                         ids=[f"{c}-{m}" for c, m, _, _ in BLOCK_DRAWN])
+def test_block_drawn_records_do_not_depend_on_batch_size(monkeypatch, criterion, mode,
+                                                          passing, failing):
+    """Each row reads only its own block of the batch's numbers: one-row
+    batches give the records of the default batches, configs, worst value,
+    witness and note, on a passing and a failing sweep."""
+    from matmono import divdiff
+
+    def records():
+        recs = _block_drawn_records(criterion, mode, [passing, failing])
+        return [(r.passed, r.configs, r.worst_value, r.witness, r.note) for r in recs]
+
+    batched = records()
+    assert [passed for passed, *_ in batched] == [True, False]
+    monkeypatch.setattr(divdiff, "SWEEP_BATCH", 1)
+    assert records() == batched
+
+
+@pytest.mark.parametrize("criterion, mode, passing, failing", BLOCK_DRAWN,
+                         ids=[f"{c}-{m}" for c, m, _, _ in BLOCK_DRAWN])
+def test_block_drawn_failures_replay_bit_for_bit(criterion, mode, passing, failing):
+    """The witness of a failing block-drawn sweep is its materialized
+    configuration: re_evaluate_witness gives its value and threshold."""
+    (rec,) = _block_drawn_records(criterion, mode, [failing])
+    f = failing[0]
+    assert not rec.passed
+    w = rec.witness
+    replay = re_evaluate_witness(f, w)
+    assert replay["confirmed"]
+    assert replay["value"] == w.get("value", w.get("min_eigenvalue"))
+    assert replay["threshold"] == w["threshold"]
+    assert rec.worst_value == replay["value"] + replay["threshold"]
+
+
+def _placed_from_halton(x, idx, interval) -> bool:
+    """x, the ascending nodes of draw idx, are placed from the sorted
+    Halton row of idx: spread apart, or a cluster of width 0.1 * span
+    (the cluster scale of every third index) that no end clipped."""
+    from matmono.divdiff import MARGIN_FRACTION, SEPARATION_PARTS, _halton_row
+
+    a, b = interval
+    span = b - a
+    margin, delta = span * MARGIN_FRACTION, span / SEPARATION_PARTS
+    h = np.sort(_halton_row(idx, len(x)))
+    free = span - 2 * margin - (len(x) - 1) * delta
+    spread = a + margin + free * h + delta * np.arange(len(x))
+    width = 0.1 * span
+    cluster = x[0] + width * (h - h[0])
+    return bool(np.allclose(x, spread, rtol=0, atol=1e-12 * span)
+                or np.allclose(x, cluster, rtol=0, atol=1e-12 * span))
+
+
+def test_q_drawing_sweeps_keep_the_cadence(monkeypatch):
+    """Row 0 of every q-drawing sweep has q = 1, and every third row takes
+    its nodes from its Halton row (all but the clusters an end clipped)."""
+    from matmono import criteria
+    from matmono.criteria import _DD_SHAPES, _draw_dd
+
+    interval = (0.5, 4.0)
+    for shape in sorted(set(_DD_SHAPES.values())):
+        for n in (1, 2, 3):
+            drawn = _draw_dd(np.random.default_rng(n), shape, n, interval, None, range(60))
+            assert drawn[0][3] is None
+            assert all(q is None for _, _, _, q in drawn[::4])
+            halton = [_placed_from_halton(np.array(pts), idx, interval)
+                      for idx, (pts, *_) in enumerate(drawn) if idx % 3 == 0]
+            assert sum(halton) >= len(halton) - 2, (shape, n)
+
+    weights = []
+    product_rows = criteria._product_rows
+
+    def captured(f, t, w, order, tol):
+        weights.append(w)
+        return product_rows(f, t, w, order, tol)
+
+    monkeypatch.setattr(criteria, "_product_rows", captured)
+    for f, iv, mode in ((RECIP_NEG, interval, "monotone"), (SQUARE, (0.1, 10.0), "convex")):
+        weights.clear()
+        rec = criteria._run_product_derivative_sweep(f, 3, iv, mode, 40, 5, 1e-9)
+        assert rec.configs == 40
+        rows = np.concatenate(weights)
+        assert rows[0].tolist() == [1.0] + [0.0] * (rows.shape[1] - 1)
+        assert all(r.tolist() == rows[0].tolist() for r in rows[::4])
 
 
 def test_dd_criteria_reject_unknown_mode_and_base():

@@ -242,6 +242,27 @@ def test_sample_distinct_tuple_contract():
     np.testing.assert_array_equal(a, b)
 
 
+def test_halton_rows_keep_distinct_coordinates_past_nine_nodes():
+    """A Halton row of count nodes uses the first count primes as bases, so
+    its coordinates are distinct; rows of up to nine nodes are unchanged."""
+    from matmono.divdiff import _halton_row, _primes
+
+    assert _primes(12) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for count in (10, 12, 15):
+        for index in range(0, 3000, 3):
+            assert len(set(_halton_row(index, count))) == count
+    assert _halton_row(42, 12)[:9] == _halton_row(42, 9)
+    # ten-node cluster draws from a Halton row no longer collapse to gaps of
+    # 1e-9 * width (about 300 of the 1000 Halton draws did; those left are
+    # clusters an end of the interval clipped)
+    rng = np.random.default_rng(3)
+    collapsed = 0
+    for idx in range(3000):
+        x = sample_distinct_tuple(rng, 10, (0.5, 4.0), idx)
+        collapsed += idx % 3 == 0 and np.diff(x).min() < 1e-9
+    assert collapsed < 50
+
+
 def test_ktone_check_pass_and_fail():
     convex = ktone_check(FunctionModel(parse("x^2")), 2, (-1.0, 1.0))
     assert convex.passed and convex.configs == 1000
