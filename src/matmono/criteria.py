@@ -33,6 +33,7 @@ from .divdiff import (
     check_interval,
     check_tol,
     dd_threshold,
+    divided_difference_enclosures,
     divided_difference_scaled,
     divided_differences,
     double_settles,
@@ -42,7 +43,7 @@ from .divdiff import (
     sample_distinct_tuple,
     sweep_batches,
 )
-from .expr import EXTENDED_DIGITS, FunctionModel
+from .expr import EXTENDED_DIGITS, DomainError, FunctionModel
 from .linalg import (
     convexity_oracle,
     matrix_from_jsonable,
@@ -414,22 +415,47 @@ def _open(value: float, threshold: float, bound: float) -> bool:
     return not double_settles(value, bound, threshold) and value + bound + threshold >= 0.0
 
 
+def _enclosures(f: FunctionModel, nodes, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """divided_difference_enclosures, with NaN bounds (no enclosure) for
+    every row when some box is possibly outside f's domain."""
+    try:
+        return divided_difference_enclosures(f, nodes, weights)
+    except DomainError:
+        unknown = np.full(sum(map(len, nodes)) if isinstance(nodes, list) else len(nodes), np.nan)
+        return unknown, unknown
+
+
 def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: float) -> list:
     """Rows of [nodes]_{f N(q)} over a (rows, nodes) array, weights the
-    n_coeffs rows of the N(q): one batched table with running error
-    bounds; where the platform's long double is wider, the rows it leaves
-    open are re-run as one long-double batch.  A long-double row is held to
-    the extended floor, so it settles only margins the extended re-check
-    would find nonnegative."""
+    n_coeffs rows of the N(q), by the precision ladder short of mpmath.
+
+    One batched table with running error bounds; where the platform's long
+    double is wider, the rows it leaves open are re-run as one long-double
+    batch; the rows still open take one batch of enclosures [lo, hi]
+    (divided_difference_enclosures).  The long-double step and the
+    enclosure hold a row to the extended floor, so they settle only
+    margins the extended re-check would find nonnegative: an enclosed row
+    settles when lo + that floor >= 0, and then reports its value clipped
+    to [lo, hi] with bound value - lo.  Every other row keeps its double
+    (or long-double) evaluation, and _Tally.check sends it to mpmath.
+    """
     value, scale, bound = divided_differences(f, nodes, weights)
     threshold = dd_threshold(scale, "double", tol)
     rows = [(*row, None) for row in zip(value.tolist(), threshold.tolist(), bound.tolist())]
     redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
     if redo and LONG_DOUBLE_WIDER:
-        value, scale, bound = divided_differences(f, nodes[redo], weights[redo], np.longdouble)
-        threshold = dd_threshold(scale, "extended", tol)
+        value, wide_scale, bound = divided_differences(f, nodes[redo], weights[redo], np.longdouble)
+        threshold = dd_threshold(wide_scale, "extended", tol)
         for i, *row in zip(redo, value.tolist(), threshold.tolist(), bound.tolist()):
             rows[i] = (*row, None)
+        redo = [i for i in redo if _open(*rows[i][:3])]
+    if redo:
+        floor = dd_threshold(scale[redo], "extended", tol).tolist()
+        lo, hi = _enclosures(f, nodes[redo], weights[redo])
+        for i, low, high, th in zip(redo, lo.tolist(), hi.tolist(), floor):
+            if low + th >= 0.0:
+                v = min(max(rows[i][0], low), high)
+                rows[i] = (v, th, v - low, None)
     return rows
 
 
@@ -476,11 +502,15 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> list:
     The matrices are built in one batch with entrywise error bounds E.
     Those whose ||E||_F leaves the sign of their margin open (_open) are
     rebuilt as one long-double batch where the platform's long double is
-    wider.  For those still open, the entries with the largest E are
-    recomputed in extended precision, in one call that shares their mpmath
-    jets, until the rest of ||E||_F is within half the slack max(value, 0)
-    + threshold (a margin below -||E||_F is a violation in any case and
-    goes straight to the extended re-check).
+    wider.  For those still open, each entry takes an enclosure
+    (divided_difference_enclosures, one batch for every entry), and an
+    entry whose enclosure radius is below its bound takes the enclosure's
+    midpoint and that radius as its value and bound; Weyl's bound then
+    decides the matrix again.  For those still open, the entries with the
+    largest E are recomputed in extended precision, in one call that
+    shares their mpmath jets, until the rest of ||E||_F is within half the
+    slack max(value, 0) + threshold (a margin below -||E||_F is a violation
+    in any case and goes straight to the extended re-check).
     """
     values, bounds = _dd_triangles(f, X, layout, "double")
     iu = _triangle((math.isqrt(8 * len(layout) + 1) - 1) // 2)
@@ -495,6 +525,24 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> list:
         squares[redo] = share * bound**2
         redone = _psd_rows(_symmetric(values[redo]), [math.sqrt(squares[b].sum()) for b in redo], tol)
         for b, row in zip(redo, redone):
+            rows[b] = row
+    left = [b for b in redo if _open(*rows[b][:3])]
+    if left:
+        groups = _layout_groups(layout)
+        lo, hi = _enclosures(f, [X[left][:, pos].reshape(-1, pos.shape[1]) for _, pos in groups])
+        with np.errstate(invalid="ignore", over="ignore"):  # unknown or huge enclosures
+            mid = 0.5 * (lo + hi)
+            radius = np.nextafter(np.maximum(hi - mid, mid - lo), np.inf)
+            start = 0
+            for ks, _ in groups:
+                at, part = np.ix_(left, ks), slice(start, start + len(left) * len(ks))
+                start = part.stop
+                square = share[ks] * radius[part].reshape(len(left), -1) ** 2
+                take = square < squares[at]
+                values[at] = np.where(take, mid[part].reshape(len(left), -1), values[at])
+                squares[at] = np.where(take, square, squares[at])
+        redone = _psd_rows(_symmetric(values[left]), [math.sqrt(squares[b].sum()) for b in left], tol)
+        for b, row in zip(left, redone):
             rows[b] = row
     for b in redo:
         value, threshold, bound, _ = rows[b]
@@ -598,13 +646,13 @@ class _Tally:
         """Margin of one configuration; negative means a confirmed violation.
 
         row is its double-precision evaluation (with the evaluator's
-        long-double step); config(i) materializes the configuration, only
-        when it is needed.  Unless the row's bound settles the sign of its
-        margin (double_settles), the configuration is evaluated again in
-        mpmath, and only the second margin counts.  A candidate is
-        dismissed when the margin of its row was negative and the mpmath
-        one is not.  A new worst margin keeps the configuration as the
-        witness.
+        long-double and enclosure steps); config(i) materializes the
+        configuration, only when it is needed.  Unless the row's bound
+        settles the sign of its margin (double_settles), the configuration
+        is evaluated again in mpmath, and only the second margin counts.  A
+        candidate is dismissed when the margin of its row was negative and
+        the mpmath one is not.  A new worst margin keeps the configuration
+        as the witness.
         """
         self.configs += 1
         value, threshold, bound, matrix = row

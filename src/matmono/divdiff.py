@@ -8,15 +8,18 @@ Tables run in double precision a batch at a time, over (rows, nodes)
 arrays, and carry a running error bound (Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 3).  One rule, double_settles, decides from
 that bound whether a result stands.  The precision ladder is double ->
-long double -> mpmath: where the platform's long double is wider than
-double (LONG_DOUBLE_WIDER, x86), the sweeps re-run the rows double
-leaves open as one long-double batch under the same bound, and what
-that does not settle is recomputed in mpmath, with digits scaled to the
-node gaps.  The mpmath tables run on raw mpf tuples (mpmath.libmp), one
-libmp call per mpf operation at the context precision, rounding to
-nearest: bit for bit the table mpf arithmetic gives.  The mpmath entries
-of one criterion matrix share one jet per distinct node
-(extended_divided_differences).
+long double -> interval enclosure -> mpmath: where the platform's long
+double is wider than double (LONG_DOUBLE_WIDER, x86), the sweeps re-run
+the rows double leaves open as one long-double batch under the same
+bound; the rows still open take one batch of enclosures
+(divided_difference_enclosures: Hermite-Genocchi in Taylor form over
+interval jets, matmono.interval); what no enclosure settles is
+recomputed in mpmath, with digits scaled to the node gaps.  Elsewhere
+the ladder is double -> enclosure -> mpmath.  The mpmath tables run on
+raw mpf tuples (mpmath.libmp), one libmp call per mpf operation at the
+context precision, rounding to nearest: bit for bit the table mpf
+arithmetic gives.  The mpmath entries of one criterion matrix share one
+jet per distinct node (extended_divided_differences).
 
 Every sampled check places its nodes by one rule, place_nodes, on
 Python floats.  The criterion sweeps feed it from a DrawBlock: a batch's
@@ -55,6 +58,7 @@ from mpmath.libmp import (
 )
 
 from .expr import EXTENDED_DIGITS, cauchy
+from .interval import Interval, around
 from .polynomial import Poly, taylor_shift
 
 # Running error bound of a double table.  A seed g_k = sum_j w_j f_(k-j)
@@ -72,6 +76,9 @@ STEP_ERROR = 4.0
 VALUE_RTOL = 1e-12
 # sweeps evaluate their draws in batches of 1, 2, 4, ..., SWEEP_BATCH rows
 SWEEP_BATCH = 256
+# Taylor order m of the enclosure rung (divided_difference_enclosures); even,
+# so that its remainder factor (xi - c)^m is nonnegative
+ENCLOSURE_ORDER = 4
 _TAU = 2.0 * math.pi
 
 
@@ -257,6 +264,76 @@ def divided_differences(
         value, scale = value.astype(float), scale.astype(float)
         bound = bound.astype(float) + _EPS * np.abs(value)
     return value, scale, bound
+
+
+def _part(x, index):
+    """The boxes `index` of a jet coefficient: an Interval, an array of
+    exact values, or an exact float or constant's box for every box."""
+    return x[index] if isinstance(x, (Interval, np.ndarray)) and len(x) > 1 else x
+
+
+def divided_difference_enclosures(f, rows, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) that hold the exact [row]_{f * weight} of each row of
+    a (rows, N) node array (repeats allowed, any order), weights as in
+    divided_differences; or of each row of a list of such arrays with
+    different N and no weights, one jet serving them all, the bounds in
+    that order.
+
+    Hermite-Genocchi (de Boor, Divided differences, 2005) in Taylor form
+    about the midpoint c of a row's hull [a, b], of radius r: with m =
+    ENCLOSURE_ORDER and g_j = g^(j)/j! for g = f * weight,
+
+        [x]g in sum_{k<m} g_{N-1+k}(c) h_k(x - c)
+                + C(N-1+m, m) g_{N-1+m}([a, b]) [0, r^m],
+
+    h_k the complete homogeneous symmetric polynomial of degree k, the
+    divided difference of (t - c)^(N-1+k).  One interval jet of f
+    (expr.jet on an interval.Interval) at the points c and the boxes
+    [a, b], times the interval jet of the weight, whose coefficients are
+    exact doubles, gives the g_j.  h_k runs in double by its recurrence
+    over the nodes, widened by 2 (N + 2k + 1) eps C(N-1+k, k) max|x - c|^k:
+    each of its terms is a product of k rounded differences through at most
+    N + k further roundings (Higham, ch. 3).  Both bounds of a row are NaN
+    where overflow lost its enclosure (interval); raises DomainError where
+    a box is possibly outside f's domain.
+    """
+    blocks = [np.asarray(z, dtype=float) for z in ([rows] if isinstance(rows, np.ndarray) else rows)]
+    m = ENCLOSURE_ORDER
+    with np.errstate(all="ignore"):
+        a = [z.min(axis=1) for z in blocks]
+        b = [z.max(axis=1) for z in blocks]
+        c = [0.5 * (lo + hi) for lo, hi in zip(a, b)]
+        total = sum(len(z) for z in blocks)
+        at = Interval(np.concatenate(c + a), np.concatenate(c + b))
+        fjet = f.taylor(at, max(z.shape[1] for z in blocks) + m)
+        if weights is not None:
+            cols = list(np.concatenate([weights, weights]).T)
+            wjet = taylor_shift(cols, at, min(len(fjet), len(cols)))
+        bounds, start = [], 0
+        for z, lo, hi, mid in zip(blocks, a, b, c):
+            count, N = z.shape
+            points, boxes = slice(start, start + count), slice(total + start, total + start + count)
+            start += count
+            if weights is None:
+                g = fjet[N - 1 : N + m]
+            else:
+                g = [sum(wjet[j] * fjet[k - j] for j in range(min(k + 1, len(wjet))))
+                     for k in range(N - 1, N + m)]
+            y = z - mid[:, None]
+            rho = np.abs(y).max(axis=1)
+            # h_k(y_1..y_i) = h_k(y_1..y_(i-1)) + y_i h_(k-1)(y_1..y_i), as running sums
+            h = np.ones_like(y)
+            dd = _part(g[0], points)
+            for k in range(1, m):
+                h = np.cumsum(y * h, axis=1)
+                err = 2.0 * (N + 2 * k + 1) * _EPS * math.comb(N - 1 + k, k) * rho**k
+                dd = dd + _part(g[k], points) * around(h[:, -1], err)
+            r = np.nextafter(np.maximum(hi - mid, mid - lo), np.inf)
+            reach = Interval(0.0, (Interval(r) ** m).hi)
+            dd = dd + math.comb(N - 1 + m, m) * _part(g[m], boxes) * reach
+            bounds.append(np.broadcast_to(dd.v if isinstance(dd, Interval) else dd, (2, count)))
+    lo, hi = np.concatenate(bounds, axis=1)
+    return lo, hi
 
 
 def _mpf_taylor(coeffs: list, t: tuple, count: int, prec: int) -> list:

@@ -3,9 +3,11 @@
 A function is represented as a small expression AST over one variable.
 Values and derivatives come from one evaluator, jet(), which returns the
 scaled derivatives f^(j)(x)/j! for j < K by truncated Taylor arithmetic
-in double precision (scalar or numpy array) or in extended precision
-through mpmath, so repeated-node tables and local derivative matrices
-need no finite differencing.  Symbolic differentiation (differentiate,
+in double precision (scalar or numpy array), in extended precision
+through mpmath, or over boxes in interval arithmetic (matmono.interval,
+whose jets enclose every point's), so repeated-node tables, local
+derivative matrices and divided-difference enclosures need no finite
+differencing.  Symbolic differentiation (differentiate,
 FunctionModel.deriv) is off the numeric path: nothing calls it to
 compute a value, and it stays until it is deleted together with the
 benchmark tracer's patch of FunctionModel.deriv.
@@ -18,6 +20,9 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
+
+from . import interval
+from .interval import Interval
 
 EXTENDED_DIGITS = 50
 
@@ -493,7 +498,8 @@ def differentiate(e: Expr, k: int = 1) -> Expr:
 #
 # Each node maps the jets of its children to its own by the recurrences
 # of Griewank & Walther, Evaluating Derivatives, ch. 13: O(K^2) operations
-# per node in the arithmetic of x (math, numpy, or mpmath at working precision).
+# per node in the arithmetic of x (math, numpy, mpmath at working precision,
+# or the outward-rounded boxes of the interval module).
 
 _MP_ZERO = mpmath.mpf(0)
 
@@ -520,10 +526,16 @@ def _divide(u: list, v: list, K: int) -> list:
     return w
 
 
-def _constant(value: float, K: int, mp: bool) -> list:
-    if mp:
-        return [mpmath.mpf(value)] + [_MP_ZERO] * (K - 1)
-    return [value] + [0.0] * (K - 1)
+def _number(value: float, lib):
+    """A float in lib's arithmetic; in interval arithmetic its point box,
+    so that every nonzero coefficient is a box and rounds outward."""
+    if lib is mpmath:
+        return mpmath.mpf(value)
+    return interval.point(value) if lib is interval else value
+
+
+def _constant(value: float, K: int, lib) -> list:
+    return [_number(value, lib)] + [_MP_ZERO if lib is mpmath else 0.0] * (K - 1)
 
 
 def _check(bad, message: str):
@@ -532,11 +544,10 @@ def _check(bad, message: str):
 
 
 def _jet(e: Expr, x, K: int, lib) -> list:
-    mp = lib is mpmath
     if isinstance(e, Const):
-        return _constant(e.value, K, mp)
+        return _constant(e.value, K, lib)
     if isinstance(e, Var):
-        return [x] + _constant(1.0, K - 1, mp) if K > 1 else [x]
+        return [x] + _constant(1.0, K - 1, lib) if K > 1 else [x]
     if isinstance(e, Neg):
         return [-c for c in _jet(e.arg, x, K, lib)]
     if isinstance(e, (Add, Sub, Mul, Div)):
@@ -555,17 +566,17 @@ def _jet(e: Expr, x, K: int, lib) -> list:
         _check(p < 0 and u[0] == 0, "division by zero")
         if K == 1:
             return [u[0] ** p]
-        w = u if p else _constant(1.0, K, mp)
+        w = u if p else _constant(1.0, K, lib)
         for bit in bin(abs(p))[3:]:
             w = cauchy(w, w, K)
             if bit == "1":
                 w = cauchy(w, u, K)
-        return w if p >= 0 else _divide(_constant(1.0, K, mp), w, K)
+        return w if p >= 0 else _divide(_constant(1.0, K, lib), w, K)
     if isinstance(e, PowReal):
         # u w' = p u' w, so w_k = sum_j (p j - (k - j)) u_j w_(k-j) / (k u_0)
         u = _jet(e.base, x, K, lib)
         _check(u[0] <= 0, "real power of a non-positive value")
-        p = mpmath.mpf(e.exponent) if mp else e.exponent
+        p = _number(e.exponent, lib)
         w = [u[0] ** p]
         for k in range(1, K):
             terms = ((p * j - (k - j)) * u[j] * w[k - j] for j in range(1, k + 1))
@@ -602,14 +613,19 @@ def jet(e: Expr, x, K: int, precision: str = "double", digits: int = EXTENDED_DI
     """Scaled derivatives [e^(j)(x)/j! for j < K] by truncated Taylor arithmetic.
 
     x may be a float, a numpy array (double mode only, in the array's float
-    type: double or long double) or an mpmath float.
+    type: double or long double), an interval.Interval (double mode only:
+    each coefficient is an Interval that encloses the coefficient at every
+    point of each box, or an exact zero) or an mpmath float.
     Extended mode computes with ``digits`` significant decimal digits (the
     context's own precision when it already has them) and returns mpmath
-    floats.  Raises DomainError outside the domain.
+    floats.  Raises DomainError outside the domain; a box raises where the
+    domain test is possibly violated somewhere in it.
     """
     if K < 1:
         raise ValueError("a jet needs at least one coefficient")
     if precision == "double":
+        if isinstance(x, Interval):
+            return _jet(e, x, K, interval)
         return _jet(e, x, K, np if isinstance(x, np.ndarray) else math)
     if precision == "extended":
         if mpmath.mp.prec == mpmath.libmp.dps_to_prec(digits):
@@ -669,13 +685,16 @@ class FunctionModel:
             )
 
     def taylor(self, x, K: int, precision: str = "double", digits: int = EXTENDED_DIGITS) -> list:
-        """[f^(j)(x)/j! for j < K] at a point (or array of points) inside the domain."""
-        if not isinstance(x, np.ndarray):
+        """[f^(j)(x)/j! for j < K] at a point, an array of points or an
+        Interval of boxes (jet) inside the domain."""
+        if not isinstance(x, (np.ndarray, Interval)):
             self.check_inside(float(x))
         elif precision != "double":
             raise ValueError("array evaluation is double-precision only")
-        elif (x <= self.domain[0]).any() or (x >= self.domain[1]).any():
-            raise DomainError(f"point outside the open domain {self.domain}")
+        else:
+            lo, hi = (x.lo, x.hi) if isinstance(x, Interval) else (x, x)
+            if (lo <= self.domain[0]).any() or (hi >= self.domain[1]).any():
+                raise DomainError(f"point outside the open domain {self.domain}")
         return jet(self.expr, x, K, precision, digits)
 
     def eval(self, x):

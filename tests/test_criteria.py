@@ -3,11 +3,13 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from matmono import (
     CertifyConfig,
+    DomainError,
     FunctionModel,
     Poly,
     catalog,
@@ -31,9 +33,9 @@ from matmono.criteria import (
     confluent_dd_criterion,
     re_evaluate_witness,
 )
-from matmono.divdiff import LONG_DOUBLE_WIDER, NodeMultiset, sample_distinct_tuple
+from matmono.divdiff import LONG_DOUBLE_WIDER, NodeMultiset, dd_threshold, sample_distinct_tuple
 from matmono.linalg import matrix_function, matrix_to_jsonable, oracle_defect
-from matmono.polynomial import n_coeffs, n_of
+from matmono.polynomial import ONE, n_coeffs, n_of
 
 EXP = catalog_model("exp(x)")
 SQUARE = catalog_model("x^2")
@@ -227,14 +229,27 @@ def test_dd_criterion_catches_square():
     assert again["value"] == pytest.approx(rec.witness["value"], rel=1e-6)
 
 
+def _enclosure_rung_off(monkeypatch):
+    """Every enclosure of the precision ladder fails, as for a box outside
+    the domain, so the rows it would settle go on to mpmath."""
+    from matmono import criteria
+
+    def no_enclosure(*args):
+        raise DomainError("enclosure rung off")
+
+    monkeypatch.setattr(criteria, "divided_difference_enclosures", no_enclosure)
+
+
 def test_dd_dismissed_note_counts_unconfirmed_rechecks(monkeypatch):
     """Only rows whose margin before the mpmath re-check (double or long
     double) was negative and that the re-check did not confirm count as
     dismissed, not the rows re-checked only because their error bound left
-    the sign open."""
+    the sign open.  The enclosure rung is off: the rows it settles never
+    reach mpmath."""
     from matmono import criteria
     from matmono.divdiff import double_settles
 
+    _enclosure_rung_off(monkeypatch)
     check = criteria._Tally.check
     rechecked = []  # (row margin, extended margin) of each re-checked row
 
@@ -526,6 +541,110 @@ def test_long_double_step_changes_no_verdict_configs_or_witness(monkeypatch):
                for x, y in zip(with_step, without) for a, b in zip(x.records, y.records))
 
 
+def _mp_divided_difference(f, ms: NodeMultiset, weight: Poly):
+    """[ms]_{f * weight} as an mpf: a Newton/Hermite table in mpf arithmetic
+    at 60 digits, or 20 more than the node gaps need (_needed_digits), so
+    its roundoff stays below 1e-40 of the value or of 1."""
+    from matmono.divdiff import _needed_digits
+
+    digits = max(60, _needed_digits(ms) + 20)
+    with mpmath.workdps(digits):
+        seeds = {}
+        for v, m in ms.nodes:
+            fj = f.taylor(v, m, "extended", digits)
+            wj = weight.taylor(mpmath.mpf(v), m)
+            seeds[v] = [sum(wj[i] * fj[k - i] for i in range(k + 1)) for k in range(m)]
+        z = ms.flatten()
+        col = [seeds[v][0] for v in z]
+        for j in range(1, len(z)):
+            col = [seeds[z[i]][j] if z[i + j] == z[i]
+                   else (col[i + 1] - col[i]) / (mpmath.mpf(z[i + j]) - z[i])
+                   for i in range(len(z) - j)]
+        return +col[0]
+
+
+@pytest.mark.parametrize("f, interval, mode", [
+    (SQUARE, (0.1, 10.0), "convex"),
+    (FunctionModel(parse("sqrt(log(1+x))"), (0.0, math.inf)), (0.5, 4.0), "monotone"),
+])
+def test_enclosures_hold_the_mpmath_value(f, interval, mode):
+    """On the draws of every n = 3 dd shape of the mode (clustered and
+    confluent rows, N(q) weights), each enclosure holds the mpmath
+    divided difference, and most clustered rows get an enclosure narrower
+    than their double bound."""
+    from matmono.criteria import _DD_SHAPES
+    from matmono.divdiff import divided_difference_enclosures, divided_differences
+
+    span = interval[1] - interval[0]
+    clustered = narrower = 0
+    for shape in sorted({s for (m, _), s in _DD_SHAPES.items() if m == mode}):
+        draws = _sweep_draws(shape, 3, interval, 64)
+        nodes = np.array([ms.flatten() for ms, _ in draws])
+        weights = n_coeffs([q for _, q in draws])
+        lo, hi = divided_difference_enclosures(f, nodes, weights)
+        _, _, bound = divided_differences(f, nodes, weights)
+        for (ms, q), low, high, b in zip(draws, lo, hi, bound):
+            want = _mp_divided_difference(f, ms, n_of(q))
+            slack = 1e-40 * max(1.0, abs(want))  # the mpmath table's own roundoff
+            assert low - slack <= want <= high + slack, (shape, ms, low, float(want), high)
+            if ms.hull()[1] - ms.hull()[0] <= 0.1 * span:  # a cluster draw's width
+                clustered += 1
+                narrower += high - low < b
+    assert clustered >= 30 and narrower >= 0.8 * clustered
+
+
+def test_enclosure_is_held_to_the_extended_floor():
+    """The first dd-confluent-free row of log(x), n = 3 convex, seed 1:
+    max |entry| 7.2e15 makes its double threshold 105.7, while its value
+    is -8.13 inside the enclosure [-8.17, -8.12].  Against the extended
+    floor (tol) the enclosure settles nothing, the row goes to mpmath and
+    the criterion fails at its first configuration."""
+    from matmono.criteria import _dd_rows, _draw_dd, _q_array
+    from matmono.divdiff import divided_difference_enclosures, divided_differences, double_settles
+
+    log = catalog_model("log(x)")
+    seeds = np.random.SeedSequence(1).spawn(len(CONVEX_CRITERIA) + 1)
+    child = int(seeds[CONVEX_CRITERIA.index("dd-confluent-free")].generate_state(1)[0])
+    (pts, mults, flat, q), = _draw_dd(np.random.default_rng(child), "doubled-free", 3, (0.5, 4.0),
+                                       None, range(1))
+    nodes, weights = np.array([flat]), n_coeffs(_q_array([q], 3))
+    _, scale, _ = divided_differences(log, nodes, weights)
+    assert dd_threshold(scale[0], "double", 1e-9) == pytest.approx(105.7, abs=0.1)
+    lo, hi = divided_difference_enclosures(log, nodes, weights)
+    want = _mp_divided_difference(log, NodeMultiset.from_pairs(zip(pts, mults)), ONE)
+    assert lo[0] <= want <= hi[0] < -8.0
+    value, threshold, bound, _ = _dd_rows(log, nodes, weights, 1e-9)[0]
+    assert not double_settles(value, bound, threshold)
+    report = certify(log, 3, (0.5, 4.0), "convex", CertifyConfig(seed=1))
+    rec = report.record("dd-confluent-free")
+    assert not rec.passed and rec.configs == 1
+    assert re_evaluate_witness(log, rec.witness)["confirmed"]
+
+
+def test_enclosure_rung_changes_no_verdict_configs_or_witness(monkeypatch):
+    """The catalog at n = 2 in both modes, with and without the enclosure
+    rung: verdicts, each record's id, verdict and configs, and the failing
+    witnesses agree; only worst_value and the dismissed count may move."""
+    config = CertifyConfig(samples=200, oracle_trials=50, seed=3)
+
+    def run():
+        return [certify(e.model, 2, e.interval, mode, config)
+                for e in catalog() for mode in ("monotone", "convex")]
+
+    def records(report):
+        return [(r.criterion, r.passed, r.configs, None if r.passed else r.witness)
+                for r in report.records]
+
+    with_rung = run()
+    _enclosure_rung_off(monkeypatch)
+    without = run()
+    assert [r.verdict for r in with_rung] == [r.verdict for r in without]
+    assert [records(r) for r in with_rung] == [records(r) for r in without]
+    # the rung ran: some passing margin was settled by an enclosure
+    assert any(a.worst_value != b.worst_value
+               for x, y in zip(with_rung, without) for a, b in zip(x.records, y.records))
+
+
 def _extended_jets(monkeypatch) -> list[float]:
     """The nodes of every mpmath jet FunctionModel.taylor makes from now on."""
     jets = []
@@ -752,7 +871,7 @@ KTONE_FROZEN = {
         (True, 300, "0x1.84eafc1dbbd20p-2"),
         (True, 300, "0x1.8316844c45aeap-3"),
         (True, 300, "0x1.84a2d62a302d8p-3"),
-        (True, 300, "0x1.f647710481290p-5"),
+        (True, 300, "0x1.f647710481284p-5"),
         (True, 300, "0x1.032fda0df65ccp-4"),
         (True, 300, "0x1.00a143552e38dp-6"),
         (True, 300, "0x1.02e3a778065f5p-6"),
@@ -762,7 +881,7 @@ KTONE_FROZEN = {
         (True, 300, "0x1.059d4b10757c8p-4"),
         (False, 1, "-0x1.c60f60d589b83p-3"),
         (False, 1, "-0x1.c60f60d589b83p-3"),
-        (True, 300, "0x1.07de06756052cp-8"),
+        (True, 300, "0x1.07de232629f49p-8"),
         (True, 300, "0x1.109d4f2f46296p-8"),
         (False, 1, "-0x1.1230726d1810cp-2"),
         (False, 1, "-0x1.1230726d1810cp-2"),
@@ -772,7 +891,7 @@ KTONE_FROZEN = {
         (True, 300, "0x1.01636fb9f5f13p-2"),
         (False, 1, "-0x1.d947fdac1754fp-5"),
         (False, 1, "-0x1.d947fdac1754fp-5"),
-        (True, 300, "0x1.04df4ed6864a5p-9"),
+        (True, 300, "0x1.04df55da0d906p-9"),
         (True, 300, "0x1.0a096a70cee37p-9"),
         (False, 1, "-0x1.e10452e7ac53bp-7"),
         (False, 1, "-0x1.e10452e7ac53bp-7"),
