@@ -28,17 +28,13 @@ from .divdiff import (
     PiecewisePoly,
     divided_difference,
     peano_weight,
-    refinement_coefficients,
 )
 from .linalg import (
     ProjectionPair,
     convexity_oracle,
     eigh,
-    is_psd,
-    make_projection_pair,
     matrix_function,
     monotonicity_oracle,
-    rank_one_chain,
 )
 from .criteria import (
     CertifyConfig,

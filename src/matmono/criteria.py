@@ -547,7 +547,8 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> list:
     for b in redo:
         value, threshold, bound, _ = rows[b]
         if _open(value, threshold, bound):
-            left = squares[b].sum() - (0.5 * (max(value, 0.0) + threshold)) ** 2
+            half = 0.5 * (max(value, 0.0) + threshold)
+            left = squares[b].sum() - half * half  # inf, not OverflowError, near the float range
             picked = []
             for k in np.argsort(-squares[b]).tolist():
                 if left <= 0.0:
@@ -652,7 +653,8 @@ class _Tally:
         is evaluated again in mpmath, and only the second margin counts.  A
         candidate is dismissed when the margin of its row was negative and
         the mpmath one is not.  A new worst margin keeps the configuration
-        as the witness.
+        as the witness.  A margin that is not finite decides nothing and
+        raises a ValueError naming the criterion.
         """
         self.configs += 1
         value, threshold, bound, matrix = row
@@ -664,6 +666,9 @@ class _Tally:
             if margin < 0.0 <= value + threshold:
                 self.dismissed += 1
             margin = value + threshold
+        if not math.isfinite(margin):
+            raise ValueError(f"{self.criterion}: the margin of configuration "
+                             f"{self.configs - 1} is not finite ({margin})")
         if margin < self.worst:
             self.worst = margin
             made = config(i) if made is None else made

@@ -116,9 +116,6 @@ class NodeMultiset:
     def values(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self.nodes)
 
-    def multiplicities(self) -> tuple[int, ...]:
-        return tuple(m for _, m in self.nodes)
-
     def flatten(self) -> tuple[float, ...]:
         return tuple(
             itertools.chain.from_iterable([v] * m for v, m in self.nodes)
@@ -135,9 +132,6 @@ class NodeMultiset:
     @property
     def max_multiplicity(self) -> int:
         return max(m for _, m in self.nodes)
-
-    def is_distinct(self) -> bool:
-        return self.max_multiplicity == 1
 
     def min_gap(self) -> float:
         vals = self.values()
@@ -522,53 +516,6 @@ def dd_threshold(max_entry, precision: str, tol: float):
     if isinstance(max_entry, np.ndarray):
         return np.fmax(tol, 64.0 * eps * np.maximum(max_entry, 1.0))
     return max(tol, 64.0 * eps * max(max_entry, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Refinement: one multiset's divided difference as a nonnegative
-# combination of sliding windows of a finer node sequence
-
-
-def refinement_coefficients(x, y) -> list[float]:
-    """Coefficients t_j >= 0 with [x]_f = sum_j t_j [y_j..y_{j+k}]_f.
-
-    x (k+1 distinct nodes) must be a subset of y (n+1 distinct nodes);
-    the windows are the consecutive (k+1)-tuples of y.  Built by
-    inserting the nodes of y \\ x one at a time; each insertion splits
-    every straddled window into a convex combination of its two
-    neighbors, so nonnegativity is structural.
-    """
-    xs = list(_as_multiset(x).values())
-    ys = list(_as_multiset(y).values())
-    if _as_multiset(x).max_multiplicity > 1 or _as_multiset(y).max_multiplicity > 1:
-        raise ValueError("refinement needs distinct nodes")
-    if not set(xs) <= set(ys):
-        raise ValueError("x is not a subsequence of y")
-    k = len(xs) - 1
-    seq = xs[:]
-    coeffs = {0: 1.0}  # window start index -> coefficient
-    for w in sorted(set(ys) - set(xs)):
-        pos = 0
-        while pos < len(seq) and seq[pos] < w:
-            pos += 1
-        nxt: dict[int, float] = {}
-
-        def bump(idx: int, c: float):
-            nxt[idx] = nxt.get(idx, 0.0) + c
-
-        for i, c in coeffs.items():
-            if i + k < pos:
-                bump(i, c)
-            elif i >= pos:
-                bump(i + 1, c)
-            else:
-                # window elements seq[i..i+k] straddle w
-                t = (w - seq[i]) / (seq[i + k] - seq[i])
-                bump(i, c * t)
-                bump(i + 1, c * (1.0 - t))
-        seq.insert(pos, w)
-        coeffs = nxt
-    return [coeffs.get(j, 0.0) for j in range(len(ys) - k)]
 
 
 # ---------------------------------------------------------------------------

@@ -85,13 +85,6 @@ class FiniteFunction:
         except ValueError:
             raise KeyError(f"{x} is not a point of this finite function") from None
 
-    def with_point(self, x: float, y: float) -> "FiniteFunction":
-        if float(x) in self.points:
-            raise ValueError(f"{x} is already a point")
-        return FiniteFunction.from_pairs(
-            list(zip(self.points, self.values)) + [(x, y)]
-        )
-
     def union(self, other: "FiniteFunction", tol: float = 1e-9) -> "FiniteFunction":
         """Merge two tables; common points must carry equal values."""
         check_tol(tol)
@@ -101,13 +94,6 @@ class FiniteFunction:
                 raise ValueError(f"inconsistent values at shared point {x}")
             merged.setdefault(x, y)
         return FiniteFunction.from_pairs(merged.items())
-
-    def restrict(self, points) -> "FiniteFunction":
-        keep = set(float(p) for p in points)
-        pairs = [(x, y) for x, y in zip(self.points, self.values) if x in keep]
-        if len(pairs) != len(keep):
-            raise ValueError("restriction contains points outside the set")
-        return FiniteFunction.from_pairs(pairs)
 
 
 def read_points_file(path) -> FiniteFunction:

@@ -72,13 +72,6 @@ def psd_scale(*mats):
     return float(scale) if np.ndim(scale) == 0 else scale
 
 
-def is_psd(H, tol: float = 1e-9) -> bool:
-    """Positive semidefinite up to -tol * psd_scale(H)."""
-    check_tol(tol)
-    H = check_hermitian(H)
-    return min_eigenvalue(H) >= -tol * psd_scale(H)
-
-
 def _compose(Q: np.ndarray, x) -> np.ndarray:
     """Q diag(x) Q*, symmetrized, for a matrix or a stack and its rows x."""
     H = (Q * x[..., None, :]) @ _adjoint(Q)
@@ -108,21 +101,10 @@ def _haar(G: np.ndarray) -> np.ndarray:
     return Q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(rng: np.random.Generator, n: int, complex_field: bool = True) -> np.ndarray:
-    return _haar(_gaussian(rng, (n, n), complex_field))
-
-
-def random_spectrum_matrix(
-    rng: np.random.Generator, eigenvalues, complex_field: bool = True
-) -> np.ndarray:
-    """Hermitian matrix with the given spectrum in a Haar-random basis."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    return _compose(haar_unitary(rng, lam.size, complex_field), lam)
-
-
 def _spectrum_matrices(spectra: list, bases: list) -> list:
-    """random_spectrum_matrix of each spectrum in the Haar unitary of its
-    Gaussian basis, one QR per dtype stack."""
+    """Hermitian matrices with prescribed spectra in Haar-random bases:
+    each spectrum composed with the Haar unitary of its Gaussian basis,
+    one QR per dtype stack."""
     return _by_stack(lambda G, lam: _compose(_haar(G), lam), bases, spectra)
 
 
@@ -165,14 +147,6 @@ class ProjectionPair:
     vector: np.ndarray
     targets: tuple[float, ...]
 
-    def validate(self) -> float:
-        """Max deviation from the contract; raises when above 1e-8 * scale."""
-        err, bound = map(float, _pair_deviation(
-            self.matrix_a, self.matrix_b, self.vector, np.array(self.targets)))
-        if err > bound:
-            raise ValueError(f"projection pair deviates by {err:.3e}")
-        return err
-
 
 def _pair_deviation(A, B, v, targets) -> tuple:
     """(deviation, 1e-8 * scale) of a pair, or of each of stacks of pairs
@@ -186,9 +160,15 @@ def _pair_deviation(A, B, v, targets) -> tuple:
 
 
 def _projection_pairs(T: np.ndarray) -> list:
-    """make_projection_pair of each row of T (rows, 2n) as stacks: per row
-    a ProjectionPair, or the ValueError make_projection_pair raises for
-    it, or _NotFinite where the matrices overflow."""
+    """Interlacing pairs with prescribed spectra, one per row of 2n
+    ascending targets in T (rows, 2n), built as stacks.
+
+    B = diag(x_2, x_4, ...) and A = B - vv^T, where
+        v_k^2 = prod_j (b_k - a_j) / prod_{j != k} (b_k - b_j)
+    forces det(zI - A) = prod_j (z - a_j); interlacing makes every
+    v_k^2 positive.  Per row a ProjectionPair, or a ValueError when the
+    targets do not ascend strictly or interlace, or _NotFinite where the
+    matrices overflow."""
     out: list = [ValueError("targets must be strictly increasing")] * len(T)
     rows = np.flatnonzero((T[:, 1:] > T[:, :-1]).all(axis=1))
     a, b = T[rows, 0::2], T[rows, 1::2]
@@ -223,27 +203,15 @@ def _projection_pairs(T: np.ndarray) -> list:
     return out
 
 
-def make_projection_pair(targets) -> ProjectionPair:
-    """Interlacing pair with prescribed spectra from 2n ascending targets.
-
-    B = diag(x_2, x_4, ...) and A = B - vv^T, where
-        v_k^2 = prod_j (b_k - a_j) / prod_{j != k} (b_k - b_j)
-    forces det(zI - A) = prod_j (z - a_j); interlacing makes every
-    v_k^2 positive.
-    """
-    t = tuple(float(v) for v in targets)
-    if len(t) < 2 or len(t) % 2 != 0:
-        raise ValueError("need an even number of targets, at least two")
-    pair = _projection_pairs(np.array([t]))[0]
-    if isinstance(pair, ValueError):
-        raise pair
-    return pair
-
-
 def _rank_one_chains(A: np.ndarray, B: np.ndarray) -> list:
-    """rank_one_chain of each pair of the stacks A, B (rows, n, n): the
-    Hermitian checks and the eigendecomposition of B - A run as stacks.
-    Per pair, its chain, the ValueError rank_one_chain raises for it, or
+    """Chains A = M_0 <= M_1 <= ... <= M_k = B with rank-one PSD steps,
+    one per pair of the stacks A, B (rows, n, n); the Hermitian checks
+    and the eigendecomposition of B - A run as stacks.
+
+    The eigen-directions of B - A whose eigenvalue is at most
+    1e-12 * max(1, largest eigenvalue) (so an absolute 1e-12 when that
+    is below 1) are folded into the final step, which lands exactly on B.
+    Per pair, its chain, a ValueError when B - A is not PSD, or
     _NotFinite where B - A is not finite."""
     A, B = check_hermitian(A), check_hermitian(B)
     D = B - A
@@ -266,19 +234,6 @@ def _rank_one_chains(A: np.ndarray, B: np.ndarray) -> list:
         chain.append(B[r])
         out[r] = chain
     return out
-
-
-def rank_one_chain(A, B) -> list[np.ndarray]:
-    """Matrices A = M_0 <= M_1 <= ... <= M_k = B with rank-one PSD steps.
-
-    The eigen-directions of B - A whose eigenvalue is at most
-    1e-12 * max(1, largest eigenvalue) (so an absolute 1e-12 when that
-    is below 1) are folded into the final step, which lands exactly on B.
-    """
-    chain = _rank_one_chains(_as_matrix(A)[None], _as_matrix(B)[None])[0]
-    if isinstance(chain, ValueError):
-        raise chain
-    return chain
 
 
 def matrix_to_jsonable(H) -> dict:

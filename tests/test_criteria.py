@@ -29,6 +29,7 @@ from matmono.criteria import (
     CONVEX_CRITERIA,
     MONOTONE_CRITERIA,
     _product_derivative_value,
+    _run_psd_point_sweep,
     _sample_q,
     confluent_dd_criterion,
     re_evaluate_witness,
@@ -694,6 +695,29 @@ def test_psd_escalation_takes_one_jet_per_distinct_node(monkeypatch):
     (value, threshold, bound, _), = criteria._evaluate_psd(f, [config], "double", 1e-9)
     assert jets and len(jets) == len(set(jets)) <= 4
     assert value - bound + threshold >= 0.0
+
+
+def test_psd_escalation_near_the_float_range():
+    """Entries near the float range: the partial extended re-check's slack
+    squares to inf rather than overflowing, so log(x) passes on a tiny
+    interval and exp(x), which is not 2-monotone, fails near overflow."""
+    log = catalog_model("log(x)")
+    with np.errstate(over="ignore", invalid="ignore"):  # the double tables overflow here
+        passing = _run_psd_point_sweep(log, 2, (1e-300, 1e-290), "loewner-psd", 200, 1, 1e-9)
+        failing = _run_psd_point_sweep(EXP, 2, (700.0, 709.0), "loewner-psd", 200, 1, 1e-9)
+    assert passing.passed and passing.configs == 200 and math.isfinite(passing.worst_value)
+    assert not failing.passed and failing.worst_value < 0.0
+
+
+def test_non_finite_margin_raises_naming_the_criterion():
+    """An inf or NaN margin decides nothing: the sweep raises instead of
+    passing on it."""
+    log = catalog_model("log(x)")
+    with np.errstate(over="ignore", invalid="ignore"):  # the double tables overflow here
+        with pytest.raises(ValueError, match="extended-loewner-psd: .* not finite"):
+            _run_psd_point_sweep(log, 2, (1e-300, 1e-290), "extended-loewner-psd", 200, 1, 1e-9)
+        with pytest.raises(ValueError, match="dd-real-q: .* not finite"):
+            certify(log, 2, (1e-300, 1e-290), config=CertifyConfig(seed=1))
 
 
 def test_sweep_records_do_not_depend_on_batch_size(monkeypatch):

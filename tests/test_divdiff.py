@@ -1,4 +1,4 @@
-"""Divided differences: tables, refinement, the integral weight, sampling."""
+"""Divided differences: tables, the integral weight, sampling."""
 
 import math
 
@@ -14,7 +14,6 @@ from matmono import (
     ktone_check,
     parse,
     peano_weight,
-    refinement_coefficients,
 )
 from matmono.criteria import (
     CertifyConfig,
@@ -39,7 +38,7 @@ from matmono.gensets import (
     genset_check,
     re_evaluate_genset_witness,
 )
-from matmono.linalg import convexity_oracle, is_psd, monotonicity_oracle
+from matmono.linalg import convexity_oracle, monotonicity_oracle
 
 EXP = FunctionModel(parse("exp(x)"), name="exp")
 RECIP_NEG = FunctionModel(parse("-1/x"), domain=(0.0, math.inf), name="-1/x")
@@ -48,10 +47,9 @@ RECIP_NEG = FunctionModel(parse("-1/x"), domain=(0.0, math.inf), name="-1/x")
 def test_multiset_construction_and_views():
     ms = NodeMultiset.from_points([2.0, 0.0, 2.0, 1.0])
     assert ms.values() == (0.0, 1.0, 2.0)
-    assert ms.multiplicities() == (1, 1, 2)
     assert ms.flatten() == (0.0, 1.0, 2.0, 2.0)
     assert ms.total == 4 and ms.order == 3
-    assert ms.max_multiplicity == 2 and not ms.is_distinct()
+    assert ms.max_multiplicity == 2
     assert ms.min_gap() == 1.0
     assert ms.hull() == (0.0, 2.0)
 
@@ -165,29 +163,6 @@ def test_threshold_of_an_array_is_the_scalar_rule_entry_by_entry(precision):
         assert [t.hex() for t in array.tolist()] == [t.hex() for t in scalar]
     # a NaN scale gives tol, as max(tol, nan) does, even below the floor
     assert dd_threshold(np.array([math.nan]), precision, 1e-20).tolist() == [1e-20]
-
-
-def test_refinement_coefficients_frozen_cases():
-    assert refinement_coefficients((0.0, 2.0), (0.0, 1.0, 2.0)) == pytest.approx([0.5, 0.5])
-    assert refinement_coefficients((0.0, 1.0), (0.0, 1.0, 2.0)) == pytest.approx([1.0, 0.0])
-    with pytest.raises(ValueError):
-        refinement_coefficients((0.0, 0.5), (0.0, 1.0, 2.0))
-
-
-def test_refinement_reproduces_the_coarse_difference():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        fine = np.sort(rng.uniform(-2.0, 3.0, size=7))
-        keep = sorted(rng.choice(7, size=3, replace=False))
-        coarse = [float(fine[i]) for i in keep]
-        coeffs = refinement_coefficients(coarse, fine.tolist())
-        assert all(c >= -1e-15 for c in coeffs)
-        assert sum(coeffs) == pytest.approx(1.0, rel=1e-12)
-        lhs = divided_difference(EXP, coarse)
-        rhs = sum(
-            c * divided_difference(EXP, fine[j : j + 3]) for j, c in enumerate(coeffs)
-        )
-        assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_peano_weight_doubled_pair_closed_form():
@@ -307,7 +282,6 @@ def test_every_entry_taking_tol_rejects_one_that_is_not_finite_and_positive(tol)
         "re_evaluate_genset_witness": lambda: re_evaluate_genset_witness(genset_witness, tol=tol),
         "extension_feasibility": lambda: extension_feasibility(bundle, 3.5, grid=10, samples=5, tol=tol),
         "affine_rigidity_check": lambda: affine_rigidity_check(table, table.points[:3], tol=tol),
-        "is_psd": lambda: is_psd(np.eye(2), tol=tol),
         "FiniteFunction.union": lambda: table.union(table, tol=tol),
     }
     for name, call in calls.items():

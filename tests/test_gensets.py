@@ -15,11 +15,11 @@ from matmono import (
     extension_feasibility,
     genset_check,
     glue_check,
-    make_projection_pair,
     read_points_file,
     write_points_file,
 )
 from matmono.gensets import _index_subsets, _level_q, _level_subsets, re_evaluate_genset_witness
+from matmono.linalg import _projection_pairs
 
 
 def test_finite_function_table_contract():
@@ -30,17 +30,6 @@ def test_finite_function_table_contract():
     assert f.value_at(1.0) == 1.0
     with pytest.raises(KeyError):
         f.value_at(1.5)
-
-    g = f.with_point(1.5, 2.25)
-    assert g.points == (0.5, 1.0, 1.5, 2.0)
-    assert f.size == 3  # original untouched
-    with pytest.raises(ValueError):
-        f.with_point(1.0, 99.0)
-
-    h = f.restrict((0.5, 2.0))
-    assert h.points == (0.5, 2.0)
-    with pytest.raises(ValueError):
-        f.restrict((0.5, 3.0))
 
 
 def test_finite_function_union_requires_agreement_on_shared_points():
@@ -184,7 +173,7 @@ def test_glue_check_reports_thin_overlap():
 
 
 def test_resolvent_difference_is_nonnegative_and_has_rank_one_tail():
-    pair = make_projection_pair((1.0, 2.0, 3.0, 4.0))
+    pair, = _projection_pairs(np.array([[1.0, 2.0, 3.0, 4.0]]))
     a, b, v = pair.matrix_a, pair.matrix_b, pair.vector
     eye = np.eye(len(v))
     rng = np.random.default_rng(9)

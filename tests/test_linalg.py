@@ -13,23 +13,25 @@ from matmono import (
     dd_criterion,
     eigh,
     genset_check,
-    is_psd,
     ktone_check,
-    make_projection_pair,
     matrix_function,
     monotonicity_oracle,
     parse,
-    rank_one_chain,
 )
 from matmono.criteria import _run_derivative_matrix_sweep
 from matmono.linalg import (
     ProjectionPair,
+    _gaussian,
+    _haar,
+    _pair_deviation,
+    _projection_pairs,
+    _rank_one_chains,
+    _spectrum_matrices,
     check_hermitian,
-    haar_unitary,
     matrix_from_jsonable,
     matrix_to_jsonable,
     min_eigenvalue,
-    random_spectrum_matrix,
+    psd_scale,
 )
 
 
@@ -59,11 +61,16 @@ def test_eigh_contract():
     np.testing.assert_allclose((Q * w) @ Q.conj().T, H, atol=1e-12)
 
 
-def test_is_psd_scale_awareness():
-    assert is_psd(np.diag([0.0, 1.0]))
-    assert not is_psd(np.diag([-1e-6, 1.0]))
+def test_psd_threshold_scale_awareness():
+    """Every PSD test compares the smallest eigenvalue with -tol * psd_scale."""
+
+    def psd(H):
+        return min_eigenvalue(H) >= -1e-9 * psd_scale(H)
+
+    assert psd(np.diag([0.0, 1.0]))
+    assert not psd(np.diag([-1e-6, 1.0]))
     # a dip of -1e-6 on a 1e6 scale is within the relative tolerance
-    assert is_psd(np.diag([-1e-6, 1e6]))
+    assert psd(np.diag([-1e-6, 1e6]))
     assert min_eigenvalue(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
 
 
@@ -82,17 +89,29 @@ def test_matrix_function_respects_domain():
         matrix_function(m, np.diag([-1.0, 2.0]))
 
 
+def _projection_pair(targets) -> ProjectionPair:
+    pair = _projection_pairs(np.array([targets], dtype=float))[0]
+    assert isinstance(pair, ProjectionPair), pair
+    return pair
+
+
+def _pair_error(pair: ProjectionPair) -> float:
+    err, bound = _pair_deviation(pair.matrix_a, pair.matrix_b, pair.vector, np.array(pair.targets))
+    assert err <= bound
+    return float(err)
+
+
 def test_haar_unitary_and_prescribed_spectrum():
     rng = np.random.default_rng(2)
-    U = haar_unitary(rng, 5)
+    U = _haar(_gaussian(rng, (5, 5), True))
     np.testing.assert_allclose(U @ U.conj().T, np.eye(5), atol=1e-12)
     lam = np.array([-1.0, 0.25, 2.0])
-    H = random_spectrum_matrix(rng, lam)
+    H, = _spectrum_matrices([lam], [_gaussian(rng, (3, 3), True)])
     np.testing.assert_allclose(np.linalg.eigvalsh(H), lam, atol=1e-12)
 
 
 def test_projection_pair_frozen_two_by_two():
-    pair = make_projection_pair((1.0, 2.0, 3.0, 4.0))
+    pair = _projection_pair((1.0, 2.0, 3.0, 4.0))
     r = math.sqrt(0.75)
     np.testing.assert_allclose(pair.matrix_b, np.diag([2.0, 4.0]), atol=1e-14)
     np.testing.assert_allclose(
@@ -100,7 +119,7 @@ def test_projection_pair_frozen_two_by_two():
     )
     np.testing.assert_allclose(pair.vector**2, [0.5, 1.5], atol=1e-12)
     np.testing.assert_allclose(np.linalg.eigvalsh(pair.matrix_a), [1.0, 3.0], atol=1e-12)
-    assert pair.validate() < 1e-12
+    assert _pair_error(pair) < 1e-12
     # the bump is PSD of rank one
     bump = pair.matrix_b - pair.matrix_a
     w = np.linalg.eigvalsh(bump)
@@ -108,21 +127,19 @@ def test_projection_pair_frozen_two_by_two():
 
 
 def test_projection_pair_input_validation():
-    with pytest.raises(ValueError):
-        make_projection_pair((1.0, 2.0, 3.0))  # odd count
-    with pytest.raises(ValueError):
-        make_projection_pair((1.0, 1.0))  # not strictly increasing
+    # not strictly increasing
+    assert isinstance(_projection_pairs(np.array([[1.0, 1.0]]))[0], ValueError)
     bad = ProjectionPair(np.eye(2), 3 * np.eye(2), np.zeros(2), (1.0, 1.5, 2.0, 2.5))
-    with pytest.raises(ValueError):
-        bad.validate()
+    err, bound = _pair_deviation(bad.matrix_a, bad.matrix_b, bad.vector, np.array(bad.targets))
+    assert err > bound
 
 
 def test_projection_pair_larger_interlacing():
     rng = np.random.default_rng(3)
     targets = np.sort(rng.uniform(0.0, 10.0, size=8))
     targets += np.arange(8) * 1e-3  # guard strict ascent
-    pair = make_projection_pair(targets.tolist())
-    assert pair.validate() < 1e-7
+    pair = _projection_pair(targets.tolist())
+    assert _pair_error(pair) < 1e-7
 
 
 def test_rank_one_chain_steps():
@@ -130,7 +147,7 @@ def test_rank_one_chain_steps():
     A = _random_hermitian(rng, 3)
     G = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     B = A + G @ G.conj().T
-    chain = rank_one_chain(A, B)
+    chain, = _rank_one_chains(A[None], B[None])
     assert len(chain) <= 5
     np.testing.assert_allclose(chain[0], A, atol=1e-13)
     np.testing.assert_allclose(chain[-1], B, atol=1e-13)
@@ -139,8 +156,8 @@ def test_rank_one_chain_steps():
         w = np.linalg.eigvalsh(D)
         assert w[0] >= -1e-9 * max(1.0, abs(w[-1]))
         assert np.linalg.matrix_rank(D, tol=1e-8 * max(1.0, w[-1])) <= 1
-    with pytest.raises(ValueError):
-        rank_one_chain(np.eye(2), np.diag([0.0, 2.0]))
+    failed, = _rank_one_chains(np.eye(2)[None], np.diag([0.0, 2.0])[None])
+    assert isinstance(failed, ValueError)
 
 
 def test_jsonable_round_trip():
