@@ -26,7 +26,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .criteria import CertifyConfig, certify, re_evaluate_witness
-from .divdiff import check_interval, check_tol
+from .divdiff import NarrowIntervalError, check_interval, check_tol
 from .expr import (
     Div,
     DomainError,
@@ -531,7 +531,8 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         code, payload = _HANDLERS[args.command](args)
-    except (_Usage, ParseError, argparse.ArgumentTypeError, FileNotFoundError) as exc:
+    except (_Usage, ParseError, argparse.ArgumentTypeError, FileNotFoundError,
+            NarrowIntervalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, ValueError, RuntimeError, ArithmeticError) as exc:

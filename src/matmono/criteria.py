@@ -18,6 +18,7 @@ violation was found at the recorded number of configurations.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -403,10 +404,12 @@ class CertifyConfig:
 # value + threshold; bound limits the error of a double-precision value
 # (0 where none is known, and in extended precision).  The sampled sweeps
 # evaluate a batch in double precision from its arrays (_dd_rows,
-# _point_rows, _product_rows; the first two also serve the dd and PSD
-# evaluators' double paths); their extended-precision re-check and
-# witness replay go through the evaluators, on the configuration
-# materialized for that row.
+# _point_rows, _product_rows), and the rows a bound leaves open climb the
+# rest of the ladder short of mpmath in one call for many batches
+# (_escalate with _escalate_dd or _escalate_points; the dd and PSD
+# evaluators' double paths make the same two steps for one batch); their
+# extended-precision re-check and witness replay go through the
+# evaluators, on the configuration materialized for that row.
 
 
 def _open(value: float, threshold: float, bound: float) -> bool:
@@ -425,33 +428,79 @@ def _enclosures(f: FunctionModel, nodes, weights=None) -> tuple[np.ndarray, np.n
         return unknown, unknown
 
 
-def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: float) -> list:
-    """Rows of [nodes]_{f N(q)} over a (rows, nodes) array, weights the
-    n_coeffs rows of the N(q), by the precision ladder short of mpmath.
+def _by_batch(enclose, rows: list[int], batch: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """enclose(rows), the bounds (lo, hi) of the listed rows from one
+    enclosure call (_enclosures).  A box possibly outside f's domain costs
+    every row of its call its bounds, so when the rows come from several
+    batches (batch[r] is the batch of row r) and none of them got a bound,
+    each batch's rows are enclosed again on their own, as a batch
+    escalated alone is."""
+    lo, hi = enclose(rows)
+    if batch[rows[0]] != batch[rows[-1]] and np.isnan(lo).all():
+        parts = [list(at) for _, at in itertools.groupby(rows, batch.__getitem__)]
+        lo, hi = map(np.concatenate, zip(*map(enclose, parts)))
+    return lo, hi
 
-    One batched table with running error bounds; where the platform's long
-    double is wider, the rows it leaves open are re-run as one long-double
-    batch; the rows still open take one batch of enclosures [lo, hi]
-    (divided_difference_enclosures).  The long-double step and the
-    enclosure hold a row to the extended floor, so they settle only
-    margins the extended re-check would find nonnegative: an enclosed row
-    settles when lo + that floor >= 0, and then reports its value clipped
-    to [lo, hi] with bound value - lo.  Every other row keeps its double
-    (or long-double) evaluation, and _Tally.check sends it to mpmath.
-    """
+
+def _escalate(escalate, f: FunctionModel, batches: list, tol: float) -> None:
+    """Run the precision ladder past double on the open rows (_open) of
+    several batches in one call, in place.  batches holds (rows, data,
+    start): a batch's double rows, the arrays escalate reads for them (one
+    entry per row each; _dd_rows, _point_rows) and its first row still to
+    be checked.  A row's result does not depend on the other rows of its
+    call, except through _by_batch's rule."""
+    opened = [[i for i in range(start, len(rows)) if _open(*rows[i][:3])] for rows, _, start in batches]
+    batch = [b for b, at in enumerate(opened) for _ in at]
+    if not batch:
+        return
+    parts = [[a[at] for a in data] for (_, data, _), at in zip(batches, opened)]
+    merged = [np.concatenate(arrays) for arrays in zip(*parts)]
+    done = iter(escalate(f, [rows[i] for (rows, _, _), at in zip(batches, opened) for i in at],
+                         merged, batch, tol))
+    for (rows, _, _), at in zip(batches, opened):
+        for i in at:
+            rows[i] = next(done)
+
+
+def _dd_arrays(configs: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """The flattened nodes and the N(q) weights of dd configurations."""
+    return np.array([c["nodes"].flatten() for c in configs]), n_coeffs([c["q"] for c in configs])
+
+
+def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: float) -> tuple[list, tuple]:
+    """Rows of [nodes]_{f N(q)} over a (rows, nodes) array, weights the
+    n_coeffs rows of the N(q), in double precision: one batched table with
+    running error bounds.  Returns the rows and what _escalate_dd reads
+    for them, (nodes, weights, largest |table entry|)."""
     value, scale, bound = divided_differences(f, nodes, weights)
     threshold = dd_threshold(scale, "double", tol)
     rows = [(*row, None) for row in zip(value.tolist(), threshold.tolist(), bound.tolist())]
-    redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
-    if redo and LONG_DOUBLE_WIDER:
-        value, wide_scale, bound = divided_differences(f, nodes[redo], weights[redo], np.longdouble)
+    return rows, (nodes, weights, scale)
+
+
+def _escalate_dd(f: FunctionModel, rows: list, data: list, batch: list[int], tol: float) -> list:
+    """The open dd rows of _dd_rows (from any number of batches) by the
+    precision ladder short of mpmath.
+
+    Where the platform's long double is wider, the rows are re-run as one
+    long-double batch; the rows still open take one batch of enclosures
+    [lo, hi] (divided_difference_enclosures, _by_batch).  The long-double
+    step and the enclosure hold a row to the extended floor, so they settle
+    only margins the extended re-check would find nonnegative: an enclosed
+    row settles when lo + that floor >= 0, and then reports its value
+    clipped to [lo, hi] with bound value - lo.  Every other row keeps its
+    double (or long-double) evaluation, and _Tally.check sends it to mpmath.
+    """
+    nodes, weights, scale = data
+    rows, redo = list(rows), list(range(len(rows)))
+    if LONG_DOUBLE_WIDER:
+        value, wide_scale, bound = divided_differences(f, nodes, weights, np.longdouble)
         threshold = dd_threshold(wide_scale, "extended", tol)
-        for i, *row in zip(redo, value.tolist(), threshold.tolist(), bound.tolist()):
-            rows[i] = (*row, None)
-        redo = [i for i in redo if _open(*rows[i][:3])]
+        rows = [(*row, None) for row in zip(value.tolist(), threshold.tolist(), bound.tolist())]
+        redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
     if redo:
         floor = dd_threshold(scale[redo], "extended", tol).tolist()
-        lo, hi = _enclosures(f, nodes[redo], weights[redo])
+        lo, hi = _by_batch(lambda at: _enclosures(f, nodes[at], weights[at]), redo, batch)
         for i, low, high, th in zip(redo, lo.tolist(), hi.tolist(), floor):
             if low + th >= 0.0:
                 v = min(max(rows[i][0], low), high)
@@ -461,15 +510,16 @@ def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: floa
 
 def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
     """[nodes]_{f N(q)} against the roundoff floor of its table (_dd_rows
-    in double precision)."""
+    in double precision, its open rows escalated in one call)."""
     if precision == "extended":
         rows = []
         for config in configs:
             value, scale = divided_difference_scaled(f, config["nodes"], "extended", n_of(config["q"]))
             rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
         return rows
-    nodes = np.array([c["nodes"].flatten() for c in configs])
-    return _dd_rows(f, nodes, n_coeffs([c["q"] for c in configs]), tol)
+    rows, data = _dd_rows(f, *_dd_arrays(configs), tol)
+    _escalate(_escalate_dd, f, [(rows, data, 0)], tol)
+    return rows
 
 
 def _psd_matrix(f: FunctionModel, config: dict, precision: str) -> np.ndarray:
@@ -495,56 +545,76 @@ def _psd_rows(mats: np.ndarray, bounds, tol: float) -> list:
     return list(zip(lam, scale, bounds, mats))
 
 
-def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> list:
+def _shares(entries: int) -> np.ndarray:
+    """Each upper-triangle entry's share of ||E||_F^2 (2 off the diagonal)."""
+    iu = _triangle((math.isqrt(8 * entries + 1) - 1) // 2)
+    return np.where(iu[0] == iu[1], 1.0, 2.0)
+
+
+def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> tuple[list, tuple]:
     """Minimum eigenvalue of each criterion matrix of a batch of node rows
     X (_layout) against tol * its scale, in double precision.
 
-    The matrices are built in one batch with entrywise error bounds E.
-    Those whose ||E||_F leaves the sign of their margin open (_open) are
-    rebuilt as one long-double batch where the platform's long double is
-    wider.  For those still open, each entry takes an enclosure
-    (divided_difference_enclosures, one batch for every entry), and an
-    entry whose enclosure radius is below its bound takes the enclosure's
-    midpoint and that radius as its value and bound; Weyl's bound then
-    decides the matrix again.  For those still open, the entries with the
-    largest E are recomputed in extended precision, in one call that
-    shares their mpmath jets, until the rest of ||E||_F is within half the
-    slack max(value, 0) + threshold (a margin below -||E||_F is a violation
-    in any case and goes straight to the extended re-check).
+    The matrices are built in one batch with entrywise error bounds E; by
+    Weyl's inequality lambda_min moves by at most ||M - M_hat||_2 <=
+    ||E||_F, each row's bound.  Returns the rows and what _escalate_points
+    reads for them, (X, entries, each entry's share of ||E||_F^2).
     """
     values, bounds = _dd_triangles(f, X, layout, "double")
-    iu = _triangle((math.isqrt(8 * len(layout) + 1) - 1) // 2)
-    # each entry's share of ||E||_F^2; by Weyl's inequality lambda_min moves
-    # by at most ||M - M_hat||_2 <= ||E||_F
-    share = np.where(iu[0] == iu[1], 1.0, 2.0)
-    squares = share * bounds**2
+    squares = _shares(len(layout)) * bounds**2
     rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
-    redo = [b for b, row in enumerate(rows) if _open(*row[:3])]
-    if redo and LONG_DOUBLE_WIDER:
-        values[redo], bound = _dd_triangles(f, X[redo], layout, "double", np.longdouble)
-        squares[redo] = share * bound**2
-        redone = _psd_rows(_symmetric(values[redo]), [math.sqrt(squares[b].sum()) for b in redo], tol)
-        for b, row in zip(redo, redone):
-            rows[b] = row
-    left = [b for b in redo if _open(*rows[b][:3])]
+    return rows, (X, values, squares)
+
+
+def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int], tol: float,
+                     layout) -> list:
+    """The open rows of _point_rows (from any number of batches) by the
+    precision ladder.
+
+    The matrices are rebuilt as one long-double batch where the platform's
+    long double is wider.  For those still open, each entry takes an
+    enclosure (divided_difference_enclosures, one batch for every entry,
+    _by_batch), and an entry whose enclosure radius is below its bound
+    takes the enclosure's midpoint and that radius as its value and bound;
+    Weyl's bound then decides the matrix again.  For those still open, the
+    entries with the largest E are recomputed in extended precision, in one
+    call per matrix that shares their mpmath jets, until the rest of
+    ||E||_F is within half the slack max(value, 0) + threshold (a margin
+    below -||E||_F is a violation in any case and goes straight to the
+    extended re-check).
+    """
+    X, values, squares = data
+    share = _shares(len(layout))
+    rows = list(rows)
+    if LONG_DOUBLE_WIDER:
+        values, bound = _dd_triangles(f, X, layout, "double", np.longdouble)
+        squares = share * bound**2
+        rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
+    left = [b for b, row in enumerate(rows) if _open(*row[:3])]
     if left:
         groups = _layout_groups(layout)
-        lo, hi = _enclosures(f, [X[left][:, pos].reshape(-1, pos.shape[1]) for _, pos in groups])
+        cols = np.concatenate([ks for ks, _ in groups])
+
+        def enclose(mats: list[int]):
+            # every entry of the matrices mats, as (matrices, entries) in the order of cols
+            lo, hi = _enclosures(f, [X[mats][:, pos].reshape(-1, pos.shape[1]) for _, pos in groups])
+            split = np.cumsum([len(mats) * len(ks) for ks, _ in groups])[:-1]
+            return [np.hstack([part.reshape(len(mats), -1) for part in np.split(v, split)])
+                    for v in (lo, hi)]
+
+        lo, hi = _by_batch(enclose, left, batch)
+        at = np.ix_(left, cols)
         with np.errstate(invalid="ignore", over="ignore"):  # unknown or huge enclosures
             mid = 0.5 * (lo + hi)
             radius = np.nextafter(np.maximum(hi - mid, mid - lo), np.inf)
-            start = 0
-            for ks, _ in groups:
-                at, part = np.ix_(left, ks), slice(start, start + len(left) * len(ks))
-                start = part.stop
-                square = share[ks] * radius[part].reshape(len(left), -1) ** 2
-                take = square < squares[at]
-                values[at] = np.where(take, mid[part].reshape(len(left), -1), values[at])
-                squares[at] = np.where(take, square, squares[at])
+            square = share[cols] * radius**2
+            take = square < squares[at]
+            values[at] = np.where(take, mid, values[at])
+            squares[at] = np.where(take, square, squares[at])
         redone = _psd_rows(_symmetric(values[left]), [math.sqrt(squares[b].sum()) for b in left], tol)
         for b, row in zip(left, redone):
             rows[b] = row
-    for b in redo:
+    for b in range(len(rows)):
         value, threshold, bound, _ = rows[b]
         if _open(value, threshold, bound):
             half = 0.5 * (max(value, 0.0) + threshold)
@@ -564,13 +634,17 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> list:
 
 def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
     """Minimum eigenvalue of the criterion matrix against tol * its scale;
-    the point criteria in double precision as one batch (_point_rows)."""
+    the point criteria in double precision as one batch (_point_rows), its
+    open rows escalated in one call."""
     criterion = configs[0]["criterion"]
     if precision == "extended" or criterion not in POINT_CRITERIA:
         mats = np.array([_psd_matrix(f, c, precision) for c in configs])
         return _psd_rows(mats, [0.0] * len(configs), tol)
     X = np.array([_point_row(criterion, c["points"], c.get("base")) for c in configs])
-    return _point_rows(f, X, _layout(criterion, len(configs[0]["points"])), tol)
+    layout = _layout(criterion, len(configs[0]["points"]))
+    rows, data = _point_rows(f, X, layout, tol)
+    _escalate(functools.partial(_escalate_points, layout=layout), f, [(rows, data, 0)], tol)
+    return rows
 
 
 def _product_rows(
@@ -683,21 +757,69 @@ class _Tally:
             self.criterion, passed, self.configs, self.worst, self.witness, note
         )
 
-    def run(self, draw, samples: int, note: str = "") -> CriterionRecord:
-        """Check the configurations 0, ..., samples - 1 a batch at a time
-        (sweep_batches): draw(indices) draws those of a range of indices
-        and returns (rows, config), their double-precision rows and
-        config(i), which materializes the i-th of them.  Stop at the first
-        violation, so later rows of its batch count neither in configs nor
-        in the worst margin."""
+    def run(self, draw, samples: int, escalate=None, note: str = "") -> CriterionRecord:
+        """Check the configurations 0, ..., samples - 1 in order and stop at
+        the first violation, so later rows count neither in configs nor in
+        the worst margin.
+
+        draw(indices) draws the configurations of a batch of indices
+        (sweep_batches) and returns (rows, config, data): their double
+        rows, config(i), which materializes the i-th of them, and the
+        arrays escalate reads for them (_dd_rows and _escalate_dd,
+        _point_rows and _escalate_points; a sweep whose rows are never
+        open has neither).  While no row waits, a row whose bound settles
+        its sign or proves it negative is checked at once.  An open row
+        (_open) waits for the rest of the precision ladder, and so does
+        every later row of the sweep.  The waiting rows are flushed at the
+        end of a batch that holds a waiting candidate violation (value +
+        bound + threshold < 0) and at the end of the sweep: their open
+        rows escalate in one call (_escalate), then they are checked in
+        order.  So a sweep pays one long-double batch and one enclosure
+        call per flush, and its record is that of a sweep that escalates
+        and checks each batch in turn.  A batch drawn or evaluated after a
+        waiting row may raise: the exception surfaces only when the
+        waiting rows do not stop the sweep.
+        """
         if samples < 1:
             raise ValueError("samples must be >= 1")
+        waiting = []  # (rows, config, data, first waiting row) of each batch
         for indices in sweep_batches(samples):
-            rows, config = draw(indices)
-            for i, row in enumerate(rows):
-                if self.check(row, config, i) < 0.0:
+            try:
+                rows, config, data = draw(indices)
+            except Exception:
+                if self._flush(waiting, escalate):
                     return self.record(False, note)
+                raise
+            start = 0
+            while not waiting and start < len(rows) and not _open(*rows[start][:3]):
+                if self.check(rows[start], config, start) < 0.0:
+                    return self.record(False, note)
+                start += 1
+            if start < len(rows):
+                waiting.append((rows, config, data, start))
+                if any(v + b + th < 0.0 for v, th, b, _ in rows[start:]):
+                    if self._flush(waiting, escalate):
+                        return self.record(False, note)
+                    waiting = []
+        if self._flush(waiting, escalate):
+            return self.record(False, note)
         return self.record(True, note)
+
+    def _flush(self, waiting: list, escalate) -> bool:
+        """Escalate the open rows of the waiting batches in one call, then
+        check the waiting rows in order; True at a confirmed violation.
+        When the merged call raises, the batches are flushed one by one,
+        so the exception surfaces only where a batch escalated alone
+        raises and the batches before it do not stop the sweep."""
+        try:
+            _escalate(escalate, self.f, [(rows, data, start) for rows, _, data, start in waiting],
+                      self.tol)
+        except Exception:
+            if len(waiting) < 2:
+                raise
+            return any(self._flush([batch], escalate) for batch in waiting)
+        return any(self.check(rows[i], config, i) < 0.0
+                   for rows, config, _, start in waiting for i in range(start, len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -817,9 +939,10 @@ def _run_dd_sweep(
 
         nodes = np.array([d[2] for d in drawn])
         weights = n_coeffs(_q_array([d[3] for d in drawn], n))
-        return _dd_rows(f, nodes, weights, tol), config
+        rows, data = _dd_rows(f, nodes, weights, tol)
+        return rows, config, data
 
-    return _Tally(f, criterion, "dd", tol).run(draw, samples, _Q_CADENCE_NOTE)
+    return _Tally(f, criterion, "dd", tol).run(draw, samples, _escalate_dd, _Q_CADENCE_NOTE)
 
 
 # share of confluent multisets among the k-tone draws (k >= 2)
@@ -857,9 +980,10 @@ def ktone_check(
 
     def draw(indices):
         configs = [draw_one(idx) for idx in indices]
-        return _evaluate_dd(f, configs, "double", tol), configs.__getitem__
+        rows, data = _dd_rows(f, *_dd_arrays(configs), tol)
+        return rows, configs.__getitem__, data
 
-    return _Tally(f, "k-tone", "dd", tol).run(draw, samples)
+    return _Tally(f, "k-tone", "dd", tol).run(draw, samples, _escalate_dd)
 
 
 # ---------------------------------------------------------------------------
@@ -901,9 +1025,11 @@ def _run_psd_point_sweep(
                 return {"criterion": criterion, "points": X[i]}
             return {"criterion": criterion, "points": X[i][:n], "base": X[i][n]}
 
-        return _point_rows(f, np.array(X), layout, tol), config
+        rows, data = _point_rows(f, np.array(X), layout, tol)
+        return rows, config, data
 
-    return _Tally(f, criterion, "psd-matrix", tol).run(draw, samples)
+    escalate = functools.partial(_escalate_points, layout=layout)
+    return _Tally(f, criterion, "psd-matrix", tol).run(draw, samples, escalate)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1156,7 @@ def _run_product_derivative_sweep(
             return {"criterion": criterion, "t": ts[i], "deriv_order": order, "q": _q_poly(qs[i])}
 
         weights = n_coeffs(_q_array(qs, n))
-        return _product_rows(f, np.array(ts), weights, order, tol), config
+        return _product_rows(f, np.array(ts), weights, order, tol), config, None
 
     return _Tally(f, criterion, "derivative-sign", tol).run(draw, samples)
 

@@ -15,11 +15,14 @@ bound; the rows still open take one batch of enclosures
 (divided_difference_enclosures: Hermite-Genocchi in Taylor form over
 interval jets, matmono.interval); what no enclosure settles is
 recomputed in mpmath, with digits scaled to the node gaps.  Elsewhere
-the ladder is double -> enclosure -> mpmath.  The mpmath tables run on
-raw mpf tuples (mpmath.libmp), one libmp call per mpf operation at the
-context precision, rounding to nearest: bit for bit the table mpf
-arithmetic gives.  The mpmath entries of one criterion matrix share one
-jet per distinct node (extended_divided_differences).
+the ladder is double -> enclosure -> mpmath.  A sweep holds its open
+rows back and sends those of many batches up the ladder together, one
+long-double batch and one enclosure call per flush (criteria._Tally.run):
+a row's result does not depend on the other rows of its call.  The
+mpmath tables run on raw mpf tuples (mpmath.libmp), one libmp call per
+mpf operation at the context precision, rounding to nearest: bit for bit
+the table mpf arithmetic gives.  The mpmath entries of one criterion
+matrix share one jet per distinct node (extended_divided_differences).
 
 Every sampled check places its nodes by one rule, place_nodes, on
 Python floats.  The criterion sweeps feed it from a DrawBlock: a batch's
@@ -768,6 +771,10 @@ class DrawBlock:
         ]
 
 
+class NarrowIntervalError(ValueError):
+    """The interval holds too few doubles for the nodes a check places."""
+
+
 def place_width(count: int) -> int:
     """Numbers the placement rule reads for a count-node tuple: the count
     uniforms, the cluster choice and the cluster centre."""
@@ -784,6 +791,8 @@ def place_nodes(draws, count: int, a: float, b: float, index: int) -> list[float
     are still drawn); a CLUSTER_FRACTION of draws place the nodes in a
     cluster of width scale * span around a uniform centre, the others
     spread them with at least span / SEPARATION_PARTS between neighbours.
+    Raises NarrowIntervalError where the doubles of the interval cannot
+    keep `count` nodes apart.
     """
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
@@ -805,18 +814,21 @@ def place_nodes(draws, count: int, a: float, b: float, index: int) -> list[float
             v = center + width * (s - 0.5)
             v = v if v > lo else lo
             x.append(v if v < hi else hi)
-        # force strict ascent; duplicates collapse to tiny separations
+        # force strict ascent; duplicates collapse to tiny separations, of
+        # at least a few ulps of the node moved
         eps = max(width, 4 * margin) * 1e-9
         for i in range(1, count):
             if x[i] <= x[i - 1]:
-                x[i] = x[i - 1] + eps
+                x[i] = x[i - 1] + max(eps, 4 * math.ulp(x[i]))
         if x[-1] >= hi:
             shift = x[-1] - hi
             x = [v - shift for v in x]
+        if not a < x[0] <= x[-1] < b:
+            raise NarrowIntervalError(f"interval ({a}, {b}) is too narrow for {count} distinct nodes")
         return x
     free = span - 2 * margin - (count - 1) * delta
-    if free <= 0:
-        raise ValueError("interval too small for the requested separation")
+    if free <= 0 or delta < 4 * math.ulp(max(-a, b)):
+        raise NarrowIntervalError(f"interval ({a}, {b}) is too narrow for {count} distinct nodes")
     base = a + margin
     return [base + free * s + delta * i for i, s in enumerate(u)]
 

@@ -359,6 +359,14 @@ def test_infinite_interval_exits_two(capsys, command, interval):
     assert err.startswith("error: --interval:") and "finite endpoints" in err
 
 
+def test_an_interval_too_narrow_for_distinct_nodes_exits_two(capsys):
+    code, out, err = _run(capsys, ["certify", "-f", "x", "-n", "2", "--interval",
+                                   "1,1.0000000000000018", "--seed", "1", "--no-timestamp"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: interval (1.0, 1.0000000000000018) is too narrow for")
+
+
 def test_infinite_domain_stays_valid(capsys):
     code, report = _run_json(capsys, ["certify", "-f", "log(x)", "-n", "1", "--interval", "0.5,4",
                                       "--domain", "0,inf", "--samples", "20", "--oracle-trials", "5",

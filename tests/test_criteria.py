@@ -600,7 +600,7 @@ def test_enclosure_is_held_to_the_extended_floor():
     is -8.13 inside the enclosure [-8.17, -8.12].  Against the extended
     floor (tol) the enclosure settles nothing, the row goes to mpmath and
     the criterion fails at its first configuration."""
-    from matmono.criteria import _dd_rows, _draw_dd, _q_array
+    from matmono.criteria import _dd_rows, _draw_dd, _escalate, _escalate_dd, _q_array
     from matmono.divdiff import divided_difference_enclosures, divided_differences, double_settles
 
     log = catalog_model("log(x)")
@@ -614,7 +614,9 @@ def test_enclosure_is_held_to_the_extended_floor():
     lo, hi = divided_difference_enclosures(log, nodes, weights)
     want = _mp_divided_difference(log, NodeMultiset.from_pairs(zip(pts, mults)), ONE)
     assert lo[0] <= want <= hi[0] < -8.0
-    value, threshold, bound, _ = _dd_rows(log, nodes, weights, 1e-9)[0]
+    rows, data = _dd_rows(log, nodes, weights, 1e-9)
+    _escalate(_escalate_dd, log, [(rows, data, 0)], 1e-9)
+    value, threshold, bound, _ = rows[0]
     assert not double_settles(value, bound, threshold)
     report = certify(log, 3, (0.5, 4.0), "convex", CertifyConfig(seed=1))
     rec = report.record("dd-confluent-free")
@@ -793,6 +795,209 @@ def test_block_drawn_failures_replay_bit_for_bit(criterion, mode, passing, faili
     assert replay["value"] == w.get("value", w.get("min_eigenvalue"))
     assert replay["threshold"] == w["threshold"]
     assert rec.worst_value == replay["value"] + replay["threshold"]
+
+
+def _flush_every_batch(self, draw, samples, escalate=None, note=""):
+    """_Tally.run without deferral: each batch's open rows escalate on
+    their own as soon as it is drawn, and its rows are checked before the
+    next batch is drawn."""
+    from matmono.criteria import _escalate
+    from matmono.divdiff import sweep_batches
+
+    for indices in sweep_batches(samples):
+        rows, config, data = draw(indices)
+        if escalate is not None:
+            _escalate(escalate, self.f, [(rows, data, 0)], self.tol)
+        for i, row in enumerate(rows):
+            if self.check(row, config, i) < 0.0:
+                return self.record(False, note)
+    return self.record(True, note)
+
+
+def _enclosure_calls(monkeypatch) -> list:
+    """One entry per divided_difference_enclosures call the ladder makes from now on."""
+    from matmono import criteria
+
+    calls = []
+    enclose = criteria.divided_difference_enclosures
+
+    def counted(*args):
+        calls.append(1)
+        return enclose(*args)
+
+    monkeypatch.setattr(criteria, "divided_difference_enclosures", counted)
+    return calls
+
+
+# every sweep with a rung past double: the block-drawn ones and the rest
+DEFERRED = BLOCK_DRAWN + [
+    ("dd-real-q", "convex", (SQUARE, (0.1, 10.0)), (CUBE, (0.5, 4.0))),
+    ("dd-confluent", "monotone", (RECIP_NEG, (0.5, 4.0)), (EXP, (-1.0, 1.0))),
+    ("loewner-psd", "monotone", (RECIP_NEG, (0.5, 4.0)), (EXP, (-1.0, 1.0))),
+]
+
+
+def test_deferred_escalation_gives_the_records_of_a_flush_after_every_batch(monkeypatch):
+    """Open rows wait and escalate together, yet every record (verdict,
+    configs, worst value, witness, note) is that of a sweep that escalates
+    and checks each batch as it is drawn: a passing and a failing sweep of
+    each criterion with a rung, and of the k-tone check.  Deferring makes
+    fewer enclosure calls."""
+    from matmono import criteria
+
+    def records():
+        recs = [r for criterion, mode, passing, failing in DEFERRED
+                for r in _block_drawn_records(criterion, mode, [passing, failing])]
+        recs += [ktone_check(f, 2, interval, samples=300, seed=7)
+                 for f, interval in ((SQUARE, (0.1, 10.0)), (RECIP_NEG, (0.5, 4.0)))]
+        return [(r.criterion, r.passed, r.configs, r.worst_value, r.witness, r.note) for r in recs]
+
+    calls = _enclosure_calls(monkeypatch)
+    deferred, deferred_calls = records(), len(calls)
+    assert [passed for _, passed, *_ in deferred] == [True, False] * (len(DEFERRED) + 1)
+    monkeypatch.setattr(criteria._Tally, "run", _flush_every_batch)
+    calls.clear()
+    assert records() == deferred
+    assert deferred_calls < len(calls)
+
+
+def _log3_confluent_free():
+    """The dd-confluent-free sweep of certify(log(x), 3, (0.5, 4), "convex",
+    CertifyConfig(seed=1)), run alone."""
+    seeds = np.random.SeedSequence(1).spawn(len(CONVEX_CRITERIA) + 1)
+    child = int(seeds[CONVEX_CRITERIA.index("dd-confluent-free")].generate_state(1)[0])
+    return confluent_dd_criterion(catalog_model("log(x)"), 3, (0.5, 4.0), "convex", 1000, child, "free")
+
+
+def test_an_open_first_row_is_confirmed_where_it_stands(monkeypatch):
+    """log(x), n = 3 convex, seed 1: the first dd-confluent-free row stays
+    open past the enclosure, so the next batch is drawn while it waits;
+    that batch holds a candidate violation, so the rows flush there.  The
+    first row is confirmed in mpmath, and the sweep stops at configs 1,
+    with the witness of a sweep that flushes after every batch."""
+    from matmono import criteria
+
+    draws = []
+    draw_dd = criteria._draw_dd
+
+    def counted(*args):
+        draws.append(1)
+        return draw_dd(*args)
+
+    monkeypatch.setattr(criteria, "_draw_dd", counted)
+    deferred = _log3_confluent_free()
+    assert not deferred.passed and deferred.configs == 1 and len(draws) == 2
+    assert re_evaluate_witness(catalog_model("log(x)"), deferred.witness)["confirmed"]
+    monkeypatch.setattr(criteria._Tally, "run", _flush_every_batch)
+    draws.clear()
+    eager = _log3_confluent_free()
+    assert len(draws) == 1
+    assert (eager.configs, eager.worst_value, eager.witness) == (
+        deferred.configs, deferred.worst_value, deferred.witness)
+
+
+def test_exceptions_past_a_waiting_row_surface_only_if_it_does_not_stop_the_sweep(monkeypatch):
+    """A batch drawn after a waiting row may raise.  log(x), n = 3 convex:
+    the open first row of dd-confluent-free stops the sweep, so an error
+    in the next draw never surfaces.  sqrt(log(1+x)) passes, so an error in
+    a later draw does.  An escalation of several batches that raises is
+    redone batch by batch, which gives the record of the merged call."""
+    from matmono import criteria
+
+    dd_rows = criteria._dd_rows
+
+    def failing_from(call):
+        calls = []
+
+        def rows(*args):
+            calls.append(1)
+            if len(calls) >= call:
+                raise RuntimeError("draw failed")
+            return dd_rows(*args)
+
+        return rows
+
+    stopped = _log3_confluent_free()
+    monkeypatch.setattr(criteria, "_dd_rows", failing_from(2))
+    rec = _log3_confluent_free()
+    assert (rec.passed, rec.configs, rec.witness) == (False, 1, stopped.witness)
+
+    f = FunctionModel(parse("sqrt(log(1+x))"), (0.0, math.inf))
+    monkeypatch.setattr(criteria, "_dd_rows", failing_from(5))
+    with pytest.raises(RuntimeError, match="draw failed"):
+        dd_criterion(f, 3, (0.5, 4.0), "monotone", samples=1000, seed=1)
+    monkeypatch.setattr(criteria, "_dd_rows", dd_rows)
+
+    passing = dd_criterion(f, 3, (0.5, 4.0), "monotone", samples=1000, seed=1)
+    escalate = criteria._escalate_dd
+    merged = []
+
+    def one_batch_only(f, rows, data, batch, tol):
+        if batch[0] != batch[-1]:
+            merged.append(1)
+            raise RuntimeError("merged escalation failed")
+        return escalate(f, rows, data, batch, tol)
+
+    monkeypatch.setattr(criteria, "_escalate_dd", one_batch_only)
+    again = dd_criterion(f, 3, (0.5, 4.0), "monotone", samples=1000, seed=1)
+    assert merged
+    assert (again.passed, again.configs, again.worst_value, again.note) == (
+        passing.passed, passing.configs, passing.worst_value, passing.note)
+
+
+def test_merged_escalation_with_a_domain_error_gives_the_per_batch_rows(monkeypatch):
+    """The enclosure of a box possibly outside f's domain fails for every
+    row of its call.  f = sqrt(x^4) = x^2 has third divided differences 0,
+    which double precision leaves open; around 0 the box of x^4 holds 0,
+    where sqrt's jet is not defined.  When the rows of a batch inside and
+    of a batch around 0 escalate in one call, each batch is enclosed again
+    on its own: the rows are those of escalating the batches one by one,
+    the batch inside settles by its enclosures and the other keeps its
+    double rows for mpmath."""
+    from matmono import criteria
+    from matmono.criteria import _dd_rows, _escalate, _escalate_dd, _open
+
+    monkeypatch.setattr(criteria, "LONG_DOUBLE_WIDER", False)  # escalate from double
+    f = FunctionModel(parse("sqrt(x^4)"), name="sqrt(x^4)")
+    inside = np.array([[1.0, 1.0 + 1e-4, 1.0 + 2e-4, 1.0 + 3e-4]] * 3) + np.arange(3)[:, None]
+    around_0 = np.array([[-1e-3, -1e-3 + 1e-6, 1e-3 + k * 1e-4, 1e-3 + 1e-6 + k * 1e-4]
+                         for k in range(3)])
+    weights = np.ones((3, 1))
+    double = [_dd_rows(f, nodes, weights, 1e-9)[0] for nodes in (inside, around_0)]
+    assert all(_open(*row[:3]) for rows in double for row in rows)
+    with pytest.raises(DomainError):
+        criteria.divided_difference_enclosures(f, around_0, weights)
+
+    def escalated(*blocks):
+        batches = [(*_dd_rows(f, nodes, weights, 1e-9), 0) for nodes in blocks]
+        _escalate(_escalate_dd, f, batches, 1e-9)
+        return [rows for rows, _, _ in batches]
+
+    merged = escalated(inside, around_0)
+    assert merged == escalated(inside) + escalated(around_0)
+    assert not any(_open(*row[:3]) for row in merged[0])
+    assert merged[1] == double[1]
+
+
+def test_a_passing_dd_sweep_makes_one_enclosure_call(monkeypatch):
+    """A passing 1000-configuration dd sweep of sqrt(log(1+x)) at n = 3
+    escalates its open rows at the end of the sweep, in one call."""
+    calls = _enclosure_calls(monkeypatch)
+    f = FunctionModel(parse("sqrt(log(1+x))"), (0.0, math.inf))
+    rec = dd_criterion(f, 3, (0.5, 4.0), "monotone", samples=1000, seed=1)
+    assert rec.passed and rec.configs == 1000
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("mode", ["monotone", "convex"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_identity_passes_on_a_narrow_interval_far_from_zero(n, mode):
+    """f = x on (1e6, 1e6 + 1e-3): the span is about 8.6e6 ulps of its
+    nodes, so clustered nodes are kept apart by a few ulps and every
+    criterion and the oracle pass."""
+    report = certify(FunctionModel(parse("x"), name="x"), n, (1e6, 1e6 + 1e-3), mode,
+                     CertifyConfig(seed=1))
+    assert report.verdict == "pass" and not report.conflicts
 
 
 def _placed_from_halton(x, idx, interval) -> bool:

@@ -23,6 +23,7 @@ from matmono.criteria import (
     re_evaluate_witness,
 )
 from matmono.divdiff import (
+    NarrowIntervalError,
     check_interval,
     check_tol,
     dd_threshold,
@@ -215,6 +216,24 @@ def test_sample_distinct_tuple_contract():
     a = sample_distinct_tuple(np.random.default_rng(3), 3, (0.0, 1.0), 1)
     b = sample_distinct_tuple(np.random.default_rng(3), 3, (0.0, 1.0), 1)
     np.testing.assert_array_equal(a, b)
+
+
+def test_placement_keeps_nodes_apart_or_raises_on_a_narrow_interval():
+    """Clustered nodes far from 0 are kept apart by a few ulps: on (1e6,
+    1e6 + 1e-3) every draw is strictly ascending inside the interval.  A
+    span of a few ulps cannot hold four distinct nodes: spread and
+    clustered draws alike raise NarrowIntervalError, a ValueError."""
+    rng = np.random.default_rng(1)
+    for idx in range(300):
+        x = sample_distinct_tuple(rng, 7, (1e6, 1e6 + 1e-3), idx)
+        assert np.all(np.diff(x) > 0) and 1e6 < x[0] and x[-1] < 1e6 + 1e-3
+    a = 1.0
+    b = a + 8 * math.ulp(a)
+    rng = np.random.default_rng(2)
+    for idx in range(30):
+        with pytest.raises(NarrowIntervalError, match=r"too narrow for 4 distinct nodes"):
+            sample_distinct_tuple(rng, 4, (a, b), idx)
+    assert issubclass(NarrowIntervalError, ValueError)
 
 
 def test_halton_rows_keep_distinct_coordinates_past_nine_nodes():
