@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identity", help="verify an integral representation")
     p.add_argument("-f", "--function", required=True)
-    p.add_argument("--nodes", required=True, help="distinct reals, comma-separated")
+    p.add_argument("--nodes", required=True, help="two or more distinct finite reals, comma-separated")
     p.add_argument("--domain")
     p.add_argument("--mode", choices=("monotone", "convex"), default="monotone")
     p.add_argument("--base", help="base point (convex mode)")
@@ -361,8 +361,11 @@ def _witnesses(obj, piece=None):
 
 
 def _cmd_replay(args) -> tuple[int, dict]:
-    with open(args.replay, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(args.replay, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise _Usage(f"--replay: {args.replay} is not a JSON file ({exc})") from None
     if isinstance(data, dict) and "kind" in data:  # a bare witness
         witnesses = [{"criterion": None, "witness": data}]
     else:
@@ -474,10 +477,15 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
 def _cmd_identity(args) -> tuple[int, dict]:
     model = _load_model(args.function, args.domain)
     nodes = _parse_floats(args.nodes, "--nodes")
+    if len(nodes) < 2 or len(set(nodes)) < len(nodes) or not all(map(math.isfinite, nodes)):
+        raise _Usage(f"--nodes: expected two or more distinct finite reals, got {args.nodes!r}")
     if args.mode == "convex":
         if args.base is None:
             raise _Usage("convex identity needs --base")
-        report = verify_convex_identity(model, nodes, float(args.base), args.quad_order)
+        base = _parse_floats(args.base, "--base", 1)[0]
+        if not math.isfinite(base):
+            raise _Usage(f"--base: expected a finite real, got {args.base!r}")
+        report = verify_convex_identity(model, nodes, base, args.quad_order)
     elif args.base is not None:
         raise _Usage("--base is a convex-mode flag")
     else:

@@ -53,6 +53,7 @@ from .linalg import (
     min_eigenvalue,
     monotonicity_oracle,
     oracle_defect,
+    psd_scale,
 )
 from .polynomial import ONE, Poly, n_coeffs, n_of, taylor_shift
 
@@ -134,16 +135,6 @@ def _entries(row: list, layout) -> list[tuple]:
     return [tuple(row[k] for k in pos) for pos in layout]
 
 
-def _extended_loewner_nodes(points) -> list[tuple]:
-    row = _point_row("extended-loewner-psd", points)
-    return _entries(row, _layout("extended-loewner-psd", len(row)))
-
-
-def _kraus_nodes(points, base) -> list[tuple]:
-    row = _point_row("kraus-free-psd", points, base)
-    return _entries(row, _layout("kraus-free-psd", len(row) - 1))
-
-
 @functools.cache
 def _triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the upper triangle of an n x n matrix, row by row."""
@@ -160,52 +151,46 @@ def _symmetric(tri: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dd_triangles(f: FunctionModel, X: np.ndarray, layout, precision: str, dtype=float):
+def _dd_triangles(f: FunctionModel, X: np.ndarray, layout, dtype=float):
     """Divided differences over the entries of a batch of matrices, row b
     of X holding the nodes of matrix b at the positions of layout, and
-    their error bounds, as (len(X), len(layout)) arrays.
-
-    "double" evaluates every entry of every matrix in one table batch per
-    entry length, in the float type dtype; "auto" then recomputes in
-    extended precision each entry whose bound does not settle its value
-    (double_settles); "extended" evaluates each entry in extended
-    precision.  The extended entries of one matrix share their mpmath jets
-    (extended_divided_differences).
-    """
-    if precision not in ("auto", "double", "extended"):
-        raise ValueError(f"unsupported precision mode {precision!r}")
-    if precision == "extended":
-        values = np.array([extended_divided_differences(f, _entries(x, layout)) for x in X.tolist()])
-        return values, np.zeros_like(values)
+    their running error bounds, as (len(X), len(layout)) arrays: one table
+    batch per entry length, in the float type dtype (double, or
+    np.longdouble for the long-double step)."""
     values = np.empty((len(X), len(layout)))
     bounds = np.empty_like(values)
     for ks, pos in _layout_groups(layout):
         value, _, bound = divided_differences(f, X[:, pos].reshape(-1, pos.shape[1]), None, dtype)
         values[:, ks] = value.reshape(len(X), -1)
         bounds[:, ks] = bound.reshape(len(X), -1)
-    if precision == "auto":
-        for b, x in enumerate(X.tolist()):
-            ks = [k for k in range(len(layout)) if not double_settles(values[b, k], bounds[b, k])]
-            values[b, ks] = extended_divided_differences(f, _entries(x, [layout[k] for k in ks]))
-            bounds[b, ks] = 0.0
     return values, bounds
 
 
 def _dd_matrix(f: FunctionModel, criterion: str, row: list, precision: str) -> np.ndarray:
-    n = len(row) - criterion.startswith("kraus")
-    values, _ = _dd_triangles(f, np.array([row]), _layout(criterion, n), precision)
-    return _symmetric(values[0])
+    """The criterion matrix over one node row: its entries as a double
+    table batch (_dd_triangles), or in mpmath sharing one jet per distinct
+    node (extended_divided_differences)."""
+    layout = _layout(criterion, len(row) - criterion.startswith("kraus"))
+    if precision == "double":
+        values = _dd_triangles(f, np.array([row]), layout)[0][0]
+    elif precision == "extended":
+        values = np.array(extended_divided_differences(f, _entries(row, layout)))
+    else:
+        raise ValueError(f"unsupported precision mode {precision!r}")
+    return _symmetric(values)
 
 
-def loewner_matrix(f: FunctionModel, points, precision: str = "auto") -> np.ndarray:
-    """Matrix of first divided differences [x_i, x_j]_f (diagonal f')."""
+def loewner_matrix(f: FunctionModel, points, precision: str = "extended") -> np.ndarray:
+    """Matrix of first divided differences [x_i, x_j]_f (diagonal f'), in
+    mpmath ("extended") or as a double table batch ("double")."""
     return _dd_matrix(f, "loewner-psd", _point_row("loewner-psd", points), precision)
 
 
 def extended_loewner_matrix(
-    f: FunctionModel, points, precision: str = "auto"
+    f: FunctionModel, points, precision: str = "extended"
 ) -> np.ndarray:
-    """Entry (i, j) is [x_1..x_i, x_1..x_j]_f over ascending points."""
+    """Entry (i, j) is [x_1..x_i, x_1..x_j]_f over ascending points;
+    precision as in loewner_matrix."""
     row = _point_row("extended-loewner-psd", points)
     return _dd_matrix(f, "extended-loewner-psd", row, precision)
 
@@ -228,9 +213,10 @@ def hankel_convex_matrix(
 
 
 def kraus_matrix(
-    f: FunctionModel, points, base: float, precision: str = "auto"
+    f: FunctionModel, points, base: float, precision: str = "extended"
 ) -> np.ndarray:
-    """Matrix of second divided differences [x_i, x_j, base]_f.
+    """Matrix of second divided differences [x_i, x_j, base]_f; precision
+    as in loewner_matrix.
 
     base may coincide with a point; repeated nodes become confluent.
     """
@@ -398,18 +384,17 @@ class CertifyConfig:
 # Evaluation, confirmation and witnesses
 #
 # A configuration is a dict of the witness fields that locate it, with
-# the nodes and q as NodeMultiset and Poly.  One evaluator per witness
-# kind maps (f, configs, precision, tol) to one row per configuration:
-# (value, threshold, bound, criterion matrix or None).  The margin is
-# value + threshold; bound limits the error of a double-precision value
-# (0 where none is known, and in extended precision).  The sampled sweeps
-# evaluate a batch in double precision from its arrays (_dd_rows,
-# _point_rows, _product_rows), and the rows a bound leaves open climb the
-# rest of the ladder short of mpmath in one call for many batches
-# (_escalate with _escalate_dd or _escalate_points; the dd and PSD
-# evaluators' double paths make the same two steps for one batch); their
-# extended-precision re-check and witness replay go through the
-# evaluators, on the configuration materialized for that row.
+# the nodes and q as NodeMultiset and Poly.  A row is (value, threshold,
+# bound, criterion matrix or None); the margin is value + threshold, and
+# bound limits the error of a value computed below mpmath (0 where none
+# is known).  The sampled sweeps evaluate a batch in double precision from
+# its arrays (_dd_rows, _point_rows, _product_rows; the Dobsch/Hankel probe
+# one matrix), and the rows a bound leaves open climb the rest of the
+# ladder short of mpmath in one call for many batches (_escalate with
+# _escalate_dd or _escalate_points).  One evaluator per witness kind maps
+# (f, configs, tol) to the rows of the configurations in mpmath: the
+# re-check of a row no bound settles and the witness replay, on the
+# configuration materialized for that row.
 
 
 def _open(value: float, threshold: float, bound: float) -> bool:
@@ -508,17 +493,12 @@ def _escalate_dd(f: FunctionModel, rows: list, data: list, batch: list[int], tol
     return rows
 
 
-def _evaluate_dd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
-    """[nodes]_{f N(q)} against the roundoff floor of its table (_dd_rows
-    in double precision, its open rows escalated in one call)."""
-    if precision == "extended":
-        rows = []
-        for config in configs:
-            value, scale = divided_difference_scaled(f, config["nodes"], "extended", n_of(config["q"]))
-            rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
-        return rows
-    rows, data = _dd_rows(f, *_dd_arrays(configs), tol)
-    _escalate(_escalate_dd, f, [(rows, data, 0)], tol)
+def _evaluate_dd(f: FunctionModel, configs: list[dict], tol: float) -> list:
+    """[nodes]_{f N(q)} in mpmath against the roundoff floor of its table."""
+    rows = []
+    for config in configs:
+        value, scale = divided_difference_scaled(f, config["nodes"], "extended", n_of(config["q"]))
+        rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
     return rows
 
 
@@ -539,9 +519,9 @@ def _psd_rows(mats: np.ndarray, bounds, tol: float) -> list:
     """Rows (min eigenvalue, tol * psd_scale, bound, matrix) of a (rows, n, n)
     stack, with one eigvalsh call for the stack.  numpy runs the same
     LAPACK routine on each matrix of a stack, so each row is the one
-    min_eigenvalue and psd_scale give (fmax keeps max(1.0, nan) = 1.0)."""
+    min_eigenvalue gives."""
     lam = np.linalg.eigvalsh(mats)[:, 0].tolist()
-    scale = (tol * np.fmax(np.abs(mats).max(axis=(1, 2)), 1.0)).tolist()
+    scale = (tol * psd_scale(mats)).tolist()
     return list(zip(lam, scale, bounds, mats))
 
 
@@ -560,7 +540,7 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> tuple[li
     ||E||_F, each row's bound.  Returns the rows and what _escalate_points
     reads for them, (X, entries, each entry's share of ||E||_F^2).
     """
-    values, bounds = _dd_triangles(f, X, layout, "double")
+    values, bounds = _dd_triangles(f, X, layout)
     squares = _shares(len(layout)) * bounds**2
     rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
     return rows, (X, values, squares)
@@ -587,7 +567,7 @@ def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int],
     share = _shares(len(layout))
     rows = list(rows)
     if LONG_DOUBLE_WIDER:
-        values, bound = _dd_triangles(f, X, layout, "double", np.longdouble)
+        values, bound = _dd_triangles(f, X, layout, np.longdouble)
         squares = share * bound**2
         rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
     left = [b for b, row in enumerate(rows) if _open(*row[:3])]
@@ -632,19 +612,11 @@ def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int],
     return rows
 
 
-def _evaluate_psd(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
-    """Minimum eigenvalue of the criterion matrix against tol * its scale;
-    the point criteria in double precision as one batch (_point_rows), its
-    open rows escalated in one call."""
-    criterion = configs[0]["criterion"]
-    if precision == "extended" or criterion not in POINT_CRITERIA:
-        mats = np.array([_psd_matrix(f, c, precision) for c in configs])
-        return _psd_rows(mats, [0.0] * len(configs), tol)
-    X = np.array([_point_row(criterion, c["points"], c.get("base")) for c in configs])
-    layout = _layout(criterion, len(configs[0]["points"]))
-    rows, data = _point_rows(f, X, layout, tol)
-    _escalate(functools.partial(_escalate_points, layout=layout), f, [(rows, data, 0)], tol)
-    return rows
+def _evaluate_psd(f: FunctionModel, configs: list[dict], tol: float) -> list:
+    """Minimum eigenvalue of the criterion matrix, built in mpmath,
+    against tol * its scale."""
+    mats = np.array([_psd_matrix(f, c, "extended") for c in configs])
+    return _psd_rows(mats, [0.0] * len(configs), tol)
 
 
 def _product_rows(
@@ -661,14 +633,14 @@ def _product_rows(
     return [(value, th, 0.0, None) for value, th in zip(sum(terms).tolist(), threshold.tolist())]
 
 
-def _evaluate_product(f: FunctionModel, configs: list[dict], precision: str, tol: float) -> list:
-    """(f N(q))^(order)(t) / order! against the roundoff floor of its terms."""
+def _evaluate_product(f: FunctionModel, configs: list[dict], tol: float) -> list:
+    """(f N(q))^(order)(t) / order! in mpmath against its terms' roundoff floor."""
     rows = []
     for config in configs:
         value, scale = _product_derivative_value(
-            f, n_of(config["q"]), config["t"], config["deriv_order"], precision
+            f, n_of(config["q"]), config["t"], config["deriv_order"], "extended"
         )
-        rows.append((float(value), float(dd_threshold(scale, precision, tol)), 0.0, None))
+        rows.append((float(value), float(dd_threshold(scale, "extended", tol)), 0.0, None))
     return rows
 
 
@@ -720,7 +692,7 @@ class _Tally:
     def check(self, row: tuple, config, i: int = 0) -> float:
         """Margin of one configuration; negative means a confirmed violation.
 
-        row is its double-precision evaluation (with the evaluator's
+        row is its double-precision evaluation (with the sweep's
         long-double and enclosure steps); config(i) materializes the
         configuration, only when it is needed.  Unless the row's bound
         settles the sign of its margin (double_settles), the configuration
@@ -736,7 +708,7 @@ class _Tally:
         made = None
         if not double_settles(value, bound, threshold):
             made = config(i)
-            value, threshold, _, matrix = self.evaluate(self.f, [made], "extended", self.tol)[0]
+            value, threshold, _, matrix = self.evaluate(self.f, [made], self.tol)[0]
             if margin < 0.0 <= value + threshold:
                 self.dismissed += 1
             margin = value + threshold
@@ -1068,7 +1040,8 @@ def _run_derivative_matrix_sweep(
 
     def probe(t) -> float:
         config = {"criterion": criterion, "t": float(t), "order": n}
-        return tally.check(tally.evaluate(f, [config], "double", tol)[0], lambda _: config)
+        mats = np.array([_psd_matrix(f, config, "double")])
+        return tally.check(_psd_rows(mats, [0.0], tol)[0], lambda _: config)
 
     margins = []
     for t in ts:
@@ -1176,7 +1149,7 @@ def re_evaluate_witness(f: FunctionModel, witness: dict, tol: float = 1e-9) -> d
     check_tol(tol)
     kind = witness["kind"]
     if kind in _EVALUATORS:
-        value, threshold, _, _ = _EVALUATORS[kind](f, [_config(witness)], "extended", tol)[0]
+        value, threshold, _, _ = _EVALUATORS[kind](f, [_config(witness)], tol)[0]
     elif kind in ("matrix-pair", "jensen"):
         A = matrix_from_jsonable(witness["matrix_a"])
         B = matrix_from_jsonable(witness["matrix_b"])

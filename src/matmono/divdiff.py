@@ -75,8 +75,6 @@ _EPS = float(np.finfo(float).eps)
 LONG_DOUBLE_WIDER = bool(np.finfo(np.longdouble).eps < _EPS)
 SEED_ERROR = 64.0
 STEP_ERROR = 4.0
-# a standalone value stays double when its bound is within this share of it
-VALUE_RTOL = 1e-12
 # sweeps evaluate their draws in batches of 1, 2, 4, ..., SWEEP_BATCH rows
 SWEEP_BATCH = 256
 # Taylor order m of the enclosure rung (divided_difference_enclosures); even,
@@ -153,19 +151,14 @@ def _as_multiset(nodes) -> NodeMultiset:
     return NodeMultiset.from_points(nodes)
 
 
-def double_settles(value, bound, threshold=None) -> bool:
-    """The precision rule of every divided-difference table.
+def double_settles(value, bound, threshold) -> bool:
+    """The precision rule of every sampled sign test.
 
-    A double-precision result with running error bound `bound` stands
-    when the bound cannot change the answer asked of it.  A sign test
-    with tolerance `threshold` (a sweep row, whose margin is value +
-    threshold) stands when value - bound + threshold >= 0 proves the
-    margin nonnegative; a standalone value (threshold None) stands when
-    the bound is within VALUE_RTOL * |value|.  Anything else is
-    recomputed in extended precision.
+    A row evaluated below mpmath (double, long double or an enclosure),
+    with running error bound `bound` and margin value + threshold, stands
+    when value - bound + threshold >= 0 proves that margin nonnegative;
+    any other row is recomputed in extended precision.
     """
-    if threshold is None:
-        return bound <= VALUE_RTOL * abs(value)
     return value - bound + threshold >= 0.0
 
 
@@ -430,27 +423,23 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
 
 
 def divided_difference(
-    f, nodes, precision: str = "auto", weight: Poly | None = None
+    f, nodes, precision: str = "extended", weight: Poly | None = None
 ) -> float:
     """Divided difference [nodes]_g with g = f * weight (weight optional).
 
     f is a FunctionModel, whose Taylor jets seed repeated nodes; weight
     is a real polynomial whose jet multiplies the seeds.
-    precision is "double", "extended", or "auto".  A double table carries
-    a running error bound: each seed errs by at most 64 eps times the
-    product of |f|'s jet with the jet of the weight's Horner bound
-    sum_i |c_i| |x|^i, and each column adds (E[i+1] + E[i]) / |gap| +
-    4 eps |entry|.  "auto" keeps the double value when that bound is
-    within VALUE_RTOL of it (double_settles) and otherwise recomputes the
-    table in extended precision, with digits growing with
-    order * log10(1 / min gap), and never fewer than EXTENDED_DIGITS.
+    precision is "extended" (the default: mpmath, at digits growing with
+    order * log10(1 / min gap) and never fewer than EXTENDED_DIGITS) or
+    "double": a batch of one row (divided_differences), whose running
+    error bound only a sweep judges (double_settles).
     """
     value, _ = divided_difference_scaled(f, nodes, precision, weight)
     return value
 
 
 def divided_difference_scaled(
-    f, nodes, precision: str = "auto", weight: Poly | None = None, jet=None
+    f, nodes, precision: str = "extended", weight: Poly | None = None, jet=None
 ) -> tuple[float, float]:
     """Like divided_difference, also returns max |table entry|.
 
@@ -459,14 +448,11 @@ def divided_difference_scaled(
     jet(v), if given, supplies f's mpmath jet at each node to an
     extended table (see extended_divided_differences).
     """
-    if precision not in ("auto", "double", "extended"):
+    if precision not in ("double", "extended"):
         raise ValueError(f"unsupported precision mode {precision!r}")
     ms = _as_multiset(nodes)
-    if precision != "extended":
-        value, scale, bound = _dd_table(f, ms, "double", weight, EXTENDED_DIGITS)
-        if precision == "double" or double_settles(value, bound):
-            return value, scale
-    value, scale, _ = _dd_table(f, ms, "extended", weight, _needed_digits(ms), jet)
+    digits = EXTENDED_DIGITS if precision == "double" else _needed_digits(ms)
+    value, scale, _ = _dd_table(f, ms, precision, weight, digits, jet)
     return value, scale
 
 

@@ -99,8 +99,17 @@ def test_usage_errors_exit_two(capsys):
     (["certify", "-f", "x", "-n", "1", "--interval", "0.5,4", "--domain", "1,0"], "--domain"),
     (["counterexample", "-n", "2", "--points", "1,2,3,4,5,6", "--aux-poles", "0,7",
       "--x0", "abc", "--seed", "1"], "--x0"),
-], ids=["certify-reversed-interval", "oracle-empty-interval", "reversed-domain", "x0-not-a-number"])
-def test_malformed_flag_values_exit_two(capsys, argv, flag):
+    (["identity", "-f", "x", "--nodes", "1,1"], "--nodes"),
+    (["identity", "-f", "x", "--nodes", "1"], "--nodes"),
+    (["identity", "-f", "x", "--nodes", "1,inf"], "--nodes"),
+    (["identity", "-f", "x^2", "--nodes", "1,2", "--mode", "convex", "--base", "nan"], "--base"),
+    (["certify", "--replay", "{tmp}/not.json"], "--replay"),
+], ids=["certify-reversed-interval", "oracle-empty-interval", "reversed-domain", "x0-not-a-number",
+        "identity-repeated-node", "identity-one-node", "identity-infinite-node", "identity-nan-base",
+        "replay-not-json"])
+def test_malformed_flag_values_exit_two(capsys, tmp_path, argv, flag):
+    (tmp_path / "not.json").write_text("witness: none\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = _run(capsys, argv + ["--no-timestamp"])
     assert code == 2
     assert out == ""

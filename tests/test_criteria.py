@@ -1,5 +1,6 @@
 """Criterion matrices, sampled sweeps, the certify battery, witness replay."""
 
+import functools
 import hashlib
 import math
 
@@ -95,6 +96,23 @@ def test_kraus_matrix_frozen_entries():
     x1, x2, b = 0.3, 1.7, 0.9
     K2 = kraus_matrix(cube, (x1, x2), b)
     assert np.linalg.det(K2) == pytest.approx(-((x1 - x2) ** 2), rel=1e-10)
+
+
+@pytest.mark.parametrize("build, args", [
+    (divided_difference, ((0.5, 1.0, 2.5),)),
+    (loewner_matrix, ((0.5, 1.0, 2.5),)),
+    (extended_loewner_matrix, ((0.5, 1.0, 2.5),)),
+    (kraus_matrix, ((0.5, 1.0, 2.5), 1.5)),
+], ids=["divided_difference", "loewner", "extended-loewner", "kraus"])
+def test_precision_is_double_or_extended(build, args):
+    """A divided difference or criterion matrix is computed in mpmath
+    ("extended", the default, bit for bit) or in double; "auto" is no mode."""
+    f = FunctionModel(parse("x*log(x)"), (0.0, math.inf), name="x*log(x)")
+    default = np.asarray(build(f, *args))
+    assert default.tobytes() == np.asarray(build(f, *args, "extended")).tobytes()
+    np.testing.assert_allclose(build(f, *args, "double"), default, rtol=1e-12)
+    with pytest.raises(ValueError, match="unsupported precision mode 'auto'"):
+        build(f, *args, "auto")
 
 
 def test_loewner_bridge_quadratic_form():
@@ -484,7 +502,7 @@ def test_long_double_bound_covers_its_error():
     the rounding to a float: dd rows of every dd-sweep shape, n = 1-3, with
     the sweeps' q weights, and the entries of Kraus and extended Loewner
     matrices, over the sweeps' own draws (clustered tuples included)."""
-    from matmono.criteria import _DD_SHAPES, _extended_loewner_nodes, _kraus_nodes
+    from matmono.criteria import _DD_SHAPES, _entries, _layout, _point_row
     from matmono.divdiff import divided_differences, extended_divided_differences
 
     rows, clustered, violations = 0, 0, []
@@ -508,8 +526,10 @@ def test_long_double_bound_covers_its_error():
         rng = np.random.default_rng(0)
         for idx in range(6):
             pts = sample_distinct_tuple(rng, 3, interval, idx).tolist()
-            for nodes in (_kraus_nodes(pts[:2], pts[2]), _kraus_nodes(pts[:2], pts[0]),
-                          _extended_loewner_nodes(pts)):
+            for criterion, points, base in (("kraus-free-psd", pts[:2], pts[2]),
+                                            ("kraus-anchored-psd", pts[:2], pts[0]),
+                                            ("extended-loewner-psd", pts, None)):
+                nodes = _entries(_point_row(criterion, points, base), _layout(criterion, len(points)))
                 check(f, span, nodes, None, extended_divided_differences(f, nodes))
     assert rows >= 2000 and clustered >= 200
     assert not violations, f"{len(violations)} of {rows} rows: {violations[:5]}"
@@ -667,12 +687,13 @@ def test_extended_matrix_takes_one_jet_per_distinct_node(monkeypatch, build):
     """An extended-precision Kraus or extended Loewner matrix makes one
     mpmath jet per distinct node, and its entries are those of per-entry
     extended divided differences to within one ulp."""
-    from matmono.criteria import _extended_loewner_nodes, _kraus_nodes
+    from matmono.criteria import _entries, _layout, _point_row
 
     f = FunctionModel(parse("x*log(x)"), (0.0, math.inf), name="x*log(x)")
     pts = [1.0, 1.0 + 3e-9, 1.0 + 7e-9, 2.5]  # a tight cluster and a far node
     base = {"kraus-anchored": pts[1], "kraus-free": 1.0 + 5e-9}.get(build)
-    nodes = _extended_loewner_nodes(pts) if base is None else _kraus_nodes(pts, base)
+    criterion = "extended-loewner-psd" if base is None else build + "-psd"
+    nodes = _entries(_point_row(criterion, pts, base), _layout(criterion, len(pts)))
     jets = _extended_jets(monkeypatch)
     if base is None:
         M = extended_loewner_matrix(f, pts, "extended")
@@ -693,8 +714,12 @@ def test_psd_escalation_takes_one_jet_per_distinct_node(monkeypatch):
     monkeypatch.setattr(criteria, "LONG_DOUBLE_WIDER", False)  # escalate from double
     f = FunctionModel(parse("x*log(x)"), (0.0, math.inf), name="x*log(x)")
     jets = _extended_jets(monkeypatch)
-    config = {"criterion": "kraus-free-psd", "points": [2.0, 2.0 + 1e-6, 5.0], "base": 2.0 + 2e-6}
-    (value, threshold, bound, _), = criteria._evaluate_psd(f, [config], "double", 1e-9)
+    layout = criteria._layout("kraus-free-psd", 3)
+    X = np.array([criteria._point_row("kraus-free-psd", [2.0, 2.0 + 1e-6, 5.0], 2.0 + 2e-6)])
+    rows, data = criteria._point_rows(f, X, layout, 1e-9)
+    escalate = functools.partial(criteria._escalate_points, layout=layout)
+    criteria._escalate(escalate, f, [(rows, data, 0)], 1e-9)
+    (value, threshold, bound, _), = rows
     assert jets and len(jets) == len(set(jets)) <= 4
     assert value - bound + threshold >= 0.0
 

@@ -130,8 +130,7 @@ def _mpmath_divided_difference(nodes, dps: int = 60) -> float:
 
 def test_precision_escalation_near_coincident_nodes():
     # in double these tables are off by 1.3e-7 (the pair: eps / 1e-9) and
-    # 1.3e-9 (order 7) relative, so "auto" must see it from the running
-    # bound and finish in mpmath
+    # 1.3e-9 (order 7) relative; the default precision runs them in mpmath
     pair = (0.3, 0.3 + 1e-9)
     assert divided_difference(EXP, pair) == pytest.approx(_mpmath_divided_difference(pair), rel=1e-13)
     equispaced = np.linspace(0.0, 1.0, 8)
