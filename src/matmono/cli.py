@@ -295,7 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aux-poles", required=True, help="2n-2 reals outside the point hull")
     p.add_argument("--x0", help="extension point (default: gap midpoint)")
     p.add_argument("--samples", type=_positive_int, default=1500)
-    p.add_argument("--grid", type=_positive_int, default=10000, help="y-grid size for the feasibility interval; searched by bisection, so it costs about 2 log2(grid) evaluations")
     _add_common(p)
 
     p = sub.add_parser("identity", help="verify an integral representation")
@@ -360,6 +359,44 @@ def _witnesses(obj, piece=None):
                 yield from _witnesses(val, inner)
 
 
+# the fields the replay of each witness kind reads; a psd-matrix
+# witness's further fields depend on its criterion
+_REPLAY_FIELDS = {
+    "dd": ("nodes", "q"),
+    "derivative-sign": ("t", "deriv_order", "q"),
+    "psd-matrix": ("criterion",),
+    "matrix-pair": ("matrix_a", "matrix_b"),
+    "jensen": ("matrix_a", "matrix_b"),
+    "genset-dd": ("subset", "values", "q"),
+}
+_PSD_FIELDS = {
+    "loewner-psd": ("points",),
+    "extended-loewner-psd": ("points",),
+    "kraus-anchored-psd": ("points", "base"),
+    "kraus-free-psd": ("points", "base"),
+    "dobsch-psd": ("t", "order"),
+    "hankel-psd": ("t", "order"),
+}
+
+
+def _check_witness(w: dict) -> None:
+    """A witness of an unknown kind, or one that lacks a field its replay
+    reads, is a usage error."""
+    kind = w.get("kind")
+    if kind not in _REPLAY_FIELDS:
+        raise _Usage(f"--replay: unknown witness kind {kind!r}")
+    fields = _REPLAY_FIELDS[kind]
+    if kind == "psd-matrix":
+        if w.get("criterion") not in _PSD_FIELDS:
+            raise _Usage(f"--replay: unknown psd-matrix criterion {w.get('criterion')!r}")
+        fields += _PSD_FIELDS[w["criterion"]]
+    for field in fields:
+        if field not in w:
+            raise _Usage(f"--replay: {kind} witness lacks {field!r}")
+    if "q" in fields and not (isinstance(w["q"], dict) and "real" in w["q"]):
+        raise _Usage(f"--replay: {kind} witness's 'q' lacks 'real'")
+
+
 def _cmd_replay(args) -> tuple[int, dict]:
     try:
         with open(args.replay, "r", encoding="utf-8") as fh:
@@ -372,6 +409,8 @@ def _cmd_replay(args) -> tuple[int, dict]:
         witnesses = list(_witnesses(data))
     if not witnesses:
         raise _Usage(f"{args.replay}: no witnesses to replay")
+    for item in witnesses:
+        _check_witness(item["witness"])
     function_text = args.function or (data.get("function") if isinstance(data, dict) else None)
     model = None
     results = []
@@ -457,9 +496,7 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
     )
     if x0 is None:
         x0 = 0.5 * sum(bundle.gap_interval)
-    feas = extension_feasibility(
-        bundle, x0, grid=args.grid, seed=seed, tol=args.tol
-    )
+    feas = extension_feasibility(bundle, x0, seed=seed, tol=args.tol)
     payload = {
         "bundle": bundle.to_jsonable(),
         "seed": seed,

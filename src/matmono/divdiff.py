@@ -491,7 +491,10 @@ def _needed_digits(nodes: NodeMultiset) -> int:
     gap = nodes.min_gap()
     if not math.isfinite(gap) or gap <= 0 or gap >= 1:
         return EXTENDED_DIGITS
-    return max(EXTENDED_DIGITS, min(400, int(nodes.order * math.log10(1.0 / gap)) + 30))
+    inverse = 1.0 / gap
+    # a subnormal gap's inverse overflows
+    decades = math.log10(inverse) if math.isfinite(inverse) else -math.log10(gap)
+    return max(EXTENDED_DIGITS, min(400, int(nodes.order * decades) + 30))
 
 
 def dd_threshold(max_entry, precision: str, tol: float):

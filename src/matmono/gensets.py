@@ -15,13 +15,16 @@ row's q drawn per kind in a few generator calls (_level_q), evaluated
 in chunks of _LEVEL_CHUNK rows up to the first violating row.  The
 level's draws do not depend on where it fails, so the generator the
 levels of one check share is always left after the whole level.
-Extension feasibility evaluates all of its constraints in one call,
-and replay is a one-row call.  Each row gets the operations of the
-one-term-at-a-time formula in the same order, so a row's value does
-not depend on the rows beside it.  A sampled level draws its random
-subsets in one generator call that reproduces the stream of one
-rng.choice(m, size, replace=False) per subset (_index_subsets; tested
-on numpy 2.4.6), and its thresholds in one dd_threshold call.
+Extension feasibility builds its windows (the subsets with x0 sorted
+in) and their q as arrays too, evaluates all of its constraints in one
+call and reads the feasible interval exactly off the constraints'
+half-lines (_feasible_interval), with no y-grid; replay is a one-row
+call.  Each row gets the operations of the one-term-at-a-time formula
+in the same order, so a row's value does not depend on the rows beside
+it.  A sampled level draws its random subsets in one generator call
+that reproduces the stream of one rng.choice(m, size, replace=False)
+per subset (_index_subsets; tested on numpy 2.4.6), and its thresholds
+in one dd_threshold call.
 
 The counterexample construction assembles a finite function from two
 distinct rational Pick functions that agree on the middle points; it
@@ -39,7 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import _poly_from_jsonable, _sample_q, _witness
+# _sample_q is no longer called here; it stays bound because the benchmark
+# tracer (perfbench/tracer.py) patches gensets._sample_q by name
+from .criteria import _poly_from_jsonable, _sample_q, _witness  # noqa: F401
 from .divdiff import check_tol, dd_threshold, record_jsonable
 from .expr import FunctionModel
 from .polynomial import Poly
@@ -298,10 +303,13 @@ def _level_subsets(m: int, size: int, samples: int, rng: np.random.Generator):
     return np.tile(subsets, (reps, 1)), f"all {total} subsets, {reps} q draw(s) each"
 
 
-def _level_q(rng: np.random.Generator, k: int, P: np.ndarray, span: float) -> np.ndarray:
+def _level_q(
+    rng: np.random.Generator, k: int, P: np.ndarray, span: float, idx: np.ndarray | None = None
+) -> np.ndarray:
     """Coefficient rows (rows, k), complex and ascending, of the q of a
-    level whose row idx has the nodes P[idx], by criteria._sample_q's
-    cadence on idx (with complex coefficients on odd rows):
+    level whose row r has the nodes P[r] and the cadence index idx[r]
+    (default r), by criteria._sample_q's cadence on idx (with complex
+    coefficients on odd idx):
 
     - idx % 4 == 0: q = 1;
     - idx % 4 == 1: complex Gaussian coefficients, degree k-1;
@@ -316,8 +324,8 @@ def _level_q(rng: np.random.Generator, k: int, P: np.ndarray, span: float) -> np
     degrees, one for the root nodes and a normal call for the shifted
     rows' shifts; for kind 3 an integers call for the degrees and a
     normal call.  Each call draws for every row of its kind at full
-    degree, so the stream depends only on the seed and the level's
-    shape.  k = 1 draws nothing.
+    degree, so the stream depends only on the seed and the cadence
+    indices.  k = 1 draws nothing.
     """
     rows = len(P)
     Q = np.zeros((rows, k), dtype=complex)
@@ -325,16 +333,18 @@ def _level_q(rng: np.random.Generator, k: int, P: np.ndarray, span: float) -> np
     if k == 1:
         return Q
     degrees = np.arange(k)
+    idx = np.arange(rows) if idx is None else np.asarray(idx)
+    slot = idx % 4
 
-    one = np.arange(1, rows, 4)
+    one = np.flatnonzero(slot == 1)
     parts = rng.normal(size=(len(one), 2, k))
     Q[one] = parts[:, 0] + 1j * parts[:, 1]
 
-    two = np.arange(2, rows, 4)
+    two = np.flatnonzero(slot == 2)
     deg = rng.integers(1, k, size=len(two))
     picks = rng.integers(0, P.shape[1], size=(len(two), k - 1))
     roots = np.take_along_axis(P[two], picks, axis=1)
-    shifted = two % 8 >= 4
+    shifted = idx[two] % 8 >= 4
     roots[shifted] += rng.normal(scale=0.5 * span, size=(int(shifted.sum()), k - 1))
     coeffs = np.zeros((len(two), k))
     coeffs[:, 0] = 1.0
@@ -345,7 +355,7 @@ def _level_q(rng: np.random.Generator, k: int, P: np.ndarray, span: float) -> np
         coeffs = np.where((j < deg)[:, None], times, coeffs)
     Q[two] = coeffs
 
-    three = np.arange(3, rows, 4)
+    three = np.flatnonzero(slot == 3)
     deg = rng.integers(0, k, size=len(three))
     parts = rng.normal(size=(len(three), 2, k))
     Q[three] = np.where(degrees <= deg[:, None], parts[:, 0] + 1j * parts[:, 1], 0.0)
@@ -663,7 +673,9 @@ def build_counterexample(
 
 @dataclass
 class FeasibilityResult:
-    """Feasible extension values at x0, from a bisected y-grid plus binding solve."""
+    """Feasible extension values at x0: the first and last double y of the
+    padded y range at which every sampled constraint holds (or none), plus
+    a bundle's binding solve."""
 
     x0: float
     feasible_intervals: list[tuple[float, float]]
@@ -675,6 +687,24 @@ class FeasibilityResult:
         return not self.feasible_intervals
 
 
+def _windows(f: FiniteFunction, subsets: np.ndarray, x0: float):
+    """(nodes, values, holes) of the index rows subsets with x0 inserted
+    in order: each row's points and values, 0.0 at x0, and x0's column."""
+    rows, width = subsets.shape
+    nodes = np.empty((rows, width + 1))
+    nodes[:, :width] = np.array(f.points)[subsets]
+    nodes[:, width] = x0
+    values = np.zeros((rows, width + 1))
+    values[:, :width] = np.array(f.values)[subsets]
+    order = np.argsort(nodes, axis=1, kind="stable")
+    holes = np.argmax(order == width, axis=1)
+    return (
+        np.take_along_axis(nodes, order, axis=1),
+        np.take_along_axis(values, order, axis=1),
+        holes,
+    )
+
+
 def _binding_solve(f: FiniteFunction, window_idx, x0: float, q: Poly) -> float:
     """y forced by the two consecutive 2n-windows of window + {x0}.
 
@@ -682,16 +712,15 @@ def _binding_solve(f: FiniteFunction, window_idx, x0: float, q: Poly) -> float:
     come from, both constraints are equalities at y = r(x0); their
     solutions must agree.
     """
-    pts = sorted([f.points[i] for i in window_idx] + [x0])
-    size = len(pts) - 1
-    vals = [f.value_at(x) if x != x0 else 0.0 for x in pts]
-    starts = [start for start in (0, 1) if x0 in pts[start : start + size]]
-    subs = [pts[start : start + size] for start in starts]
+    nodes, values, holes = _windows(f, np.array([window_idx]), x0)
+    size = len(window_idx)
+    hole = int(holes[0])
+    starts = [start for start in (0, 1) if start <= hole < start + size]
     alpha, beta, scale = _linear_constraints(
-        subs,
-        [vals[start : start + size] for start in starts],
-        [sub.index(x0) for sub in subs],
-        _q_rows([q] * len(subs)),
+        [nodes[0, start : start + size] for start in starts],
+        [values[0, start : start + size] for start in starts],
+        [hole - start for start in starts],
+        _q_rows([q] * len(starts)),
     )
     solutions = [
         -a / b
@@ -706,49 +735,95 @@ def _binding_solve(f: FiniteFunction, window_idx, x0: float, q: Poly) -> float:
     return sum(solutions) / len(solutions)
 
 
-def _feasible_run(a, b, th, ys) -> tuple[int, int] | None:
-    """(first, last) index of the ascending grid ys at which every row's
-    a + b * y >= -th holds, or None when there is no such index.
+_MAGNITUDE = (1 << 63) - 1
 
-    A row's test holds on a prefix or a suffix of the grid (float
-    multiply and add are monotone), except that a row with a finite, b
-    infinite and th = inf fails at y = 0 alone.  So the rows that fail
-    at ys[0] and hold at ys[-1] fix the first index by bisection, the
-    rows that hold at ys[0] and fail at ys[-1] fix the last, a row that
-    holds at neither end holds nowhere, and the two ends then step
-    inwards past a point where some row still fails.  Each point is
-    evaluated as the full scan (ys against every row) would, so the
-    answer is the scan's.
-    """
 
-    def holds(j):
-        return a + b * ys[j] >= -th
+def _key(y) -> int:
+    """The place of the double y among the ordered doubles (0 at +-0)."""
+    bits = int(np.float64(y).view(np.int64))
+    return bits if bits >= 0 else -(bits & _MAGNITUDE)
 
-    at_first, at_last = holds(0), holds(len(ys) - 1)
-    if not (at_first | at_last).all():
-        return None
-    rising, falling = at_last & ~at_first, at_first & ~at_last
-    lo, hi = 0, len(ys) - 1  # least index where every rising row holds
-    while lo < hi:
+
+def _double(key: int) -> np.float64:
+    y = np.int64(abs(key)).view(np.float64)
+    return -y if key < 0 else y
+
+
+def _switch(test, lo: int, hi: int, start: int, side: bool) -> int:
+    """The greatest key in [lo, hi) at which test is side, for a test that
+    is side at lo, not at hi and changes once between them.  The search
+    steps from start one double at a time, then in doubling steps, and
+    bisects the last step."""
+    k = min(max(start, lo), hi)
+    step = 1
+    if k < hi and test(k) == side:
+        lo = k
+        while True:
+            k = min(lo + step, hi)
+            if k == hi or test(k) != side:
+                hi = k
+                break
+            lo, step = k, 2 * step
+    else:
+        hi = k
+        while True:
+            k = max(hi - step, lo)
+            if k == lo or test(k) == side:
+                lo = k
+                break
+            hi, step = k, 2 * step
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(mid)[rising].all():
-            hi = mid
-        else:
-            lo = mid + 1
-    first = lo
-    lo, hi = 0, len(ys) - 1  # greatest index where every falling row holds
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if holds(mid)[falling].all():
+        if test(mid) == side:
             lo = mid
         else:
-            hi = mid - 1
-    last = hi
-    while first <= last and not holds(first).all():
+            hi = mid
+    return lo
+
+
+@np.errstate(all="ignore")
+def _feasible_interval(a, b, th, y_lo: float, y_hi: float) -> tuple[float, float] | None:
+    """(first, last) double y in [y_lo, y_hi] at which every row's
+    a + b * y >= -th holds as evaluated, or None when there is none.
+
+    A row's test holds on a prefix or a suffix of the doubles of the range
+    (float multiply and add are monotone): b > 0 gives a lower end, b < 0
+    an upper end, b == 0 everywhere or nowhere, a NaN nowhere.  The one
+    exception is a row with a finite, b infinite and th = inf, which fails
+    at y = 0 alone (inf * 0 is NaN); with th = inf a row with a = -inf
+    turns b's direction round.  So the rows are classed by their tests at
+    the two ends: one that holds at neither holds nowhere, those that
+    fail at y_lo and hold at y_hi fix the first double, the least at which
+    they all hold, and those that hold at y_lo and fail at y_hi fix the
+    last.  Each end is searched from the rows' crossings (-th - a) / b and
+    then steps past y = 0 if a row fails there.  Every double in between
+    passes every row, except y = 0 for such an exceptional row.
+    """
+    nth = -th
+
+    def holds(y):
+        return a + b * y >= nth
+
+    def edge(rows, pick, side):
+        ar, br, nr = a[rows], b[rows], nth[rows]
+
+        def test(k):
+            return bool((ar + br * _double(k) >= nr).all())
+
+        return _switch(test, lo, hi, _key(pick((nr - ar) / br)), side)
+
+    at_lo, at_hi = holds(y_lo), holds(y_hi)
+    if not (at_lo | at_hi).all():
+        return None
+    lo, hi = _key(y_lo), _key(y_hi)
+    rising, falling = at_hi & ~at_lo, at_lo & ~at_hi
+    first = edge(rising, np.fmax.reduce, False) + 1 if rising.any() else lo
+    last = edge(falling, np.fmin.reduce, True) if falling.any() else hi
+    while first <= last and not holds(_double(first)).all():
         first += 1
-    while first <= last and not holds(last).all():
+    while first <= last and not holds(_double(last)).all():
         last -= 1
-    return (first, last) if first <= last else None
+    return (float(_double(first)), float(_double(last))) if first <= last else None
 
 
 def extension_feasibility(
@@ -763,13 +838,17 @@ def extension_feasibility(
     """Feasible values y for extending the finite function to x0.
 
     Every constraint is linear in y: [S]_{f |q|^2} = alpha + beta y for
-    a 2n-subset S containing x0.  The feasible interval is read off a
-    y-grid of `grid` points around the marks, found by bisection
-    (_feasible_run), so it costs about 2 log2(grid) evaluations of the
-    constraints.  For a counterexample bundle the two binding windows
-    (q with roots at the poles of r1, and the r2 mirror) force y =
-    r1(x0) and y = r2(x0) simultaneously, so the feasible set is empty.
-    A bundle carries its order; an n that differs from it is an error.
+    a 2n-subset S containing x0, whose rows (each window q_per times
+    with drawn q, then once with each special q) and q are built as
+    arrays.  The answer is the first and last double of the padded y
+    range at which every constraint holds as evaluated, read off the
+    constraints' half-lines (_feasible_interval): exact over the sampled
+    constraints, with no y-grid.  For a counterexample bundle the two
+    binding windows (q with roots at the poles of r1, and the r2 mirror)
+    force y = r1(x0) and y = r2(x0) simultaneously, so the feasible set
+    is empty.  A bundle carries its order; an n that differs from it is
+    an error.  grid no longer shapes the answer; it is kept, and checked
+    to be >= 1, only for callers that still pass it.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -796,8 +875,7 @@ def extension_feasibility(
         raise ValueError(f"{x0} is already a point of the finite function")
 
     m = f.size
-    size = 2 * n
-    others = size - 1
+    others = 2 * n - 1
     if m < others:
         raise ValueError("not enough points for a single constraint window")
     rng = np.random.default_rng(seed)
@@ -812,21 +890,22 @@ def extension_feasibility(
             if r.poles:
                 special_q.append(Poly.from_roots(tuple(r.poles), 1.0))
 
-    P, V, holes, qs = [], [], [], []
-    for subset in subsets.tolist():
-        pts = sorted([f.points[i] for i in subset] + [x0])
-        hole = pts.index(x0)
-        vals = [f.value_at(x) if x != x0 else 0.0 for x in pts]
-        draws = [
-            _sample_q(rng, n - 1, tuple(pts), span, idx, bool(idx % 2))
-            for idx in range(q_per)
-        ]
-        for q in draws + special_q:
-            P.append(pts)
-            V.append(vals)
-            holes.append(hole)
-            qs.append(q)
-    a, b, scale = _linear_constraints(P, V, holes, _q_rows(qs))
+    nodes, values, holes = _windows(f, subsets, x0)
+    # every window takes q_per drawn q, on the cadence 0..q_per-1, then
+    # each special q
+    windows, per = len(nodes), q_per + len(special_q)
+    Q = np.empty((windows, per, n), dtype=complex)
+    Q[:, :q_per] = _level_q(
+        rng, n, np.repeat(nodes, q_per, axis=0), span, np.tile(np.arange(q_per), windows)
+    ).reshape(windows, q_per, n)
+    if special_q:
+        Q[:, q_per:] = _q_rows(special_q)
+    a, b, scale = _linear_constraints(
+        np.repeat(nodes, per, axis=0),
+        np.repeat(values, per, axis=0),
+        np.repeat(holes, per),
+        Q.reshape(-1, n),
+    )
     th = dd_threshold(scale, "double", tol)
 
     if bundle is not None:
@@ -837,11 +916,8 @@ def extension_feasibility(
     pad = 0.2 * max(y_hi - y_lo, 1e-3 * max(1.0, abs(y_lo), abs(y_hi)))
     y_lo, y_hi = y_lo - pad, y_hi + pad
     if not math.isfinite(y_hi - y_lo):
-        # linspace would step by inf: a grid of NaN and inf, not ascending
         raise ValueError(f"the y range ({y_lo!r}, {y_hi!r}) overflows a double")
-    ys = np.linspace(y_lo, y_hi, grid)
-    run = _feasible_run(a, b, th, ys)
-    intervals = [(float(ys[run[0]]), float(ys[run[1]]))] if run else []
+    run = _feasible_interval(a, b, th, y_lo, y_hi)
 
     binding = {}
     if bundle is not None:
@@ -851,7 +927,7 @@ def extension_feasibility(
         binding[bundle.first] = _binding_solve(f, first_w, x0, special_q[0])
         binding[other] = _binding_solve(f, last_w, x0, special_q[1])
 
-    return FeasibilityResult(x0, intervals, binding, len(qs))
+    return FeasibilityResult(x0, [run] if run else [], binding, len(a))
 
 
 # ---------------------------------------------------------------------------

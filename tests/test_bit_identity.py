@@ -5,11 +5,12 @@ current code gives the same bytes: node draws and the generator state
 after them, extended tables on raw mpf tuples against mpf arithmetic,
 double and long-double tables, random() draws against the uniform()
 draws they stand for, one eigvalsh call per stack against one per
-matrix, the bisected feasibility grid against the chunked scan of every
-grid point, the column-by-column denominator of the finite-set
-kernel against its pairwise-difference cube, the matrix oracle's
-stacked trials against its one-trial-at-a-time loop, and the batch's
-N(q) coefficient rows against n_of.
+matrix, the column-by-column denominator of the finite-set kernel
+against its pairwise-difference cube, the matrix oracle's stacked
+trials against its one-trial-at-a-time loop, and the batch's N(q)
+coefficient rows against n_of.  The exact feasible interval replaced a
+y-grid scan and is not bit for bit: it must hold every grid point the
+frozen scan accepts, and end where the constraints stop holding.
 """
 
 import json
@@ -34,11 +35,10 @@ from matmono.divdiff import (
 from matmono.expr import cauchy, jet
 from matmono.gensets import (
     FiniteFunction,
-    _feasible_run,
+    _feasible_interval,
     _level_q,
     _level_subsets,
     _weighted_terms,
-    extension_feasibility,
 )
 from matmono.linalg import (
     convexity_oracle,
@@ -501,7 +501,7 @@ def test_batched_eigenvalues_match_one_call_per_matrix():
 
 
 # ---------------------------------------------------------------------------
-# Extension feasibility: bisection against the scan
+# Extension feasibility: the exact interval against the scan
 
 
 _SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, 5e-324])
@@ -548,18 +548,46 @@ def _feasibility_cases(rng):
     yield np.array([-1.0, -1.0]), np.array([1.0, -1.0]), np.zeros(2), ys
 
 
-def test_bisected_feasible_run_matches_the_grid_scan():
+def _fails_somewhere(a, b, th, y) -> bool:
+    return not (a + b * y >= -th).all()
+
+
+def test_exact_feasible_interval_holds_every_point_the_grid_scan_accepts():
+    """The interval read off the half-lines against the scan of every grid
+    point: it holds every point the scan accepts, both of its ends pass
+    every row, and the next double past each end inside the window fails
+    some row."""
     rng = np.random.default_rng(2024)
     runs = {"empty": 0, "one point": 0, "whole grid": 0, "part": 0}
     with np.errstate(all="ignore"):
         for a, b, th, ys in _feasibility_cases(rng):
-            want = _frozen_feasible_scan(a, b, th, ys)
-            assert _feasible_run(a, b, th, ys) == want, (a, b, th, ys)
-            if want is None:
+            case = (a, b, th, ys)
+            scan = _frozen_feasible_scan(a, b, th, ys)
+            got = _feasible_interval(a, b, th, float(ys[0]), float(ys[-1]))
+            if scan is not None:
+                assert got is not None, case
+                assert got[0] <= ys[scan[0]] and ys[scan[1]] <= got[1], case
+            if got is None:
                 runs["empty"] += 1
-            elif want[0] == want[1]:
+                continue
+            lo, hi = got
+            assert ys[0] <= lo <= hi <= ys[-1], case
+            assert not _fails_somewhere(a, b, th, lo), case
+            assert not _fails_somewhere(a, b, th, hi), case
+            below, above = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+            if below >= ys[0]:
+                assert _fails_somewhere(a, b, th, below), case
+            if above <= ys[-1]:
+                assert _fails_somewhere(a, b, th, above), case
+            # inside, only y = 0 may fail (a row with b infinite and th = inf)
+            inside = np.linspace(lo, hi, 9)
+            for y in inside[np.isfinite(inside) & (inside != 0.0)]:
+                assert not _fails_somewhere(a, b, th, y), case
+            if scan is None:
+                continue
+            if scan[0] == scan[1]:
                 runs["one point"] += 1
-            elif want == (0, len(ys) - 1):
+            elif scan == (0, len(ys) - 1):
                 runs["whole grid"] += 1
             else:
                 runs["part"] += 1
@@ -587,23 +615,6 @@ def test_column_by_column_denominator_matches_the_difference_cube():
         got, want = _weighted_terms(P, V, Q), _frozen_weighted_terms(P, V, Q)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-SLIVER_POINTS = (0.5, 0.9, 1.4, 2.0, 2.6, 3.1, 3.5, 4.0)
-
-
-@pytest.mark.parametrize("grid, intervals", [
-    (1000, []),
-    (4000, []),
-    (10_000, [(-0.5882738273827384, -0.5882738273827384)]),
-    (100_000, [(-0.588260882608826, -0.5881628816288162)]),
-])
-def test_feasibility_of_the_minus_one_over_x_sliver_is_unchanged(grid, intervals):
-    """-1/x at x0 = 1.7, n = 2: the grid steps over most of its narrow
-    feasible set (the known sliver defect), and the bisection keeps the
-    scan's answers, empty runs included."""
-    f = FiniteFunction(SLIVER_POINTS, tuple(-1.0 / x for x in SLIVER_POINTS))
-    assert extension_feasibility(f, 1.7, grid=grid, seed=1, n=2).feasible_intervals == intervals
 
 
 # ---------------------------------------------------------------------------

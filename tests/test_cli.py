@@ -104,11 +104,15 @@ def test_usage_errors_exit_two(capsys):
     (["identity", "-f", "x", "--nodes", "1,inf"], "--nodes"),
     (["identity", "-f", "x^2", "--nodes", "1,2", "--mode", "convex", "--base", "nan"], "--base"),
     (["certify", "--replay", "{tmp}/not.json"], "--replay"),
+    (["certify", "--replay", "{tmp}/dd.json", "-f", "x"], "--replay"),
+    (["certify", "--replay", "{tmp}/psd.json", "-f", "x"], "--replay"),
 ], ids=["certify-reversed-interval", "oracle-empty-interval", "reversed-domain", "x0-not-a-number",
         "identity-repeated-node", "identity-one-node", "identity-infinite-node", "identity-nan-base",
-        "replay-not-json"])
+        "replay-not-json", "replay-dd-without-nodes", "replay-psd-without-points"])
 def test_malformed_flag_values_exit_two(capsys, tmp_path, argv, flag):
     (tmp_path / "not.json").write_text("witness: none\n")
+    (tmp_path / "dd.json").write_text('{"kind": "dd"}')
+    (tmp_path / "psd.json").write_text('{"kind": "psd-matrix", "criterion": "loewner-psd"}')
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = _run(capsys, argv + ["--no-timestamp"])
     assert code == 2
@@ -190,7 +194,7 @@ def test_counterexample_subcommand(capsys):
     code, payload = _run_json(capsys, [
         "counterexample", "-n", "2", "--points", "1,2,3,4,5,6",
         "--aux-poles", "0,7", "--x0", "3.5", "--samples", "400",
-        "--grid", "2000", "--seed", "1", "--no-timestamp",
+        "--seed", "1", "--no-timestamp",
     ])
     assert code == 0  # empty feasible set is the expected outcome
     assert payload["bundle"]["first"] == "r2"
@@ -301,7 +305,7 @@ def test_module_entry_point():
      "--samples", "0", "--oracle-trials", "0"],
     ["certify", "-f", "-1/x", "-n", "0", "--interval", "0.5,4"],
     ["oracle", "-f", "-1/x", "-n", "2", "--interval", "0.5,4", "--trials", "0"],
-    ["counterexample", "-n", "2", "--points", "1,2,3,4,5,6", "--aux-poles", "0,7", "--grid", "0"],
+    ["counterexample", "-n", "2", "--points", "1,2,3,4,5,6", "--aux-poles", "0,7", "--samples", "0"],
     ["genset", "--points-file", "points.txt", "-n", "2", "--samples", "-3"],
     ["identity", "-f", "x^3", "--nodes", "0.3,1.7", "--quad-order", "0"],
 ])

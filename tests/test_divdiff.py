@@ -1,6 +1,7 @@
 """Divided differences: tables, the integral weight, sampling."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -24,6 +25,7 @@ from matmono.criteria import (
 )
 from matmono.divdiff import (
     NarrowIntervalError,
+    _needed_digits,
     check_interval,
     check_tol,
     dd_threshold,
@@ -137,6 +139,15 @@ def test_precision_escalation_near_coincident_nodes():
     assert divided_difference(EXP, equispaced) == pytest.approx(
         _mpmath_divided_difference(equispaced), rel=1e-12
     )
+
+
+def test_needed_digits_of_a_subnormal_gap_is_the_cap():
+    # 1 / 1e-309 overflows a double; the digit count is capped, not an error
+    nodes = NodeMultiset.from_points((1e-300, 1e-300 + 1e-309, 2e-300))
+    assert 0.0 < nodes.min_gap() < sys.float_info.min
+    assert _needed_digits(nodes) == 400
+    # a normal gap keeps its count: order 2 times 12.04 decades, plus 30
+    assert _needed_digits(NodeMultiset.from_points((1.0, 1.0 + 2.0**-40, 2.0))) == 54
 
 
 def test_noise_floor_scales_with_table_magnitude():

@@ -11,6 +11,7 @@ from matmono import (
     FiniteFunction,
     affine_rigidity_check,
     build_counterexample,
+    catalog,
     catalog_model,
     extension_feasibility,
     genset_check,
@@ -297,15 +298,53 @@ def test_extension_feasibility_rejects_an_n_that_conflicts_with_the_bundle():
 
 
 def test_extension_feasibility_rejects_a_y_range_that_overflows():
-    # the padded range of the values spans more than the largest double,
-    # so linspace would step by inf; a range just inside it still runs
+    # the padded range of the values spans more than the largest double;
+    # a range just inside it still runs
     f = FiniteFunction((1.0, 2.0, 3.0, 4.0), (-8e307, -1e307, 1e307, 8e307))
     with pytest.raises(ValueError, match="overflows a double"):
         extension_feasibility(f, 1.5, n=1, grid=50)
     f = FiniteFunction((1.0, 2.0, 3.0, 4.0), (-1e307, -1e306, 1e306, 1e307))
-    assert extension_feasibility(f, 1.5, n=1, grid=50).feasible_intervals == [
-        (-1.0000000000000001e307, -1.4285714285714284e306)
-    ]
+    [(lo, hi)] = extension_feasibility(f, 1.5, n=1, grid=50).feasible_intervals
+    # order 1 at 1.5 is the interpolation window [f(1), f(2)], widened by
+    # the threshold
+    assert -1e307 * (1 + 1e-12) <= lo <= -1e307
+    assert -1e306 <= hi <= -1e306 * (1 - 1e-12)
+
+
+SLIVER_POINTS = (0.5, 0.9, 1.4, 2.0, 2.6, 3.1, 3.5, 4.0)
+
+
+@pytest.mark.parametrize("grid", [1000, 4000, 10_000, 100_000])
+def test_minus_one_over_x_sliver_holds_its_true_extension(grid):
+    """-1/x at x0 = 1.7, n = 2: the feasible set is a sliver around
+    -1/1.7, about 1e-5 wide, which a y-grid steps over; the exact
+    interval holds -1/1.7 at every seed and does not depend on grid."""
+    f = FiniteFunction(SLIVER_POINTS, tuple(-1.0 / x for x in SLIVER_POINTS))
+    for seed in range(1, 21):
+        got = extension_feasibility(f, 1.7, grid=grid, seed=seed, n=2).feasible_intervals
+        assert got == extension_feasibility(f, 1.7, seed=seed, n=2).feasible_intervals
+        [(lo, hi)] = got
+        assert lo <= -1.0 / 1.7 <= hi
+
+
+OPERATOR_MONOTONE = [entry for entry in catalog() if math.isinf(entry.truth.max_monotone)]
+
+
+@pytest.mark.parametrize("entry", OPERATOR_MONOTONE, ids=lambda entry: entry.key)
+def test_restricted_operator_monotone_functions_extend_by_their_own_value(entry):
+    """An operator-monotone f restricted to 10 random points of its
+    interval extends to x0, a midpoint of two neighbours, by f(x0), so
+    the interval holds f(x0) at every order."""
+    lo, hi = entry.interval
+    for n in (1, 2, 3):
+        for seed in range(1, 7):
+            rng = np.random.default_rng([seed, n])
+            points = np.sort(rng.uniform(lo, hi, size=10))
+            j = int(rng.integers(0, 9))
+            x0 = float(0.5 * (points[j] + points[j + 1]))
+            f = FiniteFunction.from_model(entry.model, points)
+            [(y_lo, y_hi)] = extension_feasibility(f, x0, n=n, seed=seed).feasible_intervals
+            assert y_lo <= entry.model.eval_deriv(0, x0) <= y_hi, (n, seed)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -476,33 +515,54 @@ def _degree(row) -> int:
     return int(np.flatnonzero(row)[-1])
 
 
+def _assert_cadence(Q, P, idx, k, span):
+    """Each row r of Q is the q of cadence index idx[r] over the nodes P[r]."""
+    assert Q.shape == (len(P), k)
+    assert np.abs(Q).max(axis=1) == pytest.approx(np.ones(len(P)), rel=1e-15)
+    for r, row in enumerate(Q):
+        slot = idx[r] % 4
+        if slot == 0:
+            assert row.tolist() == [1.0] + [0.0] * (k - 1)
+        elif k == 1:
+            assert row.tolist() == [1.0]
+        elif slot == 1:
+            assert _degree(row) == k - 1
+        elif slot == 2:
+            assert not row.imag.any()
+            assert 1 <= _degree(row) <= k - 1
+            if idx[r] % 8 < 4:
+                # unshifted roots are nodes of the row's subset
+                roots = np.roots(row.real[_degree(row) :: -1])
+                gaps = np.abs(roots[:, None] - P[r][None, :]).min(axis=1)
+                assert gaps.max() < 1e-6 * span
+        else:
+            assert 0 <= _degree(row) <= k - 1
+
+
 @pytest.mark.parametrize("m, k, samples", LEVEL_SHAPES)
 def test_level_q_follows_the_cadence(m, k, samples):
     rng = np.random.default_rng([m, k, samples])
     P, span = _level_nodes(m, k, samples, rng)
     state = rng.bit_generator.state
     Q = _level_q(rng, k, P, span)
-    assert Q.shape == (len(P), k)
     if k == 1:
         assert rng.bit_generator.state == state
-    assert np.abs(Q).max(axis=1) == pytest.approx(np.ones(len(P)), rel=1e-15)
-    for idx, row in enumerate(Q):
-        if idx % 4 == 0:
-            assert row.tolist() == [1.0] + [0.0] * (k - 1)
-        elif k == 1:
-            assert row.tolist() == [1.0]
-        elif idx % 4 == 1:
-            assert _degree(row) == k - 1
-        elif idx % 4 == 2:
-            assert not row.imag.any()
-            assert 1 <= _degree(row) <= k - 1
-            if idx % 8 < 4:
-                # unshifted roots are nodes of the row's subset
-                roots = np.roots(row.real[_degree(row) :: -1])
-                gaps = np.abs(roots[:, None] - P[idx][None, :]).min(axis=1)
-                assert gaps.max() < 1e-6 * span
-        else:
-            assert 0 <= _degree(row) <= k - 1
+    _assert_cadence(Q, P, range(len(P)), k, span)
+
+
+@pytest.mark.parametrize("k, q_per", [(1, 3), (2, 1), (2, 5), (3, 2), (3, 11)])
+def test_level_q_follows_a_cadence_index_per_window(k, q_per):
+    """Each window's rows restart the cadence at 0, as extension
+    feasibility draws them; the default index is the row number, so it
+    draws what test_level_q_stream_frozen pins."""
+    rng = np.random.default_rng([k, q_per])
+    windows = np.sort(rng.uniform(-2.0, 3.0, size=(40, 2 * k)), axis=1)
+    P, idx = np.repeat(windows, q_per, axis=0), np.tile(np.arange(q_per), len(windows))
+    _assert_cadence(_level_q(rng, k, P, 5.0, idx), P, idx, k, 5.0)
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    default, explicit = _level_q(a, k, P, 5.0), _level_q(b, k, P, 5.0, np.arange(len(P)))
+    assert default.tobytes() == explicit.tobytes()
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("m, k, samples", LEVEL_SHAPES)
