@@ -379,9 +379,50 @@ _PSD_FIELDS = {
 }
 
 
+def _number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _count(x) -> bool:
+    return type(x) is int and x >= 1
+
+
+def _numbers(x, size=None) -> bool:
+    """A nonempty list of finite numbers, of length size where given."""
+    return isinstance(x, list) and len(x) == (size or len(x)) > 0 and all(map(_number, x))
+
+
+def _parts(x, holds) -> bool:
+    """{"real": r, "imag": i}, i optional: holds(r), and holds(i) with i as long as r."""
+    return isinstance(x, dict) and holds(x.get("real")) and (
+        "imag" not in x or (holds(x["imag"]) and len(x["imag"]) == len(x["real"])))
+
+
+def _square(m) -> bool:
+    return isinstance(m, list) and all(_numbers(row, len(m)) for row in m) and bool(m)
+
+
+def _size(x) -> int:
+    return len(x["real"] if isinstance(x, dict) else x)
+
+
+# what each field a replay reads must hold
+_NUMBER, _COUNT = (_number, "a finite number"), (_count, "an int >= 1")
+_NUMBERS = (_numbers, "a list of finite numbers")
+_MATRIX = (lambda x: _parts(x, _square), "{'real': ..., 'imag': ...} square lists of lists of finite numbers")
+_FIELD_TYPES = {
+    "nodes": (lambda x: isinstance(x, list) and bool(x) and all(
+        isinstance(p, list) and len(p) == 2 and _number(p[0]) and _count(p[1]) for p in x),
+        "a list of [finite number, int >= 1] pairs"),
+    "q": (lambda x: _parts(x, _numbers), "{'real': ..., 'imag': ...} lists of finite numbers"),
+    "t": _NUMBER, "base": _NUMBER, "order": _COUNT, "deriv_order": _COUNT,
+    "points": _NUMBERS, "subset": _NUMBERS, "values": _NUMBERS, "matrix_a": _MATRIX, "matrix_b": _MATRIX,
+}
+
+
 def _check_witness(w: dict) -> None:
-    """A witness of an unknown kind, or one that lacks a field its replay
-    reads, is a usage error."""
+    """A witness of an unknown kind, or one whose fields are missing or
+    not of the types and lengths its replay reads, is a usage error."""
     kind = w.get("kind")
     if kind not in _REPLAY_FIELDS:
         raise _Usage(f"--replay: unknown witness kind {kind!r}")
@@ -393,8 +434,11 @@ def _check_witness(w: dict) -> None:
     for field in fields:
         if field not in w:
             raise _Usage(f"--replay: {kind} witness lacks {field!r}")
-    if "q" in fields and not (isinstance(w["q"], dict) and "real" in w["q"]):
-        raise _Usage(f"--replay: {kind} witness's 'q' lacks 'real'")
+        if field in _FIELD_TYPES and not _FIELD_TYPES[field][0](w[field]):
+            raise _Usage(f"--replay: {kind} witness's {field!r} must be {_FIELD_TYPES[field][1]}")
+    for a, b in (("subset", "values"), ("matrix_a", "matrix_b")):
+        if a in fields and _size(w[a]) != _size(w[b]):
+            raise _Usage(f"--replay: {kind} witness's {a!r} and {b!r} differ in size")
 
 
 def _cmd_replay(args) -> tuple[int, dict]:

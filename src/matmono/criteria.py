@@ -2,10 +2,10 @@
 
 Each criterion is an exact characterization of n-monotonicity (or
 n-convexity) on an interval, checked here by sampling: divided
-differences of f * N(q) over node multisets, PSD sweeps of the Loewner
-/ extended Loewner / Kraus matrices, sign sweeps of the (2n-1)-st (or
-2n-th) derivative of f * N(q), and PSD sweeps of the Dobsch / Hankel
-derivative matrices on a t-grid.  certify() runs the full family plus
+differences of f * N(q) over node multisets, PSD sweeps of the Loewner /
+extended Loewner / Kraus matrices, sign sweeps of the (2n-1)-st (or 2n-th)
+derivative of f * N(q) (its dd over repeated t), and PSD sweeps of the
+Dobsch / Hankel derivative matrices on a t-grid.  certify() runs them plus
 the matrix oracle and reports per-criterion verdicts.  ktone_check is
 the divided-difference sweep with q = 1.  Every sweep, both oracles and
 ktone_check return one record type, divdiff.CriterionRecord.
@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .divdiff import (
@@ -38,13 +37,14 @@ from .divdiff import (
     divided_difference_scaled,
     divided_differences,
     double_settles,
+    end_margin,
     extended_divided_differences,
     place_nodes,
     place_width,
     sample_distinct_tuple,
     sweep_batches,
 )
-from .expr import EXTENDED_DIGITS, DomainError, FunctionModel
+from .expr import DomainError, FunctionModel
 from .linalg import (
     convexity_oracle,
     matrix_from_jsonable,
@@ -55,7 +55,7 @@ from .linalg import (
     oracle_defect,
     psd_scale,
 )
-from .polynomial import ONE, Poly, n_coeffs, n_of, taylor_shift
+from .polynomial import ONE, Poly, n_coeffs, n_of
 
 MONOTONE_CRITERIA = (
     "dd-real-q",
@@ -167,22 +167,18 @@ def _dd_triangles(f: FunctionModel, X: np.ndarray, layout, dtype=float):
 
 
 def _dd_matrix(f: FunctionModel, criterion: str, row: list, precision: str) -> np.ndarray:
-    """The criterion matrix over one node row: its entries as a double
-    table batch (_dd_triangles), or in mpmath sharing one jet per distinct
-    node (extended_divided_differences)."""
-    layout = _layout(criterion, len(row) - criterion.startswith("kraus"))
-    if precision == "double":
-        values = _dd_triangles(f, np.array([row]), layout)[0][0]
-    elif precision == "extended":
-        values = np.array(extended_divided_differences(f, _entries(row, layout)))
-    else:
+    """The criterion matrix over one node row in mpmath, one jet per
+    distinct node (extended_divided_differences); precision is "extended",
+    a parameter perfbench/tracer.py reads to tell a re-check."""
+    if precision != "extended":
         raise ValueError(f"unsupported precision mode {precision!r}")
-    return _symmetric(values)
+    layout = _layout(criterion, len(row) - criterion.startswith("kraus"))
+    return _symmetric(np.array(extended_divided_differences(f, _entries(row, layout))))
 
 
 def loewner_matrix(f: FunctionModel, points, precision: str = "extended") -> np.ndarray:
     """Matrix of first divided differences [x_i, x_j]_f (diagonal f'), in
-    mpmath ("extended") or as a double table batch ("double")."""
+    mpmath; precision as in _dd_matrix."""
     return _dd_matrix(f, "loewner-psd", _point_row("loewner-psd", points), precision)
 
 
@@ -388,13 +384,15 @@ class CertifyConfig:
 # bound, criterion matrix or None); the margin is value + threshold, and
 # bound limits the error of a value computed below mpmath (0 where none
 # is known).  The sampled sweeps evaluate a batch in double precision from
-# its arrays (_dd_rows, _point_rows, _product_rows; the Dobsch/Hankel probe
-# one matrix), and the rows a bound leaves open climb the rest of the
+# its arrays (_dd_rows, _point_rows; the Dobsch/Hankel probe one matrix,
+# with bound 0), and the rows a bound leaves open climb the rest of the
 # ladder short of mpmath in one call for many batches (_escalate with
 # _escalate_dd or _escalate_points).  One evaluator per witness kind maps
 # (f, configs, tol) to the rows of the configurations in mpmath: the
 # re-check of a row no bound settles and the witness replay, on the
-# configuration materialized for that row.
+# configuration materialized for that row.  (f N(q))^(k)(t)/k! is the
+# divided difference of f N(q) over k + 1 copies of t (Hermite-Genocchi),
+# so a product-derivative configuration (t, deriv_order, q) is such a dd row.
 
 
 def _open(value: float, threshold: float, bound: float) -> bool:
@@ -494,10 +492,12 @@ def _escalate_dd(f: FunctionModel, rows: list, data: list, batch: list[int], tol
 
 
 def _evaluate_dd(f: FunctionModel, configs: list[dict], tol: float) -> list:
-    """[nodes]_{f N(q)} in mpmath against the roundoff floor of its table."""
+    """[nodes]_{f N(q)} in mpmath against the roundoff floor of its table;
+    a product-derivative configuration's nodes are t, deriv_order + 1 times."""
     rows = []
     for config in configs:
-        value, scale = divided_difference_scaled(f, config["nodes"], "extended", n_of(config["q"]))
+        nodes = config.get("nodes") or NodeMultiset.from_pairs([(config["t"], config["deriv_order"] + 1)])
+        value, scale = divided_difference_scaled(f, nodes, "extended", n_of(config["q"]))
         rows.append((value, dd_threshold(scale, "extended", tol), 0.0, None))
     return rows
 
@@ -619,35 +619,10 @@ def _evaluate_psd(f: FunctionModel, configs: list[dict], tol: float) -> list:
     return _psd_rows(mats, [0.0] * len(configs), tol)
 
 
-def _product_rows(
-    f: FunctionModel, t: np.ndarray, weights: np.ndarray, order: int, tol: float
-) -> list:
-    """Rows of (f N(q))^(order)(t) / order! at an array of t, weights the
-    n_coeffs rows of the N(q), in double precision: the jets of f and of
-    the weights at every t in one pass each, and their product
-    (_jet_product's terms, summed in its order)."""
-    fjet = [c if isinstance(c, np.ndarray) else np.full(t.shape, c) for c in f.taylor(t, order + 1)]
-    wjet = taylor_shift(list(weights.T), t, order + 1)
-    terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
-    threshold = dd_threshold(np.abs(terms).max(axis=0), "double", tol)
-    return [(value, th, 0.0, None) for value, th in zip(sum(terms).tolist(), threshold.tolist())]
-
-
-def _evaluate_product(f: FunctionModel, configs: list[dict], tol: float) -> list:
-    """(f N(q))^(order)(t) / order! in mpmath against its terms' roundoff floor."""
-    rows = []
-    for config in configs:
-        value, scale = _product_derivative_value(
-            f, n_of(config["q"]), config["t"], config["deriv_order"], "extended"
-        )
-        rows.append((float(value), float(dd_threshold(scale, "extended", tol)), 0.0, None))
-    return rows
-
-
 _EVALUATORS = {
     "dd": _evaluate_dd,
     "psd-matrix": _evaluate_psd,
-    "derivative-sign": _evaluate_product,
+    "derivative-sign": _evaluate_dd,
 }
 
 
@@ -729,28 +704,26 @@ class _Tally:
             self.criterion, passed, self.configs, self.worst, self.witness, note
         )
 
-    def run(self, draw, samples: int, escalate=None, note: str = "") -> CriterionRecord:
+    def run(self, draw, samples: int, escalate, note: str = "") -> CriterionRecord:
         """Check the configurations 0, ..., samples - 1 in order and stop at
         the first violation, so later rows count neither in configs nor in
         the worst margin.
 
         draw(indices) draws the configurations of a batch of indices
-        (sweep_batches) and returns (rows, config, data): their double
-        rows, config(i), which materializes the i-th of them, and the
-        arrays escalate reads for them (_dd_rows and _escalate_dd,
-        _point_rows and _escalate_points; a sweep whose rows are never
-        open has neither).  While no row waits, a row whose bound settles
-        its sign or proves it negative is checked at once.  An open row
-        (_open) waits for the rest of the precision ladder, and so does
-        every later row of the sweep.  The waiting rows are flushed at the
-        end of a batch that holds a waiting candidate violation (value +
-        bound + threshold < 0) and at the end of the sweep: their open
-        rows escalate in one call (_escalate), then they are checked in
-        order.  So a sweep pays one long-double batch and one enclosure
-        call per flush, and its record is that of a sweep that escalates
-        and checks each batch in turn.  A batch drawn or evaluated after a
-        waiting row may raise: the exception surfaces only when the
-        waiting rows do not stop the sweep.
+        (sweep_batches) and returns (rows, config, data): their double rows,
+        config(i), which materializes the i-th of them, and the arrays
+        escalate reads for them (_dd_rows and _escalate_dd, _point_rows and
+        _escalate_points).  While no row waits, a row whose bound settles its
+        sign or proves it negative is checked at once.  An open row (_open)
+        waits for the rest of the precision ladder, and so does every later
+        row of the sweep.  The waiting rows are flushed at the end of a batch
+        that holds a waiting candidate violation (value + bound + threshold <
+        0) and at the end of the sweep: their open rows escalate in one call
+        (_escalate), then they are checked in order.  So a sweep pays one
+        long-double batch and one enclosure call per flush, and its record is
+        that of a sweep that escalates and checks each batch in turn.  A batch
+        drawn or evaluated after a waiting row may raise: the exception
+        surfaces only when the waiting rows do not stop the sweep.
         """
         if samples < 1:
             raise ValueError("samples must be >= 1")
@@ -1080,22 +1053,11 @@ def _run_derivative_matrix_sweep(
 
 
 def _product_derivative_value(
-    f: FunctionModel, weight: Poly, t: float, order: int, precision: str = "double"
+    f: FunctionModel, weight: Poly, t: float, order: int, precision: str = "extended"
 ) -> tuple[float, float]:
-    """((f * weight)^(order)(t) / order!, term magnitude scale): coefficient
-    `order` of the product of the jets of f and weight at t, and its largest term."""
-    fjet = f.taylor(t, order + 1, precision)
-    if precision != "extended":
-        # floats throughout: the double path reads no mpmath context
-        return _jet_product(fjet, weight.taylor(t, order + 1))
-    with mpmath.workdps(EXTENDED_DIGITS):
-        return _jet_product(fjet, weight.taylor(mpmath.mpf(t), order + 1))
-
-
-def _jet_product(fjet: list, wjet: list):
-    """Coefficient len(fjet) - 1 of the product of two jets, and its largest term."""
-    terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
-    return sum(terms), max(abs(term) for term in terms)
+    """((f * weight)^(order)(t) / order!, max |table entry|): the mpmath divided
+    difference over order + 1 copies of t.  perfbench/tracer.py patches it by name."""
+    return divided_difference_scaled(f, NodeMultiset.from_pairs([(t, order + 1)]), precision, weight)
 
 
 def _run_product_derivative_sweep(
@@ -1107,13 +1069,15 @@ def _run_product_derivative_sweep(
     seed: int,
     tol: float,
 ) -> CriterionRecord:
-    """Sampled sign check of (f N(q))^(2n-1) (monotone) or ^(2n) (convex)."""
+    """Sampled sign check of (f N(q))^(2n-1) (monotone) or ^(2n) (convex)
+    divided by its factorial: the dd rows of order + 1 copies of t, with
+    their running bounds and the precision ladder."""
     criterion = "product-derivative"
     order = 2 * n - 1 if mode == "monotone" else 2 * n
     rng = np.random.default_rng(seed)
     lo, hi = check_interval(interval)
     span = hi - lo
-    margin_t = 1e-6 * span
+    margin_t = end_margin(lo, hi)
     width = 1 + _q_width(n - 1)
 
     def draw(indices):
@@ -1128,10 +1092,11 @@ def _run_product_derivative_sweep(
         def config(i: int) -> dict:
             return {"criterion": criterion, "t": ts[i], "deriv_order": order, "q": _q_poly(qs[i])}
 
-        weights = n_coeffs(_q_array(qs, n))
-        return _product_rows(f, np.array(ts), weights, order, tol), config, None
+        nodes = np.repeat(np.array(ts)[:, None], order + 1, axis=1)
+        rows, data = _dd_rows(f, nodes, n_coeffs(_q_array(qs, n)), tol)
+        return rows, config, data
 
-    return _Tally(f, criterion, "derivative-sign", tol).run(draw, samples)
+    return _Tally(f, criterion, "derivative-sign", tol).run(draw, samples, _escalate_dd)
 
 
 # ---------------------------------------------------------------------------

@@ -226,30 +226,19 @@ def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, n
 def divided_differences(
     f, rows, weights=None, dtype=float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Divided differences of many node multisets at once, in the float
-    type dtype (double, or np.longdouble for the long-double step).
+    """Divided differences of many node multisets at once, in one
+    Newton/Hermite table batch in the float type dtype (double, or
+    np.longdouble for the long-double step).
 
-    rows are node sequences (repeats allowed, any order) or a (rows,
-    nodes) array; weights, if given, is a (rows, d) array of real weight
+    rows is a (rows, nodes) array of node sequences (repeats allowed, any
+    order); weights, if given, is a (rows, d) array of real weight
     coefficients, ascending and zero-padded (polynomial.n_coeffs gives
     those of N(q)).  Returns float arrays (value, scale, bound):
     [row]_{f * weight}, the largest |table entry| and a running bound on
     the value's error.  A long-double value is rounded to a float, and its
     bound gains eps * |value| for that rounding.
-    Rows with the same node count share one Newton/Hermite table over
-    (rows, nodes) arrays.
     """
-    groups: dict[int, list[int]] = {}
-    if not isinstance(rows, np.ndarray):  # an array's rows share one node count
-        for r, z in enumerate(rows):
-            groups.setdefault(len(z), []).append(r)
-    if len(groups) <= 1:
-        value, scale, bound = _hermite_batch(f, np.sort(np.asarray(rows, dtype=dtype), axis=1), weights)
-    else:
-        value, scale, bound = out = np.empty((3, len(rows)), dtype)
-        for idx in groups.values():
-            z = np.sort(np.array([rows[r] for r in idx], dtype=dtype), axis=1)
-            out[:, idx] = _hermite_batch(f, z, None if weights is None else weights[idx])
+    value, scale, bound = _hermite_batch(f, np.sort(np.asarray(rows, dtype=dtype), axis=1), weights)
     if dtype is not float and np.finfo(dtype).eps < _EPS:
         value, scale = value.astype(float), scale.astype(float)
         bound = bound.astype(float) + _EPS * np.abs(value)
@@ -369,19 +358,15 @@ def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, xs: d
 
 
 def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digits: int, jet=None):
-    """Newton/Hermite table of one multiset: (value, max |table entry|, bound).
+    """mpmath Newton/Hermite table of one multiset: (value, max |table
+    entry|, bound); precision is "extended" (perfbench/tracer.py reads it).
 
-    Double precision is a batch of one row.  Extended precision runs the
-    recursion at `digits`, seeded from jet(v) where given, on raw mpf
-    tuples: each step is the libmp call an mpf operator makes at the
+    The recursion runs at `digits`, seeded from jet(v) where given, on raw
+    mpf tuples: each step is the libmp call an mpf operator makes at the
     context precision, rounding to nearest, so the table is bit for bit
     the one mpf arithmetic gives.  Its bound is the rounding of the value
     to a float.
     """
-    if precision == "double":
-        coeffs = None if weight is None else np.array([weight.real_coeffs() or (0.0,)])
-        batch = divided_differences(f, [nodes.flatten()], coeffs)
-        return tuple(float(a[0]) for a in batch)
     z = nodes.flatten()
     m = len(z)
     with mpmath.workdps(digits):
@@ -428,14 +413,12 @@ def divided_difference(
     """Divided difference [nodes]_g with g = f * weight (weight optional).
 
     f is a FunctionModel, whose Taylor jets seed repeated nodes; weight
-    is a real polynomial whose jet multiplies the seeds.
-    precision is "extended" (the default: mpmath, at digits growing with
-    order * log10(1 / min gap) and never fewer than EXTENDED_DIGITS) or
-    "double": a batch of one row (divided_differences), whose running
-    error bound only a sweep judges (double_settles).
+    is a real polynomial whose jet multiplies the seeds.  The table runs
+    in mpmath, at digits growing with order * log10(1 / min gap) and never
+    fewer than EXTENDED_DIGITS; precision must be "extended" (the double
+    tables are the sweeps' batches, divided_differences).
     """
-    value, _ = divided_difference_scaled(f, nodes, precision, weight)
-    return value
+    return divided_difference_scaled(f, nodes, precision, weight)[0]
 
 
 def divided_difference_scaled(
@@ -448,11 +431,10 @@ def divided_difference_scaled(
     jet(v), if given, supplies f's mpmath jet at each node to an
     extended table (see extended_divided_differences).
     """
-    if precision not in ("double", "extended"):
+    if precision != "extended":
         raise ValueError(f"unsupported precision mode {precision!r}")
     ms = _as_multiset(nodes)
-    digits = EXTENDED_DIGITS if precision == "double" else _needed_digits(ms)
-    value, scale, _ = _dd_table(f, ms, precision, weight, digits, jet)
+    value, scale, _ = _dd_table(f, ms, precision, weight, _needed_digits(ms), jet)
     return value, scale
 
 
@@ -764,6 +746,14 @@ class NarrowIntervalError(ValueError):
     """The interval holds too few doubles for the nodes a check places."""
 
 
+def end_margin(a: float, b: float) -> float:
+    """The gap every sampled check keeps from the ends of a < b: the
+    share MARGIN_FRACTION of the span, and at least 4 ulps of the larger
+    end, so that a + margin and b - margin lie strictly inside the
+    interval wherever it sits on the float line."""
+    return max((b - a) * MARGIN_FRACTION, 4 * math.ulp(max(-a, b)))
+
+
 def place_width(count: int) -> int:
     """Numbers the placement rule reads for a count-node tuple: the count
     uniforms, the cluster choice and the cluster centre."""
@@ -786,7 +776,7 @@ def place_nodes(draws, count: int, a: float, b: float, index: int) -> list[float
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
     span = b - a
-    margin = span * MARGIN_FRACTION
+    margin = end_margin(a, b)
     delta = span / SEPARATION_PARTS
     u = draws.random(count)
     if index % 3 == 0:

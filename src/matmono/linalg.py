@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divdiff import (
-    MARGIN_FRACTION,
     CriterionRecord,
     check_interval,
     check_tol,
+    end_margin,
     sample_distinct_tuple,
     sweep_batches,
 )
@@ -389,7 +389,7 @@ def monotonicity_oracle(
     """
     lo, hi = check_interval(interval)
     span = hi - lo
-    margin = MARGIN_FRACTION * span
+    margin = end_margin(lo, hi)
 
     def draw(rng, idx):
         if idx % 2 == 0:
@@ -451,7 +451,7 @@ def convexity_oracle(
     """
     lo, hi = check_interval(interval)
     span = hi - lo
-    margin = MARGIN_FRACTION * span
+    margin = end_margin(lo, hi)
 
     def draw(rng, idx):
         """(spectra, Gaussian bases, t, (s, v) of a bump or None)."""

@@ -7,8 +7,9 @@ double and long-double tables, random() draws against the uniform()
 draws they stand for, one eigvalsh call per stack against one per
 matrix, the column-by-column denominator of the finite-set kernel
 against its pairwise-difference cube, the matrix oracle's stacked
-trials against its one-trial-at-a-time loop, and the batch's N(q)
-coefficient rows against n_of.  The exact feasible interval replaced a
+trials against its one-trial-at-a-time loop, the batch's N(q)
+coefficient rows against n_of, and the product-derivative rows, now dd
+rows over repeated t, against the jet product that computed them.  The exact feasible interval replaced a
 y-grid scan and is not bit for bit: it must hold every grid point the
 frozen scan accepts, and end where the constraints stop holding.
 """
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from matmono import DomainError, FunctionModel, NodeMultiset, Poly, parse
-from matmono.criteria import _psd_rows
+from matmono.criteria import _dd_rows, _psd_rows, _sample_q
 from matmono.divdiff import (
     _EPS,
     MARGIN_FRACTION,
@@ -30,6 +31,7 @@ from matmono.divdiff import (
     _dd_table,
     _hermite_batch,
     _needed_digits,
+    dd_threshold,
     sample_distinct_tuple,
 )
 from matmono.expr import cauchy, jet
@@ -157,6 +159,20 @@ def _frozen_hermite_batch(f, z, weights):
         if j < K:
             err = np.where(same, seed_err[j][:, : m - j], err)
     return col[:, 0], entries.max(axis=1), err[:, 0]
+
+
+def _frozen_product_rows(f, t, weights, order, tol):
+    """The product-derivative sweep's double rows before they were dd rows:
+    coefficient `order` of the jet of f times the jet of each N(q) at t,
+    thresholded at its largest term; and the dd threshold of the same
+    jets' coefficients 0..order, a confluent table's entries."""
+    fjet = [c if isinstance(c, np.ndarray) else np.full(t.shape, c) for c in f.taylor(t, order + 1)]
+    wjet = taylor_shift(list(weights.T), t, order + 1)
+    terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
+    threshold = dd_threshold(np.abs(terms).max(axis=0), "double", tol)
+    coeffs = [sum(fc * wc for fc, wc in zip(reversed(fjet[: k + 1]), wjet)) for k in range(order + 1)]
+    table = dd_threshold(np.abs(coeffs).max(axis=0), "double", tol)
+    return sum(terms).tolist(), threshold.tolist(), table.tolist()
 
 
 def _frozen_psd_row(M, bound, tol):
@@ -692,3 +708,38 @@ def test_n_of_rows_of_a_batch_match_n_of():
     for q, row in zip(qs, rows):
         want = n_of(q).real_coeffs()
         assert _bits(row) == _bits(want + (0.0,) * (len(row) - len(want)))
+
+
+PRODUCT_FUNCTIONS = {
+    "x*log(x)": (FunctionModel(parse("x*log(x)"), domain=(0.0, math.inf)), (0.1, 10.0)),
+    "-1/x": (FunctionModel(parse("-1/x"), domain=(0.0, math.inf)), (0.5, 4.0)),
+    "x^2": (FunctionModel(parse("x^2")), (0.1, 10.0)),
+    "composite": (FUNCTIONS["composite"], (0.5, 4.0)),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_FUNCTIONS)
+def test_confluent_dd_rows_match_the_frozen_product_rows(name):
+    """_dd_rows over order + 1 copies of t gives the jet product's values
+    bit for bit: 200 rows of t and the sweep's q cadence at n = 2, 3, 4,
+    both orders.  Its threshold is the dd rule on the largest table entry,
+    which is the largest jet coefficient of f N(q) rather than the largest
+    term of the one coefficient: the two thresholds agree wherever both
+    are tol, and most rows are such rows."""
+    f, (lo, hi) = PRODUCT_FUNCTIONS[name]
+    rows = floor = 0
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(n)
+        t = rng.uniform(lo, hi, 200)
+        qs = [_sample_q(rng, n - 1, (float(x), lo, hi), hi - lo, i, bool(i % 2)) for i, x in enumerate(t)]
+        weights = n_coeffs(qs)
+        for order in (2 * n - 1, 2 * n):
+            values, threshold, table = _frozen_product_rows(f, t, weights, order, 1e-9)
+            got, _ = _dd_rows(f, np.repeat(t[:, None], order + 1, axis=1), weights, 1e-9)
+            assert _bits([row[0] for row in got]) == _bits(values)
+            assert _bits([row[1] for row in got]) == _bits(table)
+            for th, th_table in zip(threshold, table):
+                rows += 1
+                if th == th_table == 1e-9:
+                    floor += 1
+    assert rows == 1200 and floor >= 0.8 * rows

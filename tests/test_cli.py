@@ -106,18 +106,50 @@ def test_usage_errors_exit_two(capsys):
     (["certify", "--replay", "{tmp}/not.json"], "--replay"),
     (["certify", "--replay", "{tmp}/dd.json", "-f", "x"], "--replay"),
     (["certify", "--replay", "{tmp}/psd.json", "-f", "x"], "--replay"),
+    (["certify", "--replay", "{tmp}/dd-nodes.json", "-f", "x"], "--replay"),
+    (["certify", "--replay", "{tmp}/genset-short.json"], "--replay"),
 ], ids=["certify-reversed-interval", "oracle-empty-interval", "reversed-domain", "x0-not-a-number",
         "identity-repeated-node", "identity-one-node", "identity-infinite-node", "identity-nan-base",
-        "replay-not-json", "replay-dd-without-nodes", "replay-psd-without-points"])
+        "replay-not-json", "replay-dd-without-nodes", "replay-psd-without-points",
+        "replay-dd-nodes-not-pairs", "replay-genset-values-shorter-than-subset"])
 def test_malformed_flag_values_exit_two(capsys, tmp_path, argv, flag):
     (tmp_path / "not.json").write_text("witness: none\n")
     (tmp_path / "dd.json").write_text('{"kind": "dd"}')
     (tmp_path / "psd.json").write_text('{"kind": "psd-matrix", "criterion": "loewner-psd"}')
+    (tmp_path / "dd-nodes.json").write_text('{"kind": "dd", "nodes": 5, "q": {"real": [1.0]}}')
+    (tmp_path / "genset-short.json").write_text(
+        '{"kind": "genset-dd", "subset": [1.0, 2.0], "values": [1.0], "q": {"real": [1.0]}}')
     argv = [a.format(tmp=tmp_path) for a in argv]
     code, out, err = _run(capsys, argv + ["--no-timestamp"])
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {flag}:")
+
+
+MATRIX = {"real": [[1.0, 0.5], [0.5, 2.0]], "imag": [[0.0, 0.1], [-0.1, 0.0]]}
+
+
+@pytest.mark.parametrize("witness, field", [
+    ({"kind": "dd", "nodes": [[1.0, 0]], "q": {"real": [1.0]}}, "'nodes'"),
+    ({"kind": "dd", "nodes": [[1.0, 2]], "q": {"real": [1.0], "imag": [0.0, 1.0]}}, "'q'"),
+    ({"kind": "derivative-sign", "t": float("nan"), "deriv_order": 3, "q": {"real": [1.0]}}, "'t'"),
+    ({"kind": "derivative-sign", "t": 1.0, "deriv_order": True, "q": {"real": [1.0]}}, "'deriv_order'"),
+    ({"kind": "psd-matrix", "criterion": "kraus-free-psd", "points": [1.0, 2.0], "base": "1"}, "'base'"),
+    ({"kind": "psd-matrix", "criterion": "dobsch-psd", "t": 1.0, "order": 0}, "'order'"),
+    ({"kind": "psd-matrix", "criterion": "loewner-psd", "points": [1.0, None]}, "'points'"),
+    ({"kind": "jensen", "matrix_a": {"real": [[1.0, 2.0]]}, "matrix_b": MATRIX}, "'matrix_a'"),
+    ({"kind": "matrix-pair", "matrix_a": MATRIX, "matrix_b": {"real": [[1.0]]}}, "'matrix_a' and 'matrix_b'"),
+], ids=["zero-multiplicity", "q-parts-of-two-lengths", "nan-t", "bool-order", "string-base",
+        "zero-order", "null-point", "non-square-matrix", "matrices-of-two-sizes"])
+def test_replay_gate_checks_types_and_lengths(capsys, tmp_path, witness, field):
+    """Each field a replay reads is checked for its type and length before
+    anything is replayed: a malformed witness is a usage error (exit 2)
+    naming its field, not a traceback with the exit code of a refutation."""
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code, out, err = _run(capsys, ["certify", "--replay", str(path), "-f", "x", "--no-timestamp"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --replay: {witness['kind']} witness's {field}")
 
 
 def test_numerical_failures_exit_three(capsys):
@@ -378,6 +410,17 @@ def test_an_interval_too_narrow_for_distinct_nodes_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: interval (1.0, 1.0000000000000018) is too narrow for")
+
+
+def test_an_interval_whose_span_share_is_under_an_ulp_places_its_nodes(capsys):
+    """On (1e8, 1e8 + 0.01), span * 1e-6 is under half an ulp of 1e8, so a
+    cluster clipped at a + span * 1e-6 landed on a and placement raised
+    (exit 2); with the 4-ulp floor of the end margin f = x passes."""
+    argv = ["certify", "-f", "x", "-n", "2", "--interval", "100000000,100000000.01",
+            "--seed", "1", "--no-timestamp"]
+    code, report = _run_json(capsys, argv)
+    assert code == 0 and report["verdict"] == "pass"
+    assert _run_json(capsys, argv) == (code, report)
 
 
 def test_infinite_domain_stays_valid(capsys):

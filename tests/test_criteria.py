@@ -106,13 +106,14 @@ def test_kraus_matrix_frozen_entries():
 ], ids=["divided_difference", "loewner", "extended-loewner", "kraus"])
 def test_precision_is_double_or_extended(build, args):
     """A divided difference or criterion matrix is computed in mpmath
-    ("extended", the default, bit for bit) or in double; "auto" is no mode."""
+    ("extended", the default, bit for bit); "double" and "auto" are no
+    modes of these builders, whose double tables are the sweeps' batches."""
     f = FunctionModel(parse("x*log(x)"), (0.0, math.inf), name="x*log(x)")
     default = np.asarray(build(f, *args))
     assert default.tobytes() == np.asarray(build(f, *args, "extended")).tobytes()
-    np.testing.assert_allclose(build(f, *args, "double"), default, rtol=1e-12)
-    with pytest.raises(ValueError, match="unsupported precision mode 'auto'"):
-        build(f, *args, "auto")
+    for mode in ("double", "auto"):
+        with pytest.raises(ValueError, match=f"unsupported precision mode '{mode}'"):
+            build(f, *args, mode)
 
 
 def test_loewner_bridge_quadratic_form():
@@ -145,6 +146,25 @@ def test_dobsch_bridge_quadratic_form():
             q = q + Poly.from_roots([t] * (n - 1 - i), leading=float(c[i]))
         rhs, _ = _product_derivative_value(EXP, n_of(q), t, 2 * n - 1)
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("text, t", [
+    ("sqrt(x)+log(x)", 1.37), ("-1/x", 0.8), ("x*log(x)", 2.5), ("x^3", 0.7),
+])
+def test_dobsch_and_hankel_are_the_extended_loewner_layout_at_one_point(text, t):
+    """The Dobsch matrix is the extended Loewner matrix over n copies of
+    t, and the Hankel matrix is that layout with a base t appended: the
+    batched double tables (_dd_triangles) give both bit for bit."""
+    from matmono.criteria import _dd_triangles, _layout, _symmetric
+
+    f = FunctionModel(parse(text), (0.0, math.inf), name=text)
+    for n in (2, 3, 4):
+        layout = _layout("extended-loewner-psd", n)
+        dobsch = _symmetric(_dd_triangles(f, np.array([[t] * n]), layout)[0])[0]
+        based = tuple(pos + (n,) for pos in layout)
+        hankel = _symmetric(_dd_triangles(f, np.array([[t] * (n + 1)]), based)[0])[0]
+        assert dobsch.tobytes() == dobsch_matrix(f, t, n).tobytes()
+        assert hankel.tobytes() == hankel_convex_matrix(f, t, n).tobytes()
 
 
 def test_sample_q_normalization_and_cadence():
@@ -509,7 +529,14 @@ def test_long_double_bound_covers_its_error():
 
     def check(f, span, node_lists, weights, exact):
         nonlocal rows, clustered
-        values, _, bounds = divided_differences(f, node_lists, weights, np.longdouble)
+        # one long-double batch per node count, as _dd_triangles makes them
+        values, bounds = np.empty(len(node_lists)), np.empty(len(node_lists))
+        for count in {len(nodes) for nodes in node_lists}:
+            at = [r for r, nodes in enumerate(node_lists) if len(nodes) == count]
+            batch = np.array([node_lists[r] for r in at])
+            value, _, bound = divided_differences(
+                f, batch, None if weights is None else weights[at], np.longdouble)
+            values[at], bounds[at] = value, bound
         for nodes, value, bound, want in zip(node_lists, values, bounds, exact):
             rows += 1
             clustered += max(nodes) - min(nodes) <= 0.1 * span  # a cluster draw's width
@@ -612,6 +639,49 @@ def test_enclosures_hold_the_mpmath_value(f, interval, mode):
                 clustered += 1
                 narrower += high - low < b
     assert clustered >= 30 and narrower >= 0.8 * clustered
+
+
+def _product_sweep_rows(monkeypatch, f, n, interval, mode, samples, seed):
+    """The (nodes, weights) arrays of every batch a product-derivative
+    sweep evaluates: its t repeated order + 1 times, and the N(q) rows."""
+    from matmono import criteria
+
+    batches = []
+    dd_rows = criteria._dd_rows
+
+    def captured(f, nodes, weights, tol):
+        batches.append((nodes, weights))
+        return dd_rows(f, nodes, weights, tol)
+
+    monkeypatch.setattr(criteria, "_dd_rows", captured)
+    rec = criteria._run_product_derivative_sweep(f, n, interval, mode, samples, seed, 1e-9)
+    monkeypatch.undo()
+    return rec, np.concatenate([b[0] for b in batches]), np.concatenate([b[1] for b in batches])
+
+
+def test_product_rows_bound_and_enclosure_hold_the_mpmath_value(monkeypatch):
+    """The product-derivative sweep's rows are zero-width confluent dd rows:
+    on the draws of x log(x) convex at n = 2-4, |double - mpmath| is
+    within the running bound and the enclosure holds the mpmath value."""
+    from matmono.divdiff import divided_difference_enclosures, divided_differences
+
+    f = FunctionModel(parse("x*log(x)"), (0.0, math.inf), name="x*log(x)")
+    rows, violations = 0, []
+    for n in (2, 3, 4):
+        rec, nodes, weights = _product_sweep_rows(monkeypatch, f, n, (0.1, 10.0), "convex", 50, n)
+        assert rec.passed and rec.configs == 50 and len(nodes) == 50
+        assert nodes.shape[1] == 2 * n + 1 and (nodes == nodes[:, :1]).all()
+        values, _, bounds = divided_differences(f, nodes, weights)
+        lo, hi = divided_difference_enclosures(f, nodes, weights)
+        assert (bounds > 0.0).all()
+        for z, w, value, bound, low, high in zip(nodes, weights, values, bounds, lo, hi):
+            rows += 1
+            ms = NodeMultiset.from_pairs([(float(z[0]), len(z))])
+            want = _mp_divided_difference(f, ms, Poly.of(*w.tolist()))
+            if not (abs(value - want) <= bound and low <= want <= high):
+                violations.append((n, float(z[0]), value, float(want), bound, low, high))
+    assert rows == 150
+    assert not violations, violations[:5]
 
 
 def test_enclosure_is_held_to_the_extended_floor():
@@ -1060,13 +1130,13 @@ def test_q_drawing_sweeps_keep_the_cadence(monkeypatch):
             assert sum(halton) >= len(halton) - 2, (shape, n)
 
     weights = []
-    product_rows = criteria._product_rows
+    dd_rows = criteria._dd_rows
 
-    def captured(f, t, w, order, tol):
+    def captured(f, nodes, w, tol):
         weights.append(w)
-        return product_rows(f, t, w, order, tol)
+        return dd_rows(f, nodes, w, tol)
 
-    monkeypatch.setattr(criteria, "_product_rows", captured)
+    monkeypatch.setattr(criteria, "_dd_rows", captured)
     for f, iv, mode in ((RECIP_NEG, interval, "monotone"), (SQUARE, (0.1, 10.0), "convex")):
         weights.clear()
         rec = criteria._run_product_derivative_sweep(f, 3, iv, mode, 40, 5, 1e-9)

@@ -30,6 +30,7 @@ from matmono.divdiff import (
     check_tol,
     dd_threshold,
     divided_difference_scaled,
+    end_margin,
     sample_distinct_tuple,
 )
 from matmono.expr import EXTENDED_DIGITS
@@ -244,6 +245,22 @@ def test_placement_keeps_nodes_apart_or_raises_on_a_narrow_interval():
         with pytest.raises(NarrowIntervalError, match=r"too narrow for 4 distinct nodes"):
             sample_distinct_tuple(rng, 4, (a, b), idx)
     assert issubclass(NarrowIntervalError, ValueError)
+
+
+def test_end_margin_is_a_share_of_the_span_with_an_ulp_floor():
+    """The end margin is span * 1e-6 wherever that exceeds 4 ulps of the
+    ends; on (1e8, 1e8 + 0.01) it would round away (1e-8 against an ulp of
+    1.5e-8), so it is 4 ulps, and clustered draws there stay inside."""
+    assert end_margin(0.5, 4.0) == 3.5 * 1e-6
+    assert end_margin(-4.0, -0.5) == 3.5 * 1e-6
+    a, b = 1e8, 1e8 + 0.01
+    assert end_margin(a, b) == 4 * math.ulp(b) > (b - a) * 1e-6
+    assert a < a + end_margin(a, b) and b - end_margin(a, b) < b
+    assert end_margin(-b, -a) == end_margin(a, b)
+    rng = np.random.default_rng(1)
+    for idx in range(300):
+        x = sample_distinct_tuple(rng, 4, (a, b), idx)
+        assert np.all(np.diff(x) > 0) and a < x[0] and x[-1] < b
 
 
 def test_halton_rows_keep_distinct_coordinates_past_nine_nodes():
