@@ -456,7 +456,8 @@ def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: floa
     running error bounds.  Returns the rows and what _escalate_dd reads
     for them, (nodes, weights, largest |table entry|)."""
     value, scale, bound = divided_differences(f, nodes, weights)
-    threshold = dd_threshold(scale, "double", tol)
+    # a row of one node is its top seed: its bound covers its roundoff, which its lower seeds overstate
+    threshold = np.where(nodes.min(axis=1) == nodes.max(axis=1), tol, dd_threshold(scale, "double", tol))
     rows = [(*row, None) for row in zip(value.tolist(), threshold.tolist(), bound.tolist())]
     return rows, (nodes, weights, scale)
 
@@ -1070,8 +1071,7 @@ def _run_product_derivative_sweep(
     tol: float,
 ) -> CriterionRecord:
     """Sampled sign check of (f N(q))^(2n-1) (monotone) or ^(2n) (convex)
-    divided by its factorial: the dd rows of order + 1 copies of t, with
-    their running bounds and the precision ladder."""
+    divided by its factorial: the dd rows of order + 1 copies of t."""
     criterion = "product-derivative"
     order = 2 * n - 1 if mode == "monotone" else 2 * n
     rng = np.random.default_rng(seed)

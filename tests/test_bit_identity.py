@@ -8,10 +8,11 @@ draws they stand for, one eigvalsh call per stack against one per
 matrix, the column-by-column denominator of the finite-set kernel
 against its pairwise-difference cube, the matrix oracle's stacked
 trials against its one-trial-at-a-time loop, the batch's N(q)
-coefficient rows against n_of, and the product-derivative rows, now dd
-rows over repeated t, against the jet product that computed them.  The exact feasible interval replaced a
-y-grid scan and is not bit for bit: it must hold every grid point the
-frozen scan accepts, and end where the constraints stop holding.
+coefficient rows against n_of, and the product-derivative rows and
+values, now dd tables over repeated t, against the jet product that
+computed them.  The exact feasible interval replaced a y-grid scan and
+is not bit for bit: it must hold every grid point the frozen scan
+accepts, and end where the constraints stop holding.
 """
 
 import json
@@ -32,9 +33,10 @@ from matmono.divdiff import (
     _hermite_batch,
     _needed_digits,
     dd_threshold,
+    divided_difference_scaled,
     sample_distinct_tuple,
 )
-from matmono.expr import cauchy, jet
+from matmono.expr import EXTENDED_DIGITS, cauchy, jet
 from matmono.gensets import (
     FiniteFunction,
     _feasible_interval,
@@ -164,15 +166,21 @@ def _frozen_hermite_batch(f, z, weights):
 def _frozen_product_rows(f, t, weights, order, tol):
     """The product-derivative sweep's double rows before they were dd rows:
     coefficient `order` of the jet of f times the jet of each N(q) at t,
-    thresholded at its largest term; and the dd threshold of the same
-    jets' coefficients 0..order, a confluent table's entries."""
+    thresholded at its largest term."""
     fjet = [c if isinstance(c, np.ndarray) else np.full(t.shape, c) for c in f.taylor(t, order + 1)]
     wjet = taylor_shift(list(weights.T), t, order + 1)
     terms = [fc * wc for fc, wc in zip(reversed(fjet), wjet)]
     threshold = dd_threshold(np.abs(terms).max(axis=0), "double", tol)
-    coeffs = [sum(fc * wc for fc, wc in zip(reversed(fjet[: k + 1]), wjet)) for k in range(order + 1)]
-    table = dd_threshold(np.abs(coeffs).max(axis=0), "double", tol)
-    return sum(terms).tolist(), threshold.tolist(), table.tolist()
+    return sum(terms).tolist(), threshold.tolist()
+
+
+def _frozen_product_value(f, weight, t, order):
+    """The product-derivative value before it was an mpmath dd table: the
+    same jet product at EXTENDED_DIGITS, and its largest term."""
+    fjet = f.taylor(t, order + 1, "extended")
+    with mpmath.workdps(EXTENDED_DIGITS):
+        terms = [fc * wc for fc, wc in zip(reversed(fjet), weight.taylor(mpmath.mpf(t), order + 1))]
+        return sum(terms), max(abs(term) for term in terms)
 
 
 def _frozen_psd_row(M, bound, tol):
@@ -720,26 +728,27 @@ PRODUCT_FUNCTIONS = {
 
 @pytest.mark.parametrize("name", PRODUCT_FUNCTIONS)
 def test_confluent_dd_rows_match_the_frozen_product_rows(name):
-    """_dd_rows over order + 1 copies of t gives the jet product's values
-    bit for bit: 200 rows of t and the sweep's q cadence at n = 2, 3, 4,
-    both orders.  Its threshold is the dd rule on the largest table entry,
-    which is the largest jet coefficient of f N(q) rather than the largest
-    term of the one coefficient: the two thresholds agree wherever both
-    are tol, and most rows are such rows."""
+    """_dd_rows over order + 1 copies of t, the product-derivative rows, give
+    the jet product's values bit for bit: 200 rows of t and the sweep's q
+    cadence at n = 2, 3, 4, both orders.  Their double threshold is tol,
+    never looser than the jet product's largest-term threshold, which it
+    replaces where that exceeds tol (the running bound then covers the
+    roundoff).  The mpmath table over the same multiset gives the extended
+    jet product's value and threshold on the first 5 rows of each."""
     f, (lo, hi) = PRODUCT_FUNCTIONS[name]
-    rows = floor = 0
     for n in (2, 3, 4):
         rng = np.random.default_rng(n)
         t = rng.uniform(lo, hi, 200)
         qs = [_sample_q(rng, n - 1, (float(x), lo, hi), hi - lo, i, bool(i % 2)) for i, x in enumerate(t)]
         weights = n_coeffs(qs)
         for order in (2 * n - 1, 2 * n):
-            values, threshold, table = _frozen_product_rows(f, t, weights, order, 1e-9)
+            values, thresholds = _frozen_product_rows(f, t, weights, order, 1e-9)
             got, _ = _dd_rows(f, np.repeat(t[:, None], order + 1, axis=1), weights, 1e-9)
             assert _bits([row[0] for row in got]) == _bits(values)
-            assert _bits([row[1] for row in got]) == _bits(table)
-            for th, th_table in zip(threshold, table):
-                rows += 1
-                if th == th_table == 1e-9:
-                    floor += 1
-    assert rows == 1200 and floor >= 0.8 * rows
+            assert all(row[1] == 1e-9 <= th for row, th in zip(got, thresholds))
+            for x, q in zip(t[:5].tolist(), qs):
+                value, scale = _frozen_product_value(f, n_of(q), x, order)
+                ms = NodeMultiset.from_pairs([(x, order + 1)])
+                got_value, got_scale = divided_difference_scaled(f, ms, "extended", n_of(q))
+                assert _bits([got_value]) == _bits([float(value)])
+                assert dd_threshold(got_scale, "extended", 1e-9) == float(dd_threshold(scale, "extended", 1e-9))

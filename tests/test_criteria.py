@@ -684,6 +684,40 @@ def test_product_rows_bound_and_enclosure_hold_the_mpmath_value(monkeypatch):
     assert not violations, violations[:5]
 
 
+def test_a_product_row_is_held_to_tol_not_to_its_table(monkeypatch):
+    """f = 1e8 x - 5e-8 x^2 on three copies of t = 2, weight 1: the row's
+    value f''(2)/2 = -5e-8 lies in (-1e-7, -tol), while f's lower jet
+    coefficients are near 2e8.  The dd floor of the table's largest entry,
+    2.9e-6, would settle the row as a pass in double; a row of one node
+    is held to tol, so it reaches mpmath and the sweep fails there."""
+    from matmono import criteria
+    from matmono.criteria import _dd_rows, _escalate_dd, _Tally
+    from matmono.divdiff import double_settles
+
+    f = FunctionModel(parse("1e8*x - 5e-8*x^2"))
+    nodes, weights = np.full((1, 3), 2.0), np.ones((1, 1))
+    (value, threshold, bound, _), = _dd_rows(f, nodes, weights, 1e-9)[0]
+    assert value == pytest.approx(-5e-8, rel=1e-6) and threshold == 1e-9
+    assert double_settles(value, bound, dd_threshold(abs(f.eval(2.0)), "double", 1e-9))
+    assert not double_settles(value, bound, threshold)
+    evaluate, mpmath_rows = criteria._EVALUATORS["derivative-sign"], []
+
+    def counted(f, configs, tol):
+        mpmath_rows.extend(configs)
+        return evaluate(f, configs, tol)
+
+    monkeypatch.setitem(criteria._EVALUATORS, "derivative-sign", counted)
+
+    def draw(indices):
+        rows, data = _dd_rows(f, nodes, weights, 1e-9)
+        return rows, lambda i: {"criterion": "product-derivative", "t": 2.0, "deriv_order": 2, "q": ONE}, data
+
+    rec = _Tally(f, "product-derivative", "derivative-sign", 1e-9).run(draw, 1, _escalate_dd)
+    assert not rec.passed and len(mpmath_rows) == 1
+    assert rec.worst_value == pytest.approx(-5e-8 + 1e-9, rel=1e-6)
+    assert re_evaluate_witness(f, rec.witness)["confirmed"]
+
+
 def test_enclosure_is_held_to_the_extended_floor():
     """The first dd-confluent-free row of log(x), n = 3 convex, seed 1:
     max |entry| 7.2e15 makes its double threshold 105.7, while its value
