@@ -83,24 +83,19 @@ CONVEX_CRITERIA = (
 # Criterion matrices
 
 
-def _check_distinct(points) -> list[float]:
-    pts = [float(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be pairwise distinct")
-    return pts
-
-
-# The point criteria (Loewner, extended Loewner, Kraus): the nodes of their
-# matrices as one row of values (points..., then a Kraus matrix's base),
-# and each upper-triangle entry, row by row, as the positions of its nodes
-# in that row.
+# The criterion matrices: the nodes of a matrix as one row of values
+# (points..., then a Kraus or Hankel matrix's base), and each upper-triangle
+# entry, row by row, as the positions of its nodes in that row.  The point
+# criteria sample their points; Dobsch and Hankel take copies of t.
 POINT_CRITERIA = ("loewner-psd", "extended-loewner-psd", "kraus-anchored-psd", "kraus-free-psd")
 
 
 def _point_row(criterion: str, points, base=None) -> list[float]:
     """The node row of a criterion matrix: distinct points (ascending for
     the extended Loewner matrix), then the base of a Kraus matrix."""
-    pts = _check_distinct(points)
+    pts = [float(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("points must be pairwise distinct")
     if criterion == "extended-loewner-psd":
         pts.sort()
     return pts if base is None else pts + [float(base)]
@@ -110,24 +105,34 @@ def _point_row(criterion: str, points, base=None) -> list[float]:
 def _layout(criterion: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Positions in the node row of the nodes of each upper-triangle
     entry (i, j) of the criterion matrix over n points: (x_i, x_j) for
-    Loewner, (x_1..x_i, x_1..x_j) for extended Loewner, (x_i, x_j, base)
-    for Kraus."""
+    Loewner, (x_1..x_i, x_1..x_j) for extended Loewner and Dobsch, that and
+    the base for Hankel (over copies of t), (x_i, x_j, base) for Kraus."""
     iu = [(i, j) for i in range(n) for j in range(i, n)]
     if criterion == "loewner-psd":
         return tuple(iu)
-    if criterion == "extended-loewner-psd":
-        return tuple(tuple(range(i + 1)) * 2 + tuple(range(i + 1, j + 1)) for i, j in iu)
-    return tuple((i, j, n) for i, j in iu)
+    if criterion.startswith("kraus"):
+        return tuple((i, j, n) for i, j in iu)
+    base = (n,) if criterion == "hankel-psd" else ()
+    return tuple(tuple(range(i + 1)) * 2 + tuple(range(i + 1, j + 1)) + base for i, j in iu)
 
 
-@functools.cache
-def _layout_groups(layout: tuple) -> list[tuple[list[int], np.ndarray]]:
-    """The entries of a layout by node count: (entry indices, their
-    positions as a (entries, count) array)."""
-    groups: dict[int, list[int]] = {}
-    for k, pos in enumerate(layout):
-        groups.setdefault(len(pos), []).append(k)
-    return [(ks, np.array([layout[k] for k in ks])) for ks in groups.values()]
+@functools.lru_cache(maxsize=64)
+def _entry_index(layout: tuple, rows: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The positions of a layout's entries by node count, an (entries,
+    count) array per count, and where entry k of matrix b of `rows` lies in
+    results over their blocks in turn, each (matrix, entry) row-major."""
+    groups = [[k for k, pos in enumerate(layout) if len(pos) == c] for c in sorted(set(map(len, layout)))]
+    at = np.cumsum([0] + [rows * len(ks) for ks in groups])
+    index = np.hstack([np.arange(a, b).reshape(rows, -1) for a, b in zip(at, at[1:])])
+    return [np.array([layout[k] for k in ks]) for ks in groups], index[:, np.argsort(sum(groups, []))]
+
+
+def _over_entries(call, X: np.ndarray, layout) -> list[np.ndarray]:
+    """call(blocks) on the node rows of every entry of the matrices X (row b
+    matrix b's node row), one block per entry length (_entry_index); each
+    array it returns as a (len(X), len(layout)) array."""
+    positions, index = _entry_index(layout, len(X))
+    return [flat[index] for flat in call([X[:, pos].reshape(-1, pos.shape[1]) for pos in positions])]
 
 
 def _entries(row: list, layout) -> list[tuple]:
@@ -152,18 +157,10 @@ def _symmetric(tri: np.ndarray) -> np.ndarray:
 
 
 def _dd_triangles(f: FunctionModel, X: np.ndarray, layout, dtype=float):
-    """Divided differences over the entries of a batch of matrices, row b
-    of X holding the nodes of matrix b at the positions of layout, and
-    their running error bounds, as (len(X), len(layout)) arrays: one table
-    batch per entry length, in the float type dtype (double, or
-    np.longdouble for the long-double step)."""
-    values = np.empty((len(X), len(layout)))
-    bounds = np.empty_like(values)
-    for ks, pos in _layout_groups(layout):
-        value, _, bound = divided_differences(f, X[:, pos].reshape(-1, pos.shape[1]), None, dtype)
-        values[:, ks] = value.reshape(len(X), -1)
-        bounds[:, ks] = bound.reshape(len(X), -1)
-    return values, bounds
+    """Divided differences over the entries of a batch of matrices and their
+    running error bounds (_over_entries): one divided_differences call, in
+    the float type dtype (double, or np.longdouble for the long-double step)."""
+    return _over_entries(lambda blocks: divided_differences(f, blocks, None, dtype)[::2], X, layout)
 
 
 def _dd_matrix(f: FunctionModel, criterion: str, row: list, precision: str) -> np.ndarray:
@@ -172,7 +169,7 @@ def _dd_matrix(f: FunctionModel, criterion: str, row: list, precision: str) -> n
     a parameter perfbench/tracer.py reads to tell a re-check."""
     if precision != "extended":
         raise ValueError(f"unsupported precision mode {precision!r}")
-    layout = _layout(criterion, len(row) - criterion.startswith("kraus"))
+    layout = _layout(criterion, len(row) - criterion.startswith(("kraus", "hankel")))
     return _symmetric(np.array(extended_divided_differences(f, _entries(row, layout))))
 
 
@@ -191,21 +188,18 @@ def extended_loewner_matrix(
     return _dd_matrix(f, "extended-loewner-psd", row, precision)
 
 
-def _jet_hankel(jet: list, offset: int, n: int) -> np.ndarray:
-    """n x n matrix with entry (i, j) = jet[i + j + offset]."""
-    return np.array([[jet[i + j + offset] for j in range(n)] for i in range(n)], dtype=float)
-
-
-def dobsch_matrix(f: FunctionModel, t: float, n: int, precision: str = "double") -> np.ndarray:
-    """Local monotonicity matrix: entries f^(i+j-1)(t)/(i+j-1)!, i,j = 1..n."""
-    return _jet_hankel(f.taylor(float(t), 2 * n, precision), 1, n)
+def dobsch_matrix(f: FunctionModel, t: float, n: int, precision: str = "extended") -> np.ndarray:
+    """Local monotonicity matrix: entries f^(i+j-1)(t)/(i+j-1)!, i,j = 1..n,
+    the extended Loewner matrix over n copies of t; precision as in loewner_matrix."""
+    return _dd_matrix(f, "dobsch-psd", [float(t)] * n, precision)
 
 
 def hankel_convex_matrix(
-    f: FunctionModel, t: float, n: int, precision: str = "double"
+    f: FunctionModel, t: float, n: int, precision: str = "extended"
 ) -> np.ndarray:
-    """Local convexity matrix: entries f^(i+j)(t)/(i+j)!, i,j = 1..n."""
-    return _jet_hankel(f.taylor(float(t), 2 * n + 1, precision), 2, n)
+    """Local convexity matrix: entries f^(i+j)(t)/(i+j)!, i,j = 1..n, the
+    Dobsch layout with a base t appended; precision as in loewner_matrix."""
+    return _dd_matrix(f, "hankel-psd", [float(t)] * (n + 1), precision)
 
 
 def kraus_matrix(
@@ -379,20 +373,21 @@ class CertifyConfig:
 # ---------------------------------------------------------------------------
 # Evaluation, confirmation and witnesses
 #
-# A configuration is a dict of the witness fields that locate it, with
-# the nodes and q as NodeMultiset and Poly.  A row is (value, threshold,
+# A configuration is a dict of the witness fields that locate it, with the
+# nodes and q as NodeMultiset and Poly.  A row is (value, threshold,
 # bound, criterion matrix or None); the margin is value + threshold, and
-# bound limits the error of a value computed below mpmath (0 where none
-# is known).  The sampled sweeps evaluate a batch in double precision from
-# its arrays (_dd_rows, _point_rows; the Dobsch/Hankel probe one matrix,
-# with bound 0), and the rows a bound leaves open climb the rest of the
-# ladder short of mpmath in one call for many batches (_escalate with
-# _escalate_dd or _escalate_points).  One evaluator per witness kind maps
-# (f, configs, tol) to the rows of the configurations in mpmath: the
-# re-check of a row no bound settles and the witness replay, on the
-# configuration materialized for that row.  (f N(q))^(k)(t)/k! is the
-# divided difference of f N(q) over k + 1 copies of t (Hermite-Genocchi),
-# so a product-derivative configuration (t, deriv_order, q) is such a dd row.
+# bound limits the error of a value computed below mpmath.  Every sweep
+# evaluates a batch in double precision from its arrays, as dd rows
+# (_dd_rows) or matrices of dd entries with a Weyl bound (_point_rows),
+# and the rows a bound leaves open climb the rest of the ladder short of
+# mpmath in one call for many batches (_escalate with _escalate_dd or
+# _escalate_points).  One evaluator per witness kind maps (f, configs, tol)
+# to the rows of the configurations in mpmath: the re-check of a row no
+# bound settles and the witness replay, on the configuration materialized
+# for that row.  (f N(q))^(k)(t)/k! is the divided difference of f N(q)
+# over k + 1 copies of t (Hermite-Genocchi), so a product-derivative
+# configuration (t, deriv_order, q) is such a dd row, and a Dobsch or
+# Hankel matrix at t that of a point row over copies of t (_layout).
 
 
 def _open(value: float, threshold: float, bound: float) -> bool:
@@ -443,11 +438,6 @@ def _escalate(escalate, f: FunctionModel, batches: list, tol: float) -> None:
     for (rows, _, _), at in zip(batches, opened):
         for i in at:
             rows[i] = next(done)
-
-
-def _dd_arrays(configs: list[dict]) -> tuple[np.ndarray, np.ndarray]:
-    """The flattened nodes and the N(q) weights of dd configurations."""
-    return np.array([c["nodes"].flatten() for c in configs]), n_coeffs([c["q"] for c in configs])
 
 
 def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: float) -> tuple[list, tuple]:
@@ -503,17 +493,17 @@ def _evaluate_dd(f: FunctionModel, configs: list[dict], tol: float) -> list:
     return rows
 
 
-def _psd_matrix(f: FunctionModel, config: dict, precision: str) -> np.ndarray:
+def _psd_matrix(f: FunctionModel, config: dict) -> np.ndarray:
     criterion = config["criterion"]
     if criterion == "loewner-psd":
-        return loewner_matrix(f, config["points"], precision)
+        return loewner_matrix(f, config["points"])
     if criterion == "extended-loewner-psd":
-        return extended_loewner_matrix(f, config["points"], precision)
+        return extended_loewner_matrix(f, config["points"])
     if criterion == "dobsch-psd":
-        return dobsch_matrix(f, config["t"], config["order"], precision)
+        return dobsch_matrix(f, config["t"], config["order"])
     if criterion == "hankel-psd":
-        return hankel_convex_matrix(f, config["t"], config["order"], precision)
-    return kraus_matrix(f, config["points"], config["base"], precision)
+        return hankel_convex_matrix(f, config["t"], config["order"])
+    return kraus_matrix(f, config["points"], config["base"])
 
 
 def _psd_rows(mats: np.ndarray, bounds, tol: float) -> list:
@@ -543,7 +533,7 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> tuple[li
     """
     values, bounds = _dd_triangles(f, X, layout)
     squares = _shares(len(layout)) * bounds**2
-    rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
+    rows = _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)).tolist(), tol)
     return rows, (X, values, squares)
 
 
@@ -570,29 +560,21 @@ def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int],
     if LONG_DOUBLE_WIDER:
         values, bound = _dd_triangles(f, X, layout, np.longdouble)
         squares = share * bound**2
-        rows = _psd_rows(_symmetric(values), [math.sqrt(sq.sum()) for sq in squares], tol)
+        rows = _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)).tolist(), tol)
     left = [b for b, row in enumerate(rows) if _open(*row[:3])]
     if left:
-        groups = _layout_groups(layout)
-        cols = np.concatenate([ks for ks, _ in groups])
-
-        def enclose(mats: list[int]):
-            # every entry of the matrices mats, as (matrices, entries) in the order of cols
-            lo, hi = _enclosures(f, [X[mats][:, pos].reshape(-1, pos.shape[1]) for _, pos in groups])
-            split = np.cumsum([len(mats) * len(ks) for ks, _ in groups])[:-1]
-            return [np.hstack([part.reshape(len(mats), -1) for part in np.split(v, split)])
-                    for v in (lo, hi)]
+        def enclose(mats: list[int]):  # every entry of the matrices mats
+            return _over_entries(lambda blocks: _enclosures(f, blocks), X[mats], layout)
 
         lo, hi = _by_batch(enclose, left, batch)
-        at = np.ix_(left, cols)
         with np.errstate(invalid="ignore", over="ignore"):  # unknown or huge enclosures
             mid = 0.5 * (lo + hi)
             radius = np.nextafter(np.maximum(hi - mid, mid - lo), np.inf)
-            square = share[cols] * radius**2
-            take = square < squares[at]
-            values[at] = np.where(take, mid, values[at])
-            squares[at] = np.where(take, square, squares[at])
-        redone = _psd_rows(_symmetric(values[left]), [math.sqrt(squares[b].sum()) for b in left], tol)
+            square = share * radius**2
+            take = square < squares[left]
+            values[left] = np.where(take, mid, values[left])
+            squares[left] = np.where(take, square, squares[left])
+        redone = _psd_rows(_symmetric(values[left]), np.sqrt(squares[left].sum(axis=1)).tolist(), tol)
         for b, row in zip(left, redone):
             rows[b] = row
     for b in range(len(rows)):
@@ -616,7 +598,7 @@ def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int],
 def _evaluate_psd(f: FunctionModel, configs: list[dict], tol: float) -> list:
     """Minimum eigenvalue of the criterion matrix, built in mpmath,
     against tol * its scale."""
-    mats = np.array([_psd_matrix(f, c, "extended") for c in configs])
+    mats = np.array([_psd_matrix(f, c) for c in configs])
     return _psd_rows(mats, [0.0] * len(configs), tol)
 
 
@@ -653,14 +635,14 @@ def _config(witness: dict) -> dict:
 
 
 class _Tally:
-    """Running state of one sweep: configurations checked, the worst
+    """Running state of one sweep: the margins checked, in order, the worst
     margin and its witness, and candidates dismissed on re-check."""
 
     def __init__(self, f: FunctionModel, criterion: str, kind: str, tol: float):
         self.f, self.criterion, self.kind = f, criterion, kind
         self.evaluate = _EVALUATORS[kind]
         self.tol = check_tol(tol)
-        self.configs = 0
+        self.margins: list[float] = []
         self.worst = math.inf
         self.witness = None
         self.dismissed = 0
@@ -678,7 +660,6 @@ class _Tally:
         as the witness.  A margin that is not finite decides nothing and
         raises a ValueError naming the criterion.
         """
-        self.configs += 1
         value, threshold, bound, matrix = row
         margin = value + threshold
         made = None
@@ -690,7 +671,8 @@ class _Tally:
             margin = value + threshold
         if not math.isfinite(margin):
             raise ValueError(f"{self.criterion}: the margin of configuration "
-                             f"{self.configs - 1} is not finite ({margin})")
+                             f"{len(self.margins)} is not finite ({margin})")
+        self.margins.append(margin)
         if margin < self.worst:
             self.worst = margin
             made = config(i) if made is None else made
@@ -702,54 +684,57 @@ class _Tally:
             dismissed = f"{self.dismissed} candidate(s) dismissed in extended precision"
             note = f"{note}; {dismissed}" if note else dismissed
         return CriterionRecord(
-            self.criterion, passed, self.configs, self.worst, self.witness, note
+            self.criterion, passed, len(self.margins), self.worst, self.witness, note
         )
 
     def run(self, draw, samples: int, escalate, note: str = "") -> CriterionRecord:
-        """Check the configurations 0, ..., samples - 1 in order and stop at
-        the first violation, so later rows count neither in configs nor in
-        the worst margin.
-
-        draw(indices) draws the configurations of a batch of indices
-        (sweep_batches) and returns (rows, config, data): their double rows,
-        config(i), which materializes the i-th of them, and the arrays
-        escalate reads for them (_dd_rows and _escalate_dd, _point_rows and
-        _escalate_points).  While no row waits, a row whose bound settles its
-        sign or proves it negative is checked at once.  An open row (_open)
-        waits for the rest of the precision ladder, and so does every later
-        row of the sweep.  The waiting rows are flushed at the end of a batch
-        that holds a waiting candidate violation (value + bound + threshold <
-        0) and at the end of the sweep: their open rows escalate in one call
-        (_escalate), then they are checked in order.  So a sweep pays one
-        long-double batch and one enclosure call per flush, and its record is
-        that of a sweep that escalates and checks each batch in turn.  A batch
-        drawn or evaluated after a waiting row may raise: the exception
-        surfaces only when the waiting rows do not stop the sweep.
-        """
+        """Check the configurations 0, ..., samples - 1 in order, in the
+        batches of sweep_batches, and stop at the first violation (sweep)."""
         if samples < 1:
             raise ValueError("samples must be >= 1")
+        return self.record(not self.sweep(draw, sweep_batches(samples), escalate), note)
+
+    def sweep(self, draw, batches, escalate) -> bool:
+        """Check the configurations of batches (ranges of indices) in order;
+        True at the first violation, so later rows count neither in configs
+        nor in the worst margin.
+
+        draw(indices) draws the configurations of a batch of indices and
+        returns (rows, config, data): their double rows, config(i), which
+        materializes the i-th of them, and the arrays escalate reads for them
+        (_dd_rows and _escalate_dd, _point_rows and _escalate_points).  While
+        no row waits, a row whose bound settles its sign or proves it negative
+        is checked at once.  An open row (_open) waits for the rest of the
+        precision ladder, and so does every later row of the sweep.  The
+        waiting rows are flushed at the end of a batch that holds a waiting
+        candidate violation (value + bound + threshold < 0) and at the end of
+        the sweep: their open rows escalate in one call (_escalate), then they
+        are checked in order.  So a sweep pays one long-double batch and one
+        enclosure call per flush, and its record is that of a sweep that
+        escalates and checks each batch in turn.  A batch drawn or evaluated
+        after a waiting row may raise: the exception surfaces only when the
+        waiting rows do not stop the sweep.
+        """
         waiting = []  # (rows, config, data, first waiting row) of each batch
-        for indices in sweep_batches(samples):
+        for indices in batches:
             try:
                 rows, config, data = draw(indices)
             except Exception:
                 if self._flush(waiting, escalate):
-                    return self.record(False, note)
+                    return True
                 raise
             start = 0
             while not waiting and start < len(rows) and not _open(*rows[start][:3]):
                 if self.check(rows[start], config, start) < 0.0:
-                    return self.record(False, note)
+                    return True
                 start += 1
             if start < len(rows):
                 waiting.append((rows, config, data, start))
                 if any(v + b + th < 0.0 for v, th, b, _ in rows[start:]):
                     if self._flush(waiting, escalate):
-                        return self.record(False, note)
+                        return True
                     waiting = []
-        if self._flush(waiting, escalate):
-            return self.record(False, note)
-        return self.record(True, note)
+        return self._flush(waiting, escalate)
 
     def _flush(self, waiting: list, escalate) -> bool:
         """Escalate the open rows of the waiting batches in one call, then
@@ -926,7 +911,8 @@ def ktone_check(
 
     def draw(indices):
         configs = [draw_one(idx) for idx in indices]
-        rows, data = _dd_rows(f, *_dd_arrays(configs), tol)
+        nodes = np.array([c["nodes"].flatten() for c in configs])
+        rows, data = _dd_rows(f, nodes, n_coeffs([c["q"] for c in configs]), tol)
         return rows, configs.__getitem__, data
 
     return _Tally(f, "k-tone", "dd", tol).run(draw, samples, _escalate_dd)
@@ -982,14 +968,6 @@ def _run_psd_point_sweep(
 # Derivative-matrix sweeps over a t-grid (Dobsch, Hankel)
 
 
-def _chebyshev_grid(interval: tuple[float, float], count: int) -> np.ndarray:
-    lo, hi = float(interval[0]), float(interval[1])
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * (1.0 - 1e-6)
-    k = np.arange(count)
-    return mid + half * np.cos(np.pi * (2 * k + 1) / (2 * count))
-
-
 def _run_derivative_matrix_sweep(
     f: FunctionModel,
     n: int,
@@ -1000,52 +978,45 @@ def _run_derivative_matrix_sweep(
 ) -> CriterionRecord:
     """PSD sweep of the Dobsch/Hankel matrix over a Chebyshev t-grid.
 
-    A negative minimum eigenvalue at any probe fails immediately (after
-    extended-precision re-verification of the entries), so thin dips
-    strictly between grid points are the remaining risk; the sweep
-    refines around local minima of the smallest eigenvalue by ternary
-    search.  Positivity at every probe is reported as a pass for the
-    grid, not as an almost-everywhere proof.
+    A probe at t is the point row (_point_rows) of n copies of t (n + 1 for
+    Hankel), escalated as a Loewner or Kraus row is.  Thin dips between grid
+    points are the remaining risk, so the sweep then refines around the
+    five lowest local minima of the grid margins by ternary search, every
+    bracket in lockstep: each of 30 rounds checks the inner points of every
+    bracket as one batch, and a bracket whose ends coincide (grid 1) is not
+    refined.  A pass holds for the grid, not almost everywhere.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    ts = np.sort(_chebyshev_grid(interval, grid))
+    lo, hi, k = float(interval[0]), float(interval[1]), np.arange(grid)
+    half = 0.5 * (hi - lo) * (1.0 - 1e-6)
+    ts = np.sort(0.5 * (lo + hi) + half * np.cos(np.pi * (2 * k + 1) / (2 * grid))).tolist()
+    layout = _layout(criterion, n)
     tally = _Tally(f, criterion, "psd-matrix", tol)
+    escalate = functools.partial(_escalate_points, layout=layout)
 
-    def probe(t) -> float:
-        config = {"criterion": criterion, "t": float(t), "order": n}
-        mats = np.array([_psd_matrix(f, config, "double")])
-        return tally.check(_psd_rows(mats, [0.0], tol)[0], lambda _: config)
+    def failed(points: list[float], batches) -> bool:
+        def draw(indices):
+            t = points[indices.start : indices.stop]
+            X = np.repeat(np.array(t)[:, None], n + (criterion == "hankel-psd"), axis=1)
+            rows, data = _point_rows(f, X, layout, tol)
+            return rows, lambda i: {"criterion": criterion, "t": t[i], "order": n}, data
+        return tally.sweep(draw, batches, escalate)
 
-    margins = []
-    for t in ts:
-        margin = probe(t)
-        if margin < 0.0:
+    if failed(ts, sweep_batches(grid)):
+        return tally.record(False)
+    m = tally.margins
+    minima = [i for i in range(grid) if m[i] <= min(m[max(i - 1, 0)], m[min(i + 1, grid - 1)])]
+    brackets = [(ts[max(i - 1, 0)], ts[min(i + 1, grid - 1)])
+                for i in sorted(minima, key=m.__getitem__)[:5]]
+    brackets = [(a, b) for a, b in brackets if a < b]
+    for _ in range(30 if brackets else 0):
+        probes = [x for a, b in brackets for x in (a + (b - a) / 3.0, b - (b - a) / 3.0)]
+        if failed(probes, [range(len(probes))]):
             return tally.record(False)
-        margins.append(margin)
-    minima = [
-        i
-        for i in range(len(ts))
-        if (i == 0 or margins[i] <= margins[i - 1])
-        and (i == len(ts) - 1 or margins[i] <= margins[i + 1])
-    ]
-    minima = sorted(minima, key=lambda i: margins[i])[:5]
-    for i in minima:
-        a = float(ts[max(i - 1, 0)])
-        b = float(ts[min(i + 1, len(ts) - 1)])
-        for _ in range(30):
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            margin1 = probe(m1)
-            if margin1 < 0.0:
-                return tally.record(False)
-            margin2 = probe(m2)
-            if margin2 < 0.0:
-                return tally.record(False)
-            if margin1 <= margin2:
-                b = m2
-            else:
-                a = m1
+        got = tally.margins[-len(probes):]
+        brackets = [(a, m2) if g1 <= g2 else (m1, b) for (a, b), m1, m2, g1, g2
+                    in zip(brackets, probes[::2], probes[1::2], got[::2], got[1::2])]
     return tally.record(True, f"grid {grid} Chebyshev points")
 
 
@@ -1165,9 +1136,8 @@ _SWEEPS = {
         for name in POINT_CRITERIA
     },
     **{
-        name: lambda f, n, iv, m, s, c, name=name: _run_derivative_matrix_sweep(
-            f, n, iv, name, c.grid, c.tol
-        )
+        name: lambda f, n, iv, m, s, c, name=name:
+            _run_derivative_matrix_sweep(f, n, iv, name, c.grid, c.tol)
         for name in ("dobsch-psd", "hankel-psd")
     },
 }

@@ -17,7 +17,7 @@ interval jets, matmono.interval); what no enclosure settles is
 recomputed in mpmath, with digits scaled to the node gaps.  Elsewhere
 the ladder is double -> enclosure -> mpmath.  A sweep holds its open
 rows back and sends those of many batches up the ladder together, one
-long-double batch and one enclosure call per flush (criteria._Tally.run):
+long-double batch and one enclosure call per flush (criteria._Tally.sweep):
 a row's result does not depend on the other rows of its call.  The
 mpmath tables run on raw mpf tuples (mpmath.libmp), one libmp call per
 mpf operation at the context precision, rounding to nearest: bit for bit
@@ -178,49 +178,70 @@ def sweep_batches(samples: int):
         start, size = stop, min(2 * size, SWEEP_BATCH)
 
 
-def _hermite_batch(f, z: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton/Hermite tables over the sorted node rows z (rows, nodes):
-    (value, max |table entry|, running error bound), one per row, in the
-    float type of z (double or long double), whose eps the bound uses.
-    weights, if given, holds each row's real weight coefficients
-    (ascending, zero-padded) as a (rows, d) array."""
-    rows, m = z.shape
-    eps = _EPS if z.dtype.type is np.float64 else float(np.finfo(z.dtype).eps)
+def _hermite_batch(f, z, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton/Hermite tables over the sorted node rows z (rows, nodes), or
+    over each block of a list of such arrays: (value, max |table entry|,
+    running error bound), one per row, blocks in order, in the float type
+    of z, whose eps the bound uses; weights as in divided_differences.
+
+    f's jet runs once for the batch, at its longest run.  A block of one
+    repeated node per row takes its seeds, weight jets included, at one
+    node per row as its tables."""
+    blocks = z if isinstance(z, list) else [z]
+    eps = _EPS if blocks[0].dtype.type is np.float64 else float(np.finfo(blocks[0].dtype).eps)
     # equal[j - 1] marks the nodes equal to the one j places on: in sorted
-    # rows, runs of j + 1 equal nodes.  K is the longest run in any row.
-    equal = [z[:, 1:] == z[:, :-1]]
-    while equal[-1].any():
-        equal.append(equal[-1][:, :-1] & equal[0][:, len(equal) :])
-    K = len(equal)
-    fjet = [c if isinstance(c, np.ndarray) else np.full(z.shape, c, z.dtype) for c in f.taylor(z, K)]
-    fabs = [np.abs(c) for c in fjet]
-    if weights is None:
-        seeds, seed_err = fjet, fabs
-    else:
-        # the weight's jet and the jet of its Horner bound in one pass
-        cols = np.concatenate([weights, np.abs(weights)]).T[:, :, None]
-        both = taylor_shift(cols, np.concatenate([z, np.abs(z)]), K)
-        seeds = cauchy([c[:rows] for c in both], fjet, K)
-        seed_err = cauchy([c[rows:] for c in both], fabs, K)
-    seed_err = [SEED_ERROR * eps * e for e in seed_err]
-    col, err = seeds[0], seed_err[0]
-    entries = np.empty((rows, m * (m + 1) // 2), z.dtype)  # |table entries|, column by column
-    np.abs(col, out=entries[:, :m])
-    at = m
-    for j in range(1, m):
-        gap = z[:, j:] - z[:, :-j]
-        if j < K:
-            same = equal[j - 1]
-            gap[same] = 1.0
-        col = (col[:, 1:] - col[:, :-1]) / gap
-        if j < K:
-            col = np.where(same, seeds[j][:, : m - j], col)
-        size = np.abs(col, out=entries[:, at : at + m - j])
-        at += m - j
-        err = (err[:, 1:] + err[:, :-1]) / gap + (STEP_ERROR * eps) * size
-        if j < K:
-            err = np.where(same, seed_err[j][:, : m - j], err)
-    return col[:, 0], entries.max(axis=1), err[:, 0]
+    # rows, runs of j + 1 equal nodes (None where every row is one node);
+    # lengths holds each block's longest run
+    runs = []
+    for z in blocks:
+        equal = None if (z[:, 0] == z[:, -1]).all() else [z[:, 1:] == z[:, :-1]]
+        while equal and equal[-1].any():
+            equal.append(equal[-1][:, :-1] & equal[0][:, len(equal) :])
+        runs.append(equal)
+    lengths = [z.shape[1] if equal is None else len(equal) for z, equal in zip(blocks, runs)]
+    nodes = [z[:, :1] if equal is None else z for z, equal in zip(blocks, runs)]
+    flat = np.concatenate([x.ravel() for x in nodes])
+    jet = np.empty((max(lengths), len(flat)), flat.dtype)
+    for k, c in enumerate(f.taylor(flat, len(jet))):
+        jet[k] = c
+    out, start = [], 0
+    for z, x, equal, K in zip(blocks, nodes, runs, lengths):
+        rows, m = z.shape
+        fjet = jet[:K, start : start + x.size].reshape(K, *x.shape)
+        start += x.size
+        fabs = np.abs(fjet)
+        if weights is None:
+            seeds, seed_err = fjet, fabs
+        else:
+            # the weight's jet and the jet of its Horner bound in one pass
+            cols = np.concatenate([weights, np.abs(weights)]).T[:, :, None]
+            both = taylor_shift(cols, np.concatenate([x, np.abs(x)]), K)
+            seeds = cauchy([c[:rows] for c in both], fjet, K)
+            seed_err = cauchy([c[rows:] for c in both], fabs, K)
+        if equal is None:  # value the top seed, scale the largest |seed|
+            out.append((seeds[-1][:, 0], np.abs(seeds).max(axis=0)[:, 0],
+                        SEED_ERROR * eps * seed_err[-1][:, 0]))
+            continue
+        seed_err = [SEED_ERROR * eps * e for e in seed_err]
+        col, err = seeds[0], seed_err[0]
+        entries = np.empty((rows, m * (m + 1) // 2), z.dtype)  # |table entries|, column by column
+        np.abs(col, out=entries[:, :m])
+        at = m
+        for j in range(1, m):
+            gap = z[:, j:] - z[:, :-j]
+            if j < K:
+                same = equal[j - 1]
+                gap[same] = 1.0
+            col = (col[:, 1:] - col[:, :-1]) / gap
+            if j < K:
+                col = np.where(same, seeds[j][:, : m - j], col)
+            size = np.abs(col, out=entries[:, at : at + m - j])
+            at += m - j
+            err = (err[:, 1:] + err[:, :-1]) / gap + (STEP_ERROR * eps) * size
+            if j < K:
+                err = np.where(same, seed_err[j][:, : m - j], err)
+        out.append((col[:, 0], entries.max(axis=1), err[:, 0]))
+    return tuple(np.concatenate(parts) for parts in zip(*out))
 
 
 def divided_differences(
@@ -231,14 +252,17 @@ def divided_differences(
     np.longdouble for the long-double step).
 
     rows is a (rows, nodes) array of node sequences (repeats allowed, any
-    order); weights, if given, is a (rows, d) array of real weight
-    coefficients, ascending and zero-padded (polynomial.n_coeffs gives
-    those of N(q)).  Returns float arrays (value, scale, bound):
-    [row]_{f * weight}, the largest |table entry| and a running bound on
-    the value's error.  A long-double value is rounded to a float, and its
-    bound gains eps * |value| for that rounding.
+    order), or, without weights, a list of such arrays with different node
+    counts, results in that order; weights, if given, is a (rows, d) array
+    of real weight coefficients, ascending and zero-padded
+    (polynomial.n_coeffs gives those of N(q)).  Returns float arrays
+    (value, scale, bound): [row]_{f * weight}, the largest |table entry|
+    and a running bound on the value's error.  A long-double value is
+    rounded to a float, and its bound gains eps * |value| for that rounding.
     """
-    value, scale, bound = _hermite_batch(f, np.sort(np.asarray(rows, dtype=dtype), axis=1), weights)
+    blocks = rows if isinstance(rows, list) and np.ndim(rows[0]) == 2 else [rows]
+    blocks = [np.sort(np.asarray(b, dtype=dtype), axis=1) for b in blocks]
+    value, scale, bound = _hermite_batch(f, blocks, weights)
     if dtype is not float and np.finfo(dtype).eps < _EPS:
         value, scale = value.astype(float), scale.astype(float)
         bound = bound.astype(float) + _EPS * np.abs(value)
@@ -378,7 +402,8 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
         # denominator under an exact numerator breaks the cancellations
         # the recursion relies on
         zv = [xs[v] for v in z]
-        col = [seeds[z[i]][0] for i in range(m)]
+        # one node: the seeds are the table's entries, the top one its value
+        col = [seeds[z[i]][0] for i in range(m)] if len(xs) > 1 else seeds[z[0]][m - 1 :: -1]
         # abs rounds to the working precision, as mpf's does: a shared jet
         # may carry more digits than this table
         max_abs = mpf_abs(col[0], prec, _RND)
@@ -386,7 +411,7 @@ def _dd_table(f, nodes: NodeMultiset, precision: str, weight: Poly | None, digit
             size = mpf_abs(c, prec, _RND)
             if mpf_gt(size, max_abs):
                 max_abs = size
-        for j in range(1, m):
+        for j in range(1, m if len(xs) > 1 else 1):
             nxt = []
             for i in range(m - j):
                 if z[i + j] == z[i]:

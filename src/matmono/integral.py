@@ -133,7 +133,9 @@ def _normalized_error(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 def _verify_identity(f: FunctionModel, points, base, quad_points: int) -> IdentityReport:
     """Loewner matrix (base None) or Kraus matrix at base vs its
-    local-matrix average; needs n >= 2 nodes."""
+    local-matrix average; needs n >= 2 nodes.  Both sides are built in
+    mpmath: the left-hand side and the local matrix at every quadrature
+    node."""
     pts = tuple(sorted(float(p) for p in points))
     n = len(pts)
     if n < 2:

@@ -8,9 +8,10 @@ draws they stand for, one eigvalsh call per stack against one per
 matrix, the column-by-column denominator of the finite-set kernel
 against its pairwise-difference cube, the matrix oracle's stacked
 trials against its one-trial-at-a-time loop, the batch's N(q)
-coefficient rows against n_of, and the product-derivative rows and
+coefficient rows against n_of, the product-derivative rows and
 values, now dd tables over repeated t, against the jet product that
-computed them.  The exact feasible interval replaced a y-grid scan and
+computed them, and the Dobsch and Hankel matrices, now point rows over
+repeated t, against the scalar jets that filled them.  The exact feasible interval replaced a y-grid scan and
 is not bit for bit: it must hold every grid point the frozen scan
 accepts, and end where the constraints stop holding.
 """
@@ -181,6 +182,21 @@ def _frozen_product_value(f, weight, t, order):
     with mpmath.workdps(EXTENDED_DIGITS):
         terms = [fc * wc for fc, wc in zip(reversed(fjet), weight.taylor(mpmath.mpf(t), order + 1))]
         return sum(terms), max(abs(term) for term in terms)
+
+
+def _frozen_jet_hankel(jet, offset, n):
+    return np.array([[jet[i + j + offset] for j in range(n)] for i in range(n)], dtype=float)
+
+
+def frozen_dobsch_matrix(f, t, n):
+    """The Dobsch matrix the t-grid sweep probed before its probes were
+    point rows: the scalar double jet at t, f^(i+j-1)(t)/(i+j-1)!."""
+    return _frozen_jet_hankel(f.taylor(float(t), 2 * n, "double"), 1, n)
+
+
+def frozen_hankel_convex_matrix(f, t, n):
+    """The scalar double Hankel matrix, f^(i+j)(t)/(i+j)!."""
+    return _frozen_jet_hankel(f.taylor(float(t), 2 * n + 1, "double"), 2, n)
 
 
 def _frozen_psd_row(M, bound, tol):

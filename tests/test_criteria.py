@@ -103,7 +103,9 @@ def test_kraus_matrix_frozen_entries():
     (loewner_matrix, ((0.5, 1.0, 2.5),)),
     (extended_loewner_matrix, ((0.5, 1.0, 2.5),)),
     (kraus_matrix, ((0.5, 1.0, 2.5), 1.5)),
-], ids=["divided_difference", "loewner", "extended-loewner", "kraus"])
+    (dobsch_matrix, (1.5, 3)),
+    (hankel_convex_matrix, (1.5, 3)),
+], ids=["divided_difference", "loewner", "extended-loewner", "kraus", "dobsch", "hankel"])
 def test_precision_is_double_or_extended(build, args):
     """A divided difference or criterion matrix is computed in mpmath
     ("extended", the default, bit for bit); "double" and "auto" are no
@@ -154,7 +156,10 @@ def test_dobsch_bridge_quadratic_form():
 def test_dobsch_and_hankel_are_the_extended_loewner_layout_at_one_point(text, t):
     """The Dobsch matrix is the extended Loewner matrix over n copies of
     t, and the Hankel matrix is that layout with a base t appended: the
-    batched double tables (_dd_triangles) give both bit for bit."""
+    batched double tables (_dd_triangles) give both bit for bit, as the
+    scalar double jets filled them."""
+    from test_bit_identity import frozen_dobsch_matrix, frozen_hankel_convex_matrix
+
     from matmono.criteria import _dd_triangles, _layout, _symmetric
 
     f = FunctionModel(parse(text), (0.0, math.inf), name=text)
@@ -163,8 +168,8 @@ def test_dobsch_and_hankel_are_the_extended_loewner_layout_at_one_point(text, t)
         dobsch = _symmetric(_dd_triangles(f, np.array([[t] * n]), layout)[0])[0]
         based = tuple(pos + (n,) for pos in layout)
         hankel = _symmetric(_dd_triangles(f, np.array([[t] * (n + 1)]), based)[0])[0]
-        assert dobsch.tobytes() == dobsch_matrix(f, t, n).tobytes()
-        assert hankel.tobytes() == hankel_convex_matrix(f, t, n).tobytes()
+        assert dobsch.tobytes() == frozen_dobsch_matrix(f, t, n).tobytes()
+        assert hankel.tobytes() == frozen_hankel_convex_matrix(f, t, n).tobytes()
 
 
 def test_sample_q_normalization_and_cadence():
@@ -529,7 +534,8 @@ def test_long_double_bound_covers_its_error():
 
     def check(f, span, node_lists, weights, exact):
         nonlocal rows, clustered
-        # one long-double batch per node count, as _dd_triangles makes them
+        # one long-double batch per node count; _dd_triangles's one call over
+        # every count gives the same rows (a jet coefficient is the same at any length)
         values, bounds = np.empty(len(node_lists)), np.empty(len(node_lists))
         for count in {len(nodes) for nodes in node_lists}:
             at = [r for r, nodes in enumerate(node_lists) if len(nodes) == count]
@@ -838,6 +844,140 @@ def test_psd_escalation_near_the_float_range():
         failing = _run_psd_point_sweep(EXP, 2, (700.0, 709.0), "loewner-psd", 200, 1, 1e-9)
     assert passing.passed and passing.configs == 200 and math.isfinite(passing.worst_value)
     assert not failing.passed and failing.worst_value < 0.0
+
+
+def test_a_grid_of_one_point_checks_that_point_once():
+    """At grid 1 the lone grid point is its own bracket [t, t], which the
+    ternary refinement leaves alone: one configuration, not 61."""
+    from matmono.criteria import _run_derivative_matrix_sweep
+
+    log = catalog_model("log(x)")
+    rec = _run_derivative_matrix_sweep(log, 2, (0.5, 4.0), "dobsch-psd", 1, 1e-9)
+    assert rec.passed and rec.configs == 1 and rec.note == "grid 1 Chebyshev points"
+    config = CertifyConfig(samples=20, oracle_trials=10, seed=1, grid=1)
+    assert certify(log, 2, (0.5, 4.0), "convex", config).record("hankel-psd").configs == 1
+    # two grid points make one bracket between them: 2 + 30 rounds of 2 probes
+    assert _run_derivative_matrix_sweep(log, 2, (0.5, 4.0), "dobsch-psd", 2, 1e-9).configs == 62
+
+
+def test_a_dobsch_row_inside_its_weyl_bound_climbs_to_mpmath(monkeypatch):
+    """-1/x has a rank-one Dobsch matrix, least eigenvalue 0: at tol 1e-17
+    the double row's margin lies inside its Weyl bound, where a bound of 0
+    would settle it in double.  The row climbs the ladder to its mpmath
+    entries and passes there."""
+    from matmono import criteria
+    from matmono.divdiff import double_settles
+
+    rows, entries = [], []
+    point_rows, extended = criteria._point_rows, criteria.extended_divided_differences
+
+    def rows_spy(f, X, layout, tol):
+        out = point_rows(f, X, layout, tol)
+        rows.extend(list(out[0]))  # the double rows, before they escalate in place
+        return out
+
+    def entries_spy(f, node_lists):
+        entries.append(node_lists)
+        return extended(f, node_lists)
+
+    monkeypatch.setattr(criteria, "_point_rows", rows_spy)
+    monkeypatch.setattr(criteria, "extended_divided_differences", entries_spy)
+    rec = criteria._run_derivative_matrix_sweep(catalog_model("-1/x"), 2, (0.5, 4.0), "dobsch-psd", 1, 1e-17)
+    (value, threshold, bound, _), = rows
+    assert bound > 0.0 and double_settles(value, 0.0, threshold)
+    assert criteria._open(value, threshold, bound)
+    (node_lists,) = entries
+    assert node_lists and {len(set(nodes)) for nodes in node_lists} == {1}
+    assert rec.passed and rec.configs == 1 and rec.worst_value >= 0.0
+
+
+def _sequential_refinement(f, n, interval, criterion, grid, tol):
+    """Frozen: the t-grid sweep before its brackets ran in lockstep, each
+    bracket's 30 ternary rounds in turn, one probe at a time.  A probe is
+    the sweep's own point row, checked through a tally of its own, so both
+    loops see the same rows.  Returns the record and the probed t's."""
+    from matmono import criteria
+
+    tally = criteria._Tally(f, criterion, "psd-matrix", tol)
+    layout = criteria._layout(criterion, n)
+    escalate = functools.partial(criteria._escalate_points, layout=layout)
+    probed = []
+
+    def probe(t):
+        probed.append(t)
+
+        def draw(indices):
+            X = np.full((1, n + (criterion == "hankel-psd")), t)
+            rows, data = criteria._point_rows(f, X, layout, tol)
+            return rows, lambda i: {"criterion": criterion, "t": t, "order": n}, data
+        return -1.0 if tally.sweep(draw, [range(1)], escalate) else tally.margins[-1]
+
+    lo, hi = interval
+    k = np.arange(grid)
+    ts = np.sort(0.5 * (lo + hi) + 0.5 * (hi - lo) * (1.0 - 1e-6) * np.cos(np.pi * (2 * k + 1) / (2 * grid)))
+    margins = []
+    for t in ts:
+        margin = probe(float(t))
+        if margin < 0.0:
+            return tally.record(False), probed
+        margins.append(margin)
+    minima = [
+        i
+        for i in range(len(ts))
+        if (i == 0 or margins[i] <= margins[i - 1])
+        and (i == len(ts) - 1 or margins[i] <= margins[i + 1])
+    ]
+    minima = sorted(minima, key=lambda i: margins[i])[:5]
+    for i in minima:
+        a = float(ts[max(i - 1, 0)])
+        b = float(ts[min(i + 1, len(ts) - 1)])
+        for _ in range(30):
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            margin1 = probe(m1)
+            if margin1 < 0.0:
+                return tally.record(False), probed
+            margin2 = probe(m2)
+            if margin2 < 0.0:
+                return tally.record(False), probed
+            if margin1 <= margin2:
+                b = m2
+            else:
+                a = m1
+    return tally.record(True, f"grid {grid} Chebyshev points"), probed
+
+
+@pytest.mark.parametrize("text, interval, criterion, brackets", [
+    ("sqrt(log(1+x))", (0.5, 4.0), "dobsch-psd", 1),
+    ("x^2", (0.1, 10.0), "hankel-psd", 5),
+])
+def test_lockstep_refinement_probes_each_bracket_as_the_sequential_loop(
+    monkeypatch, text, interval, criterion, brackets
+):
+    """The lockstep refinement probes the t's of each bracket that the
+    frozen one-bracket-at-a-time loop probes, in the same order, and gives
+    the same passing record."""
+    from matmono import criteria
+
+    f = FunctionModel(parse(text), (0.0, math.inf), name=text)
+    batches = []
+    point_rows = criteria._point_rows
+
+    def spy(f, X, layout, tol):
+        batches.append(X[:, 0].tolist())
+        return point_rows(f, X, layout, tol)
+
+    monkeypatch.setattr(criteria, "_point_rows", spy)
+    rec = criteria._run_derivative_matrix_sweep(f, 3, interval, criterion, 257, 1e-9)
+    monkeypatch.undo()
+    want, probed = _sequential_refinement(f, 3, interval, criterion, 257, 1e-9)
+    assert rec.passed and rec.to_jsonable() == want.to_jsonable()
+    assert rec.configs == 257 + 60 * brackets
+    grid, rounds = batches[:9], batches[9:]
+    assert sum(grid, []) == probed[:257] and len(rounds) == 30
+    assert all(len(r) == 2 * brackets for r in rounds)
+    for b in range(brackets):
+        assert [t for r in rounds for t in r[2 * b : 2 * b + 2]] == probed[257 + 60 * b : 317 + 60 * b]
 
 
 def test_non_finite_margin_raises_naming_the_criterion():
