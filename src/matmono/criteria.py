@@ -39,6 +39,7 @@ from .divdiff import (
     double_settles,
     end_margin,
     extended_divided_differences,
+    place_block,
     place_nodes,
     place_width,
     sample_distinct_tuple,
@@ -217,6 +218,10 @@ def kraus_matrix(
 # q sampling
 
 _Q_CADENCE_NOTE = "q cadence: 1, Gaussian coefficients, roots near nodes, mixed degree"
+# a sweep draws a batch of fewer rows by the row rules (place_nodes,
+# _q_coeffs) on Python floats: up to 32 rows they cost less than numpy's
+# fixed cost per call, from 64 rows on more (the batches of sweep_batches)
+ROW_RULE_ROWS = 64
 
 
 def _q_width(max_degree: int) -> int:
@@ -290,6 +295,81 @@ def _sample_q(
     return _q_poly(_q_coeffs(_GeneratorDraws(rng), max_degree, nodes, span, idx, complex_coeffs))
 
 
+def _q_block(block: DrawBlock, at: np.ndarray, max_degree: int, anchors: np.ndarray, span: float,
+             complex_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_q_coeffs over every row of a block at once, bit for bit: the
+    (rows, max_degree + 1) complex coefficients and each row's length
+    (_q_rows).  Row i reads from offset at[i], draws its roots from
+    anchors[i] and has complex coefficients where complex_rows[i].
+
+    The rows of each cadence slot are drawn together, each at its own
+    offsets.  Products take CPython's real form of a complex product, (ar
+    br - ai bi, ar bi + ai br) with a float x as (x, 0.0), and sums its
+    componentwise form, so signed zeros come out as Python's; |c| is
+    np.hypot, which is abs(complex).
+    """
+    rows, k = len(at), max_degree + 1
+    if max_degree == 0:  # q = 1 throughout
+        return np.ones((rows, 1), complex), np.zeros(rows, np.int64)
+    every, j, cx = np.arange(rows), np.arange(k), complex_rows
+    slot = block.index % 4
+    drawn, roots, gauss = slot >= 2, slot == 2, slot % 2 == 1
+    # slots 2 and 3 draw a degree, from 1 and from 0
+    deg = np.where(drawn, block.gather_integers(every, at, roots, k), max_degree)
+    at = at + drawn
+    # every normal of a row in one pass: a Gaussian row's real, then
+    # imaginary parts; a root row's shifts, then its imaginary shifts,
+    # after its picks of anchors
+    shifts = np.where(roots & (block.index % 8 >= 4), deg, 0)
+    count = np.where(gauss, (deg + 1) * (1 + cx), np.where(roots, shifts + deg * cx, 0))
+    scale = np.where(gauss[:, None], 1.0,
+                     np.where(np.arange(2 * k) < shifts[:, None], 0.5 * span, 0.1 * span))
+    normal = block.gather_normals(every, np.where(roots, at + deg, at), count, scale)
+    live = j <= deg[:, None]
+    re = np.where(gauss[:, None] & live, normal[:, :k], 0.0)
+    imag_part = normal[every[:, None], np.minimum(deg[:, None] + 1 + j, 2 * k - 1)]
+    im = np.where((gauss & cx)[:, None] & live, imag_part, 0.0)
+
+    g = np.flatnonzero(roots)
+    if g.size:  # q = prod (x - r) over the roots, as Poly.from_roots's loop of += on products
+        d, c, jr = deg[g, None], cx[g, None], j[:-1]
+        cols = np.where(jr < d, at[g, None] + jr, at[g, None])
+        picks = block.gather_integers(g[:, None], cols, 0, anchors.shape[1])
+        root = anchors[g[:, None], picks]
+        root = np.where(jr < shifts[g, None], root + normal[g, : k - 1], root)
+        shift = normal[g[:, None], np.minimum(shifts[g, None] + jr, 2 * k - 1)]
+        # the linear factor (complex(-r), 1 + 0j), r = root + 1j * shift complex; the signs of
+        # its zeros reach no coefficient, each of whose sums starts from +0.0
+        lr = -root
+        li = np.where(c, -shift, 0.0)
+        cre, cim = np.zeros((len(g), k)), np.zeros((len(g), k))
+        cre[:, 0] = 1.0
+        for p in range(max_degree):
+            ar, ai = cre[:, : p + 1], cim[:, : p + 1]
+            # product[m] = (0 + a[m-1] * 1) + a[m] * (-r)
+            nr, ni = np.zeros((len(g), p + 2)), np.zeros((len(g), p + 2))
+            nr[:, 1:] = 0.0 + (ar * 1.0 - ai * 0.0)
+            ni[:, 1:] = 0.0 + (ar * 0.0 + ai * 1.0)
+            nr[:, : p + 1] += ar * lr[:, p, None] - ai * li[:, p, None]
+            ni[:, : p + 1] += ar * li[:, p, None] + ai * lr[:, p, None]
+            on = p < d
+            cre[:, : p + 2] = np.where(on, nr, cre[:, : p + 2])
+            cim[:, : p + 2] = np.where(on, ni, cim[:, : p + 2])
+        re[g], im[g] = cre, cim
+
+    # max |coefficient| by max()'s rule (the first of equals, a NaN first stays), then s * c
+    size = np.hypot(re, im)
+    top = size[:, 0]
+    for col in range(1, k):
+        top = np.where(size[:, col] > top, size[:, col], top)
+    kept = top > 0  # a row of q = 1 reads 0 here
+    s = 1.0 / np.where(kept, top, 1.0)[:, None]
+    out = np.empty((rows, k), complex)
+    out.real = np.where(kept[:, None], s * re - 0.0 * im, j == 0)
+    out.imag = np.where(kept[:, None], s * im + 0.0 * re, 0.0)
+    return out, np.where(kept, deg + 1, 0)
+
+
 def _q_poly(coeffs: list[complex] | None) -> Poly:
     return ONE if coeffs is None else Poly.from_coeffs(coeffs)
 
@@ -298,6 +378,17 @@ def _q_array(qs: list, k: int) -> np.ndarray:
     """(len(qs), k) complex coefficients of _q_coeffs results, zero-padded."""
     one = [1.0 + 0j] + [0j] * (k - 1)
     return np.array([one if q is None else q + [0j] * (k - len(q)) for q in qs], dtype=complex)
+
+
+def _q_rows(qs: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_q_coeffs results as _q_block gives them: _q_array and the length
+    of each q, 0 for q = 1."""
+    return _q_array(qs, k), np.array([0 if q is None else len(q) for q in qs])
+
+
+def _q_list(q: np.ndarray, length: np.ndarray, i: int) -> list[complex] | None:
+    """Row i of _q_rows arrays as _q_coeffs gives it."""
+    return q[i, : length[i]].tolist() if length[i] else None
 
 
 def _poly_to_jsonable(q: Poly) -> dict:
@@ -376,24 +467,72 @@ class CertifyConfig:
 # A configuration is a dict of the witness fields that locate it, with the
 # nodes and q as NodeMultiset and Poly.  A row is (value, threshold,
 # bound, criterion matrix or None); the margin is value + threshold, and
-# bound limits the error of a value computed below mpmath.  Every sweep
-# evaluates a batch in double precision from its arrays, as dd rows
-# (_dd_rows) or matrices of dd entries with a Weyl bound (_point_rows),
-# and the rows a bound leaves open climb the rest of the ladder short of
-# mpmath in one call for many batches (_escalate with _escalate_dd or
-# _escalate_points).  One evaluator per witness kind maps (f, configs, tol)
-# to the rows of the configurations in mpmath: the re-check of a row no
-# bound settles and the witness replay, on the configuration materialized
-# for that row.  (f N(q))^(k)(t)/k! is the divided difference of f N(q)
-# over k + 1 copies of t (Hermite-Genocchi), so a product-derivative
-# configuration (t, deriv_order, q) is such a dd row, and a Dobsch or
-# Hankel matrix at t that of a point row over copies of t (_layout).
+# bound limits the error of a value computed below mpmath; a batch holds
+# its rows as columns (_Rows).  Every sweep evaluates a batch in double
+# precision from its arrays, as dd rows (_dd_rows) or matrices of dd
+# entries with a Weyl bound (_point_rows), and the rows a bound leaves open
+# climb the rest of the ladder short of mpmath in one call for many
+# batches (_escalate with _escalate_dd or _escalate_points).  One
+# evaluator per witness kind maps (f, configs, tol) to the rows of the
+# configurations in mpmath: the re-check of a row no bound settles and the
+# witness replay, on the configuration materialized for that row.
+# (f N(q))^(k)(t)/k! is the divided difference of f N(q) over k + 1 copies
+# of t (Hermite-Genocchi), so a product-derivative configuration (t,
+# deriv_order, q) is such a dd row, and a Dobsch or Hankel matrix at t that
+# of a point row over copies of t (_layout).
 
 
 def _open(value: float, threshold: float, bound: float) -> bool:
     """The bound leaves the sign of the margin value + threshold open: it
     neither settles it (double_settles) nor proves it negative."""
     return not double_settles(value, bound, threshold) and value + bound + threshold >= 0.0
+
+
+class _Rows:
+    """The rows of a batch as columns: value, threshold and bound arrays,
+    and the stack of their criterion matrices (None for dd rows).  rows[i]
+    is row i's tuple (value, threshold, bound, matrix or None), and
+    rows[at] = other writes the rows of other at the indices at.  Every
+    column is double, on every step of the ladder: the long-double tables
+    round their results to double themselves (divided_differences)."""
+
+    __slots__ = ("value", "threshold", "bound", "mats")
+
+    def __init__(self, value, threshold, bound, mats=None):
+        self.value, self.threshold, self.bound, self.mats = value, threshold, bound, mats
+
+    @staticmethod
+    def concat(parts: list) -> "_Rows":
+        columns = [np.concatenate(c) for c in zip(*((r.value, r.threshold, r.bound) for r in parts))]
+        return _Rows(*columns, None if parts[0].mats is None else np.concatenate([r.mats for r in parts]))
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> tuple:
+        return (self.value.item(i), self.threshold.item(i), self.bound.item(i),
+                None if self.mats is None else self.mats[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __setitem__(self, at, rows: "_Rows") -> None:
+        self.value[at], self.threshold[at], self.bound[at] = rows.value, rows.threshold, rows.bound
+        if self.mats is not None:
+            self.mats[at] = rows.mats
+
+    def take(self, at) -> "_Rows":
+        """The rows at the indices at (a copy)."""
+        mats = None if self.mats is None else self.mats[at]
+        return _Rows(self.value[at], self.threshold[at], self.bound[at], mats)
+
+    def settled(self) -> np.ndarray:
+        """The rows whose bound settles them (double_settles)."""
+        return double_settles(self.value, self.bound, self.threshold)
+
+    def opened(self) -> np.ndarray:
+        """The rows whose bound leaves them open (_open)."""
+        return ~self.settled() & (self.value + self.bound + self.threshold >= 0.0)
 
 
 def _enclosures(f: FunctionModel, nodes, weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -423,24 +562,27 @@ def _by_batch(enclose, rows: list[int], batch: list[int]) -> tuple[np.ndarray, n
 def _escalate(escalate, f: FunctionModel, batches: list, tol: float) -> None:
     """Run the precision ladder past double on the open rows (_open) of
     several batches in one call, in place.  batches holds (rows, data,
-    start): a batch's double rows, the arrays escalate reads for them (one
-    entry per row each; _dd_rows, _point_rows) and its first row still to
-    be checked.  A row's result does not depend on the other rows of its
-    call, except through _by_batch's rule."""
-    opened = [[i for i in range(start, len(rows)) if _open(*rows[i][:3])] for rows, _, start in batches]
-    batch = [b for b, at in enumerate(opened) for _ in at]
+    start): a batch's double rows (_Rows), the arrays escalate reads for
+    them (one entry per row each; _dd_rows, _point_rows) and its first row
+    still to be checked.  escalate(f, rows, data, batch, tol) returns the
+    rows it was given after the ladder, and may write over them.  A row's
+    result does not depend on the other rows of its call, except through
+    _by_batch's rule."""
+    opened = [np.flatnonzero(rows.opened()[start:]) + start for rows, _, start in batches]
+    batch = np.repeat(np.arange(len(batches)), list(map(len, opened))).tolist()
     if not batch:
         return
     parts = [[a[at] for a in data] for (_, data, _), at in zip(batches, opened)]
     merged = [np.concatenate(arrays) for arrays in zip(*parts)]
-    done = iter(escalate(f, [rows[i] for (rows, _, _), at in zip(batches, opened) for i in at],
-                         merged, batch, tol))
+    done = escalate(f, _Rows.concat([rows.take(at) for (rows, _, _), at in zip(batches, opened)]),
+                    merged, batch, tol)
+    stop = 0
     for (rows, _, _), at in zip(batches, opened):
-        for i in at:
-            rows[i] = next(done)
+        start, stop = stop, stop + len(at)
+        rows[at] = done.take(slice(start, stop))
 
 
-def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: float) -> tuple[list, tuple]:
+def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: float) -> tuple[_Rows, tuple]:
     """Rows of [nodes]_{f N(q)} over a (rows, nodes) array, weights the
     n_coeffs rows of the N(q), in double precision: one batched table with
     running error bounds.  Returns the rows and what _escalate_dd reads
@@ -448,11 +590,10 @@ def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: floa
     value, scale, bound = divided_differences(f, nodes, weights)
     # a row of one node is its top seed: its bound covers its roundoff, which its lower seeds overstate
     threshold = np.where(nodes.min(axis=1) == nodes.max(axis=1), tol, dd_threshold(scale, "double", tol))
-    rows = [(*row, None) for row in zip(value.tolist(), threshold.tolist(), bound.tolist())]
-    return rows, (nodes, weights, scale)
+    return _Rows(value, threshold, bound), (nodes, weights, scale)
 
 
-def _escalate_dd(f: FunctionModel, rows: list, data: list, batch: list[int], tol: float) -> list:
+def _escalate_dd(f: FunctionModel, rows: _Rows, data: list, batch: list[int], tol: float) -> _Rows:
     """The open dd rows of _dd_rows (from any number of batches) by the
     precision ladder short of mpmath.
 
@@ -466,19 +607,18 @@ def _escalate_dd(f: FunctionModel, rows: list, data: list, batch: list[int], tol
     double (or long-double) evaluation, and _Tally.check sends it to mpmath.
     """
     nodes, weights, scale = data
-    rows, redo = list(rows), list(range(len(rows)))
     if LONG_DOUBLE_WIDER:
         value, wide_scale, bound = divided_differences(f, nodes, weights, np.longdouble)
-        threshold = dd_threshold(wide_scale, "extended", tol)
-        rows = [(*row, None) for row in zip(value.tolist(), threshold.tolist(), bound.tolist())]
-        redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
-    if redo:
-        floor = dd_threshold(scale[redo], "extended", tol).tolist()
-        lo, hi = _by_batch(lambda at: _enclosures(f, nodes[at], weights[at]), redo, batch)
-        for i, low, high, th in zip(redo, lo.tolist(), hi.tolist(), floor):
-            if low + th >= 0.0:
-                v = min(max(rows[i][0], low), high)
-                rows[i] = (v, th, v - low, None)
+        rows = _Rows(value, dd_threshold(wide_scale, "extended", tol), bound)
+    redo = np.flatnonzero(rows.opened())
+    if redo.size:
+        floor = dd_threshold(scale[redo], "extended", tol)
+        lo, hi = _by_batch(lambda at: _enclosures(f, nodes[at], weights[at]), redo.tolist(), batch)
+        settled = lo + floor >= 0.0
+        low, high, v = lo[settled], hi[settled], rows.value[redo[settled]]
+        v = np.where(low > v, low, v)  # min(max(v, low), high), max's and min's rule
+        v = np.where(high < v, high, v)
+        rows[redo[settled]] = _Rows(v, floor[settled], v - low)
     return rows
 
 
@@ -506,14 +646,12 @@ def _psd_matrix(f: FunctionModel, config: dict) -> np.ndarray:
     return kraus_matrix(f, config["points"], config["base"])
 
 
-def _psd_rows(mats: np.ndarray, bounds, tol: float) -> list:
+def _psd_rows(mats: np.ndarray, bounds, tol: float) -> _Rows:
     """Rows (min eigenvalue, tol * psd_scale, bound, matrix) of a (rows, n, n)
     stack, with one eigvalsh call for the stack.  numpy runs the same
     LAPACK routine on each matrix of a stack, so each row is the one
     min_eigenvalue gives."""
-    lam = np.linalg.eigvalsh(mats)[:, 0].tolist()
-    scale = (tol * psd_scale(mats)).tolist()
-    return list(zip(lam, scale, bounds, mats))
+    return _Rows(np.linalg.eigvalsh(mats)[:, 0], tol * psd_scale(mats), np.asarray(bounds, float), mats)
 
 
 def _shares(entries: int) -> np.ndarray:
@@ -522,7 +660,7 @@ def _shares(entries: int) -> np.ndarray:
     return np.where(iu[0] == iu[1], 1.0, 2.0)
 
 
-def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> tuple[list, tuple]:
+def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> tuple[_Rows, tuple]:
     """Minimum eigenvalue of each criterion matrix of a batch of node rows
     X (_layout) against tol * its scale, in double precision.
 
@@ -533,12 +671,11 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> tuple[li
     """
     values, bounds = _dd_triangles(f, X, layout)
     squares = _shares(len(layout)) * bounds**2
-    rows = _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)).tolist(), tol)
-    return rows, (X, values, squares)
+    return _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)), tol), (X, values, squares)
 
 
-def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int], tol: float,
-                     layout) -> list:
+def _escalate_points(f: FunctionModel, rows: _Rows, data: list, batch: list[int], tol: float,
+                     layout) -> _Rows:
     """The open rows of _point_rows (from any number of batches) by the
     precision ladder.
 
@@ -556,17 +693,16 @@ def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int],
     """
     X, values, squares = data
     share = _shares(len(layout))
-    rows = list(rows)
     if LONG_DOUBLE_WIDER:
         values, bound = _dd_triangles(f, X, layout, np.longdouble)
         squares = share * bound**2
-        rows = _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)).tolist(), tol)
-    left = [b for b, row in enumerate(rows) if _open(*row[:3])]
-    if left:
+        rows = _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)), tol)
+    left = np.flatnonzero(rows.opened())
+    if left.size:
         def enclose(mats: list[int]):  # every entry of the matrices mats
             return _over_entries(lambda blocks: _enclosures(f, blocks), X[mats], layout)
 
-        lo, hi = _by_batch(enclose, left, batch)
+        lo, hi = _by_batch(enclose, left.tolist(), batch)
         with np.errstate(invalid="ignore", over="ignore"):  # unknown or huge enclosures
             mid = 0.5 * (lo + hi)
             radius = np.nextafter(np.maximum(hi - mid, mid - lo), np.inf)
@@ -574,24 +710,21 @@ def _escalate_points(f: FunctionModel, rows: list, data: list, batch: list[int],
             take = square < squares[left]
             values[left] = np.where(take, mid, values[left])
             squares[left] = np.where(take, square, squares[left])
-        redone = _psd_rows(_symmetric(values[left]), np.sqrt(squares[left].sum(axis=1)).tolist(), tol)
-        for b, row in zip(left, redone):
-            rows[b] = row
-    for b in range(len(rows)):
-        value, threshold, bound, _ = rows[b]
-        if _open(value, threshold, bound):
-            half = 0.5 * (max(value, 0.0) + threshold)
-            left = squares[b].sum() - half * half  # inf, not OverflowError, near the float range
-            picked = []
-            for k in np.argsort(-squares[b]).tolist():
-                if left <= 0.0:
-                    break
-                picked.append(k)
-                left -= squares[b, k]
-            entries = _entries(X[b].tolist(), [layout[k] for k in picked])
-            values[b, picked] = extended_divided_differences(f, entries)
-            squares[b, picked] = 0.0
-            rows[b] = _psd_rows(_symmetric(values[b : b + 1]), [math.sqrt(squares[b].sum())], tol)[0]
+        rows[left] = _psd_rows(_symmetric(values[left]), np.sqrt(squares[left].sum(axis=1)), tol)
+    for b in np.flatnonzero(rows.opened()).tolist():
+        value, threshold, _, _ = rows[b]
+        half = 0.5 * (max(value, 0.0) + threshold)
+        left = squares[b].sum() - half * half  # inf, not OverflowError, near the float range
+        picked = []
+        for k in np.argsort(-squares[b]).tolist():
+            if left <= 0.0:
+                break
+            picked.append(k)
+            left -= squares[b, k]
+        entries = _entries(X[b].tolist(), [layout[k] for k in picked])
+        values[b, picked] = extended_divided_differences(f, entries)
+        squares[b, picked] = 0.0
+        rows[b : b + 1] = _psd_rows(_symmetric(values[b : b + 1]), [math.sqrt(squares[b].sum())], tol)
     return rows
 
 
@@ -636,7 +769,8 @@ def _config(witness: dict) -> dict:
 
 class _Tally:
     """Running state of one sweep: the margins checked, in order, the worst
-    margin and its witness, and candidates dismissed on re-check."""
+    margin and the row where it was seen, and candidates dismissed on
+    re-check.  The witness of the worst row is built once, by record()."""
 
     def __init__(self, f: FunctionModel, criterion: str, kind: str, tol: float):
         self.f, self.criterion, self.kind = f, criterion, kind
@@ -644,7 +778,7 @@ class _Tally:
         self.tol = check_tol(tol)
         self.margins: list[float] = []
         self.worst = math.inf
-        self.witness = None
+        self.worst_row = None  # (config made or None, config, i, value, threshold, matrix)
         self.dismissed = 0
 
     def check(self, row: tuple, config, i: int = 0) -> float:
@@ -656,9 +790,9 @@ class _Tally:
         settles the sign of its margin (double_settles), the configuration
         is evaluated again in mpmath, and only the second margin counts.  A
         candidate is dismissed when the margin of its row was negative and
-        the mpmath one is not.  A new worst margin keeps the configuration
-        as the witness.  A margin that is not finite decides nothing and
-        raises a ValueError naming the criterion.
+        the mpmath one is not.  A new worst margin keeps the row for the
+        witness.  A margin that is not finite decides nothing and raises a
+        ValueError naming the criterion.
         """
         value, threshold, bound, matrix = row
         margin = value + threshold
@@ -670,22 +804,59 @@ class _Tally:
                 self.dismissed += 1
             margin = value + threshold
         if not math.isfinite(margin):
-            raise ValueError(f"{self.criterion}: the margin of configuration "
-                             f"{len(self.margins)} is not finite ({margin})")
+            raise self._not_finite(len(self.margins), margin)
         self.margins.append(margin)
         if margin < self.worst:
             self.worst = margin
-            made = config(i) if made is None else made
-            self.witness = _witness(self.kind, made, value, threshold, matrix)
+            self.worst_row = (made, config, i, value, threshold, matrix)
         return margin
+
+    def _not_finite(self, index: int, margin: float) -> ValueError:
+        return ValueError(f"{self.criterion}: the margin of configuration {index} "
+                          f"is not finite ({margin})")
+
+    def _settle(self, rows: _Rows, config, start: int, stop: int) -> None:
+        """check on rows[start:stop], rows that their bounds settle, at once:
+        their margins as one slice, the first least of them as check keeps
+        it, and the ValueError of the first that is not finite."""
+        if start == stop:
+            return
+        margins = rows.value[start:stop] + rows.threshold[start:stop]
+        least = margins.argmin()  # the first NaN, if any
+        if not -math.inf < margins[least] <= margins.max() < math.inf:
+            bad = np.flatnonzero(~np.isfinite(margins))[0]
+            raise self._not_finite(len(self.margins) + int(bad), margins.item(bad))
+        if margins[least] < self.worst:
+            self.worst = margins.item(least)
+            value, threshold, _, matrix = rows[start + least]
+            self.worst_row = (None, config, start + int(least), value, threshold, matrix)
+        self.margins.extend(margins.tolist())
+
+    def _check_rows(self, rows: _Rows, config, start: int, hold_open: bool) -> int:
+        """Check rows[start:] in order: each run of rows that their bounds
+        settle at once (_settle), every other row by check.  Stops at a
+        confirmed violation, returning -1, and where hold_open before the
+        first open row (_open), returning its index; else len(rows)."""
+        for stop in ((~rows.settled()[start:]).nonzero()[0] + start).tolist():
+            self._settle(rows, config, start, stop)
+            row = rows[stop]
+            if hold_open and _open(*row[:3]):
+                return stop
+            if self.check(row, config, stop) < 0.0:
+                return -1
+            start = stop + 1
+        self._settle(rows, config, start, len(rows))
+        return len(rows)
 
     def record(self, passed: bool, note: str = "") -> CriterionRecord:
         if passed and self.dismissed:
             dismissed = f"{self.dismissed} candidate(s) dismissed in extended precision"
             note = f"{note}; {dismissed}" if note else dismissed
-        return CriterionRecord(
-            self.criterion, passed, len(self.margins), self.worst, self.witness, note
-        )
+        witness = None
+        if self.worst_row is not None:
+            made, config, i, value, threshold, matrix = self.worst_row
+            witness = _witness(self.kind, config(i) if made is None else made, value, threshold, matrix)
+        return CriterionRecord(self.criterion, passed, len(self.margins), self.worst, witness, note)
 
     def run(self, draw, samples: int, escalate, note: str = "") -> CriterionRecord:
         """Check the configurations 0, ..., samples - 1 in order, in the
@@ -700,20 +871,24 @@ class _Tally:
         nor in the worst margin.
 
         draw(indices) draws the configurations of a batch of indices and
-        returns (rows, config, data): their double rows, config(i), which
-        materializes the i-th of them, and the arrays escalate reads for them
-        (_dd_rows and _escalate_dd, _point_rows and _escalate_points).  While
-        no row waits, a row whose bound settles its sign or proves it negative
-        is checked at once.  An open row (_open) waits for the rest of the
-        precision ladder, and so does every later row of the sweep.  The
-        waiting rows are flushed at the end of a batch that holds a waiting
-        candidate violation (value + bound + threshold < 0) and at the end of
-        the sweep: their open rows escalate in one call (_escalate), then they
-        are checked in order.  So a sweep pays one long-double batch and one
-        enclosure call per flush, and its record is that of a sweep that
-        escalates and checks each batch in turn.  A batch drawn or evaluated
-        after a waiting row may raise: the exception surfaces only when the
-        waiting rows do not stop the sweep.
+        returns (rows, config, data): their double rows as columns (_Rows),
+        config(i), which materializes the i-th of them, and the arrays
+        escalate reads for them (_dd_rows and _escalate_dd, _point_rows and
+        _escalate_points).  While no row waits, the rows are checked in
+        order (_check_rows): each run of rows whose bounds settle them at
+        once, as one slice of margins, and a row its bound proves negative
+        by check, which sends it to mpmath.  An open row (_open) waits for
+        the rest of the precision ladder, and so does every later row of the
+        sweep; a waiting batch keeps its arrays and the index of its first
+        waiting row.  The waiting rows are flushed at the end of a batch
+        that holds a waiting candidate violation (value + bound + threshold
+        < 0) and at the end of the sweep: their open rows escalate in one
+        call (_escalate), then they are checked in order as above.  So a
+        sweep pays one long-double batch and one enclosure call per flush,
+        and its record is that of a sweep that escalates and checks each
+        batch in turn.  A batch drawn or evaluated after a waiting row may
+        raise: the exception surfaces only when the waiting rows do not stop
+        the sweep.
         """
         waiting = []  # (rows, config, data, first waiting row) of each batch
         for indices in batches:
@@ -724,13 +899,13 @@ class _Tally:
                     return True
                 raise
             start = 0
-            while not waiting and start < len(rows) and not _open(*rows[start][:3]):
-                if self.check(rows[start], config, start) < 0.0:
+            if not waiting:
+                start = self._check_rows(rows, config, 0, True)
+                if start < 0:
                     return True
-                start += 1
             if start < len(rows):
                 waiting.append((rows, config, data, start))
-                if any(v + b + th < 0.0 for v, th, b, _ in rows[start:]):
+                if (rows.value + rows.bound + rows.threshold < 0.0)[start:].any():
                     if self._flush(waiting, escalate):
                         return True
                     waiting = []
@@ -749,40 +924,80 @@ class _Tally:
             if len(waiting) < 2:
                 raise
             return any(self._flush([batch], escalate) for batch in waiting)
-        return any(self.check(rows[i], config, i) < 0.0
-                   for rows, config, _, start in waiting for i in range(start, len(rows)))
+        return any(self._check_rows(rows, config, start, False) < 0
+                   for rows, config, _, start in waiting)
 
 
 # ---------------------------------------------------------------------------
 # Divided-difference criteria
 
 
-def _draw_dd(rng, shape: str, n: int, interval, complex_coeffs: bool | None, indices) -> list:
+@dataclass(frozen=True)
+class _DdDraws:
+    """The dd draws of a batch as arrays: the points (rows, count), a
+    doubled shape's multiplicities (rows, count) or None, the flattened
+    nodes (rows, N), and the q coefficients with each row's length
+    (_q_rows)."""
+
+    points: np.ndarray
+    mults: np.ndarray | None
+    nodes: np.ndarray
+    q: np.ndarray
+    q_len: np.ndarray
+
+    def row(self, i: int) -> tuple:
+        """Draw i as (points, multiplicities, flattened nodes, q
+        coefficients), lists, multiplicities None for a distinct shape and
+        q None for q = 1."""
+        mults = None if self.mults is None else self.mults[i].tolist()
+        return self.points[i].tolist(), mults, self.nodes[i].tolist(), _q_list(self.q, self.q_len, i)
+
+
+def _draw_dd(rng, shape: str, n: int, interval, complex_coeffs: bool | None, indices) -> _DdDraws:
     """The dd draws of a range of indices, from one DrawBlock of the
-    sweep's generator rng: (points, multiplicities, flattened nodes, q
-    coefficients) each, multiplicities None for a distinct shape.  Doubled
-    shapes double every point; the anchored one then triples one of them,
-    the free one keeps one of its n + 1 points simple.  complex_coeffs None
-    alternates real and complex q."""
+    sweep's generator rng.  Doubled shapes double every point; the anchored
+    one then triples one of them, the free one keeps one of its n + 1
+    points simple.  complex_coeffs None alternates real and complex q.
+
+    A batch of ROW_RULE_ROWS rows or more is drawn by the block rules
+    (place_block, _q_block), a smaller one row by row (place_nodes,
+    _q_coeffs); the two give the same bits."""
     lo, hi = check_interval(interval)
     count = {"distinct-2n": 2 * n, "distinct-2n+1": 2 * n + 1, "doubled-free": n + 1}.get(shape, n)
     # a row reads its nodes, a doubled shape's choice of a point, and q
     width = place_width(count) + shape.startswith("doubled-") + _q_width(n - 1)
-    block = DrawBlock(rng, len(indices), width)
-    drawn = []
-    for idx in block.rows(indices):
-        pts = flat = place_nodes(block, count, lo, hi, idx)
+    block = DrawBlock(rng, indices, width)
+    if len(indices) < ROW_RULE_ROWS:
+        drawn = []
+        for idx in block.rows():
+            pts = place_nodes(block, count, lo, hi, idx)
+            mults = None
+            if shape.startswith("doubled"):
+                mults = [2] * count
+                if shape == "doubled-anchored":
+                    mults[block.integers(0, n)] = 3
+                elif shape == "doubled-free":
+                    mults[block.integers(0, n + 1)] = 1
+            use_complex = bool(idx % 2) if complex_coeffs is None else complex_coeffs
+            drawn.append((pts, mults, _q_coeffs(block, n - 1, pts, hi - lo, idx, use_complex)))
+        points, mults, qs = zip(*drawn)
+        points, q = np.array(points), _q_rows(qs, n)
+        mults = None if mults[0] is None else np.array(mults)
+    else:
+        points, at = place_block(block, count, lo, hi)
         mults = None
         if shape.startswith("doubled"):
-            mults = [2] * count
+            rows = np.arange(len(indices))
+            mults = np.full(points.shape, 2)
             if shape == "doubled-anchored":
-                mults[block.integers(0, n)] = 3
+                mults[rows, block.gather_integers(rows, at, 0, n)] = 3
             elif shape == "doubled-free":
-                mults[block.integers(0, n + 1)] = 1
-            flat = [v for v, m in zip(pts, mults) for _ in range(m)]
-        use_complex = bool(idx % 2) if complex_coeffs is None else complex_coeffs
-        drawn.append((pts, mults, flat, _q_coeffs(block, n - 1, pts, hi - lo, idx, use_complex)))
-    return drawn
+                mults[rows, block.gather_integers(rows, at, 0, n + 1)] = 1
+            at = at + (shape != "doubled")
+        cx = block.index % 2 == 1 if complex_coeffs is None else np.full(len(indices), complex_coeffs)
+        q = _q_block(block, at, n - 1, points, hi - lo, cx)
+    nodes = points if mults is None else np.repeat(points.ravel(), mults.ravel()).reshape(len(points), -1)
+    return _DdDraws(points, mults, nodes, *q)
 
 
 _DD_SHAPES = {
@@ -861,16 +1076,14 @@ def _run_dd_sweep(
         drawn = _draw_dd(rng, shape, n, interval, complex_coeffs, indices)
 
         def config(i: int) -> dict:
-            pts, mults, _, q = drawn[i]
+            pts, mults, _, q = drawn.row(i)
             if mults is None:
                 nodes = NodeMultiset.from_points(pts)
             else:
                 nodes = NodeMultiset.from_pairs(zip(pts, mults))
             return {"criterion": criterion, "nodes": nodes, "q": _q_poly(q)}
 
-        nodes = np.array([d[2] for d in drawn])
-        weights = n_coeffs(_q_array([d[3] for d in drawn], n))
-        rows, data = _dd_rows(f, nodes, weights, tol)
+        rows, data = _dd_rows(f, drawn.nodes, n_coeffs(drawn.q), tol)
         return rows, config, data
 
     return _Tally(f, criterion, "dd", tol).run(draw, samples, _escalate_dd, _Q_CADENCE_NOTE)
@@ -921,6 +1134,36 @@ def ktone_check(
 # ---------------------------------------------------------------------------
 # PSD sweeps over sampled points (Loewner, extended Loewner, Kraus)
 
+def _draw_points(rng, criterion: str, n: int, interval, indices) -> np.ndarray:
+    """The node rows (_layout) of a range of indices of a point criterion,
+    from one DrawBlock of the sweep's generator rng: n points, then a
+    Kraus base, one of them (anchored) or one of n + 1 points moved to the
+    end (free).  Row by row below ROW_RULE_ROWS rows (_draw_dd)."""
+    lo, hi = check_interval(interval)
+    kraus = criterion.startswith("kraus")
+    count = n + 1 if criterion == "kraus-free-psd" else n
+    block = DrawBlock(rng, indices, place_width(count) + kraus)
+    if len(indices) < ROW_RULE_ROWS:
+        X = []
+        for idx in block.rows():
+            row = place_nodes(block, count, lo, hi, idx)
+            if criterion == "kraus-free-psd":
+                row.append(row.pop(block.integers(0, n + 1)))
+            elif kraus:
+                row.append(row[block.integers(0, n)])
+            X.append(row)
+        return np.array(X)
+    X, at = place_block(block, count, lo, hi)
+    rows = np.arange(len(indices))
+    if criterion == "kraus-free-psd":
+        pick = block.gather_integers(rows, at, 0, n + 1)[:, None]
+        cols = np.arange(n)
+        return np.take_along_axis(X, np.hstack([cols + (cols >= pick), pick]), axis=1)
+    if kraus:
+        return np.hstack([X, X[rows, block.gather_integers(rows, at, 0, n)][:, None]])
+    return X
+
+
 def _run_psd_point_sweep(
     f: FunctionModel,
     n: int,
@@ -935,29 +1178,18 @@ def _run_psd_point_sweep(
     if criterion not in POINT_CRITERIA:
         raise ValueError(f"unknown PSD criterion {criterion!r}")
     rng = np.random.default_rng(seed)
-    lo, hi = check_interval(interval)
     kraus = criterion.startswith("kraus")
-    count = n + 1 if criterion == "kraus-free-psd" else n
-    width = place_width(count) + kraus
     layout = _layout(criterion, n)
 
     def draw(indices):
-        block = DrawBlock(rng, len(indices), width)
-        X = []
-        for idx in block.rows(indices):
-            row = place_nodes(block, count, lo, hi, idx)
-            if criterion == "kraus-free-psd":
-                row.append(row.pop(block.integers(0, n + 1)))
-            elif kraus:
-                row.append(row[block.integers(0, n)])
-            X.append(row)
+        X = _draw_points(rng, criterion, n, interval, indices)
 
         def config(i: int) -> dict:
             if not kraus:
-                return {"criterion": criterion, "points": X[i]}
-            return {"criterion": criterion, "points": X[i][:n], "base": X[i][n]}
+                return {"criterion": criterion, "points": X[i].tolist()}
+            return {"criterion": criterion, "points": X[i, :n].tolist(), "base": float(X[i, n])}
 
-        rows, data = _point_rows(f, np.array(X), layout, tol)
+        rows, data = _point_rows(f, X, layout, tol)
         return rows, config, data
 
     escalate = functools.partial(_escalate_points, layout=layout)
@@ -1032,6 +1264,30 @@ def _product_derivative_value(
     return divided_difference_scaled(f, NodeMultiset.from_pairs([(t, order + 1)]), precision, weight)
 
 
+def _draw_product(rng, n: int, interval, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The product-derivative draws of a range of indices, from one
+    DrawBlock of the sweep's generator rng: each row's t, uniform inside
+    the end margins, and its q (_q_rows), whose roots lie at t or a
+    quarter of the way in from either end.  Row by row below
+    ROW_RULE_ROWS rows (_draw_dd)."""
+    lo, hi = check_interval(interval)
+    span = hi - lo
+    margin = end_margin(lo, hi)
+    low, high = lo + margin, hi - margin
+    block = DrawBlock(rng, indices, 1 + _q_width(n - 1))
+    if len(indices) < ROW_RULE_ROWS:
+        ts, qs = [], []
+        for idx in block.rows():
+            ts.append(block.uniform(low, high))
+            anchors = (ts[-1], lo + 0.25 * span, lo + 0.75 * span)
+            qs.append(_q_coeffs(block, n - 1, anchors, span, idx, bool(idx % 2)))
+        return np.array(ts), *_q_rows(qs, n)
+    rows = np.arange(len(indices))
+    t = low + (high - low) * block.gather(rows, 0)  # uniform(low, high)
+    anchors = np.column_stack([t, np.full(len(t), lo + 0.25 * span), np.full(len(t), lo + 0.75 * span)])
+    return t, *_q_block(block, np.ones(len(t), np.int64), n - 1, anchors, span, block.index % 2 == 1)
+
+
 def _run_product_derivative_sweep(
     f: FunctionModel,
     n: int,
@@ -1046,25 +1302,15 @@ def _run_product_derivative_sweep(
     criterion = "product-derivative"
     order = 2 * n - 1 if mode == "monotone" else 2 * n
     rng = np.random.default_rng(seed)
-    lo, hi = check_interval(interval)
-    span = hi - lo
-    margin_t = end_margin(lo, hi)
-    width = 1 + _q_width(n - 1)
 
     def draw(indices):
-        block = DrawBlock(rng, len(indices), width)
-        ts, qs = [], []
-        for idx in block.rows(indices):
-            t = block.uniform(lo + margin_t, hi - margin_t)
-            anchors = (t, lo + 0.25 * span, lo + 0.75 * span)
-            ts.append(t)
-            qs.append(_q_coeffs(block, n - 1, anchors, span, idx, bool(idx % 2)))
+        t, q, q_len = _draw_product(rng, n, interval, indices)
 
         def config(i: int) -> dict:
-            return {"criterion": criterion, "t": ts[i], "deriv_order": order, "q": _q_poly(qs[i])}
+            return {"criterion": criterion, "t": t.item(i), "deriv_order": order,
+                    "q": _q_poly(_q_list(q, q_len, i))}
 
-        nodes = np.repeat(np.array(ts)[:, None], order + 1, axis=1)
-        rows, data = _dd_rows(f, nodes, n_coeffs(_q_array(qs, n)), tol)
+        rows, data = _dd_rows(f, np.repeat(t[:, None], order + 1, axis=1), n_coeffs(q), tol)
         return rows, config, data
 
     return _Tally(f, criterion, "derivative-sign", tol).run(draw, samples, _escalate_dd)

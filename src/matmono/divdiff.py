@@ -24,13 +24,19 @@ mpf operation at the context precision, rounding to nearest: bit for bit
 the table mpf arithmetic gives.  The mpmath entries of one criterion
 matrix share one jet per distinct node (extended_divided_differences).
 
-Every sampled check places its nodes by one rule, place_nodes, on
-Python floats.  The criterion sweeps feed it from a DrawBlock: a batch's
-numbers drawn from the sweep's generator in one call, a fixed-size block
-per row, so the stream does not depend on the batch size (sweep_batches).
-The matrix oracle and the k-tone check feed it from their generator's
-own calls (sample_distinct_tuple), the same doubles from the same stream
-as uniform() draws and numpy arithmetic.
+Every sampled check places its nodes by one rule, written twice to the
+same bits: place_nodes places one row on Python floats, place_block every
+row of a DrawBlock in one numpy pass.  A DrawBlock holds a batch's
+numbers, drawn from the sweep's generator in one call, a fixed-size
+block per row, so the stream does not depend on the batch size
+(sweep_batches).  The criterion sweeps place a batch of
+criteria.ROW_RULE_ROWS rows or more with place_block, and a smaller one
+row by row, where numpy's cost per call exceeds the row rule's.  The
+matrix oracle and the k-tone check keep the row rule, fed by their
+generator's own calls (sample_distinct_tuple): they draw from one
+generator in order, so a row starts where the one before it stopped (a
+cluster reads one number more), and a block of fixed-width rows would
+move their streams.
 
 peano_weight returns the density w with
     [x_0, ..., x_n]_f = int f^(n)(t)/n! * w(t) dt,
@@ -364,17 +370,25 @@ def _mpf_cauchy(a: list, b: list, count: int, prec: int) -> list:
     return out
 
 
+def _raw_jet(jet: list) -> list:
+    """A jet as raw mpf tuples: mpf numbers converted, raw tuples as they
+    are.  A table's jet(v) gives either: extended_divided_differences shares
+    raw jets, and a jet handed to divided_difference_scaled is f.taylor's
+    mpf numbers."""
+    return jet if isinstance(jet[0], tuple) else [c._mpf_ for c in jet]
+
+
 def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, xs: dict, jet=None):
     """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node,
     as raw mpf tuples at the working precision; xs[v] is node v as an mpf
-    tuple, and jet(v), if given, is f's mpmath jet at v (at least that long)."""
+    tuple, and jet(v), if given, is f's mpmath jet at v (at least that
+    long), as mpf numbers or raw tuples (_raw_jet)."""
     prec = mpmath.mp.prec
     if weight is not None:
         coeffs = [from_float(c) for c in weight.real_coeffs()]
     seeds = {}
     for v, m in nodes.nodes:
-        fjet = f.taylor(v, m, "extended", digits) if jet is None else jet(v)
-        seeds[v] = [c._mpf_ for c in fjet]
+        seeds[v] = _raw_jet(f.taylor(v, m, "extended", digits) if jet is None else jet(v))
         if weight is not None:
             wjet = _mpf_taylor(coeffs, xs[v], m, prec)
             seeds[v] = _mpf_cauchy(wjet, seeds[v], m, prec)
@@ -468,8 +482,9 @@ def extended_divided_differences(f, node_lists) -> list[float]:
     their nodes, such as the entries of one criterion matrix.
 
     Each distinct node takes one mpmath jet, at the longest length and the
-    most digits any list needs, and every table is seeded from those jets;
-    each recursion runs at its own list's digits.
+    most digits any list needs, converted to raw mpf tuples once, and every
+    table is seeded from those jets; each recursion runs at its own list's
+    digits.
     """
     multisets = [_as_multiset(nodes) for nodes in node_lists]
     length: dict[float, int] = {}
@@ -481,7 +496,7 @@ def extended_divided_differences(f, node_lists) -> list[float]:
 
     def jet(v: float) -> list:
         if v not in jets:
-            jets[v] = f.taylor(v, length[v], "extended", digits)
+            jets[v] = _raw_jet(f.taylor(v, length[v], "extended", digits))
         return jets[v]
 
     return [divided_difference_scaled(f, ms, "extended", None, jet)[0] for ms in multisets]
@@ -715,32 +730,74 @@ class _GeneratorDraws:
 
 
 class DrawBlock:
-    """The numbers of a batch of draws, taken from a sweep's generator in
-    one call: `width` uniform doubles per row, row-major, so the row of
-    draw idx holds the same numbers however the draws are batched.
+    """The numbers of the draws `indices` (a range) of a sweep, taken from
+    its generator in one call: `width` uniform doubles per draw, row-major,
+    so the row of draw idx holds the same numbers however the draws are
+    batched.
 
-    rows(indices) steps through the rows; the draw rules read the current
-    row's numbers in order through the calls a Generator answers
-    (_GeneratorDraws), on Python floats: uniform(low, high) is low + (high
-    - low) * u, integers(low, high) is low + floor((high - low) * u), and a
-    normal is scale * sqrt(-2 log(1 - u)) cos(2 pi u') from two numbers
-    (Box-Muller).  A row that reads more than width numbers raises.
+    The block rules (place_block, criteria._q_block) read every row at
+    once from the (rows, width) array `table`, each row at its own offsets
+    (gather, gather_integers, gather_normals).  The row rules (place_nodes,
+    criteria._q_coeffs) step through the rows (rows()) and read the
+    current row's numbers in order through the calls a Generator answers
+    (_GeneratorDraws), on Python floats.  Both read a number the same way:
+    uniform(low, high) is low + (high - low) * u, integers(low, high) is
+    low + floor((high - low) * u), and a normal is scale * sqrt(-2 log(1 -
+    u)) cos(2 pi u') from two numbers (Box-Muller), with math.log and
+    math.cos on each number: numpy's vectorized log can differ from the C
+    library's in the last bit.  A row that reads more than width numbers
+    raises.
     """
 
-    __slots__ = ("u", "at", "width")
+    __slots__ = ("table", "indices", "index", "width", "u", "at")
 
-    def __init__(self, rng: np.random.Generator, rows: int, width: int):
-        self.u = rng.random(rows * width).tolist()
+    def __init__(self, rng: np.random.Generator, indices, width: int):
+        self.table = rng.random(len(indices) * width)
+        self.indices = indices
+        self.index = np.arange(indices.start, indices.stop)
         self.width = width
+        self.u = None
         self.at = 0
 
-    def rows(self, indices):
-        """Each index of indices, with the block at the start of its row."""
-        for r, idx in enumerate(indices):
+    def _past(self, row: int) -> RuntimeError:
+        return RuntimeError(f"draw {self.indices[row]} read past its {self.width} numbers")
+
+    def rows(self):
+        """Each index of the block, with the block at the start of its row."""
+        if self.u is None:
+            self.u = self.table.tolist()
+        for r, idx in enumerate(self.indices):
             self.at = r * self.width
             yield idx
             if self.at > (r + 1) * self.width:
-                raise RuntimeError(f"draw {idx} read past its {self.width} numbers")
+                raise self._past(r)
+
+    def gather(self, rows, cols) -> np.ndarray:
+        """The number at column cols[i] of row rows[i], for every i (the
+        two broadcast together)."""
+        if np.greater_equal(cols, self.width).any():
+            rows, cols = np.broadcast_arrays(rows, cols)
+            raise self._past(rows[cols >= self.width][0])
+        return self.table[rows * self.width + cols]
+
+    def gather_integers(self, rows, cols, low, high: int) -> np.ndarray:
+        """integers(low, high) read at column cols[i] of row rows[i]."""
+        return np.minimum(low + ((high - low) * self.gather(rows, cols)).astype(np.int64), high - 1)
+
+    def gather_normals(self, rows: np.ndarray, start: np.ndarray, count: np.ndarray,
+                       scale: np.ndarray) -> np.ndarray:
+        """normal(scale, count[i]) read from column start[i] of row rows[i],
+        scale[i, k] the scale of its k-th normal: an array the shape of
+        scale, zero past each row's count."""
+        at = np.repeat(np.arange(len(rows)), count)
+        k = np.arange(len(at)) - np.repeat(np.cumsum(count) - count, count)
+        cols = start[at] + 2 * k
+        u, v = self.gather(rows[at], cols), self.gather(rows[at], cols + 1)
+        log = np.fromiter(map(math.log, (1.0 - u).tolist()), float, len(at))
+        cos = np.fromiter(map(math.cos, (_TAU * v).tolist()), float, len(at))
+        out = np.zeros(scale.shape)
+        out[at, k] = scale[at, k] * np.sqrt(-2.0 * log) * cos
+        return out
 
     def random(self, size=None):
         at = self.at
@@ -835,6 +892,60 @@ def place_nodes(draws, count: int, a: float, b: float, index: int) -> list[float
         raise NarrowIntervalError(f"interval ({a}, {b}) is too narrow for {count} distinct nodes")
     base = a + margin
     return [base + free * s + delta * i for i, s in enumerate(u)]
+
+
+def place_block(block: DrawBlock, count: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """place_nodes over every row of a block, bit for bit: the (rows,
+    count) nodes and each row's offset past the numbers it read (count + 1,
+    and 1 more for a cluster's centre).
+
+    One numpy pass: the Halton rows are gathered from _halton_row, the
+    cluster and spread rows are chosen by mask, and a cluster's strict
+    ascent is fixed column by column, np.spacing(|x|) standing for
+    math.ulp(x).  Raises place_nodes' NarrowIntervalError where any row
+    would.
+    """
+    if count < 1:
+        raise ValueError(f"node count must be >= 1, got {count}")
+    span = b - a
+    margin = end_margin(a, b)
+    delta = span / SEPARATION_PARTS
+    index, rows = block.index, np.arange(len(block.index))
+    u = block.gather(rows[:, None], np.arange(count + 1))
+    halton = np.flatnonzero(index % 3 == 0)
+    if halton.size:
+        u[halton, :count] = [_halton_row(i, count) for i in index[halton].tolist()]
+    cluster = u[:, count] < CLUSTER_FRACTION
+    u = np.sort(u[:, :count], axis=1)
+    narrow = NarrowIntervalError(f"interval ({a}, {b}) is too narrow for {count} distinct nodes")
+    x = np.empty_like(u)
+    if not cluster.all():
+        free = span - 2 * margin - (count - 1) * delta
+        if free <= 0 or delta < 4 * math.ulp(max(-a, b)):
+            raise narrow
+        x = (a + margin) + free * u + delta * np.arange(count)
+    if cluster.any():
+        lo, hi = a + margin, b - margin
+        at = np.flatnonzero(cluster)
+        center = lo + (hi - lo) * block.gather(at, count + 1)
+        width = np.array(CLUSTER_SCALES)[index[at] % len(CLUSTER_SCALES)] * span
+        v = center[:, None] + width[:, None] * (u[at] - 0.5)
+        v = np.where(v > lo, v, lo)
+        v = np.where(v < hi, v, hi)
+        # the rows with ties: only there does the row rule move a node
+        tied = np.flatnonzero((v[:, 1:] <= v[:, :-1]).any(axis=1))
+        if tied.size:
+            w, eps = v[tied], np.maximum(width[tied], 4 * margin) * 1e-9
+            for i in range(1, count):
+                step = np.maximum(eps, 4 * np.spacing(np.abs(w[:, i])))
+                w[:, i] = np.where(w[:, i] <= w[:, i - 1], w[:, i - 1] + step, w[:, i])
+            v[tied] = w
+        top = v[:, -1:]
+        v = np.where(top >= hi, v - (top - hi), v)
+        if not ((a < v[:, 0]) & (v[:, 0] <= v[:, -1]) & (v[:, -1] < b)).all():
+            raise narrow
+        x[at] = v
+    return x, count + 1 + cluster
 
 
 def sample_distinct_tuple(

@@ -493,6 +493,7 @@ def _sweep_draws(shape, n, interval, count):
     from matmono.criteria import _draw_dd, _q_poly
 
     drawn = _draw_dd(np.random.default_rng(n), shape, n, interval, None, range(count))
+    drawn = [drawn.row(i) for i in range(count)]
     return [(NodeMultiset.from_points(flat), _q_poly(q)) for _, _, flat, q in drawn]
 
 
@@ -736,8 +737,8 @@ def test_enclosure_is_held_to_the_extended_floor():
     log = catalog_model("log(x)")
     seeds = np.random.SeedSequence(1).spawn(len(CONVEX_CRITERIA) + 1)
     child = int(seeds[CONVEX_CRITERIA.index("dd-confluent-free")].generate_state(1)[0])
-    (pts, mults, flat, q), = _draw_dd(np.random.default_rng(child), "doubled-free", 3, (0.5, 4.0),
-                                       None, range(1))
+    pts, mults, flat, q = _draw_dd(np.random.default_rng(child), "doubled-free", 3, (0.5, 4.0),
+                                   None, range(1)).row(0)
     nodes, weights = np.array([flat]), n_coeffs(_q_array([q], 3))
     _, scale, _ = divided_differences(log, nodes, weights)
     assert dd_threshold(scale[0], "double", 1e-9) == pytest.approx(105.7, abs=0.1)
@@ -858,6 +859,27 @@ def test_a_grid_of_one_point_checks_that_point_once():
     assert certify(log, 2, (0.5, 4.0), "convex", config).record("hankel-psd").configs == 1
     # two grid points make one bracket between them: 2 + 30 rounds of 2 probes
     assert _run_derivative_matrix_sweep(log, 2, (0.5, 4.0), "dobsch-psd", 2, 1e-9).configs == 62
+
+
+def test_a_record_builds_its_witness_once(monkeypatch):
+    """A sweep keeps the row of its worst margin and builds the witness
+    from it once, in record(): a Dobsch sweep whose margins fall toward an
+    end of the grid makes one matrix_to_jsonable call, not one per new
+    worst margin, and a passing record keeps the worst row's witness."""
+    from matmono import criteria
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return matrix_to_jsonable(matrix)
+
+    monkeypatch.setattr(criteria, "matrix_to_jsonable", counted)
+    f = FunctionModel(parse("sqrt(log(1+x))"), (0.0, math.inf), "sqrt(log(1+x))")
+    rec = criteria._run_derivative_matrix_sweep(f, 3, (0.5, 4.0), "dobsch-psd", 257, 1e-9)
+    assert rec.passed and len(calls) == 1
+    assert rec.witness["matrix"] == matrix_to_jsonable(calls[0])
+    assert rec.witness["min_eigenvalue"] + rec.witness["threshold"] == rec.worst_value
 
 
 def test_a_dobsch_row_inside_its_weyl_bound_climbs_to_mpmath(monkeypatch):
@@ -1232,7 +1254,7 @@ def test_merged_escalation_with_a_domain_error_gives_the_per_batch_rows(monkeypa
     around_0 = np.array([[-1e-3, -1e-3 + 1e-6, 1e-3 + k * 1e-4, 1e-3 + 1e-6 + k * 1e-4]
                          for k in range(3)])
     weights = np.ones((3, 1))
-    double = [_dd_rows(f, nodes, weights, 1e-9)[0] for nodes in (inside, around_0)]
+    double = [list(_dd_rows(f, nodes, weights, 1e-9)[0]) for nodes in (inside, around_0)]
     assert all(_open(*row[:3]) for rows in double for row in rows)
     with pytest.raises(DomainError):
         criteria.divided_difference_enclosures(f, around_0, weights)
@@ -1240,7 +1262,7 @@ def test_merged_escalation_with_a_domain_error_gives_the_per_batch_rows(monkeypa
     def escalated(*blocks):
         batches = [(*_dd_rows(f, nodes, weights, 1e-9), 0) for nodes in blocks]
         _escalate(_escalate_dd, f, batches, 1e-9)
-        return [rows for rows, _, _ in batches]
+        return [list(rows) for rows, _, _ in batches]
 
     merged = escalated(inside, around_0)
     assert merged == escalated(inside) + escalated(around_0)
@@ -1297,6 +1319,7 @@ def test_q_drawing_sweeps_keep_the_cadence(monkeypatch):
     for shape in sorted(set(_DD_SHAPES.values())):
         for n in (1, 2, 3):
             drawn = _draw_dd(np.random.default_rng(n), shape, n, interval, None, range(60))
+            drawn = [drawn.row(i) for i in range(60)]
             assert drawn[0][3] is None
             assert all(q is None for _, _, _, q in drawn[::4])
             halton = [_placed_from_halton(np.array(pts), idx, interval)
