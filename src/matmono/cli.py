@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .criteria import CertifyConfig, certify, re_evaluate_witness
+from .criteria import PSD_MATRICES, CertifyConfig, certify, re_evaluate_witness
 from .divdiff import NarrowIntervalError, check_interval, check_tol
 from .expr import (
     Div,
@@ -360,7 +360,7 @@ def _witnesses(obj, piece=None):
 
 
 # the fields the replay of each witness kind reads; a psd-matrix
-# witness's further fields depend on its criterion
+# witness's further fields are those its criterion's matrix builder reads
 _REPLAY_FIELDS = {
     "dd": ("nodes", "q"),
     "derivative-sign": ("t", "deriv_order", "q"),
@@ -369,14 +369,7 @@ _REPLAY_FIELDS = {
     "jensen": ("matrix_a", "matrix_b"),
     "genset-dd": ("subset", "values", "q"),
 }
-_PSD_FIELDS = {
-    "loewner-psd": ("points",),
-    "extended-loewner-psd": ("points",),
-    "kraus-anchored-psd": ("points", "base"),
-    "kraus-free-psd": ("points", "base"),
-    "dobsch-psd": ("t", "order"),
-    "hankel-psd": ("t", "order"),
-}
+_PSD_FIELDS = {criterion: fields for criterion, (_, fields) in PSD_MATRICES.items()}
 
 
 def _number(x) -> bool:

@@ -18,7 +18,6 @@ violation was found at the recorded number of configurations.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ from .divdiff import (
     end_margin,
     extended_divided_differences,
     place_block,
-    place_nodes,
     place_width,
     sample_distinct_tuple,
     sweep_batches,
@@ -218,10 +216,6 @@ def kraus_matrix(
 # q sampling
 
 _Q_CADENCE_NOTE = "q cadence: 1, Gaussian coefficients, roots near nodes, mixed degree"
-# a sweep draws a batch of fewer rows by the row rules (place_nodes,
-# _q_coeffs) on Python floats: up to 32 rows they cost less than numpy's
-# fixed cost per call, from 64 rows on more (the batches of sweep_batches)
-ROW_RULE_ROWS = 64
 
 
 def _q_width(max_degree: int) -> int:
@@ -297,20 +291,25 @@ def _sample_q(
 
 def _q_block(block: DrawBlock, at: np.ndarray, max_degree: int, anchors: np.ndarray, span: float,
              complex_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_q_coeffs over every row of a block at once, bit for bit: the
-    (rows, max_degree + 1) complex coefficients and each row's length
-    (_q_rows).  Row i reads from offset at[i], draws its roots from
-    anchors[i] and has complex coefficients where complex_rows[i].
+    """_q_coeffs over every row of a block, bit for bit: the (rows,
+    max_degree + 1) complex coefficients and each row's length (_q_rows).
+    Row i reads from offset at[i], draws its roots from anchors[i] and has
+    complex coefficients where complex_rows[i].
 
-    The rows of each cadence slot are drawn together, each at its own
-    offsets.  Products take CPython's real form of a complex product, (ar
-    br - ai bi, ar bi + ai br) with a float x as (x, 0.0), and sums its
+    A block of row_rules (DrawBlock) runs _q_coeffs row by row.  In any
+    other, the rows of each cadence slot are drawn together, each at its
+    own offsets.  Products take CPython's real form of a complex product,
+    (ar br - ai bi, ar bi + ai br) with a float x as (x, 0.0), and sums its
     componentwise form, so signed zeros come out as Python's; |c| is
     np.hypot, which is abs(complex).
     """
     rows, k = len(at), max_degree + 1
     if max_degree == 0:  # q = 1 throughout
         return np.ones((rows, 1), complex), np.zeros(rows, np.int64)
+    if block.row_rules:
+        qs = [_q_coeffs(block, max_degree, nodes, span, idx, cx)
+              for idx, nodes, cx in zip(block.rows(at), anchors.tolist(), complex_rows.tolist())]
+        return _q_rows(qs, k)
     every, j, cx = np.arange(rows), np.arange(k), complex_rows
     slot = block.index % 4
     drawn, roots, gauss = slot >= 2, slot == 2, slot % 2 == 1
@@ -536,26 +535,24 @@ class _Rows:
 
 
 def _enclosures(f: FunctionModel, nodes, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """divided_difference_enclosures, with NaN bounds (no enclosure) for
-    every row when some box is possibly outside f's domain."""
+    """divided_difference_enclosures in one call for every row.  Where some
+    box is possibly outside f's domain, the call raises for all of them, so
+    each row is enclosed again alone, with NaN bounds (no enclosure) where
+    its own box is: a row's enclosure is elementwise, so alone it has the
+    bits it has in any call."""
     try:
         return divided_difference_enclosures(f, nodes, weights)
     except DomainError:
-        unknown = np.full(sum(map(len, nodes)) if isinstance(nodes, list) else len(nodes), np.nan)
-        return unknown, unknown
-
-
-def _by_batch(enclose, rows: list[int], batch: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """enclose(rows), the bounds (lo, hi) of the listed rows from one
-    enclosure call (_enclosures).  A box possibly outside f's domain costs
-    every row of its call its bounds, so when the rows come from several
-    batches (batch[r] is the batch of row r) and none of them got a bound,
-    each batch's rows are enclosed again on their own, as a batch
-    escalated alone is."""
-    lo, hi = enclose(rows)
-    if batch[rows[0]] != batch[rows[-1]] and np.isnan(lo).all():
-        parts = [list(at) for _, at in itertools.groupby(rows, batch.__getitem__)]
-        lo, hi = map(np.concatenate, zip(*map(enclose, parts)))
+        pass
+    bounds = []
+    for z in nodes if isinstance(nodes, list) else [nodes]:
+        for r in range(len(z)):
+            try:
+                bounds.append(divided_difference_enclosures(
+                    f, z[r : r + 1], None if weights is None else weights[r : r + 1]))
+            except DomainError:
+                bounds.append((np.full(1, np.nan),) * 2)
+    lo, hi = map(np.concatenate, zip(*bounds))
     return lo, hi
 
 
@@ -564,18 +561,16 @@ def _escalate(escalate, f: FunctionModel, batches: list, tol: float) -> None:
     several batches in one call, in place.  batches holds (rows, data,
     start): a batch's double rows (_Rows), the arrays escalate reads for
     them (one entry per row each; _dd_rows, _point_rows) and its first row
-    still to be checked.  escalate(f, rows, data, batch, tol) returns the
-    rows it was given after the ladder, and may write over them.  A row's
-    result does not depend on the other rows of its call, except through
-    _by_batch's rule."""
+    still to be checked.  escalate(f, rows, data, tol) returns the rows it
+    was given after the ladder, and may write over them.  A row's result
+    does not depend on the other rows of its call."""
     opened = [np.flatnonzero(rows.opened()[start:]) + start for rows, _, start in batches]
-    batch = np.repeat(np.arange(len(batches)), list(map(len, opened))).tolist()
-    if not batch:
+    if not any(at.size for at in opened):
         return
     parts = [[a[at] for a in data] for (_, data, _), at in zip(batches, opened)]
     merged = [np.concatenate(arrays) for arrays in zip(*parts)]
     done = escalate(f, _Rows.concat([rows.take(at) for (rows, _, _), at in zip(batches, opened)]),
-                    merged, batch, tol)
+                    merged, tol)
     stop = 0
     for (rows, _, _), at in zip(batches, opened):
         start, stop = stop, stop + len(at)
@@ -593,17 +588,17 @@ def _dd_rows(f: FunctionModel, nodes: np.ndarray, weights: np.ndarray, tol: floa
     return _Rows(value, threshold, bound), (nodes, weights, scale)
 
 
-def _escalate_dd(f: FunctionModel, rows: _Rows, data: list, batch: list[int], tol: float) -> _Rows:
+def _escalate_dd(f: FunctionModel, rows: _Rows, data: list, tol: float) -> _Rows:
     """The open dd rows of _dd_rows (from any number of batches) by the
     precision ladder short of mpmath.
 
     Where the platform's long double is wider, the rows are re-run as one
     long-double batch; the rows still open take one batch of enclosures
-    [lo, hi] (divided_difference_enclosures, _by_batch).  The long-double
-    step and the enclosure hold a row to the extended floor, so they settle
-    only margins the extended re-check would find nonnegative: an enclosed
-    row settles when lo + that floor >= 0, and then reports its value
-    clipped to [lo, hi] with bound value - lo.  Every other row keeps its
+    [lo, hi] (_enclosures).  The long-double step and the enclosure hold a
+    row to the extended floor, so they settle only margins the extended
+    re-check would find nonnegative: an enclosed row settles when lo + that
+    floor >= 0, and then reports its value clipped to [lo, hi] with bound
+    value - lo.  Every other row keeps its
     double (or long-double) evaluation, and _Tally.check sends it to mpmath.
     """
     nodes, weights, scale = data
@@ -613,7 +608,7 @@ def _escalate_dd(f: FunctionModel, rows: _Rows, data: list, batch: list[int], to
     redo = np.flatnonzero(rows.opened())
     if redo.size:
         floor = dd_threshold(scale[redo], "extended", tol)
-        lo, hi = _by_batch(lambda at: _enclosures(f, nodes[at], weights[at]), redo.tolist(), batch)
+        lo, hi = _enclosures(f, nodes[redo], weights[redo])
         settled = lo + floor >= 0.0
         low, high, v = lo[settled], hi[settled], rows.value[redo[settled]]
         v = np.where(low > v, low, v)  # min(max(v, low), high), max's and min's rule
@@ -633,17 +628,24 @@ def _evaluate_dd(f: FunctionModel, configs: list[dict], tol: float) -> list:
     return rows
 
 
+# each PSD criterion's matrix builder, and the witness fields it is called with
+PSD_MATRICES = {
+    "loewner-psd": (loewner_matrix, ("points",)),
+    "extended-loewner-psd": (extended_loewner_matrix, ("points",)),
+    "kraus-anchored-psd": (kraus_matrix, ("points", "base")),
+    "kraus-free-psd": (kraus_matrix, ("points", "base")),
+    "dobsch-psd": (dobsch_matrix, ("t", "order")),
+    "hankel-psd": (hankel_convex_matrix, ("t", "order")),
+}
+
+
 def _psd_matrix(f: FunctionModel, config: dict) -> np.ndarray:
-    criterion = config["criterion"]
-    if criterion == "loewner-psd":
-        return loewner_matrix(f, config["points"])
-    if criterion == "extended-loewner-psd":
-        return extended_loewner_matrix(f, config["points"])
-    if criterion == "dobsch-psd":
-        return dobsch_matrix(f, config["t"], config["order"])
-    if criterion == "hankel-psd":
-        return hankel_convex_matrix(f, config["t"], config["order"])
-    return kraus_matrix(f, config["points"], config["base"])
+    """The criterion matrix of a psd-matrix configuration in mpmath;
+    ValueError naming a criterion that has none."""
+    if config["criterion"] not in PSD_MATRICES:
+        raise ValueError(f"no criterion matrix for {config['criterion']!r}")
+    build, fields = PSD_MATRICES[config["criterion"]]
+    return build(f, *(config[k] for k in fields))
 
 
 def _psd_rows(mats: np.ndarray, bounds, tol: float) -> _Rows:
@@ -674,22 +676,20 @@ def _point_rows(f: FunctionModel, X: np.ndarray, layout, tol: float) -> tuple[_R
     return _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)), tol), (X, values, squares)
 
 
-def _escalate_points(f: FunctionModel, rows: _Rows, data: list, batch: list[int], tol: float,
-                     layout) -> _Rows:
+def _escalate_points(f: FunctionModel, rows: _Rows, data: list, tol: float, layout) -> _Rows:
     """The open rows of _point_rows (from any number of batches) by the
     precision ladder.
 
     The matrices are rebuilt as one long-double batch where the platform's
     long double is wider.  For those still open, each entry takes an
-    enclosure (divided_difference_enclosures, one batch for every entry,
-    _by_batch), and an entry whose enclosure radius is below its bound
-    takes the enclosure's midpoint and that radius as its value and bound;
-    Weyl's bound then decides the matrix again.  For those still open, the
-    entries with the largest E are recomputed in extended precision, in one
-    call per matrix that shares their mpmath jets, until the rest of
-    ||E||_F is within half the slack max(value, 0) + threshold (a margin
-    below -||E||_F is a violation in any case and goes straight to the
-    extended re-check).
+    enclosure (_enclosures, one batch for every entry), and an entry whose
+    enclosure radius is below its bound takes the enclosure's midpoint and
+    that radius as its value and bound; Weyl's bound then decides the
+    matrix again.  For those still open, the entries with the largest E are
+    recomputed in extended precision, in one call per matrix that shares
+    their mpmath jets, until the rest of ||E||_F is within half the slack
+    max(value, 0) + threshold (a margin below -||E||_F is a violation in
+    any case and goes straight to the extended re-check).
     """
     X, values, squares = data
     share = _shares(len(layout))
@@ -699,10 +699,7 @@ def _escalate_points(f: FunctionModel, rows: _Rows, data: list, batch: list[int]
         rows = _psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)), tol)
     left = np.flatnonzero(rows.opened())
     if left.size:
-        def enclose(mats: list[int]):  # every entry of the matrices mats
-            return _over_entries(lambda blocks: _enclosures(f, blocks), X[mats], layout)
-
-        lo, hi = _by_batch(enclose, left.tolist(), batch)
+        lo, hi = _over_entries(lambda blocks: _enclosures(f, blocks), X[left], layout)
         with np.errstate(invalid="ignore", over="ignore"):  # unknown or huge enclosures
             mid = 0.5 * (lo + hi)
             radius = np.nextafter(np.maximum(hi - mid, mid - lo), np.inf)
@@ -955,47 +952,25 @@ class _DdDraws:
 
 def _draw_dd(rng, shape: str, n: int, interval, complex_coeffs: bool | None, indices) -> _DdDraws:
     """The dd draws of a range of indices, from one DrawBlock of the
-    sweep's generator rng.  Doubled shapes double every point; the anchored
-    one then triples one of them, the free one keeps one of its n + 1
-    points simple.  complex_coeffs None alternates real and complex q.
-
-    A batch of ROW_RULE_ROWS rows or more is drawn by the block rules
-    (place_block, _q_block), a smaller one row by row (place_nodes,
-    _q_coeffs); the two give the same bits."""
+    sweep's generator rng (place_block, _q_block).  Doubled shapes double
+    every point; the anchored one then triples one of them, the free one
+    keeps one of its n + 1 points simple.  complex_coeffs None alternates
+    real and complex q."""
     lo, hi = check_interval(interval)
     count = {"distinct-2n": 2 * n, "distinct-2n+1": 2 * n + 1, "doubled-free": n + 1}.get(shape, n)
     # a row reads its nodes, a doubled shape's choice of a point, and q
     width = place_width(count) + shape.startswith("doubled-") + _q_width(n - 1)
     block = DrawBlock(rng, indices, width)
-    if len(indices) < ROW_RULE_ROWS:
-        drawn = []
-        for idx in block.rows():
-            pts = place_nodes(block, count, lo, hi, idx)
-            mults = None
-            if shape.startswith("doubled"):
-                mults = [2] * count
-                if shape == "doubled-anchored":
-                    mults[block.integers(0, n)] = 3
-                elif shape == "doubled-free":
-                    mults[block.integers(0, n + 1)] = 1
-            use_complex = bool(idx % 2) if complex_coeffs is None else complex_coeffs
-            drawn.append((pts, mults, _q_coeffs(block, n - 1, pts, hi - lo, idx, use_complex)))
-        points, mults, qs = zip(*drawn)
-        points, q = np.array(points), _q_rows(qs, n)
-        mults = None if mults[0] is None else np.array(mults)
-    else:
-        points, at = place_block(block, count, lo, hi)
-        mults = None
-        if shape.startswith("doubled"):
+    points, at = place_block(block, count, lo, hi)
+    mults = None
+    if shape.startswith("doubled"):
+        mults = np.full(points.shape, 2)
+        if shape != "doubled":  # one point, picked past the nodes, tripled or kept simple
             rows = np.arange(len(indices))
-            mults = np.full(points.shape, 2)
-            if shape == "doubled-anchored":
-                mults[rows, block.gather_integers(rows, at, 0, n)] = 3
-            elif shape == "doubled-free":
-                mults[rows, block.gather_integers(rows, at, 0, n + 1)] = 1
-            at = at + (shape != "doubled")
-        cx = block.index % 2 == 1 if complex_coeffs is None else np.full(len(indices), complex_coeffs)
-        q = _q_block(block, at, n - 1, points, hi - lo, cx)
+            mults[rows, block.gather_integers(rows, at, 0, count)] = 3 if shape == "doubled-anchored" else 1
+            at = at + 1
+    cx = block.index % 2 == 1 if complex_coeffs is None else np.full(len(indices), complex_coeffs)
+    q = _q_block(block, at, n - 1, points, hi - lo, cx)
     nodes = points if mults is None else np.repeat(points.ravel(), mults.ravel()).reshape(len(points), -1)
     return _DdDraws(points, mults, nodes, *q)
 
@@ -1138,30 +1113,20 @@ def _draw_points(rng, criterion: str, n: int, interval, indices) -> np.ndarray:
     """The node rows (_layout) of a range of indices of a point criterion,
     from one DrawBlock of the sweep's generator rng: n points, then a
     Kraus base, one of them (anchored) or one of n + 1 points moved to the
-    end (free).  Row by row below ROW_RULE_ROWS rows (_draw_dd)."""
+    end (free), picked at each row's offset past its nodes (place_block)."""
     lo, hi = check_interval(interval)
     kraus = criterion.startswith("kraus")
     count = n + 1 if criterion == "kraus-free-psd" else n
     block = DrawBlock(rng, indices, place_width(count) + kraus)
-    if len(indices) < ROW_RULE_ROWS:
-        X = []
-        for idx in block.rows():
-            row = place_nodes(block, count, lo, hi, idx)
-            if criterion == "kraus-free-psd":
-                row.append(row.pop(block.integers(0, n + 1)))
-            elif kraus:
-                row.append(row[block.integers(0, n)])
-            X.append(row)
-        return np.array(X)
     X, at = place_block(block, count, lo, hi)
+    if not kraus:
+        return X
     rows = np.arange(len(indices))
+    pick = block.gather_integers(rows, at, 0, count)
+    base = X[rows, pick, None]
     if criterion == "kraus-free-psd":
-        pick = block.gather_integers(rows, at, 0, n + 1)[:, None]
-        cols = np.arange(n)
-        return np.take_along_axis(X, np.hstack([cols + (cols >= pick), pick]), axis=1)
-    if kraus:
-        return np.hstack([X, X[rows, block.gather_integers(rows, at, 0, n)][:, None]])
-    return X
+        X = X[np.arange(count) != pick[:, None]].reshape(-1, n)
+    return np.concatenate([X, base], axis=1)
 
 
 def _run_psd_point_sweep(
@@ -1267,24 +1232,16 @@ def _product_derivative_value(
 def _draw_product(rng, n: int, interval, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The product-derivative draws of a range of indices, from one
     DrawBlock of the sweep's generator rng: each row's t, uniform inside
-    the end margins, and its q (_q_rows), whose roots lie at t or a
-    quarter of the way in from either end.  Row by row below
-    ROW_RULE_ROWS rows (_draw_dd)."""
+    the end margins, and its q (_q_block), whose roots lie at t or a
+    quarter of the way in from either end."""
     lo, hi = check_interval(interval)
     span = hi - lo
     margin = end_margin(lo, hi)
     low, high = lo + margin, hi - margin
     block = DrawBlock(rng, indices, 1 + _q_width(n - 1))
-    if len(indices) < ROW_RULE_ROWS:
-        ts, qs = [], []
-        for idx in block.rows():
-            ts.append(block.uniform(low, high))
-            anchors = (ts[-1], lo + 0.25 * span, lo + 0.75 * span)
-            qs.append(_q_coeffs(block, n - 1, anchors, span, idx, bool(idx % 2)))
-        return np.array(ts), *_q_rows(qs, n)
-    rows = np.arange(len(indices))
-    t = low + (high - low) * block.gather(rows, 0)  # uniform(low, high)
-    anchors = np.column_stack([t, np.full(len(t), lo + 0.25 * span), np.full(len(t), lo + 0.75 * span)])
+    t = low + (high - low) * block.table[:, 0]  # uniform(low, high), each row's first number
+    anchors = np.repeat([[0.0, lo + 0.25 * span, lo + 0.75 * span]], len(t), axis=0)
+    anchors[:, 0] = t
     return t, *_q_block(block, np.ones(len(t), np.int64), n - 1, anchors, span, block.index % 2 == 1)
 
 

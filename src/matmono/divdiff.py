@@ -29,14 +29,14 @@ same bits: place_nodes places one row on Python floats, place_block every
 row of a DrawBlock in one numpy pass.  A DrawBlock holds a batch's
 numbers, drawn from the sweep's generator in one call, a fixed-size
 block per row, so the stream does not depend on the batch size
-(sweep_batches).  The criterion sweeps place a batch of
-criteria.ROW_RULE_ROWS rows or more with place_block, and a smaller one
-row by row, where numpy's cost per call exceeds the row rule's.  The
-matrix oracle and the k-tone check keep the row rule, fed by their
-generator's own calls (sample_distinct_tuple): they draw from one
-generator in order, so a row starts where the one before it stopped (a
-cluster reads one number more), and a block of fixed-width rows would
-move their streams.
+(sweep_batches).  The criterion sweeps place every batch with
+place_block; a block of fewer than ROW_RULE_ROWS rows, where numpy's cost
+per call exceeds the row rule's, runs place_nodes row by row inside it
+and returns the same arrays.  The matrix oracle and the k-tone check
+keep the row rule, fed by their generator's own calls
+(sample_distinct_tuple): they draw from one generator in order, so a row
+starts where the one before it stopped (a cluster reads one number
+more), and a block of fixed-width rows would move their streams.
 
 peano_weight returns the density w with
     [x_0, ..., x_n]_f = int f^(n)(t)/n! * w(t) dt,
@@ -83,6 +83,10 @@ SEED_ERROR = 64.0
 STEP_ERROR = 4.0
 # sweeps evaluate their draws in batches of 1, 2, 4, ..., SWEEP_BATCH rows
 SWEEP_BATCH = 256
+# a DrawBlock of fewer rows runs the row rules (place_nodes, _q_coeffs) on
+# Python floats: up to 32 rows they cost less than numpy's fixed cost per
+# call, from 64 rows on more (the batches of sweep_batches)
+ROW_RULE_ROWS = 64
 # Taylor order m of the enclosure rung (divided_difference_enclosures); even,
 # so that its remainder factor (xi - c)^m is nonnegative
 ENCLOSURE_ORDER = 4
@@ -370,25 +374,17 @@ def _mpf_cauchy(a: list, b: list, count: int, prec: int) -> list:
     return out
 
 
-def _raw_jet(jet: list) -> list:
-    """A jet as raw mpf tuples: mpf numbers converted, raw tuples as they
-    are.  A table's jet(v) gives either: extended_divided_differences shares
-    raw jets, and a jet handed to divided_difference_scaled is f.taylor's
-    mpf numbers."""
-    return jet if isinstance(jet[0], tuple) else [c._mpf_ for c in jet]
-
-
 def _seed_values(f, nodes: NodeMultiset, weight: Poly | None, digits: int, xs: dict, jet=None):
     """Jets [g^(j)(v)/j! for j < multiplicity] of g = f * weight at each node,
     as raw mpf tuples at the working precision; xs[v] is node v as an mpf
     tuple, and jet(v), if given, is f's mpmath jet at v (at least that
-    long), as mpf numbers or raw tuples (_raw_jet)."""
+    long) as raw mpf tuples."""
     prec = mpmath.mp.prec
     if weight is not None:
         coeffs = [from_float(c) for c in weight.real_coeffs()]
     seeds = {}
     for v, m in nodes.nodes:
-        seeds[v] = _raw_jet(f.taylor(v, m, "extended", digits) if jet is None else jet(v))
+        seeds[v] = [c._mpf_ for c in f.taylor(v, m, "extended", digits)] if jet is None else jet(v)
         if weight is not None:
             wjet = _mpf_taylor(coeffs, xs[v], m, prec)
             seeds[v] = _mpf_cauchy(wjet, seeds[v], m, prec)
@@ -467,8 +463,8 @@ def divided_difference_scaled(
 
     The second value scales the attainable roundoff: the recursion's
     absolute error is bounded by a small multiple of eps * that max.
-    jet(v), if given, supplies f's mpmath jet at each node to an
-    extended table (see extended_divided_differences).
+    jet(v), if given, supplies f's mpmath jet at each node, as raw mpf
+    tuples, to an extended table (see extended_divided_differences).
     """
     if precision != "extended":
         raise ValueError(f"unsupported precision mode {precision!r}")
@@ -496,7 +492,7 @@ def extended_divided_differences(f, node_lists) -> list[float]:
 
     def jet(v: float) -> list:
         if v not in jets:
-            jets[v] = _raw_jet(f.taylor(v, length[v], "extended", digits))
+            jets[v] = [c._mpf_ for c in f.taylor(v, length[v], "extended", digits)]
         return jets[v]
 
     return [divided_difference_scaled(f, ms, "extended", None, jet)[0] for ms in multisets]
@@ -735,12 +731,15 @@ class DrawBlock:
     so the row of draw idx holds the same numbers however the draws are
     batched.
 
-    The block rules (place_block, criteria._q_block) read every row at
-    once from the (rows, width) array `table`, each row at its own offsets
-    (gather, gather_integers, gather_normals).  The row rules (place_nodes,
-    criteria._q_coeffs) step through the rows (rows()) and read the
-    current row's numbers in order through the calls a Generator answers
-    (_GeneratorDraws), on Python floats.  Both read a number the same way:
+    A block decides once, from its row count, how its rules run: with
+    fewer than ROW_RULE_ROWS rows (row_rules) place_block and
+    criteria._q_block step through the rows by the row rules (place_nodes,
+    criteria._q_coeffs), which read each row's numbers in order through the
+    calls a Generator answers (_GeneratorDraws, rows()), on Python floats;
+    with more they read every row at once from the (rows, width) array
+    `table`.  Either way they return the same arrays, and the picks of the
+    draws read each row at its own offsets (gather, gather_integers,
+    gather_normals).  Both rules read a number the same way:
     uniform(low, high) is low + (high - low) * u, integers(low, high) is
     low + floor((high - low) * u), and a normal is scale * sqrt(-2 log(1 -
     u)) cos(2 pi u') from two numbers (Box-Muller), with math.log and
@@ -749,25 +748,28 @@ class DrawBlock:
     raises.
     """
 
-    __slots__ = ("table", "indices", "index", "width", "u", "at")
+    __slots__ = ("table", "indices", "index", "width", "row_rules", "u", "at")
 
     def __init__(self, rng: np.random.Generator, indices, width: int):
-        self.table = rng.random(len(indices) * width)
+        self.table = rng.random((len(indices), width))
         self.indices = indices
         self.index = np.arange(indices.start, indices.stop)
         self.width = width
+        self.row_rules = len(indices) < ROW_RULE_ROWS
         self.u = None
         self.at = 0
 
     def _past(self, row: int) -> RuntimeError:
         return RuntimeError(f"draw {self.indices[row]} read past its {self.width} numbers")
 
-    def rows(self):
-        """Each index of the block, with the block at the start of its row."""
+    def rows(self, at=None):
+        """Each index of the block, with the block at the start of its row,
+        or at offset at[r] into row r where given."""
         if self.u is None:
-            self.u = self.table.tolist()
+            self.u = self.table.ravel().tolist()
+        at = [0] * len(self.indices) if at is None else at.tolist()
         for r, idx in enumerate(self.indices):
-            self.at = r * self.width
+            self.at = r * self.width + at[r]
             yield idx
             if self.at > (r + 1) * self.width:
                 raise self._past(r)
@@ -775,10 +777,11 @@ class DrawBlock:
     def gather(self, rows, cols) -> np.ndarray:
         """The number at column cols[i] of row rows[i], for every i (the
         two broadcast together)."""
-        if np.greater_equal(cols, self.width).any():
+        try:
+            return self.table[rows, cols]
+        except IndexError:
             rows, cols = np.broadcast_arrays(rows, cols)
-            raise self._past(rows[cols >= self.width][0])
-        return self.table[rows * self.width + cols]
+            raise self._past(rows[cols >= self.width][0]) from None
 
     def gather_integers(self, rows, cols, low, high: int) -> np.ndarray:
         """integers(low, high) read at column cols[i] of row rows[i]."""
@@ -899,14 +902,20 @@ def place_block(block: DrawBlock, count: int, a: float, b: float) -> tuple[np.nd
     count) nodes and each row's offset past the numbers it read (count + 1,
     and 1 more for a cluster's centre).
 
-    One numpy pass: the Halton rows are gathered from _halton_row, the
-    cluster and spread rows are chosen by mask, and a cluster's strict
-    ascent is fixed column by column, np.spacing(|x|) standing for
-    math.ulp(x).  Raises place_nodes' NarrowIntervalError where any row
-    would.
+    A block of row_rules runs place_nodes row by row.  Any other takes one
+    numpy pass: the Halton rows are gathered from _halton_row, the cluster
+    and spread rows are chosen by mask, and a cluster's strict ascent is
+    fixed column by column, np.spacing(|x|) standing for math.ulp(x).
+    Raises place_nodes' NarrowIntervalError where any row would.
     """
     if count < 1:
         raise ValueError(f"node count must be >= 1, got {count}")
+    if block.row_rules:
+        x, read = [], []
+        for r, idx in enumerate(block.rows()):
+            x.append(place_nodes(block, count, a, b, idx))
+            read.append(block.at - r * block.width)
+        return np.array(x), np.array(read)
     span = b - a
     margin = end_margin(a, b)
     delta = span / SEPARATION_PARTS

@@ -1220,16 +1220,16 @@ def test_exceptions_past_a_waiting_row_surface_only_if_it_does_not_stop_the_swee
     monkeypatch.setattr(criteria, "_dd_rows", dd_rows)
 
     passing = dd_criterion(f, 3, (0.5, 4.0), "monotone", samples=1000, seed=1)
-    escalate = criteria._escalate_dd
+    escalate = criteria._escalate
     merged = []
 
-    def one_batch_only(f, rows, data, batch, tol):
-        if batch[0] != batch[-1]:
+    def one_batch_only(ladder, f, batches, tol):
+        if len(batches) > 1:
             merged.append(1)
             raise RuntimeError("merged escalation failed")
-        return escalate(f, rows, data, batch, tol)
+        return escalate(ladder, f, batches, tol)
 
-    monkeypatch.setattr(criteria, "_escalate_dd", one_batch_only)
+    monkeypatch.setattr(criteria, "_escalate", one_batch_only)
     again = dd_criterion(f, 3, (0.5, 4.0), "monotone", samples=1000, seed=1)
     assert merged
     assert (again.passed, again.configs, again.worst_value, again.note) == (
@@ -1241,10 +1241,11 @@ def test_merged_escalation_with_a_domain_error_gives_the_per_batch_rows(monkeypa
     row of its call.  f = sqrt(x^4) = x^2 has third divided differences 0,
     which double precision leaves open; around 0 the box of x^4 holds 0,
     where sqrt's jet is not defined.  When the rows of a batch inside and
-    of a batch around 0 escalate in one call, each batch is enclosed again
+    of a batch around 0 escalate in one call, each row is enclosed again
     on its own: the rows are those of escalating the batches one by one,
     the batch inside settles by its enclosures and the other keeps its
-    double rows for mpmath."""
+    double rows for mpmath.  So do the rows of one batch that holds both:
+    each row comes out as it does escalated alone."""
     from matmono import criteria
     from matmono.criteria import _dd_rows, _escalate, _escalate_dd, _open
 
@@ -1260,7 +1261,7 @@ def test_merged_escalation_with_a_domain_error_gives_the_per_batch_rows(monkeypa
         criteria.divided_difference_enclosures(f, around_0, weights)
 
     def escalated(*blocks):
-        batches = [(*_dd_rows(f, nodes, weights, 1e-9), 0) for nodes in blocks]
+        batches = [(*_dd_rows(f, nodes, np.ones((len(nodes), 1)), 1e-9), 0) for nodes in blocks]
         _escalate(_escalate_dd, f, batches, 1e-9)
         return [list(rows) for rows, _, _ in batches]
 
@@ -1268,6 +1269,11 @@ def test_merged_escalation_with_a_domain_error_gives_the_per_batch_rows(monkeypa
     assert merged == escalated(inside) + escalated(around_0)
     assert not any(_open(*row[:3]) for row in merged[0])
     assert merged[1] == double[1]
+
+    (mixed,) = escalated(np.vstack([inside, around_0]))
+    assert mixed == [row for nodes in (*inside, *around_0) for row in escalated(nodes[None])[0]]
+    assert mixed == merged[0] + merged[1]
+    assert not any(_open(*row[:3]) for row in mixed[:3])
 
 
 def test_a_passing_dd_sweep_makes_one_enclosure_call(monkeypatch):
@@ -1429,3 +1435,31 @@ def test_ktone_check_frozen_results(key):
             rec = ktone_check(entry.model, k, entry.interval, samples=300, seed=seed)
             got.append((rec.passed, rec.configs, rec.witness["value"].hex()))
     assert got == KTONE_FROZEN[key]
+
+
+def test_a_box_outside_the_domain_costs_only_its_own_row_its_enclosure():
+    """_enclosures over blocks of node rows of different lengths, as the
+    entries of point rows are enclosed: where a box of x^4 holds 0, outside
+    the domain of sqrt's jet, that row has no bounds (NaN) and every other
+    row has the bits it has enclosed alone."""
+    from matmono.criteria import _enclosures
+    from matmono.divdiff import divided_difference_enclosures
+
+    f = FunctionModel(parse("sqrt(x^4)"), name="sqrt(x^4)")
+    blocks = [np.array([[1.0, 2.0], [-1.0, 1.0]]), np.array([[1.0, 1.5, 2.0], [-1e-3, 0.5, 1e-3]])]
+    lo, hi = _enclosures(f, blocks)
+    assert np.isnan(lo[[1, 3]]).all() and np.isnan(hi[[1, 3]]).all()
+    for i, row in ((0, blocks[0][:1]), (2, blocks[1][:1])):
+        want = divided_difference_enclosures(f, row)
+        assert (lo[i], hi[i]) == (want[0][0], want[1][0])
+
+
+@pytest.mark.parametrize("base", [{"base": 1.5}, {}], ids=["with-base", "without-base"])
+def test_a_psd_witness_of_a_criterion_without_a_matrix_is_refused(base):
+    """A psd-matrix witness names the criterion whose matrix its replay
+    builds (PSD_MATRICES).  dd-real-q has none: its replay raises a
+    ValueError naming it, rather than building a Kraus matrix that
+    "confirms" a violation of log(x), which is operator monotone."""
+    witness = {"kind": "psd-matrix", "criterion": "dd-real-q", "points": [1.0, 2.0], **base}
+    with pytest.raises(ValueError, match="'dd-real-q'"):
+        re_evaluate_witness(catalog_model("log(x)"), witness)

@@ -1,10 +1,10 @@
 """A sweep draws and settles a batch as arrays, bit for bit.
 
-The block rules (divdiff.place_block, criteria._q_block and the array
-picks of the draws) give the bytes of the row rules they stand for
-(place_nodes, _q_coeffs and the picks on Python floats), which draw the
-batches of fewer than ROW_RULE_ROWS rows: nodes, multiplicities, q
-coefficients with their signed zeros, each row's t, and the errors.  The
+The block rules of divdiff.place_block and criteria._q_block give the
+bytes of the row rules they stand for (place_nodes, _q_coeffs on Python
+floats), which run in a DrawBlock of fewer than divdiff.ROW_RULE_ROWS
+rows: nodes, multiplicities, q coefficients with their signed zeros,
+each row's t, and the errors.  The
 bulk settling of _Tally gives the margins, worst margin, witness, configs,
 dismissed count and errors of the per-row loop it replaced, and the
 escalation of real dd and point rows gives, in double, the rows of the
@@ -18,11 +18,10 @@ import math
 import numpy as np
 import pytest
 
-from matmono import criteria
+from matmono import divdiff
 from matmono.criteria import (
     _DD_SHAPES,
     POINT_CRITERIA,
-    _by_batch,
     _dd_rows,
     _dd_triangles,
     _draw_dd,
@@ -79,9 +78,9 @@ Q_KINDS = {"distinct-2n": (False, True), "distinct-2n+1": (False, True),
 
 def _both(monkeypatch, draw):
     """draw() by the block rules and by the row rules."""
-    monkeypatch.setattr(criteria, "ROW_RULE_ROWS", 0)
+    monkeypatch.setattr(divdiff, "ROW_RULE_ROWS", 0)
     block = draw()
-    monkeypatch.setattr(criteria, "ROW_RULE_ROWS", 10**9)
+    monkeypatch.setattr(divdiff, "ROW_RULE_ROWS", 10**9)
     return block, draw()
 
 
@@ -125,7 +124,7 @@ def test_block_rules_match_the_row_rules(monkeypatch, interval):
 def test_the_cases_hold_clusters_that_an_end_clips(monkeypatch):
     """Clusters clipped at an end tie there and are pushed apart by the
     strict-ascent fix-up: the cases above reach that branch."""
-    monkeypatch.setattr(criteria, "ROW_RULE_ROWS", 0)
+    monkeypatch.setattr(divdiff, "ROW_RULE_ROWS", 0)
     lo, hi = INTERVALS[0]
     end = (hi - lo) * 1e-6
     clipped = pushed = 0
@@ -148,11 +147,12 @@ def _narrow_outcome(draw):
 
 @pytest.mark.parametrize("interval, count", [((1.0, 1.0 + 8e-15), 3), ((1.0, 1.0 + 5e-15), 2),
                                              ((1e8, 1e8 + 3e-7), 2), ((1.0, 1.0 + 1e-15), 6)])
-def test_narrow_intervals_raise_at_the_same_batch(interval, count):
+def test_narrow_intervals_raise_at_the_same_batch(monkeypatch, interval, count):
     """The block rule raises place_nodes' NarrowIntervalError in the
     batches the row rule raises it, and elsewhere places the same nodes:
     in the first three intervals a cluster fits and a spread row does not,
     so the one-row first batch passes and the others raise."""
+    monkeypatch.setattr(divdiff, "ROW_RULE_ROWS", 0)
     raised = 0
     for indices in sweep_batches(1000):
         width = place_width(count)
@@ -216,13 +216,12 @@ def test_a_row_that_reads_past_its_width_raises():
 
 def _frozen_escalate(escalate, f, batches, tol):
     opened = [[i for i in range(start, len(rows)) if _open(*rows[i][:3])] for rows, _, start in batches]
-    batch = [b for b, at in enumerate(opened) for _ in at]
-    if not batch:
+    if not any(opened):
         return
     parts = [[a[at] for a in data] for (_, data, _), at in zip(batches, opened)]
     merged = [np.concatenate(arrays) for arrays in zip(*parts)]
     done = iter(escalate(f, [rows[i] for (rows, _, _), at in zip(batches, opened) for i in at],
-                         merged, batch, tol))
+                         merged, tol))
     for (rows, _, _), at in zip(batches, opened):
         for i in at:
             rows[i] = next(done)
@@ -331,7 +330,7 @@ def _synthetic(seed, mix, matrices):
     return draw
 
 
-def _escalate_rows(f, rows, data, batch, tol):
+def _escalate_rows(f, rows, data, tol):
     """The synthetic ladder over a list of row tuples."""
     ladder, ladder_bound = data
     return [(lad, th, b, matrix)
@@ -357,8 +356,8 @@ def _run(tally_class, seed, mix, matrices, samples):
             columns, config, data = draw(indices)
             return _Rows(*columns), config, data
 
-        def escalate(f, rows, data, batch, tol):
-            done = _escalate_rows(f, [rows[i] for i in range(len(rows))], data, batch, tol)
+        def escalate(f, rows, data, tol):
+            done = _escalate_rows(f, [rows[i] for i in range(len(rows))], data, tol)
             value, threshold, bound, mats = zip(*done)
             return _Rows(np.array(value), np.array(threshold), np.array(bound),
                          None if rows.mats is None else np.array(mats))
@@ -397,7 +396,7 @@ def test_bulk_settling_matches_the_per_row_loop(mix, matrices):
 # The precision ladder on real rows against the per-row ladder
 
 
-def _frozen_escalate_dd(f, rows, data, batch, tol):
+def _frozen_escalate_dd(f, rows, data, tol):
     nodes, weights, scale = data
     rows, redo = list(rows), list(range(len(rows)))
     if LONG_DOUBLE_WIDER:
@@ -407,7 +406,7 @@ def _frozen_escalate_dd(f, rows, data, batch, tol):
         redo = [i for i, row in enumerate(rows) if _open(*row[:3])]
     if redo:
         floor = dd_threshold(scale[redo], "extended", tol).tolist()
-        lo, hi = _by_batch(lambda at: _enclosures(f, nodes[at], weights[at]), redo, batch)
+        lo, hi = _enclosures(f, nodes[redo], weights[redo])
         for i, low, high, th in zip(redo, lo.tolist(), hi.tolist(), floor):
             if low + th >= 0.0:
                 v = min(max(rows[i][0], low), high)
@@ -420,7 +419,7 @@ def _frozen_psd_rows(mats, bounds, tol):
     return list(zip(lam, (tol * psd_scale(mats)).tolist(), bounds, mats))
 
 
-def _frozen_escalate_points(f, rows, data, batch, tol, layout):
+def _frozen_escalate_points(f, rows, data, tol, layout):
     X, values, squares = data
     share = _shares(len(layout))
     rows = list(rows)
@@ -430,10 +429,7 @@ def _frozen_escalate_points(f, rows, data, batch, tol, layout):
         rows = _frozen_psd_rows(_symmetric(values), np.sqrt(squares.sum(axis=1)).tolist(), tol)
     left = [b for b, row in enumerate(rows) if _open(*row[:3])]
     if left:
-        def enclose(mats):
-            return _over_entries(lambda blocks: _enclosures(f, blocks), X[mats], layout)
-
-        lo, hi = _by_batch(enclose, left, batch)
+        lo, hi = _over_entries(lambda blocks: _enclosures(f, blocks), X[left], layout)
         with np.errstate(invalid="ignore", over="ignore"):
             mid = 0.5 * (lo + hi)
             radius = np.nextafter(np.maximum(hi - mid, mid - lo), np.inf)
